@@ -6,7 +6,6 @@ data by locating the nearest global section, and analyze the integrated
 system through Cech cohomology.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .consistency import (
     Assignment,
     EdgeError,
@@ -78,3 +77,5 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
+# the geometry kernels are plain Python; kept for callers that record it
+KERNEL_BACKEND = "pure"

@@ -1,7 +1,5 @@
-"""Pure-Python geometry kernels.
-
-Twin of the compiled module ``_fast``; both expose the same functions
-with identical semantics so the backend can be swapped at import time.
+"""Geometry kernels: angle wrapping, great-circle distance, bearings
+and dead reckoning.
 
 Conventions: longitudes are stored west-positive in decimal degrees,
 latitudes north-positive, bearings in compass degrees clockwise from

@@ -42,22 +42,6 @@ EXIT_INPUT = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _threads() -> int:
-    """Parallelism cap from SHEAFCTL_THREADS; evaluation is currently
-    sequential, the cap is validated and reported for forward
-    compatibility."""
-    raw = os.environ.get("SHEAFCTL_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpecError(f"SHEAFCTL_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise SpecError("SHEAFCTL_THREADS must be at least 1")
-    return value
-
-
 def _print_weights(spec: dict):
     weights = spec.get("weights")
     if weights:
@@ -454,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads()
         return args.fn(args)
     except SpecError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -61,9 +61,6 @@ class RadiusResult:
     radius: float
     edges: list[EdgeError] = field(default_factory=list)
 
-    def dominant(self, count: int = 2) -> list[EdgeError]:
-        return self.edges[:count]
-
 
 def assignment_distance(a: Assignment, b: Assignment) -> float:
     """Sup over commonly defined opens of the stalk distance; 0 if none."""
@@ -94,8 +91,8 @@ def consistency_radius(a: Assignment) -> RadiusResult:
         pu = a.values.get(large.id)
         if pv is None or pu is None:
             continue
-        restricted = sh.restrict(large, small, pu)
-        err = sp.distance(sh.stalk(small.id), pv, restricted)
+        restricted = sh.restrict_coords(large.id, small.id, pu.coords)
+        err = sp.coord_distance(sh.stalk(small.id), pv.coords, restricted)
         edges.append(EdgeError(small, large, err))
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
     radius = edges[0].error if edges else 0.0

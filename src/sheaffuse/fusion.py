@@ -178,9 +178,6 @@ class FusionResult:
     converged: bool
     route: str
 
-    def flagged_max_iterations(self) -> bool:
-        return not self.converged
-
 
 def fusion_lower_bound(radius: float, lipschitz: float) -> float:
     """Distance floor radius / (1 + K) for K-Lipschitz restrictions."""
@@ -218,6 +215,9 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     sh = a.sheaf
     top, top_space, circ_mask, kernel = _top_parameterization(sh)
     defined = a.defined_ids()
+    # (open, stalk, observed coordinates): the assignment's points were
+    # validated when they were set
+    targets = [(oid, sh.stalk(oid), a.values[oid].coords) for oid in defined]
 
     def section_point(x):
         if kernel is not None:
@@ -227,14 +227,11 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         return sp.make_point(top_space, coords)
 
     def objective(x):
-        point = section_point(x)
+        coords = section_point(x).coords
         worst = 0.0
-        for oid in defined:
-            if oid == top.id:
-                d = sp.distance(top_space, a.values[oid], point)
-            else:
-                restricted = sh.restrict(top, oid, point)
-                d = sp.distance(sh.stalk(oid), a.values[oid], restricted)
+        for oid, space, observed in targets:
+            restricted = sh.restrict_coords(top.id, oid, coords)
+            d = sp.coord_distance(space, observed, restricted)
             if d > worst:
                 worst = d
         return worst

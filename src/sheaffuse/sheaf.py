@@ -202,7 +202,7 @@ class Sheaf:
         self.pullbacks: dict[int, Pullback] = {}
         self.complete = False
         self._basis_chain_cache: dict[tuple[int, int], Chain] = {}
-        self._restrict_cache: dict[tuple[int, int], object] = {}
+        self._blocks_cache: dict[tuple[int, int], tuple] = {}
         self._kernel_cache: dict[int, np.ndarray] = {}
         self._matrix_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -279,53 +279,53 @@ class Sheaf:
             return pb.parts
         return (oid,)
 
-    def _layout(self, oid: int):
-        """(parts, offsets, dims) of an open's coordinate tuple."""
+    def _layout(self, oid: int) -> dict[int, tuple[int, int]]:
+        """Coordinate slice (lo, hi) of each part of an open, in order."""
         pb = self.pullbacks.get(oid)
-        if pb is not None:
-            return pb.parts, pb.offsets, pb.dims
-        dim = self.stalk(oid).dim
-        return (oid,), (0,), (dim,)
+        if pb is None:
+            return {oid: (0, self.stalk(oid).dim)}
+        return {p: (off, off + dim)
+                for p, off, dim in zip(pb.parts, pb.offsets, pb.dims)}
 
-    # -- point-level restriction ---------------------------------------------
-
-    def restrict_coords(self, src: int, dst: int, coords):
-        if src == dst:
-            return tuple(coords)
+    def _blocks(self, src: int, dst: int):
+        """The restriction from ``src`` to ``dst`` as one block per part of
+        ``dst``: ``(src_lo, src_hi, dst_lo, dst_hi, chain)``, where the
+        source slice holds the part of ``src`` that carries it."""
         key = (src, dst)
-        plan = self._restrict_cache.get(key)
-        if plan is None:
-            plan = self._restrict_plan(src, dst)
-            self._restrict_cache[key] = plan
-        return plan(coords)
-
-    def _restrict_plan(self, src: int, dst: int):
+        blocks = self._blocks_cache.get(key)
+        if blocks is not None:
+            return blocks
         t = self.topology
         small, big = t.opens[dst], t.opens[src]
         if small.mask & big.mask != small.mask:
             raise NotComparable(f"{small} is not contained in {big}")
-        src_parts, src_offs, src_dims = self._layout(src)
-        dst_parts, _, _ = self._layout(dst)
-        steps = []
-        for b_id in dst_parts:
+        src_slices = self._layout(src)
+        blocks = []
+        for b_id, (dst_lo, dst_hi) in self._layout(dst).items():
             b_mask = t.opens[b_id].mask
-            for part_id, off, dim in zip(src_parts, src_offs, src_dims):
+            for part_id, (lo, hi) in src_slices.items():
                 if b_mask & t.opens[part_id].mask == b_mask:
-                    chain = self._basis_chain(part_id, b_id)
-                    steps.append((off, off + dim, chain))
+                    blocks.append((lo, hi, dst_lo, dst_hi,
+                                   self._basis_chain(part_id, b_id)))
                     break
             else:
-                raise NotComparable(
-                    f"no part of {big} carries {t.opens[b_id]}"
-                )
+                raise NotComparable(f"no part of {big} carries {t.opens[b_id]}")
+        blocks = tuple(blocks)
+        self._blocks_cache[key] = blocks
+        return blocks
 
-        def apply(coords, _steps=tuple(steps)):
-            out = []
-            for lo, hi, chain in _steps:
-                out.extend(chain(coords[lo:hi]))
-            return tuple(out)
+    # -- point-level restriction ---------------------------------------------
 
-        return apply
+    def restrict_coords(self, src: int, dst: int, coords):
+        """Restrict bare coordinates on ``src`` to ``dst``; the result is
+        checked against the stalk over ``dst``."""
+        if src == dst:
+            return tuple(coords)
+        out = []
+        for lo, hi, _, _, chain in self._blocks(src, dst):
+            out.extend(chain(coords[lo:hi]))
+        sp.check_coords(self.stalks[dst], out)
+        return tuple(out)
 
     def restrict(self, u, v, value: sp.Point) -> sp.Point:
         """Restrict an observation on U to the open subset V."""
@@ -342,14 +342,12 @@ class Sheaf:
         pb = self.pullbacks.get(oid)
         if pb is None:
             return 0.0
+        slices = self._layout(oid)
         worst = 0.0
         for a, b, inter in pb.constraints:
-            ia = pb.parts.index(a)
-            ib = pb.parts.index(b)
-            pa = point.coords[pb.offsets[ia]:pb.offsets[ia] + pb.dims[ia]]
-            xb = point.coords[pb.offsets[ib]:pb.offsets[ib] + pb.dims[ib]]
-            ra = self._basis_chain(a, inter)(pa)
-            rb = self._basis_chain(b, inter)(xb)
+            (a_lo, a_hi), (b_lo, b_hi) = slices[a], slices[b]
+            ra = self._basis_chain(a, inter)(point.coords[a_lo:a_hi])
+            rb = self._basis_chain(b, inter)(point.coords[b_lo:b_hi])
             space = self.stalk(inter)
             d = sp.distance(space, sp.make_point(space, ra),
                             sp.make_point(space, rb))
@@ -372,19 +370,20 @@ class Sheaf:
         if pb is None:
             k = np.eye(self.stalk(oid).dim)
         else:
-            amb = sum(pb.dims)
+            amb = self.stalk(oid).dim
+            slices = self._layout(oid)
             rows = []
             for a, b, inter in pb.constraints:
-                ia, ib = pb.parts.index(a), pb.parts.index(b)
-                ma = self._basis_chain(a, inter).matrix(pb.dims[ia])
-                mb = self._basis_chain(b, inter).matrix(pb.dims[ib])
+                (a_lo, a_hi), (b_lo, b_hi) = slices[a], slices[b]
+                ma = self._basis_chain(a, inter).matrix(a_hi - a_lo)
+                mb = self._basis_chain(b, inter).matrix(b_hi - b_lo)
                 if ma is None or mb is None:
                     raise NonlinearSheaf(
                         "kernel basis requires linear restrictions"
                     )
                 row = np.zeros((ma.shape[0], amb))
-                row[:, pb.offsets[ia]:pb.offsets[ia] + pb.dims[ia]] = ma
-                row[:, pb.offsets[ib]:pb.offsets[ib] + pb.dims[ib]] -= mb
+                row[:, a_lo:a_hi] = ma
+                row[:, b_lo:b_hi] -= mb
                 rows.append(row)
             if rows:
                 k = nullspace(np.vstack(rows))
@@ -401,27 +400,12 @@ class Sheaf:
 
     def ambient_matrix(self, src: int, dst: int) -> np.ndarray:
         """Restriction as a matrix between ambient coordinate tuples."""
-        t = self.topology
-        src_parts, src_offs, src_dims = self._layout(src)
-        dst_parts, dst_offs, dst_dims = self._layout(dst)
-        amb_src = sum(src_dims)
-        amb_dst = sum(dst_dims)
-        m = np.zeros((amb_dst, amb_src))
-        for b_id, b_off, b_dim in zip(dst_parts, dst_offs, dst_dims):
-            b_mask = t.opens[b_id].mask
-            for part_id, off, dim in zip(src_parts, src_offs, src_dims):
-                if b_mask & t.opens[part_id].mask == b_mask:
-                    block = self._basis_chain(part_id, b_id).matrix(dim)
-                    if block is None:
-                        raise NonlinearSheaf(
-                            "matrix restriction requires linear maps"
-                        )
-                    m[b_off:b_off + b_dim, off:off + dim] = block
-                    break
-            else:
-                raise NotComparable(
-                    f"no part of {t.opens[src]} carries {t.opens[b_id]}"
-                )
+        m = np.zeros((self.stalk(dst).dim, self.stalk(src).dim))
+        for lo, hi, dst_lo, dst_hi, chain in self._blocks(src, dst):
+            block = chain.matrix(hi - lo)
+            if block is None:
+                raise NonlinearSheaf("matrix restriction requires linear maps")
+            m[dst_lo:dst_hi, lo:hi] = block
         return m
 
     def restriction_matrix(self, src: int, dst: int) -> np.ndarray:
@@ -597,9 +581,8 @@ def verify_functoriality(sh: Sheaf, samples: int = 64, rng=None,
                         node = step
                     results.append(coords)
                 space = sh.stalk(v_id)
-                base = sp.make_point(space, results[0])
                 for other in results[1:]:
-                    d = sp.distance(space, base, sp.make_point(space, other))
+                    d = sp.coord_distance(space, results[0], other)
                     pair_worst = max(pair_worst, d)
             worst = max(worst, pair_worst)
             if pair_worst > tol:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import _kernels as K
 from .errors import SpaceMismatch
@@ -47,6 +48,12 @@ class ValueSpace:
                 flag for c in self.components for flag in c.circular_mask
             )
         return (False,) * self.dim
+
+    @cached_property
+    def has_simplex(self) -> bool:
+        """Whether the space or one of its factors is a simplex."""
+        return self.kind == SIMPLEX or any(
+            c.has_simplex for c in self.components)
 
     @property
     def is_linear(self) -> bool:
@@ -128,19 +135,38 @@ class Point:
 def make_point(space: ValueSpace, coords) -> Point:
     """Validate and normalize coordinates for a space.
 
-    Circular coordinates are wrapped to [0, 360); simplex coordinates
-    must be nonnegative and sum to 1 within tolerance.
+    Coordinates must be finite.  Circular coordinates are wrapped to
+    [0, 360); simplex coordinates must be nonnegative and sum to 1
+    within tolerance.
     """
     vals = [float(c) for c in coords]
-    if len(vals) != space.dim:
+    _check_dim(space, vals)
+    if not all(map(math.isfinite, vals)):
         raise SpaceMismatch(
-            f"expected {space.dim} coordinates for {space.describe()}, "
-            f"got {len(vals)}"
+            f"coordinates for {space.describe()} must be finite, got "
+            f"{tuple(vals)}"
         )
     mask = space.circular_mask
     vals = [K.wrap_deg(v) if m else v for v, m in zip(vals, mask)]
     _check_simplexes(space, vals)
     return Point(tuple(vals), space)
+
+
+def check_coords(space: ValueSpace, coords) -> None:
+    """Raise ``SpaceMismatch`` unless ``coords`` has ``space.dim`` entries
+    and its simplex factors lie on their simplexes; the shape checks of
+    ``make_point`` on coordinates a restriction map produced."""
+    _check_dim(space, coords)
+    if space.has_simplex:
+        _check_simplexes(space, coords)
+
+
+def _check_dim(space: ValueSpace, vals) -> None:
+    if len(vals) != space.dim:
+        raise SpaceMismatch(
+            f"expected {space.dim} coordinates for {space.describe()}, "
+            f"got {len(vals)}"
+        )
 
 
 def _check_simplexes(space: ValueSpace, vals, offset: int = 0) -> int:
@@ -162,7 +188,13 @@ def distance(space: ValueSpace, x: Point, y: Point) -> float:
     """Weighted pseudometric distance between two points of a space."""
     if x.space != space or y.space != space:
         raise SpaceMismatch("points do not belong to the given space")
-    return _dist(space, x.coords, y.coords, 0)
+    return coord_distance(space, x.coords, y.coords)
+
+
+def coord_distance(space: ValueSpace, a, b) -> float:
+    """``distance`` on bare coordinate tuples, which the caller vouches
+    lie in ``space``; the inner loops of the radius and fusion use it."""
+    return _dist(space, a, b, 0)
 
 
 def _dist(space: ValueSpace, a, b, off: int) -> float:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import spaces as sp
 from .consistency import Assignment, RadiusResult
-from .errors import SheafFuseError
+from .errors import SheafFuseError, SpaceMismatch
 from .sheaf import (
     Affine,
     Identity,
@@ -231,7 +231,10 @@ def load_assignment(path, sh: Sheaf) -> Assignment:
                         f"{path}: open {key!r} expects {space.dim} values, "
                         f"row has {len(coords)}"
                     )
-                a.set(u, sp.make_point(space, coords))
+                try:
+                    a.set(u, sp.make_point(space, coords))
+                except SpaceMismatch as exc:
+                    raise SpecError(f"{path}: open {key!r}: {exc}") from None
     except OSError as exc:
         raise SpecError(f"cannot read assignment {path}: {exc}") from None
     except ValueError as exc:

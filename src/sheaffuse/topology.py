@@ -116,9 +116,6 @@ class Topology:
     def find(self, mask: int) -> OpenSet | None:
         return self._by_mask.get(mask)
 
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self._by_mask
-
     @cached_property
     def descendants(self) -> tuple[frozenset[int], ...]:
         """For each open id, the ids of all strictly smaller opens."""
@@ -146,14 +143,6 @@ class Topology:
                     maximal.append(v.id)
             children.append(tuple(sorted(maximal)))
         return tuple(children)
-
-    @cached_property
-    def hasse_parents(self) -> tuple[tuple[int, ...], ...]:
-        parents: list[list[int]] = [[] for _ in self.opens]
-        for u_id, kids in enumerate(self.hasse_children):
-            for v_id in kids:
-                parents[v_id].append(u_id)
-        return tuple(tuple(sorted(p)) for p in parents)
 
 
 class UnknownOpenSet(KeyError):

@@ -3,9 +3,11 @@ import json
 import pytest
 
 from sheaffuse import (
+    Assignment,
     EntityUniverse,
     Identity,
     Linear,
+    Projection,
     RestrictionMap,
     Sheaf,
     betti,
@@ -13,6 +15,7 @@ from sheaffuse import (
     consistency_radius,
     euclidean,
     generate_topology,
+    make_point,
 )
 from sheaffuse.cli import main
 from sheaffuse.cohomology import Cover
@@ -96,6 +99,24 @@ def test_radius_unknown_open_exits_2(sar_files, tmp_path, capsys):
     assert main(["radius", str(spec), str(bad)]) == 2
     err = capsys.readouterr().err
     assert "nope" in err
+
+
+def test_radius_mis_sized_projection_exits_1(tmp_path, capsys):
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid, top = t.open_for(["a"]), t.full
+    sh = complete_unions(Sheaf(
+        t, {top: euclidean(2), mid: euclidean(2)},
+        [RestrictionMap(top, mid, Projection([0, 1, 1]))],
+    ))
+    spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
+    save_sheaf(spec, sh)
+    save_assignment(values, Assignment(sh, {
+        top: make_point(sh.stalk(top.id), [1.0, 2.0]),
+        mid: make_point(sh.stalk(mid.id), [1.0, 2.0]),
+    }))
+    assert main(["radius", str(spec), str(values)]) == 1
+    assert "expected 2 coordinates" in capsys.readouterr().err
 
 
 def test_radius_of_global_section_is_zero(sar_files, tmp_path, capsys):
@@ -221,9 +242,11 @@ def test_assignment_csv_round_trip_exact(sar_files, tmp_path):
         assert a.values[oid].coords == b.values[oid].coords
 
 
-def test_threads_env_validated(sar_files, monkeypatch, capsys):
-    spec, _ = sar_files
-    monkeypatch.setenv("SHEAFCTL_THREADS", "zebra")
-    assert main(["check", str(spec), "--samples", "4"]) == 2
-    monkeypatch.setenv("SHEAFCTL_THREADS", "4")
-    assert main(["check", str(spec), "--samples", "4"]) == 0
+def test_fuse_rejects_non_finite_observation(sar_files, tmp_path, capsys):
+    spec, case1 = sar_files
+    header, first, *rest = case1.read_text().splitlines()
+    key, _, tail = first.split(",", 2)
+    bad = tmp_path / "nan.csv"
+    bad.write_text("\n".join([header, f"{key},nan,{tail}"] + rest) + "\n")
+    assert main(["fuse", str(spec), str(bad)]) == 2
+    assert "finite" in capsys.readouterr().err

@@ -8,6 +8,8 @@ from sheaffuse import (
     Assignment,
     EntityUniverse,
     Identity,
+    Linear,
+    Projection,
     RestrictionMap,
     Sheaf,
     assignment_distance,
@@ -21,6 +23,7 @@ from sheaffuse import (
     make_point,
     pullback_global,
     sample_point,
+    simplex,
 )
 from sheaffuse.errors import SheafMismatch, SpaceMismatch
 from sheaffuse.scenarios import (
@@ -98,6 +101,27 @@ def test_two_open_chain_radius_by_hand():
     assert result.edges[0].smaller.members == ("a",)
 
 
+@pytest.mark.parametrize("stalk, body", [
+    (euclidean(2), Projection([0, 1, 1])),
+    (euclidean(2), Projection([0])),
+    (simplex(2), Linear([[1.0, 1.0], [1.0, 1.0]])),
+], ids=["too-long", "too-short", "off-simplex"])
+def test_radius_rejects_restriction_leaving_the_stalk(stalk, body):
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid, top = t.open_for(["a"]), t.full
+    sh = complete_unions(Sheaf(
+        t, {top: simplex(2), mid: stalk},
+        [RestrictionMap(top, mid, body)],
+    ))
+    a = Assignment(sh, {
+        top: make_point(sh.stalk(top.id), [0.5, 0.5]),
+        mid: make_point(stalk, [0.5, 0.5]),
+    })
+    with pytest.raises(SpaceMismatch):
+        consistency_radius(a)
+
+
 def test_empty_assignment_radius_zero():
     sh, _, _ = chain_sheaf()
     result = consistency_radius(Assignment(sh))
@@ -145,6 +169,16 @@ def test_radius_of_case_assignments_ordering():
     }
     assert radii[3] > 3 * radii[1] > 0
     assert radii[1] > radii[2]
+
+
+def test_radius_edges_match_point_level_distance():
+    sh = build_sar_sheaf()
+    for case in (1, 2, 3):
+        a = sar_case_assignment(sh, case)
+        for e in consistency_radius(a).edges:
+            restricted = sh.restrict(e.larger, e.smaller, a.get(e.larger))
+            assert e.error == distance(sh.stalk(e.smaller.id),
+                                       a.get(e.smaller), restricted)
 
 
 def test_is_epsilon_approximate():

@@ -4,82 +4,45 @@ import random
 import pytest
 
 from oracles import great_circle_km
-from sheaffuse._kernels import BACKEND, _pure
-
-try:
-    from sheaffuse._kernels import _fast
-except ImportError:
-    _fast = None
-
-BACKENDS = [("pure", _pure)] + ([("compiled", _fast)] if _fast else [])
+from sheaffuse import _kernels as K
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_wrap_and_circle(name, impl):
-    assert impl.wrap_deg(-30.0) == pytest.approx(330.0)
-    assert impl.wrap_deg(725.0) == pytest.approx(5.0)
-    assert impl.wrap_deg(360.0) == 0.0
-    assert impl.circle_dist_deg(359.0, 1.0) == pytest.approx(2.0)
-    assert impl.circle_dist_deg(10.0, 190.0) == pytest.approx(180.0)
+def test_wrap_and_circle():
+    assert K.wrap_deg(-30.0) == pytest.approx(330.0)
+    assert K.wrap_deg(725.0) == pytest.approx(5.0)
+    assert K.wrap_deg(360.0) == 0.0
+    assert K.circle_dist_deg(359.0, 1.0) == pytest.approx(2.0)
+    assert K.circle_dist_deg(10.0, 190.0) == pytest.approx(180.0)
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_haversine_against_independent_formula(name, impl):
+def test_haversine_against_independent_formula():
     rng = random.Random(11)
     for _ in range(200):
         lon1, lat1 = rng.uniform(0, 359), rng.uniform(-80, 80)
         lon2, lat2 = rng.uniform(0, 359), rng.uniform(-80, 80)
-        got = impl.haversine_km(lon1, lat1, lon2, lat2)
+        got = K.haversine_km(lon1, lat1, lon2, lat2)
         assert got == pytest.approx(
             great_circle_km(lon1, lat1, lon2, lat2), rel=1e-9, abs=1e-9
         )
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_bearing_points_east_scaled_by_latitude(name, impl):
+def test_bearing_points_east_scaled_by_latitude():
     # target due north
-    assert impl.equirect_bearing_deg(70.0, 40.0, 70.0, 41.0) == \
+    assert K.equirect_bearing_deg(70.0, 40.0, 70.0, 41.0) == \
         pytest.approx(0.0)
     # target due east (smaller west longitude)
-    assert impl.equirect_bearing_deg(70.0, 0.0, 69.0, 0.0) == \
+    assert K.equirect_bearing_deg(70.0, 0.0, 69.0, 0.0) == \
         pytest.approx(90.0)
     # east displacement shrinks with cos(sensor latitude)
-    b = impl.equirect_bearing_deg(70.0, 60.0, 69.0, 61.0)
+    b = K.equirect_bearing_deg(70.0, 60.0, 69.0, 61.0)
     assert b == pytest.approx(math.degrees(math.atan2(0.5, 1.0)), abs=1e-9)
 
 
-@pytest.mark.parametrize("name,impl", BACKENDS)
-def test_dead_reckon_scales(name, impl):
+def test_dead_reckon_scales():
     km_per_deg = math.radians(1.0) * 6371.0
-    lon, lat = impl.dead_reckon_deg(70.0, 40.0, 0.0, km_per_deg, 1.0,
+    lon, lat = K.dead_reckon_deg(70.0, 40.0, 0.0, km_per_deg, 1.0,
                                     6371.0, 0.0)
     assert (lon, lat) == pytest.approx((70.0, 41.0))
-    lon, lat = impl.dead_reckon_deg(70.0, 40.0, -km_per_deg, 0.0, 2.0,
+    lon, lat = K.dead_reckon_deg(70.0, 40.0, -km_per_deg, 0.0, 2.0,
                                     6371.0, 0.0)
     assert (lon, lat) == pytest.approx((68.0, 40.0))
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled kernels unavailable")
-def test_backends_agree():
-    rng = random.Random(13)
-    for _ in range(500):
-        args = (rng.uniform(0, 359), rng.uniform(-80, 80),
-                rng.uniform(0, 359), rng.uniform(-80, 80))
-        assert _fast.haversine_km(*args) == pytest.approx(
-            _pure.haversine_km(*args), rel=1e-12, abs=1e-12)
-        assert _fast.equirect_bearing_deg(*args) == pytest.approx(
-            _pure.equirect_bearing_deg(*args), rel=1e-12, abs=1e-12)
-        a, b = rng.uniform(-720, 720), rng.uniform(-720, 720)
-        assert _fast.circle_dist_deg(a, b) == pytest.approx(
-            _pure.circle_dist_deg(a, b), abs=1e-12)
-        assert _fast.wrap_deg(a) == pytest.approx(_pure.wrap_deg(a),
-                                                  abs=1e-12)
-        dr = (rng.uniform(0, 359), rng.uniform(-80, 80),
-              rng.uniform(-600, 600), rng.uniform(-600, 600),
-              rng.uniform(0, 2), 6371.0, rng.uniform(-60, 60))
-        assert _fast.dead_reckon_deg(*dr) == pytest.approx(
-            _pure.dead_reckon_deg(*dr), rel=1e-12)
-
-
-def test_backend_reported():
-    assert BACKEND in ("pure", "compiled")

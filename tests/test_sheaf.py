@@ -12,6 +12,7 @@ from sheaffuse import (
     Projection,
     RestrictionMap,
     Sheaf,
+    comparable_pairs,
     complete_unions,
     euclidean,
     generate_topology,
@@ -101,7 +102,7 @@ def test_functoriality_catches_corrupted_projection():
         u3, time_open, Projection([0])
     )
     sh._basis_chain_cache.clear()
-    sh._restrict_cache.clear()
+    sh._blocks_cache.clear()
     report = verify_functoriality(sh, samples=32)
     assert not report.ok
     assert report.witnesses
@@ -255,3 +256,14 @@ def test_restriction_chain_consistency_on_samples():
             mid.id, small.id, sh.restrict_coords(u34.id, mid.id, p.coords)
         )
         assert np.allclose(direct, stepped, atol=1e-9)
+
+
+def test_ambient_matrix_agrees_with_restrict_coords():
+    rng = random.Random(47)
+    for _ in range(20):
+        sh = random_linear_sheaf(rng)
+        for small, large in comparable_pairs(sh.topology):
+            x = [rng.gauss(0.0, 10.0) for _ in range(sh.stalk(large.id).dim)]
+            m = sh.ambient_matrix(large.id, small.id)
+            assert np.allclose(m @ x, sh.restrict_coords(large.id, small.id, x),
+                               rtol=1e-12, atol=1e-9)

@@ -126,6 +126,13 @@ def test_space_mismatch_detected():
         make_point(euclidean(3), (0.0, 0.0))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_rejected(bad):
+    for space in (euclidean(2), product([circle(), time_line()])):
+        with pytest.raises(SpaceMismatch, match="finite"):
+            make_point(space, (0.0, bad))
+
+
 @pytest.mark.parametrize("space", ALL_KINDS,
                          ids=[s.describe() for s in ALL_KINDS])
 def test_pseudometric_axioms(space):
