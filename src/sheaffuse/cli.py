@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -122,9 +123,26 @@ def _resolve_cover(sh, spec, keys) -> Cover:
     return Cover(tuple(sets))
 
 
+def _lift_range(key: str, bounds) -> tuple[float, float]:
+    """One axis of a spec's lift range: two finite, increasing numbers."""
+    if not isinstance(bounds, list) or len(bounds) != 2 or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        for v in bounds
+    ):
+        raise SpecError(f"lift range {bounds!r} for {key!r} is not a pair "
+                        f"of numbers")
+    lo, hi = float(bounds[0]), float(bounds[1])
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise SpecError(f"lift range {bounds!r} for {key!r} must be finite "
+                        f"and increasing")
+    return lo, hi
+
+
 def _lift(sh, spec, bins: int):
+    if bins < 1:
+        raise SpecError(f"--lift-bins must be at least 1, got {bins}")
     ranges = spec.get("lift_ranges")
-    if not ranges:
+    if not ranges or not isinstance(ranges, dict):
         raise SpecError(
             "the spec has no lift_ranges; they are required to bin the "
             "stalks for a stochastic lift"
@@ -134,15 +152,20 @@ def _lift(sh, spec, bins: int):
         per_coord = ranges.get(b.key())
         if per_coord is None:
             raise SpecError(f"no lift range for basis open {b.key()!r}")
-        lows = [float(lo) for lo, _ in per_coord]
-        highs = [float(hi) for _, hi in per_coord]
-        grids[b.id] = uniform_grid(lows, highs, bins)
+        dim = sh.stalk(b.id).dim
+        if not isinstance(per_coord, list) or len(per_coord) != dim:
+            raise SpecError(f"lift range for {b.key()!r} needs one pair per "
+                            f"coordinate of its {dim}-d stalk")
+        bounds = [_lift_range(b.key(), pair) for pair in per_coord]
+        grids[b.id] = uniform_grid([lo for lo, _ in bounds],
+                                   [hi for _, hi in bounds], bins)
     return lift_sheaf(sh, grids)
 
 
 def cmd_cohomology(args) -> int:
     sh, spec = load_sheaf(args.spec)
-    if args.lift_bins:
+    worst = None
+    if args.lift_bins is not None:
         sh = _lift(sh, spec, args.lift_bins)
         import numpy as np
 
@@ -155,12 +178,14 @@ def cmd_cohomology(args) -> int:
             dd = cx.coboundaries[k + 1] @ cx.coboundaries[k]
             if dd.size:
                 worst = max(worst, float(np.max(np.abs(dd))))
+        note = sys.stderr if args.json else sys.stdout
         print(f"lifted complex: column-stochastic blocks, "
-              f"max |d.d| = {worst:.3g}")
+              f"max |d.d| = {worst:.3g}", file=note)
         if worst > 1e-10:
             print("warning: the discretized lift is only approximately "
                   "functorial; Betti numbers are unreliable below that "
-                  "residual (raise --lift-bins to tighten it)")
+                  "residual, and more --lift-bins do not shrink it",
+                  file=note)
     try:
         cover = _resolve_cover(sh, spec, args.cover)
         table = betti(sh, cover, args.max_degree)
@@ -170,7 +195,10 @@ def cmd_cohomology(args) -> int:
               file=sys.stderr)
         return EXIT_ANALYSIS
     if args.json:
-        print(json.dumps(table.as_dict()))
+        payload = table.as_dict()
+        if worst is not None:
+            payload["dd_residual"] = worst
+        print(json.dumps(payload))
     else:
         print(table)
         print(f"betti: {table.betti}")
@@ -413,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--cover", nargs="*", help="open-set keys (default: subbase)")
     p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--lift-bins", type=int, default=0,
+    p.add_argument("--lift-bins", type=int,
                    help="linearize a nonlinear sheaf with this many bins "
                         "per axis first")
     p.add_argument("--json", action="store_true")

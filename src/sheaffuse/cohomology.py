@@ -4,6 +4,7 @@ and stochastic lifting of nonlinear maps into column-stochastic ones."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,9 +356,10 @@ class BinGrid:
             n *= s
         return n
 
-    def centers(self, subdivisions: int = 1):
-        """Representative points per cell: the midpoints of a regular
-        subdivision, yielding (cell_index, point) pairs."""
+    def cell_samples(self, subdivisions: int = 1):
+        """Representative points per cell, cells in row-major order:
+        yields (cell_index, points), where points iterates over the
+        midpoints of a regular subdivision of the cell as tuples."""
         axes = []
         for edge in self.edges:
             pts = []
@@ -367,29 +369,31 @@ class BinGrid:
                 pts.append([lo + (j + 0.5) * step
                             for j in range(subdivisions)])
             axes.append(pts)
-        shape = self.shape
-        for cell in itertools.product(*(range(s) for s in shape)):
-            for combo in itertools.product(
-                *(axes[ax][cell[ax]] for ax in range(len(shape)))
-            ):
-                yield cell, combo
+        for cell in itertools.product(*(range(s) for s in self.shape)):
+            yield cell, itertools.product(
+                *(axes[ax][c] for ax, c in enumerate(cell))
+            )
+
+    def cells(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Bin the rows of an (n, d) array: per-axis cell indices, shape
+        (n, d), and a mask of the rows that lie in the grid.  The
+        rightmost bin is closed on both sides; a NaN lies nowhere."""
+        if points.ndim != 2 or points.shape[1] != len(self.edges):
+            raise ValueError(f"points of shape {points.shape} do not fit "
+                             f"a {len(self.edges)}-d grid")
+        idx = np.empty(points.shape, dtype=np.intp)
+        inside = np.ones(len(points), dtype=bool)
+        for ax, edge in enumerate(self.edges):
+            col = points[:, ax]
+            inside &= (col >= edge[0]) & (col <= edge[-1])
+            idx[:, ax] = np.clip(np.searchsorted(edge, col, side="right") - 1,
+                                 0, len(edge) - 2)
+        return idx, inside
 
     def locate(self, point) -> tuple[int, ...] | None:
-        cell = []
-        for ax, edge in enumerate(self.edges):
-            v = point[ax]
-            if v < edge[0] or v > edge[-1]:
-                return None
-            # rightmost bin is closed on both sides
-            i = int(np.searchsorted(edge, v, side="right")) - 1
-            cell.append(min(max(i, 0), len(edge) - 2))
-        return tuple(cell)
-
-    def flat(self, cell: tuple[int, ...]) -> int:
-        idx = 0
-        for c, s in zip(cell, self.shape):
-            idx = idx * s + c
-        return idx
+        """Cell index of one point; None outside the grid or for NaN."""
+        idx, inside = self.cells(np.asarray([point], dtype=float))
+        return tuple(int(c) for c in idx[0]) if inside[0] else None
 
 
 def uniform_grid(lows, highs, bins: int) -> BinGrid:
@@ -398,6 +402,26 @@ def uniform_grid(lows, highs, bins: int) -> BinGrid:
         step = (hi - lo) / bins
         edges.append(tuple(lo + i * step for i in range(bins + 1)))
     return BinGrid(tuple(edges))
+
+
+def _bad_image(images, cell, grid: BinGrid) -> UnmappedBin:
+    """The error naming the first of ``images`` that has the wrong
+    number of coordinates, is not finite or lies outside ``grid``."""
+    dim = len(grid.edges)
+    for image in images:
+        image = tuple(image)
+        if len(image) != dim:
+            why = f"has {len(image)} coordinates, the codomain grid {dim}"
+        elif not all(map(math.isfinite, image)):
+            why = "is not finite"
+        elif grid.locate(image) is None:
+            why = "lies outside the codomain grid"
+        else:
+            continue
+        return UnmappedBin(
+            f"image {image} of sample in domain bin {cell} {why}"
+        )
+    raise AssertionError("no bad image among the samples")
 
 
 def stochastic_lift(f, bins_domain, bins_codomain,
@@ -422,20 +446,27 @@ def stochastic_lift(f, bins_domain, bins_codomain,
     if not isinstance(bins_domain, BinGrid) or \
             not isinstance(bins_codomain, BinGrid):
         raise TypeError("bins must both be ints or both BinGrid")
+    if subdivisions < 1:
+        raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
+    # one block of samples per domain cell: f runs once per point, the
+    # binning once per block
+    dim = len(bins_codomain.edges)
+    per = subdivisions ** len(bins_domain.edges)
     m = np.zeros((bins_codomain.size, bins_domain.size))
-    counts = np.zeros(bins_domain.size)
-    for cell, point in bins_domain.centers(subdivisions):
-        i = bins_domain.flat(cell)
-        image = f(point)
-        out_cell = bins_codomain.locate(image)
-        if out_cell is None:
-            raise UnmappedBin(
-                f"image {tuple(image)} of sample in domain bin {cell} lies "
-                f"outside the codomain grid"
-            )
-        m[bins_codomain.flat(out_cell), i] += 1.0
-        counts[i] += 1.0
-    return m / counts
+    for i, (cell, points) in enumerate(bins_domain.cell_samples(subdivisions)):
+        images = [f(p) for p in points]
+        if set(map(len, images)) != {dim}:
+            raise _bad_image(images, cell, bins_codomain)
+        coords = np.fromiter(itertools.chain.from_iterable(images),
+                             float, count=per * dim)
+        idx, inside = bins_codomain.cells(coords.reshape(per, dim))
+        if not inside.all():
+            raise _bad_image(images, cell, bins_codomain)
+        flat = np.zeros(per, dtype=np.intp)
+        for ax, s in enumerate(bins_codomain.shape):
+            flat = flat * s + idx[:, ax]
+        m[:, i] = np.bincount(flat, minlength=len(m))
+    return m / per
 
 
 def lift_sheaf(sh: Sheaf, grids: dict, subdivisions: int = 3,

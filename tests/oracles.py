@@ -5,6 +5,7 @@ closures by fixpoint iteration, distances by alternative formulas,
 agreement spaces by stacked-constraint nullspaces.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -132,3 +133,46 @@ def lift_mass_matrix(f, n_dom, n_cod):
         mass = {f(i): 1.0}
         cols.append([mass.get(j, 0.0) for j in range(n_cod)])
     return np.array(cols).T
+
+
+def grid_lift_reference(f, grid_in, grid_out, subdivisions=3):
+    """Stochastic lift between bin grids by a per-point loop: every
+    subdivision midpoint of every domain cell is mapped on its own and
+    located axis by axis with a scalar searchsorted (the rightmost bin
+    closed on both sides); the counts are divided by the per-cell
+    sample totals.  Reads nothing of the grids but their edges."""
+    def flat(cell, dims):
+        idx = 0
+        for c, s in zip(cell, dims):
+            idx = idx * s + c
+        return idx
+
+    dom = [len(e) - 1 for e in grid_in.edges]
+    cod = [len(e) - 1 for e in grid_out.edges]
+    axes = []
+    for edge in grid_in.edges:
+        per_bin = []
+        for i in range(len(edge) - 1):
+            lo, hi = edge[i], edge[i + 1]
+            step = (hi - lo) / subdivisions
+            per_bin.append([lo + (j + 0.5) * step
+                            for j in range(subdivisions)])
+        axes.append(per_bin)
+    m = np.zeros((math.prod(cod), math.prod(dom)))
+    counts = np.zeros(math.prod(dom))
+    for cell in itertools.product(*(range(s) for s in dom)):
+        i = flat(cell, dom)
+        for point in itertools.product(
+            *(axes[ax][c] for ax, c in enumerate(cell))
+        ):
+            image = f(point)
+            out = []
+            for ax, edge in enumerate(grid_out.edges):
+                v = image[ax]
+                if v < edge[0] or v > edge[-1]:
+                    raise ValueError(f"image {image} outside the grid")
+                k = int(np.searchsorted(edge, v, side="right")) - 1
+                out.append(min(max(k, 0), len(edge) - 2))
+            m[flat(out, cod), i] += 1.0
+            counts[i] += 1.0
+    return m / counts

@@ -188,6 +188,42 @@ def test_cohomology_lift_reports_dd_residual(sar_files, capsys):
     assert "max |d.d|" in out
 
 
+def test_cohomology_lift_json_is_one_object(sar_files, capsys):
+    spec, _ = sar_files
+    assert main(["cohomology", str(spec), "--lift-bins", "2",
+                 "--max-degree", "1", "--json"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["dd_residual"] == pytest.approx(0.481, abs=5e-4)
+    assert payload["betti"] == [62, -2]
+    assert "do not shrink it" in captured.err
+
+
+@pytest.mark.parametrize("bins", ["-1", "0"])
+def test_cohomology_lift_bins_below_one_exits_2(sar_files, capsys, bins):
+    spec, _ = sar_files
+    assert main(["cohomology", str(spec), "--lift-bins", bins]) == 2
+    assert "--lift-bins must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ranges, why", [
+    ([["west", 95.0], [27.0, 61.0]], "not a pair of numbers"),
+    ([[40.0, float("inf")], [27.0, 61.0]], "finite and increasing"),
+    ([[95.0, 40.0], [27.0, 61.0]], "finite and increasing"),
+    ([[40.0, 95.0]], "one pair per coordinate"),
+])
+def test_cohomology_bad_lift_range_exits_2(sar_files, tmp_path, capsys,
+                                           ranges, why):
+    spec, _ = sar_files
+    data = json.loads(spec.read_text())
+    # the 2-d detection stalk over U5
+    data["lift_ranges"]["s+theta1+theta2"] = ranges
+    bad = tmp_path / "bad_ranges.json"
+    bad.write_text(json.dumps(data))
+    assert main(["cohomology", str(bad), "--lift-bins", "2"]) == 2
+    assert why in capsys.readouterr().err
+
+
 def test_leray_command(tmp_path, capsys):
     from sheaffuse.scenarios import build_obstacle_sheaves
 

@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import constant_circle_sheaf, random_linear_sheaf
-from oracles import agreement_dim, circle_cover_betti, lift_mass_matrix
+from oracles import (
+    agreement_dim,
+    circle_cover_betti,
+    grid_lift_reference,
+    lift_mass_matrix,
+)
 from sheaffuse import (
+    BinGrid,
     Cover,
     betti,
     build_complex,
@@ -17,7 +23,11 @@ from sheaffuse import (
 )
 from sheaffuse.cohomology import topology_betti
 from sheaffuse.errors import NonlinearSheaf, UnmappedBin
-from sheaffuse.scenarios import build_obstacle_sheaves, build_sar_sheaf
+from sheaffuse.scenarios import (
+    build_obstacle_sheaves,
+    build_sar_sheaf,
+    sar_lift_ranges,
+)
 
 
 def random_cover(rng, t):
@@ -313,3 +323,103 @@ def test_grid_locate_boundary_closed_on_right():
     assert grid.locate((1.0,)) == (1,)
     assert grid.locate((0.49,)) == (0,)
     assert grid.locate((1.01,)) is None
+
+
+def test_grid_locate_rejects_non_finite():
+    grid = uniform_grid([0.0], [1.0], 2)
+    assert grid.locate((float("nan"),)) is None
+    assert grid.locate((float("inf"),)) is None
+
+
+def random_grid(rng, dim):
+    edges = []
+    for _ in range(dim):
+        bins = rng.randint(1, 3)
+        edges.append(tuple(sorted(rng.sample(range(-50, 50), bins + 1))))
+    return BinGrid(tuple(tuple(e / 8.0 for e in edge) for edge in edges))
+
+
+def edge_hitting_map(rng, grid_out):
+    """A map whose images land on the codomain's edges (interior ones,
+    both outer ones) half the time and inside a cell otherwise; images
+    are memoized so every caller sees the same map."""
+    images = {}
+
+    def f(point):
+        if point not in images:
+            images[point] = tuple(
+                rng.choice(edge) if rng.random() < 0.5
+                else rng.uniform(edge[0], edge[-1])
+                for edge in grid_out.edges
+            )
+        return images[point]
+
+    return f, images
+
+
+def test_grid_lift_matches_per_point_reference():
+    rng = random.Random(109)
+    right_edge_hits = 0
+    for _ in range(60):
+        grid_in = random_grid(rng, rng.randint(1, 3))
+        grid_out = random_grid(rng, rng.randint(1, 3))
+        subdivisions = rng.randint(1, 3)
+        f, images = edge_hitting_map(rng, grid_out)
+        m = stochastic_lift(f, grid_in, grid_out, subdivisions)
+        ref = grid_lift_reference(f, grid_in, grid_out, subdivisions)
+        assert m.dtype == ref.dtype
+        assert np.array_equal(m, ref)
+        right_edge_hits += sum(
+            image[ax] == edge[-1]
+            for image in images.values()
+            for ax, edge in enumerate(grid_out.edges)
+        )
+    assert right_edge_hits > 0
+
+
+def test_sar_lift_matches_per_point_reference():
+    """Every SAR edge below the 6-d office stalk, at 2 bins: the
+    projections and the nonlinear detection-to-bearing maps."""
+    sh = build_sar_sheaf()
+    ranges = sar_lift_ranges()
+    grids = {}
+    for b in sh.topology.basis:
+        per_coord = ranges[b.key()]
+        grids[b.id] = uniform_grid([lo for lo, _ in per_coord],
+                                   [hi for _, hi in per_coord], 2)
+    checked = 0
+    for (src, dst), rm in sh.edges.items():
+        if sh.stalk(src).dim == 6:
+            continue
+        m = stochastic_lift(rm.body, grids[src], grids[dst])
+        ref = grid_lift_reference(rm.body, grids[src], grids[dst])
+        assert np.array_equal(m, ref), (src, dst)
+        checked += 1
+    assert checked == 7
+
+
+@pytest.mark.parametrize("image, why", [
+    ((float("nan"),), "is not finite"),
+    ((0.5, 0.5), "has 2 coordinates"),
+    ((), "has 0 coordinates"),
+])
+def test_grid_lift_rejects_bad_image(image, why):
+    grid = uniform_grid([0.0], [1.0], 2)
+    with pytest.raises(UnmappedBin, match=why):
+        stochastic_lift(lambda p: image, grid, grid, 1)
+
+
+def test_grid_lift_names_first_bad_sample():
+    grid_in = uniform_grid([0.0], [1.0], 3)
+    grid_out = uniform_grid([0.0], [1.0], 2)
+
+    def f(p):
+        # the second sample of bin 1 is NaN; bin 2 maps outside the grid
+        if 0.5 < p[0] < 0.6:
+            return (float("nan"),)
+        return (p[0] * 2.0,)
+
+    with pytest.raises(UnmappedBin) as info:
+        stochastic_lift(f, grid_in, grid_out, 2)
+    assert str(info.value) == \
+        "image (nan,) of sample in domain bin (1,) is not finite"
