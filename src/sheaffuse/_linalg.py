@@ -1,8 +1,9 @@
 """Numeric rank and nullspace with a relative tolerance.
 
-The tolerance scales with the largest absolute entry times the matrix
-dimension, so uniformly rescaling a sheaf's matrices never changes any
-rank or Betti number.
+Both count the singular values above one threshold, so rank + nullity
+always equals the column count.  The tolerance scales with the largest
+absolute entry times the matrix dimension, so uniformly rescaling a
+sheaf's matrices never changes any rank or Betti number.
 """
 
 from __future__ import annotations
@@ -18,28 +19,12 @@ def _threshold(m: np.ndarray, rel_tol: float) -> float:
 
 
 def numeric_rank(m, rel_tol: float = RANK_REL_TOL) -> int:
-    """Rank via column-pivoted Gaussian elimination."""
-    a = np.array(m, dtype=float, copy=True)
+    """Number of singular values above the threshold."""
+    a = np.asarray(m, dtype=float)
     if a.size == 0:
         return 0
-    tol = _threshold(a, rel_tol)
-    if tol == 0.0:
-        return 0
-    rows, cols = a.shape
-    rank = 0
-    row = 0
-    for col in range(cols):
-        pivot = row + int(np.argmax(np.abs(a[row:, col]))) if row < rows else row
-        if row >= rows or abs(a[pivot, col]) <= tol:
-            continue
-        if pivot != row:
-            a[[row, pivot]] = a[[pivot, row]]
-        a[row + 1:] -= np.outer(a[row + 1:, col] / a[row, col], a[row])
-        rank += 1
-        row += 1
-        if row == rows:
-            break
-    return rank
+    s = np.linalg.svd(a, compute_uv=False)
+    return int(np.sum(s > _threshold(a, rel_tol)))
 
 
 def nullspace(m, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
@@ -48,6 +33,5 @@ def nullspace(m, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
     if a.size == 0:
         return np.eye(a.shape[1] if a.ndim == 2 else 0)
     _, s, vh = np.linalg.svd(a)
-    tol = rel_tol * float(np.max(np.abs(a))) * max(a.shape)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > _threshold(a, rel_tol)))
     return vh[rank:].T.copy()

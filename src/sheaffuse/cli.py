@@ -15,14 +15,16 @@ import sys
 
 from . import spaces as sp
 from .cohomology import (
+    DD_TOL,
     Cover,
     betti,
     leray_check,
     lift_sheaf,
+    restrict_sheaf,
     topology_betti,
     uniform_grid,
 )
-from .consistency import consistency_radius
+from .consistency import Assignment, consistency_radius
 from .errors import NonlinearSheaf, SheafFuseError
 from .fusion import FusionOptions, fuse
 from .sheaf import verify_functoriality, verify_gluing
@@ -157,35 +159,18 @@ def _lift(sh, spec, bins: int):
             raise SpecError(f"lift range for {b.key()!r} needs one pair per "
                             f"coordinate of its {dim}-d stalk")
         bounds = [_lift_range(b.key(), pair) for pair in per_coord]
-        grids[b.id] = uniform_grid([lo for lo, _ in bounds],
-                                   [hi for _, hi in bounds], bins)
+        try:
+            grids[b.id] = uniform_grid([lo for lo, _ in bounds],
+                                       [hi for _, hi in bounds], bins)
+        except ValueError as exc:
+            raise SpecError(f"lift range for {b.key()!r}: {exc}") from None
     return lift_sheaf(sh, grids)
 
 
 def cmd_cohomology(args) -> int:
     sh, spec = load_sheaf(args.spec)
-    worst = None
     if args.lift_bins is not None:
         sh = _lift(sh, spec, args.lift_bins)
-        import numpy as np
-
-        from .cohomology import build_complex
-
-        cover = _resolve_cover(sh, spec, args.cover)
-        cx = build_complex(sh, cover, max(args.max_degree, 1))
-        worst = 0.0
-        for k in range(len(cx.coboundaries) - 1):
-            dd = cx.coboundaries[k + 1] @ cx.coboundaries[k]
-            if dd.size:
-                worst = max(worst, float(np.max(np.abs(dd))))
-        note = sys.stderr if args.json else sys.stdout
-        print(f"lifted complex: column-stochastic blocks, "
-              f"max |d.d| = {worst:.3g}", file=note)
-        if worst > 1e-10:
-            print("warning: the discretized lift is only approximately "
-                  "functorial; Betti numbers are unreliable below that "
-                  "residual, and more --lift-bins do not shrink it",
-                  file=note)
     try:
         cover = _resolve_cover(sh, spec, args.cover)
         table = betti(sh, cover, args.max_degree)
@@ -194,11 +179,17 @@ def cmd_cohomology(args) -> int:
               "--lift-bins N to analyze its stochastic linearization",
               file=sys.stderr)
         return EXIT_ANALYSIS
+    if args.lift_bins is not None:
+        note = sys.stderr if args.json else sys.stdout
+        print(f"lifted complex: column-stochastic blocks, "
+              f"max |d.d| = {table.dd_residual:.3g}", file=note)
+        if table.dd_residual > DD_TOL:
+            print("warning: the discretized lift is only approximately "
+                  "functorial; Betti numbers are unreliable below that "
+                  "residual, and more --lift-bins do not shrink it",
+                  file=note)
     if args.json:
-        payload = table.as_dict()
-        if worst is not None:
-            payload["dd_residual"] = worst
-        print(json.dumps(payload))
+        print(json.dumps(table.as_dict()))
     else:
         print(table)
         print(f"betti: {table.betti}")
@@ -326,8 +317,6 @@ def _run_obstacle(export_dir=None) -> bool:
             bm.betti[0] == 12 and all(b == 0 for b in bm.betti[1:]),
             f"{bm.betti}")
     for name, sh in (("mosaic", mosaic), ("probability", prob)):
-        from .cohomology import restrict_sheaf
-
         sub = restrict_sheaf(sh, t.open_for(["V1", "V2"]).mask)
         table = topology_betti(sub, 2)
         _expect(checks, f"{name} refined-cover vanishing",
@@ -350,7 +339,6 @@ def _run_obstacle(export_dir=None) -> bool:
 
 def _run_coins(export_dir=None) -> bool:
     from . import scenarios as sc
-    from .consistency import Assignment
 
     checks: list[bool] = []
     print("scenario coins")

@@ -13,7 +13,7 @@ from . import spaces as sp
 from ._linalg import numeric_rank, nullspace
 from .errors import IntersectionNotOpen, UnmappedBin
 from .sheaf import Linear, RestrictionMap, Sheaf, complete_unions
-from .topology import OpenSet, Topology
+from .topology import EntityUniverse, OpenSet, Topology
 
 DD_TOL = 1e-10
 
@@ -28,12 +28,6 @@ class Cover:
     def __post_init__(self):
         if not self.sets:
             raise ValueError("cover must be nonempty")
-
-    def union_mask(self) -> int:
-        m = 0
-        for o in self.sets:
-            m |= o.mask
-        return m
 
 
 def full_cover(t: Topology) -> Cover:
@@ -58,6 +52,7 @@ class BettiTable:
     dims: list[int]
     ranks: list[int]
     betti: list[int]
+    dd_residual: float   # max |d^(k+1) d^k| over the coboundaries used
 
     def __str__(self):
         rows = ["k   dim C^k   rank d^k   betti_k"]
@@ -66,7 +61,20 @@ class BettiTable:
         return "\n".join(rows)
 
     def as_dict(self):
-        return {"dims": self.dims, "ranks": self.ranks, "betti": self.betti}
+        return {"dims": self.dims, "ranks": self.ranks, "betti": self.betti,
+                "dd_residual": self.dd_residual}
+
+
+def _betti_table(dims: list[int], coboundaries: list) -> BettiTable:
+    """Ranks and Betti numbers of the coboundaries d^0..d^n, and their
+    largest |d^(k+1) d^k| entry (0.0 when no composition exists)."""
+    ranks = [numeric_rank(d) for d in coboundaries]
+    out = [c - r - prev for c, r, prev in zip(dims, ranks, [0] + ranks)]
+    dd = (after @ before
+          for before, after in zip(coboundaries, coboundaries[1:]))
+    residual = max((float(np.max(np.abs(m))) for m in dd if m.size),
+                   default=0.0)
+    return BettiTable(dims, ranks, out, residual)
 
 
 def _intersection_open(sh: Sheaf, cover: Cover, idx: tuple[int, ...]):
@@ -128,15 +136,11 @@ def build_complex(sh: Sheaf, cover: Cover, max_degree: int) -> CochainComplex:
 
 
 def betti(sh: Sheaf, cover: Cover, max_degree: int) -> BettiTable:
-    """Betti numbers dim ker d^k - rank d^(k-1) up to max_degree."""
+    """Betti numbers dim ker d^k - rank d^(k-1) up to max_degree, and
+    the d.d residual of the complex that gave them."""
     cx = build_complex(sh, cover, max_degree)
     dims = [cx.dim(k) for k in range(max_degree + 1)]
-    ranks = [numeric_rank(cx.coboundaries[k]) for k in range(max_degree + 1)]
-    out = []
-    for k in range(max_degree + 1):
-        prev = ranks[k - 1] if k > 0 else 0
-        out.append(dims[k] - ranks[k] - prev)
-    return BettiTable(dims, ranks, out)
+    return _betti_table(dims, cx.coboundaries)
 
 
 def global_sections_via_h0(sh: Sheaf) -> np.ndarray:
@@ -209,7 +213,7 @@ def topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
 
     layouts = [layout(layer) for layer in chains]
     dims = [total for _, total in layouts[:max_degree + 1]]
-    ranks = []
+    coboundaries = []
     for n in range(max_degree + 1):
         src_offs, src_dim = layouts[n]
         dst_offs, dst_dim = layouts[n + 1]
@@ -225,12 +229,8 @@ def topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
             block = sh.restriction_matrix(ch[-2], ch[-1])
             sign = -1.0 if (len(ch) - 1) % 2 else 1.0
             d[pos:pos + dim, spos:spos + sdim] += sign * block
-        ranks.append(numeric_rank(d))
-    out = []
-    for k in range(max_degree + 1):
-        prev = ranks[k - 1] if k > 0 else 0
-        out.append(dims[k] - ranks[k] - prev)
-    return BettiTable(dims, ranks, out)
+        coboundaries.append(d)
+    return _betti_table(dims, coboundaries)
 
 
 @dataclass
@@ -264,8 +264,6 @@ def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
     The subtopology lives on a universe containing only the entities of
     ``top_mask``, so its whole space is the restricted set itself.
     """
-    from .topology import EntityUniverse
-
     t = sh.topology
     sub_universe = EntityUniverse(t.universe.names_of(top_mask))
 
@@ -295,25 +293,17 @@ def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
     cover elements; when it holds, certify that cover-level and
     topology-level Betti tables agree."""
     sh.require_linear("leray_check")
-    t = sh.topology
     report = LerayReport()
     n = len(cover.sets)
-    seen_masks = set()
+    seen = set()
     all_ok = True
     for r in range(1, n + 1):
         for idx in itertools.combinations(range(n), r):
-            mask = cover.sets[idx[0]].mask
-            for i in idx[1:]:
-                mask &= cover.sets[i].mask
-            if mask == 0 or mask in seen_masks:
+            u = _intersection_open(sh, cover, idx)
+            if u is None or u.id in seen:
                 continue
-            seen_masks.add(mask)
-            u = t.find(mask)
-            if u is None:
-                raise IntersectionNotOpen(
-                    "cover intersections must be open for the Leray check"
-                )
-            sub_sheaf = restrict_sheaf(sh, mask)
+            seen.add(u.id)
+            sub_sheaf = restrict_sheaf(sh, u.mask)
             table = topology_betti(sub_sheaf, max_degree)
             ok = all(b == 0 for b in table.betti[1:])
             key = str(u)
@@ -344,6 +334,13 @@ class BinGrid:
     """Axis-aligned binning of a box in R^d."""
 
     edges: tuple[tuple[float, ...], ...]   # per axis, length bins+1
+
+    def __post_init__(self):
+        for edge in self.edges:
+            if len(edge) < 2 or not all(map(math.isfinite, edge)) or \
+                    any(a >= b for a, b in zip(edge, edge[1:])):
+                raise ValueError(f"bin edges {tuple(edge)} must be at least "
+                                 f"two finite, strictly increasing numbers")
 
     @property
     def shape(self) -> tuple[int, ...]:

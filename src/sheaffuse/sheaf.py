@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces as sp
-from ._linalg import nullspace
+from ._linalg import nullspace, numeric_rank
 from .errors import (
     MissingIntersectionStalk,
     NonlinearSheaf,
@@ -67,6 +67,8 @@ class Linear:
         self.mat = np.asarray(matrix, dtype=float)
         if self.mat.ndim != 2:
             raise ValueError("linear restriction needs a 2-d matrix")
+        if not np.isfinite(self.mat).all():
+            raise ValueError("linear restriction needs finite entries")
 
     def __call__(self, coords):
         return tuple(self.mat @ np.asarray(coords, dtype=float))
@@ -86,6 +88,8 @@ class Affine:
     def __init__(self, matrix, offset):
         self.mat = np.asarray(matrix, dtype=float)
         self.offset = np.asarray(offset, dtype=float)
+        if not np.isfinite(np.append(self.mat, self.offset)).all():
+            raise ValueError("affine restriction needs finite entries")
 
     def __call__(self, coords):
         return tuple(self.mat @ np.asarray(coords, dtype=float) + self.offset)
@@ -200,7 +204,6 @@ class Sheaf:
                 )
             self.edges[(rm.source.id, rm.target.id)] = rm
         self.pullbacks: dict[int, Pullback] = {}
-        self.complete = False
         self._basis_chain_cache: dict[tuple[int, int], Chain] = {}
         self._blocks_cache: dict[tuple[int, int], tuple] = {}
         self._kernel_cache: dict[int, np.ndarray] = {}
@@ -272,12 +275,6 @@ class Sheaf:
         )
 
     # -- pullback layout -----------------------------------------------------
-
-    def parts_of(self, oid: int) -> tuple[int, ...]:
-        pb = self.pullbacks.get(oid)
-        if pb is not None:
-            return pb.parts
-        return (oid,)
 
     def _layout(self, oid: int) -> dict[int, tuple[int, int]]:
         """Coordinate slice (lo, hi) of each part of an open, in order."""
@@ -498,7 +495,6 @@ def complete_unions(sh: Sheaf) -> Sheaf:
             out.pullbacks[u.id] = Pullback(
                 tuple(parts), offsets, dims, tuple(constraints)
             )
-    out.complete = True
     return out
 
 
@@ -615,8 +611,6 @@ def verify_gluing(sh: Sheaf) -> GluingReport:
     S(U v V) must surject onto the subspace of (x, y) agreeing on
     U ^ V (existence) and be injective (uniqueness).
     """
-    from ._linalg import numeric_rank
-
     sh.require_linear("verify_gluing")
     t = sh.topology
     failures = []

@@ -72,6 +72,8 @@ class ValueSpace:
 
 
 def euclidean(dim: int, weight: float = 1.0) -> ValueSpace:
+    if dim < 0:
+        raise ValueError(f"euclidean space needs dim >= 0, got {dim}")
     return ValueSpace(EUCLIDEAN, dim, weight)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 from . import spaces as sp
@@ -55,6 +56,8 @@ def space_from_json(data: dict) -> sp.ValueSpace:
     try:
         kind = data["kind"]
         weight = float(data.get("weight", 1.0))
+        if not 0.0 <= weight < math.inf:
+            raise ValueError(f"weight must be finite and >= 0, got {weight}")
         if kind == "product":
             return sp.product([space_from_json(c) for c in data["components"]])
         if kind == sp.EUCLIDEAN:
@@ -115,6 +118,23 @@ def body_from_json(data: dict):
     raise SpecError(f"unknown restriction kind {kind!r}")
 
 
+def _check_body(body, src_dim: int, dst_dim: int, where: str):
+    """Reject a body that cannot map the source stalk into the target:
+    a matrix not shaped (target dim, source dim), an offset not of the
+    target's length, a projection index outside the source."""
+    if isinstance(body, (Linear, Affine)) and \
+            body.mat.shape != (dst_dim, src_dim):
+        raise SpecError(f"{where}: matrix of shape {body.mat.shape}, the "
+                        f"stalks need {(dst_dim, src_dim)}")
+    if isinstance(body, Affine) and body.offset.shape != (dst_dim,):
+        raise SpecError(f"{where}: offset of shape {body.offset.shape}, "
+                        f"the target stalk needs ({dst_dim},)")
+    if isinstance(body, Projection) and \
+            not all(0 <= i < src_dim for i in body.indices):
+        raise SpecError(f"{where}: projection indices "
+                        f"{list(body.indices)} must lie in [0, {src_dim})")
+
+
 # -- sheaf specs --------------------------------------------------------------
 
 def sheaf_to_spec(sh: Sheaf, subbase_keys=None, weights: dict | None = None,
@@ -150,6 +170,8 @@ def sheaf_from_spec(spec: dict) -> Sheaf:
         raise SpecError(f"bad topology spec: {exc}") from None
 
     def resolve(key: str):
+        if not isinstance(key, str):
+            raise SpecError(f"open-set key {key!r} is not a string")
         names = [n for n in key.split("+") if n]
         try:
             return topology.open_for(names)
@@ -159,20 +181,31 @@ def sheaf_from_spec(spec: dict) -> Sheaf:
                 f"topology"
             ) from None
 
+    descriptors = spec.get("stalks", {})
+    entries = spec.get("restrictions", [])
+    if not isinstance(descriptors, dict):
+        raise SpecError("stalks must map open-set keys to space descriptors")
+    if not isinstance(entries, list) or \
+            not all(isinstance(e, dict) for e in entries):
+        raise SpecError("restrictions must be a list of objects")
     stalks = {}
-    for key, descr in spec.get("stalks", {}).items():
+    for key, descr in descriptors.items():
         stalks[resolve(key)] = space_from_json(descr)
     restrictions = []
-    for entry in spec.get("restrictions", []):
+    for entry in entries:
         try:
             src, dst = resolve(entry["from"]), resolve(entry["to"])
         except KeyError:
             raise SpecError(f"restriction entry missing from/to: {entry!r}")
         restrictions.append(RestrictionMap(src, dst, body_from_json(entry)))
     try:
-        return complete_unions(Sheaf(topology, stalks, restrictions))
+        sh = complete_unions(Sheaf(topology, stalks, restrictions))
     except SheafFuseError as exc:
         raise SpecError(str(exc)) from None
+    for (src, dst), rm in sh.edges.items():
+        _check_body(rm.body, sh.stalk(src).dim, sh.stalk(dst).dim,
+                    f"restriction {rm.source.key()} -> {rm.target.key()}")
+    return sh
 
 
 def load_sheaf(path) -> tuple[Sheaf, dict]:

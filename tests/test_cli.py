@@ -211,6 +211,8 @@ def test_cohomology_lift_bins_below_one_exits_2(sar_files, capsys, bins):
     ([[40.0, float("inf")], [27.0, 61.0]], "finite and increasing"),
     ([[95.0, 40.0], [27.0, 61.0]], "finite and increasing"),
     ([[40.0, 95.0]], "one pair per coordinate"),
+    # the midpoint rounds onto an end, so two bin edges coincide
+    ([[1e16, 1e16 + 2.0], [27.0, 61.0]], "strictly increasing"),
 ])
 def test_cohomology_bad_lift_range_exits_2(sar_files, tmp_path, capsys,
                                            ranges, why):
@@ -222,6 +224,58 @@ def test_cohomology_bad_lift_range_exits_2(sar_files, tmp_path, capsys,
     bad.write_text(json.dumps(data))
     assert main(["cohomology", str(bad), "--lift-bins", "2"]) == 2
     assert why in capsys.readouterr().err
+
+
+def test_cohomology_lift_degree_zero_has_no_composition(sar_files, capsys):
+    spec, _ = sar_files
+    assert main(["cohomology", str(spec), "--lift-bins", "2",
+                 "--max-degree", "0", "--json"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["betti"] == [62]
+    assert payload["dd_residual"] == 0.0
+    assert "warning" not in captured.err
+
+
+@pytest.fixture(scope="module")
+def obstacle_spec(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("obstacle")
+    assert main(["scenario", "obstacle", "--export", str(tmp)]) == 0
+    return (tmp / "obstacle_probability.json").read_text()
+
+
+# restrictions 0-1 project V1+V2 onto V1 and V2; restriction 2 is a
+# 2x2 linear map from L+V1+V2 to V1+V2; stalk V1 is R^1
+SPEC_MUTATIONS = {
+    "bad_index": lambda d: d["restrictions"][0].update(indices=[5]),
+    "linear_shape": lambda d: d["restrictions"][2].update(
+        matrix=[[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
+    "linear_nan": lambda d: d["restrictions"][2].update(
+        matrix=[[float("nan"), 1.0], [0.0, 1.0]]),
+    "affine_offset": lambda d: d["restrictions"][2].update(
+        kind="affine", offset=[1.0]),
+    "restr_not_list": lambda d: d.update(restrictions=d["restrictions"][0]),
+    "restr_entry_not_object": lambda d: d["restrictions"].append("V1"),
+    "from_not_string": lambda d: d["restrictions"][0].update({"from": 5}),
+    "stalks_not_mapping": lambda d: d.update(
+        stalks=list(d["stalks"].values())),
+    "neg_weight": lambda d: d["stalks"]["V1"].update(weight=-2.0),
+    "nan_weight": lambda d: d["stalks"]["V1"].update(weight=float("nan")),
+    "neg_dim": lambda d: d["stalks"]["V1"].update(dim=-1),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "cohomology"])
+@pytest.mark.parametrize("mutation", SPEC_MUTATIONS)
+def test_malformed_spec_exits_2(obstacle_spec, tmp_path, capsys, mutation,
+                                command):
+    data = json.loads(obstacle_spec)
+    SPEC_MUTATIONS[mutation](data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main([command, str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def test_leray_command(tmp_path, capsys):

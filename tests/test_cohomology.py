@@ -21,7 +21,7 @@ from sheaffuse import (
     stochastic_lift,
     uniform_grid,
 )
-from sheaffuse.cohomology import topology_betti
+from sheaffuse.cohomology import DD_TOL, topology_betti
 from sheaffuse.errors import NonlinearSheaf, UnmappedBin
 from sheaffuse.scenarios import (
     build_obstacle_sheaves,
@@ -48,10 +48,26 @@ def test_dd_zero_everywhere():
         sh = random_linear_sheaf(rng)
         cover = random_cover(rng, sh.topology)
         cx = build_complex(sh, cover, 3)
+        worst = 0.0
         for k in range(len(cx.coboundaries) - 1):
             dd = cx.coboundaries[k + 1] @ cx.coboundaries[k]
             if dd.size:
                 assert float(np.max(np.abs(dd))) <= 1e-10
+                worst = max(worst, float(np.max(np.abs(dd))))
+        assert betti(sh, cover, 3).dd_residual == worst
+
+
+def test_obstacle_tables_report_dd_residual_within_tolerance():
+    mosaic, prob = build_obstacle_sheaves()
+    t = prob.topology
+    two = Cover((t.open_for(["L", "V1", "V2"]),
+                 t.open_for(["R", "V1", "V2"])))
+    for sh in (mosaic, prob):
+        for cover in (two, full_cover(t)):
+            table = betti(sh, cover, 2)
+            assert table.dd_residual <= DD_TOL
+            assert table.as_dict()["dd_residual"] == table.dd_residual
+        assert topology_betti(sh, 2).dd_residual <= DD_TOL
 
 
 def test_coboundary_blocks_match_sign_oracle():
@@ -323,6 +339,24 @@ def test_grid_locate_boundary_closed_on_right():
     assert grid.locate((1.0,)) == (1,)
     assert grid.locate((0.49,)) == (0,)
     assert grid.locate((1.01,)) is None
+
+
+@pytest.mark.parametrize("edges", [
+    ((0.0, 0.7, 0.5, 1.0),),
+    ((0.0, 0.5, 0.5, 1.0),),
+    ((0.0, 1.0), (2.0,)),
+    ((0.0, float("nan")),),
+    ((float("-inf"), 0.0),),
+])
+def test_grid_rejects_bad_edges(edges):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        BinGrid(edges)
+
+
+@pytest.mark.parametrize("low, high", [(1.0, 0.0), (0.0, 0.0)])
+def test_uniform_grid_rejects_empty_or_descending_range(low, high):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        uniform_grid([low], [high], 2)
 
 
 def test_grid_locate_rejects_non_finite():
