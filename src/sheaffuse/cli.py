@@ -67,8 +67,7 @@ def cmd_check(args) -> int:
         print(glue_report)
         ok = ok and glue_report.ok
     else:
-        print("gluing: skipped (nonlinear restrictions; checked "
-              "statistically via functoriality sampling)")
+        print("gluing: skipped (the rank check needs linear restrictions)")
     return EXIT_OK if ok else EXIT_ANALYSIS
 
 
@@ -404,7 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="verify topology and sheaf axioms")
     p.add_argument("spec")
-    p.add_argument("--samples", type=int, default=256)
+    p.add_argument("--samples", type=int, default=256,
+                   help="points sampled per functoriality pair whose maps "
+                        "are not all linear (linear pairs are compared "
+                        "exactly)")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("radius", help="consistency radius of an assignment")

@@ -394,6 +394,10 @@ class BinGrid:
 
 
 def uniform_grid(lows, highs, bins: int) -> BinGrid:
+    if bins < 1:
+        raise ValueError(f"a uniform grid needs at least 1 bin, got {bins}")
+    if len(lows) != len(highs):
+        raise ValueError(f"{len(lows)} lows but {len(highs)} highs")
     edges = []
     for lo, hi in zip(lows, highs):
         step = (hi - lo) / bins

@@ -52,6 +52,14 @@ def space_to_json(space: sp.ValueSpace) -> dict:
     return out
 
 
+def _whole(data: dict, key: str) -> int:
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not float(value).is_integer():
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def space_from_json(data: dict) -> sp.ValueSpace:
     try:
         kind = data["kind"]
@@ -61,7 +69,7 @@ def space_from_json(data: dict) -> sp.ValueSpace:
         if kind == "product":
             return sp.product([space_from_json(c) for c in data["components"]])
         if kind == sp.EUCLIDEAN:
-            return sp.euclidean(int(data["dim"]), weight)
+            return sp.euclidean(_whole(data, "dim"), weight)
         if kind == sp.CIRCLE:
             return sp.circle(weight)
         if kind == sp.GEO2D:
@@ -71,9 +79,11 @@ def space_from_json(data: dict) -> sp.ValueSpace:
         if kind == sp.TIME:
             return sp.time_line(weight)
         if kind == sp.DISCRETE:
+            if isinstance(data["labels"], str):
+                raise ValueError("labels must be a list of names")
             return sp.discrete(data["labels"], weight)
         if kind == sp.SIMPLEX:
-            return sp.simplex(int(data["bins"]), weight)
+            return sp.simplex(_whole(data, "bins"), weight)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecError(f"bad space descriptor {data!r}: {exc}") from None
     raise SpecError(f"unknown space kind {data.get('kind')!r}")

@@ -128,22 +128,6 @@ class Topology:
             result.append(below)
         return tuple(result)
 
-    @cached_property
-    def hasse_children(self) -> tuple[tuple[int, ...], ...]:
-        """Covering relations: ids directly below each open (no set between)."""
-        children = []
-        for u in self.opens:
-            below = [self.opens[i] for i in self.descendants[u.id]]
-            maximal = []
-            for v in below:
-                if not any(
-                    w.mask != v.mask and v.mask & w.mask == v.mask
-                    for w in below
-                ):
-                    maximal.append(v.id)
-            children.append(tuple(sorted(maximal)))
-        return tuple(children)
-
 
 class UnknownOpenSet(KeyError):
     def __init__(self, mask: int, universe: EntityUniverse):

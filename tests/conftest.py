@@ -100,6 +100,52 @@ def random_linear_sheaf(rng, n_entities=3, dims_per_entity=(1, 2),
     return complete_unions(Sheaf(t, stalks, restrictions))
 
 
+def camera_chain_sheaf(cameras=5, camera_dim=2, seed=2016):
+    """Linear chain: camera i sees c_i and the overlaps v_{i-1}, v_i;
+    camera stalks are R^camera_dim, overlap stalks R, and each camera
+    reads an overlap through a random row."""
+    rng = random.Random(seed)
+    universe = EntityUniverse(
+        [f"c{i}" for i in range(cameras)] +
+        [f"v{i}" for i in range(cameras - 1)])
+    views = [[f"c{i}"] + [f"v{j}" for j in (i - 1, i) if 0 <= j < cameras - 1]
+             for i in range(cameras)]
+    t = generate_topology(universe, views)
+    cams = [t.open_for(v) for v in views]
+    overlaps = [t.open_for([f"v{i}"]) for i in range(cameras - 1)]
+    stalks = {c: euclidean(camera_dim) for c in cams}
+    stalks.update({v: euclidean(1) for v in overlaps})
+    maps = []
+    for i, v in enumerate(overlaps):
+        for cam in (cams[i], cams[i + 1]):
+            row = [rng.uniform(0.5, 1.5) for _ in range(camera_dim)]
+            maps.append(RestrictionMap(cam, v, Linear([row])))
+    return complete_unions(Sheaf(t, stalks, maps))
+
+
+def with_corrupted_edge(sh, rng):
+    """Copy of a linear sheaf with one restriction edge, chosen at
+    random, scaled, perturbed, zeroed or cut to rank one."""
+    native = {oid: s for oid, s in sh.stalks.items()
+              if oid not in sh.pullbacks and sh.topology.opens[oid].mask}
+    edges = dict(sh.edges)
+    key = rng.choice(sorted(edges))
+    rm = edges[key]
+    m = np.array(rm.body.matrix(sh.stalk(key[0]).dim))
+    kind = rng.choice(["scale", "noise", "zero", "rank1"])
+    if kind == "scale":
+        m = 2.0 * m
+    elif kind == "noise":
+        m = m + np.array([[rng.gauss(0.0, 1.0) for _ in range(m.shape[1])]
+                          for _ in range(m.shape[0])])
+    elif kind == "zero":
+        m = 0.0 * m
+    else:
+        m[:, 1:] = 0.0
+    edges[key] = RestrictionMap(rm.source, rm.target, Linear(m))
+    return complete_unions(Sheaf(sh.topology, native, edges.values()))
+
+
 def constant_circle_sheaf():
     """Constant-coefficient sheaf on four arcs with cyclic overlaps."""
     u = EntityUniverse(["a", "ab", "b", "bc", "c", "cd", "d", "da"])

@@ -2,13 +2,21 @@
 
 Everything here deliberately avoids the library's own code paths:
 closures by fixpoint iteration, distances by alternative formulas,
-agreement spaces by stacked-constraint nullspaces.
+agreement spaces by stacked-constraint nullspaces, functoriality by
+applying every restriction-edge path.  The one exception is
+``all_pairs_gluing``, the library's former gluing check over every pair
+of opens, kept as the reference for the native-union check.
 """
 
 import itertools
 import math
+import random
 
 import numpy as np
+
+from sheaffuse import spaces as sp
+from sheaffuse._linalg import numeric_rank
+from sheaffuse.sheaf import GluingReport, Sheaf
 
 
 def fixpoint_closure(masks, full):
@@ -176,3 +184,108 @@ def grid_lift_reference(f, grid_in, grid_out, subdivisions=3):
             m[flat(out, cod), i] += 1.0
             counts[i] += 1.0
     return m / counts
+
+
+def all_pairs_gluing(sh: Sheaf) -> GluingReport:
+    """Rank-based existence and uniqueness check for linear sheaves.
+
+    For every pair of nonempty opens U, V the joint restriction out of
+    S(U v V) must surject onto the subspace of (x, y) agreeing on
+    U ^ V (existence) and be injective (uniqueness).
+    """
+    sh.require_linear("verify_gluing")
+    t = sh.topology
+    failures = []
+    checked = 0
+    nonempty = [o for o in t.opens if o.mask]
+    for i, u in enumerate(nonempty):
+        for v in nonempty[i + 1:]:
+            w = t.find(u.mask | v.mask)
+            inter = t.find(u.mask & v.mask)
+            if w is None:
+                continue
+            checked += 1
+            ru = sh.restriction_matrix(w.id, u.id)
+            rv = sh.restriction_matrix(w.id, v.id)
+            joint = np.vstack([ru, rv])
+            du, dv, dw = sh.dim(u.id), sh.dim(v.id), sh.dim(w.id)
+            if inter is not None and inter.mask:
+                a = sh.restriction_matrix(u.id, inter.id)
+                b = sh.restriction_matrix(v.id, inter.id)
+                agree_dim = du + dv - numeric_rank(np.hstack([a, -b]))
+            else:
+                agree_dim = du + dv
+            rank_joint = numeric_rank(joint)
+            if rank_joint < agree_dim:
+                failures.append(
+                    f"existence fails for {u} and {v}: joint image has "
+                    f"dimension {rank_joint}, agreement space {agree_dim}"
+                )
+            if rank_joint < dw:
+                failures.append(
+                    f"uniqueness fails for {u} and {v}: restriction out of "
+                    f"{w} has kernel of dimension {dw - rank_joint}"
+                )
+    return GluingReport(not failures, failures, checked)
+
+
+def edge_path_functoriality(sh, samples=16, rng=None, tol=1e-9):
+    """Path independence by brute force: between every pair of
+    comparable native opens, apply every path of explicit restriction
+    edges, by matrix products when all bodies are linear and on sampled
+    points otherwise.  Returns ``(ok, worst discrepancy)``."""
+    rng = rng or random.Random(7)
+    t = sh.topology
+    native = [oid for oid in sh.stalks
+              if oid not in sh.pullbacks and t.opens[oid].mask]
+    out_edges = {}
+    for (a, b), rm in sh.edges.items():
+        if a != b:
+            out_edges.setdefault(a, []).append((b, rm.body))
+
+    def paths(node, dst):
+        if node == dst:
+            yield ()
+            return
+        dst_mask = t.opens[dst].mask
+        for nxt, body in out_edges.get(node, ()):
+            if t.opens[nxt].mask & dst_mask == dst_mask:
+                for rest in paths(nxt, dst):
+                    yield (body,) + rest
+
+    def matrix(path, dim):
+        m = np.eye(dim)
+        for body in path:
+            step = body.matrix(m.shape[0])
+            if step is None:
+                return None
+            m = step @ m
+        return m
+
+    def apply(path, coords):
+        for body in path:
+            coords = tuple(body(coords))
+        return coords
+
+    worst = 0.0
+    for a in native:
+        for d in native:
+            a_mask, d_mask = t.opens[a].mask, t.opens[d].mask
+            if d == a or d_mask & a_mask != d_mask:
+                continue
+            every = list(paths(a, d))
+            if len(every) < 2:
+                continue
+            mats = [matrix(p, sh.stalk(a).dim) for p in every]
+            if all(m is not None for m in mats):
+                for m in mats[1:]:
+                    worst = max(worst, float(np.max(np.abs(m - mats[0]),
+                                                    initial=0.0)))
+                continue
+            for _ in range(samples):
+                x = sp.sample_point(sh.stalk(a), rng).coords
+                images = [apply(p, x) for p in every]
+                for y in images[1:]:
+                    worst = max(worst, sp.coord_distance(sh.stalk(d),
+                                                         images[0], y))
+    return worst <= tol, worst

@@ -21,10 +21,12 @@ from sheaffuse.cli import main
 from sheaffuse.cohomology import Cover
 from sheaffuse.scenarios import build_sar_sheaf, sar_case_assignment
 from sheaffuse.specio import (
+    SpecError,
     load_assignment,
     load_sheaf,
     save_assignment,
     save_sheaf,
+    space_from_json,
 )
 
 
@@ -71,6 +73,21 @@ def test_check_fails_on_gluing_counterexample(tmp_path, capsys):
     assert main(["check", str(path)]) == 1
     out = capsys.readouterr().out
     assert "existence fails" in out
+
+
+def test_check_fails_on_shortcut_edge(tmp_path, capsys):
+    """A direct edge X -> {e0} that disagrees with the path through
+    {e0,e1}: the check tests the spec's own edges, shortcuts included."""
+    from test_sheaf import shortcut_sheaf
+
+    path = tmp_path / "shortcut.json"
+    save_sheaf(path, shortcut_sheaf())
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "functoriality: FAILED" in out
+    assert "{e0,e1,e2} -> {e0,e1} -> {e0} and {e0,e1,e2} -> {e0} " \
+        "disagree by 1" in out
+    assert "gluing: ok" in out
 
 
 def test_check_malformed_json_exits_2(tmp_path, capsys):
@@ -262,6 +279,7 @@ SPEC_MUTATIONS = {
     "neg_weight": lambda d: d["stalks"]["V1"].update(weight=-2.0),
     "nan_weight": lambda d: d["stalks"]["V1"].update(weight=float("nan")),
     "neg_dim": lambda d: d["stalks"]["V1"].update(dim=-1),
+    "fractional_dim": lambda d: d["stalks"]["V1"].update(dim=1.5),
 }
 
 
@@ -276,6 +294,25 @@ def test_malformed_spec_exits_2(obstacle_spec, tmp_path, capsys, mutation,
     assert main([command, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"kind": "euclidean", "dim": 2.7},
+    {"kind": "euclidean", "dim": True},
+    {"kind": "simplex", "bins": 2.7},
+    {"kind": "simplex", "bins": True},
+    {"kind": "simplex", "bins": "3"},
+    {"kind": "discrete", "labels": "abc"},
+])
+def test_space_descriptor_rejected(descriptor):
+    with pytest.raises(SpecError, match="bad space descriptor"):
+        space_from_json(descriptor)
+
+
+def test_space_descriptor_whole_float_accepted():
+    assert space_from_json({"kind": "simplex", "bins": 3.0}).dim == 3
+    assert space_from_json({"kind": "discrete",
+                            "labels": ["a", "b"]}).labels == ("a", "b")
 
 
 def test_leray_command(tmp_path, capsys):

@@ -353,10 +353,18 @@ def test_grid_rejects_bad_edges(edges):
         BinGrid(edges)
 
 
-@pytest.mark.parametrize("low, high", [(1.0, 0.0), (0.0, 0.0)])
-def test_uniform_grid_rejects_empty_or_descending_range(low, high):
-    with pytest.raises(ValueError, match="strictly increasing"):
-        uniform_grid([low], [high], 2)
+@pytest.mark.parametrize("lows, highs, bins, why", [
+    pytest.param([1.0], [0.0], 2, "strictly increasing", id="1.0-0.0"),
+    pytest.param([0.0], [0.0], 2, "strictly increasing", id="0.0-0.0"),
+    pytest.param([0.0], [1.0], 0, "at least 1 bin", id="no-bins"),
+    pytest.param([0.0, 0.0], [1.0], 2, "2 lows but 1 highs",
+                 id="unpaired-axes"),
+])
+def test_uniform_grid_rejects_empty_or_descending_range(lows, highs, bins,
+                                                        why):
+    """Also no bins at all, and a low without its high."""
+    with pytest.raises(ValueError, match=why):
+        uniform_grid(lows, highs, bins)
 
 
 def test_grid_locate_rejects_non_finite():

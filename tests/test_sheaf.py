@@ -3,8 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_linear_sheaf
-from oracles import agreement_dim
+from conftest import (
+    camera_chain_sheaf,
+    random_linear_sheaf,
+    with_corrupted_edge,
+)
+from oracles import agreement_dim, all_pairs_gluing, edge_path_functoriality
 from sheaffuse import (
     EntityUniverse,
     Identity,
@@ -26,7 +30,14 @@ from sheaffuse.errors import (
     NotComparable,
     SpaceMismatch,
 )
-from sheaffuse.scenarios import SAR_CASES, build_sar_sheaf
+from sheaffuse.cohomology import lift_sheaf, uniform_grid
+from sheaffuse.scenarios import (
+    SAR_CASES,
+    build_coin_sheaf,
+    build_obstacle_sheaves,
+    build_sar_sheaf,
+    sar_lift_ranges,
+)
 
 
 def test_restrict_identity():
@@ -121,6 +132,148 @@ def test_functoriality_vacuous_on_single_chain():
     assert report.checked_pairs == 0
 
 
+def shortcut_sheaf():
+    """R^1 on every basis open of the subbase {e0,e1}, {e0,e2}, X with
+    identity maps, except the direct edge X -> {e0}, which doubles: the
+    path X -> {e0,e1} -> {e0} disagrees with it."""
+    u = EntityUniverse(["e0", "e1", "e2"])
+    t = generate_topology(u, [("e0", "e1"), ("e0", "e2"),
+                              ("e0", "e1", "e2")])
+    top, e0 = t.full, t.open_for(["e0"])
+    u1, u2 = t.open_for(["e0", "e1"]), t.open_for(["e0", "e2"])
+    return complete_unions(Sheaf(
+        t, {b: euclidean(1) for b in t.basis},
+        [RestrictionMap(top, u1, Identity()),
+         RestrictionMap(top, u2, Identity()),
+         RestrictionMap(top, e0, Linear([[2.0]])),
+         RestrictionMap(u1, e0, Identity()),
+         RestrictionMap(u2, e0, Identity())],
+    ))
+
+
+def test_functoriality_checks_shortcut_edges():
+    sh = shortcut_sheaf()
+    t = sh.topology
+    top, u1, e0 = t.full, t.open_for(["e0", "e1"]), t.open_for(["e0"])
+    down = sh.restrict_coords(top.id, u1.id, (1.0,))
+    assert sh.restrict_coords(u1.id, e0.id, down) == (1.0,)
+    assert sh.restrict_coords(top.id, e0.id, (1.0,)) == (2.0,)
+    report = verify_functoriality(sh)
+    assert not report.ok
+    assert report.max_discrepancy == pytest.approx(1.0)
+    assert any(w.startswith(f"{top} -> ") and f"and {top} -> {e0} " in w
+               for w in report.witnesses)
+    assert edge_path_functoriality(sh) == (False, pytest.approx(1.0))
+
+
+def lifted_sar(bins=2):
+    sh = build_sar_sheaf()
+    ranges = sar_lift_ranges()
+    grids = {
+        b.id: uniform_grid([lo for lo, _ in ranges[b.key()]],
+                           [hi for _, hi in ranges[b.key()]], bins)
+        for b in sh.topology.basis
+    }
+    return lift_sheaf(sh, grids)
+
+
+def test_functoriality_reports_on_lifted_sar():
+    """The lifted maps are stochastic matrices: compared exactly, with no
+    points drawn into the simplex stalks."""
+    sh = lifted_sar()
+    t = sh.topology
+    report = verify_functoriality(sh)
+    assert not report.ok
+    top, u5 = t.full, t.open_for(["theta1", "theta2", "s"])
+    gaps = {}
+    for name in ("theta1", "theta2"):
+        lead = f"{top} -> {u5} -> {t.open_for([name])} and "
+        hits = [w for w in report.witnesses if w.startswith(lead)]
+        assert len(hits) == 1
+        gaps[name] = float(hits[0].rsplit(" ", 1)[1])
+    assert gaps == {"theta1": pytest.approx(0.296, abs=1e-3),
+                    "theta2": pytest.approx(0.481, abs=1e-3)}
+    assert report.checked_pairs == verify_functoriality(
+        build_sar_sheaf()).checked_pairs == 3
+
+
+def uniqueness_counterexample():
+    """A union stalk with a direction no part sees: R^2 over two R^1
+    parts that both read its first coordinate."""
+    u = EntityUniverse(["e1", "e2", "e3"])
+    t = generate_topology(u, [("e1", "e2"), ("e2", "e3"),
+                              ("e1", "e2", "e3")])
+    u1, u2 = t.open_for(["e1", "e2"]), t.open_for(["e2", "e3"])
+    mid, top = t.open_for(["e2"]), t.full
+    return complete_unions(Sheaf(
+        t, {top: euclidean(2), u1: euclidean(1), u2: euclidean(1),
+            mid: euclidean(1)},
+        [RestrictionMap(top, u1, Linear([[1.0, 0.0]])),
+         RestrictionMap(top, u2, Linear([[1.0, 0.0]])),
+         RestrictionMap(u1, mid, Identity()),
+         RestrictionMap(u2, mid, Identity())],
+    ))
+
+
+def test_gluing_counterexample_uniqueness_failure():
+    report = verify_gluing(uniqueness_counterexample())
+    assert not report.ok
+    assert report.checked_pairs == 1
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith("uniqueness fails for {e1,e2,e3}")
+
+
+def assert_verdicts_match_oracles(sh):
+    """Both checkers agree with the brute-force oracles; the gluing
+    verdict is compared on sheaves whose restrictions compose, since
+    gluing presumes a presheaf."""
+    functorial = verify_functoriality(sh).ok
+    assert functorial == edge_path_functoriality(sh)[0]
+    if not sh.is_linear():
+        with pytest.raises(NonlinearSheaf):
+            all_pairs_gluing(sh)
+        with pytest.raises(NonlinearSheaf):
+            verify_gluing(sh)
+        return functorial, None
+    glued = verify_gluing(sh).ok
+    if functorial:
+        assert glued == all_pairs_gluing(sh).ok
+    return functorial, glued
+
+
+def test_checkers_match_oracles_on_scenarios_and_counterexamples():
+    named = {"sar": build_sar_sheaf(), "chain": camera_chain_sheaf(),
+             "existence": existence_counterexample(),
+             "uniqueness": uniqueness_counterexample(),
+             "shortcut": shortcut_sheaf()}
+    named.update(zip(("mosaic", "probability"), build_obstacle_sheaves()))
+    for variant in ("mosaic", "counts", "value"):
+        named[f"coins-{variant}"] = build_coin_sheaf(variant)
+    verdicts = {name: assert_verdicts_match_oracles(sh)
+                for name, sh in named.items()}
+    assert verdicts.pop("sar") == (True, None)
+    assert verdicts.pop("existence") == (True, False)
+    assert verdicts.pop("uniqueness") == (True, False)
+    assert verdicts.pop("shortcut") == (False, True)
+    assert all(v == (True, True) for v in verdicts.values()), verdicts
+
+
+def test_checkers_match_oracles_on_random_and_corrupted_sheaves():
+    rng = random.Random(53)
+    failed = {"functoriality": 0, "gluing": 0}
+    for i in range(120):
+        sh = random_linear_sheaf(rng, n_entities=rng.choice([3, 4]),
+                                 ensure_diamond=i % 2 == 0)
+        assert assert_verdicts_match_oracles(sh) == (True, True)
+        if not sh.edges:
+            continue
+        functorial, glued = assert_verdicts_match_oracles(
+            with_corrupted_edge(sh, rng))
+        failed["functoriality"] += not functorial
+        failed["gluing"] += functorial and not glued
+    assert min(failed.values()) > 0, failed
+
+
 def build_pair_sheaf(stalk_u1, stalk_u2, stalk_inter, body1, body2,
                      entities=("p", "q", "r")):
     """Two overlapping opens plus their union and intersection."""
@@ -193,7 +346,7 @@ def test_complete_unions_idempotent():
         assert again.stalk(oid).dim == sh.stalk(oid).dim
 
 
-def test_gluing_counterexample_existence_failure():
+def existence_counterexample():
     """A union stalk too small to cover the agreement space: the value c
     on one side has no preimage upstairs."""
     u = EntityUniverse(["e1", "e2", "e3"])
@@ -201,7 +354,7 @@ def test_gluing_counterexample_existence_failure():
                               ("e1", "e2", "e3")])
     u1, u2 = t.open_for(["e1", "e2"]), t.open_for(["e2", "e3"])
     mid, top = t.open_for(["e2"]), t.full
-    sh = complete_unions(Sheaf(
+    return complete_unions(Sheaf(
         t,
         {top: euclidean(1), u1: euclidean(2), u2: euclidean(1),
          mid: euclidean(1)},
@@ -210,7 +363,10 @@ def test_gluing_counterexample_existence_failure():
          RestrictionMap(u1, mid, Linear([[1.0, 1.0]])),
          RestrictionMap(u2, mid, Identity())],
     ))
-    report = verify_gluing(sh)
+
+
+def test_gluing_counterexample_existence_failure():
+    report = verify_gluing(existence_counterexample())
     assert not report.ok
     assert any("existence" in f for f in report.failures)
 

@@ -113,36 +113,6 @@ def test_comparable_pairs_matches_subset_scan():
         assert got == set(subset_pairs([o.mask for o in t.opens]))
 
 
-def test_hasse_transitive_closure_equals_subset_relation():
-    rng = random.Random(19)
-    for _ in range(30):
-        universe, subbase = random_subbase(rng, 5, 3)
-        t = generate_topology(universe, subbase)
-        reach = {o.id: set() for o in t.opens}
-
-        def walk(start, node):
-            for child in t.hasse_children[node]:
-                if child not in reach[start]:
-                    reach[start].add(child)
-                    walk(start, child)
-
-        for o in t.opens:
-            walk(o.id, o.id)
-        for o in t.opens:
-            assert reach[o.id] == set(t.descendants[o.id])
-        # covering edges admit nothing strictly between
-        for o in t.opens:
-            for child in t.hasse_children[o.id]:
-                between = [
-                    w for w in t.opens
-                    if w.id not in (o.id, child)
-                    and t.opens[child].mask & w.mask == t.opens[child].mask
-                    and w.mask & o.mask == w.mask
-                    and w.mask not in (t.opens[child].mask, o.mask)
-                ]
-                assert not between
-
-
 def test_verify_topology_passes_discrete():
     u = EntityUniverse(["a", "b"])
     report = verify_topology(u, [(), ("a",), ("b",), ("a", "b")])
