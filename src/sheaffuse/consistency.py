@@ -80,20 +80,23 @@ def assignment_distance(a: Assignment, b: Assignment) -> float:
 def consistency_radius(a: Assignment) -> RadiusResult:
     """Largest discrepancy d_V(a(V), a(U)|_V) over defined pairs V < U.
 
-    The sup runs over all comparable pairs with both endpoints defined,
-    using composed restrictions; pairs with an undefined endpoint are
-    skipped.  Edges come back sorted by decreasing error.
+    The sup runs over every pair of defined nonempty opens with V
+    strictly inside U, using composed restrictions.  Edges come back
+    sorted by decreasing error.
     """
     sh = a.sheaf
+    defined = [sh.topology.opens[oid] for oid in a.defined_ids()]
     edges = []
-    for small, large in comparable_pairs(sh.topology):
-        pv = a.values.get(small.id)
-        pu = a.values.get(large.id)
-        if pv is None or pu is None:
-            continue
-        restricted = sh.restrict_coords(large.id, small.id, pu.coords)
-        err = sp.coord_distance(sh.stalk(small.id), pv.coords, restricted)
-        edges.append(EdgeError(small, large, err))
+    for large in defined:
+        pu = a.values[large.id]
+        for small in defined:
+            if small.id == large.id or not small.mask or \
+                    small.mask & large.mask != small.mask:
+                continue
+            pv = a.values[small.id]
+            restricted = sh.restrict_coords(large.id, small.id, pu.coords)
+            err = sp.coord_distance(sh.stalk(small.id), pv.coords, restricted)
+            edges.append(EdgeError(small, large, err))
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
     radius = edges[0].error if edges else 0.0
     return RadiusResult(radius, edges)

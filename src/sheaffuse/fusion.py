@@ -189,7 +189,7 @@ def fusion_lower_bound(radius: float, lipschitz: float) -> float:
 def _top_parameterization(sh: Sheaf):
     top = sh.topology.full
     space = sh.stalk(top.id)
-    pb = sh.pullbacks.get(top.id)
+    pb = sh.pullback(top.id)
     if pb is None or not pb.constraints:
         return top, space, space.circular_mask, None
     if sh.is_linear():
@@ -263,7 +263,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         return FusionResult(section, fused, assignment_distance(fused, a),
                             _bound(a, lipschitz), 0, True, "already_global")
 
-    if sh.is_linear() and kernel is None and _all_euclidean(sh, defined):
+    if sh.is_linear() and kernel is None:
         ls = _least_squares_start(sh, a, top)
         if ls is not None:
             x0 = ls
@@ -285,14 +285,10 @@ def _bound(a: Assignment, lipschitz: float | None) -> float | None:
     return fusion_lower_bound(consistency_radius(a).radius, lipschitz)
 
 
-def _all_euclidean(sh: Sheaf, ids) -> bool:
-    return all(sh.stalk(oid).is_linear for oid in ids)
-
-
 def _least_squares_start(sh: Sheaf, a: Assignment, top) -> list | None:
     """Stacked least-squares solve of all defined restrictions, used to
     seed the simplex for linear Euclidean sheaves."""
-    if not sh.is_linear() or top.id in sh.pullbacks:
+    if not sh.is_linear() or sh.pullback(top.id) is not None:
         return None
     rows = []
     rhs = []

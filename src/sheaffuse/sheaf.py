@@ -1,12 +1,14 @@
 """Sheaf structure on a finite topology.
 
-A sheaf is built by giving value spaces (stalks) to the generating
-opens (the basis: subbase members and their intersections) and
-restriction maps between comparable basis opens.  ``complete_unions``
-then equips every remaining open with the pullback of its maximal basis
-parts: tuples of part observations that agree on overlaps, with
-projection restrictions.  For linear sheaves the pullback subspaces are
-realized explicitly through orthonormal kernel bases.
+A sheaf is fixed by value spaces (stalks) on the generating opens (the
+basis: subbase members and their intersections) and restriction maps
+between comparable opens.  ``Sheaf.stalks`` holds only those given
+stalks, plus any union the caller gave its own stalk.  Every other
+union carries the pullback of its maximal basis parts: tuples of part
+observations that agree on overlaps, with projection restrictions.
+``Sheaf.pullback`` builds that layout the first time something asks
+for it.  For linear sheaves the pullback subspaces are realized
+explicitly through orthonormal kernel bases.
 """
 
 from __future__ import annotations
@@ -25,9 +27,6 @@ from .errors import (
     SpaceMismatch,
 )
 from .topology import OpenSet, Topology
-
-PULLBACK_TOL = 1e-6
-
 
 # ---------------------------------------------------------------------------
 # restriction map bodies
@@ -213,21 +212,27 @@ def _pullback(t: Topology, mask: int, stalks: dict) -> Pullback:
 
 
 class Sheaf:
-    """Stalks plus restrictions; may be partial until complete_unions.
+    """Stalks plus restrictions.
 
-    Immutable once built; the internal memo caches only ever gain
-    idempotent entries, so concurrent readers are safe.
+    ``stalks`` holds the stalks the caller gave, plus R^0 on the empty
+    open; every other open outside the basis gets the pullback of its
+    maximal basis parts from ``pullback`` on first use.  Immutable once
+    built; the internal memo caches only ever gain idempotent entries,
+    so concurrent readers are safe.
     """
 
     def __init__(self, topology: Topology, stalks: dict, restrictions):
-        """`stalks` maps OpenSet (or id) -> ValueSpace on basis opens;
-        `restrictions` is an iterable of RestrictionMap between comparable
-        basis opens (at least the covering pairs of the basis poset)."""
+        """`stalks` maps OpenSet (or id) -> ValueSpace on the basis opens
+        and any union with a stalk of its own; the empty open gets R^0
+        unless given.  `restrictions` is an iterable of RestrictionMap
+        between comparable such opens (at least the covering pairs of
+        the basis poset)."""
         self.topology = topology
         self.stalks: dict[int, sp.ValueSpace] = {}
         for key, space in stalks.items():
             oid = key.id if isinstance(key, OpenSet) else int(key)
             self.stalks[oid] = space
+        self.stalks.setdefault(topology.empty.id, sp.euclidean(0))
         self.edges: dict[tuple[int, int], RestrictionMap] = {}
         for rm in restrictions:
             if rm.target.mask & rm.source.mask != rm.target.mask:
@@ -236,7 +241,9 @@ class Sheaf:
                     f"a subset of source"
                 )
             self.edges[(rm.source.id, rm.target.id)] = rm
-        self.pullbacks: dict[int, Pullback] = {}
+        # given stalks plus the product stalk of every pullback built
+        self._all_stalks: dict[int, sp.ValueSpace] = dict(self.stalks)
+        self._pullback_cache: dict[int, Pullback] = {}
         self._basis_chain_cache: dict[tuple[int, int], Chain] = {}
         self._blocks_cache: dict[tuple[int, int], tuple] = {}
         self._kernel_cache: dict[int, np.ndarray] = {}
@@ -247,22 +254,33 @@ class Sheaf:
     def stalk(self, u) -> sp.ValueSpace:
         oid = u.id if isinstance(u, OpenSet) else int(u)
         try:
-            return self.stalks[oid]
+            return self._all_stalks[oid]
         except KeyError:
-            raise MissingIntersectionStalk(
-                f"no stalk on {self.topology.opens[oid]}"
-            ) from None
+            self.pullback(oid)
+            return self._all_stalks[oid]
 
-    @property
-    def basis_ids(self) -> tuple[int, ...]:
-        return tuple(b.id for b in self.topology.basis)
+    def pullback(self, oid: int) -> Pullback | None:
+        """None for an open with its own stalk; for any other open
+        outside the basis, its maximal basis parts laid side by side,
+        built with their product stalk the first time it is asked for."""
+        if oid in self.stalks:
+            return None
+        pb = self._pullback_cache.get(oid)
+        if pb is None:
+            t = self.topology
+            if any(b.id == oid for b in t.basis):
+                raise MissingIntersectionStalk(f"no stalk on {t.opens[oid]}")
+            pb = _pullback(t, t.opens[oid].mask, self.stalks)
+            self._all_stalks[oid] = sp.product(
+                [self.stalks[p] for p in pb.parts])
+            self._pullback_cache[oid] = pb
+        return pb
 
     def is_linear(self) -> bool:
-        """All stalks vector-space valued and all restrictions linear maps."""
-        for oid in self.basis_ids:
-            space = self.stalks.get(oid)
-            if space is None or not space.is_linear:
-                return False
+        """All given stalks vector-space valued and all restrictions
+        linear maps; pullback stalks are products of given ones."""
+        if not all(space.is_linear for space in self.stalks.values()):
+            return False
         for (src, _), rm in self.edges.items():
             if rm.body.matrix(self.stalks[src].dim) is None:
                 return False
@@ -313,9 +331,9 @@ class Sheaf:
 
     def _layout(self, oid: int) -> dict[int, tuple[int, int]]:
         """Coordinate slice (lo, hi) of each part of an open, in order."""
-        pb = self.pullbacks.get(oid)
+        pb = self.pullback(oid)
         if pb is None:
-            return {oid: (0, self.stalk(oid).dim)}
+            return {oid: (0, self.stalks[oid].dim)}
         return pb.slices()
 
     def _blocks(self, src: int, dst: int):
@@ -355,7 +373,8 @@ class Sheaf:
         out = []
         for lo, hi, _, _, chain in self._blocks(src, dst):
             out.extend(chain(coords[lo:hi]))
-        sp.check_coords(self.stalks[dst], out)
+        # _blocks built the layout of dst, so its stalk is cached
+        sp.check_coords(self._all_stalks[dst], out)
         return tuple(out)
 
     def restrict(self, u, v, value: sp.Point) -> sp.Point:
@@ -366,29 +385,6 @@ class Sheaf:
             raise SpaceMismatch("value does not lie in the stalk over U")
         coords = self.restrict_coords(u_id, v_id, value.coords)
         return sp.make_point(self.stalk(v_id), coords)
-
-    def check_point(self, oid: int, point: sp.Point,
-                    tol: float = PULLBACK_TOL) -> float:
-        """Agreement residual of a pullback-stalk point (0 for basis opens)."""
-        pb = self.pullbacks.get(oid)
-        if pb is None:
-            return 0.0
-        slices = self._layout(oid)
-        worst = 0.0
-        for a, b, inter in pb.constraints:
-            (a_lo, a_hi), (b_lo, b_hi) = slices[a], slices[b]
-            ra = self._basis_chain(a, inter)(point.coords[a_lo:a_hi])
-            rb = self._basis_chain(b, inter)(point.coords[b_lo:b_hi])
-            space = self.stalk(inter)
-            d = sp.distance(space, sp.make_point(space, ra),
-                            sp.make_point(space, rb))
-            worst = max(worst, d)
-        if worst > tol:
-            raise SpaceMismatch(
-                f"pullback point on {self.topology.opens[oid]} violates "
-                f"overlap agreement by {worst:g}"
-            )
-        return worst
 
     # -- linear representation ----------------------------------------------
 
@@ -415,7 +411,7 @@ class Sheaf:
         cached = self._kernel_cache.get(oid)
         if cached is not None:
             return cached
-        pb = self.pullbacks.get(oid)
+        pb = self.pullback(oid)
         k = (np.eye(self.stalk(oid).dim) if pb is None
              else nullspace(self._agreement_rows(pb)))
         self._kernel_cache[oid] = k
@@ -423,9 +419,9 @@ class Sheaf:
 
     def dim(self, oid: int) -> int:
         """Linear dimension of a stalk (pullbacks: subspace dimension)."""
-        if oid in self.pullbacks:
-            return self.kernel_basis(oid).shape[1]
-        return self.stalk(oid).dim
+        if self.pullback(oid) is None:
+            return self.stalks[oid].dim
+        return self.kernel_basis(oid).shape[1]
 
     def ambient_matrix(self, src: int, dst: int) -> np.ndarray:
         """Restriction as a matrix between ambient coordinate tuples."""
@@ -451,16 +447,14 @@ class Sheaf:
 
     def sample_stalk(self, oid: int, rng) -> sp.Point | None:
         """Random valid point of a stalk, or None when not supported."""
-        if oid not in self.pullbacks:
-            return sp.sample_point(self.stalk(oid), rng)
-        pb = self.pullbacks[oid]
-        if not pb.constraints:
+        pb = self.pullback(oid)
+        if pb is None or not pb.constraints:
             return sp.sample_point(self.stalk(oid), rng)
         try:
             k = self.kernel_basis(oid)
         except NonlinearSheaf:
             top = self.topology.full.id
-            if top != oid and top not in self.pullbacks:
+            if top != oid and self.pullback(top) is None:
                 p = sp.sample_point(self.stalk(top), rng)
                 coords = self.restrict_coords(top, oid, p.coords)
                 return sp.make_point(self.stalk(oid), coords)
@@ -470,36 +464,22 @@ class Sheaf:
 
 
 def complete_unions(sh: Sheaf) -> Sheaf:
-    """Equip every non-basis open with the pullback of its maximal basis
-    parts and return the completed sheaf.
+    """Check that every basis open has a stalk and return a fresh sheaf
+    on the same given stalks.
 
-    Single-part unions reuse the part's stalk directly; disjoint parts
-    yield a plain product; overlapping parts record agreement
-    constraints on their pairwise intersections.
+    Every other union gets the pullback of its maximal basis parts when
+    first asked for (``Sheaf.pullback``): single-part unions reuse the
+    part's stalk, disjoint parts yield a plain product, and overlapping
+    parts record agreement constraints on their pairwise intersections.
+    Completing a completed sheaf changes nothing.
     """
     t = sh.topology
-    basis_set = set(b.id for b in t.basis)
-    missing = [
-        t.opens[oid] for oid in sorted(basis_set) if oid not in sh.stalks
-    ]
+    missing = [b for b in t.basis if b.id not in sh.stalks]
     if missing:
         raise MissingIntersectionStalk(
             "no stalk on basis opens: " + ", ".join(map(str, missing))
         )
-
-    out = Sheaf(t, {}, [])
-    out.stalks = dict(sh.stalks)
-    out.edges = dict(sh.edges)
-    out.stalks.setdefault(t.empty.id, sp.euclidean(0))
-
-    for u in t.opens:
-        if u.id in basis_set or u.mask == 0 or u.id in sh.stalks:
-            # a union with an explicit stalk stays native
-            continue
-        pb = _pullback(t, u.mask, sh.stalks)
-        out.stalks[u.id] = sp.product([sh.stalks[p] for p in pb.parts])
-        out.pullbacks[u.id] = pb
-    return out
+    return Sheaf(t, sh.stalks, sh.edges.values())
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +507,7 @@ class FunctorialityReport:
 def _native_ids(sh: Sheaf) -> list[int]:
     """Nonempty opens with an explicit stalk: the basis and any union
     kept native."""
-    return [oid for oid in sorted(sh.stalks)
-            if oid not in sh.pullbacks and sh.topology.opens[oid].mask]
+    return [oid for oid in sorted(sh.stalks) if sh.topology.opens[oid].mask]
 
 
 def _gap(sh: Sheaf, one: Chain, other: Chain, samples: int, rng) -> float:
@@ -611,7 +590,7 @@ def verify_gluing(sh: Sheaf) -> GluingReport:
     """Rank-based existence and uniqueness check for linear sheaves.
 
     A presheaf on a finite space is a sheaf exactly when each open's
-    value is the limit of the basis opens inside it; ``complete_unions``
+    value is the limit of the basis opens inside it; ``Sheaf.pullback``
     builds every pullback open as that limit.  So only a native W that
     is the union of the basis opens strictly inside it is checked: the
     stacked restriction to its maximal parts must reach the tuples that

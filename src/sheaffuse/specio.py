@@ -156,8 +156,7 @@ def sheaf_to_spec(sh: Sheaf, subbase_keys=None, weights: dict | None = None,
         "subbase": [key.split("+") for key in basis_keys],
         "stalks": {
             t.opens[oid].key(): space_to_json(space)
-            for oid, space in sorted(sh.stalks.items())
-            if oid not in sh.pullbacks and t.opens[oid].mask
+            for oid, space in sorted(sh.stalks.items()) if t.opens[oid].mask
         },
         "restrictions": [
             {"from": t.opens[src].key(), "to": t.opens[dst].key(),

@@ -126,8 +126,6 @@ def camera_chain_sheaf(cameras=5, camera_dim=2, seed=2016):
 def with_corrupted_edge(sh, rng):
     """Copy of a linear sheaf with one restriction edge, chosen at
     random, scaled, perturbed, zeroed or cut to rank one."""
-    native = {oid: s for oid, s in sh.stalks.items()
-              if oid not in sh.pullbacks and sh.topology.opens[oid].mask}
     edges = dict(sh.edges)
     key = rng.choice(sorted(edges))
     rm = edges[key]
@@ -143,7 +141,27 @@ def with_corrupted_edge(sh, rng):
     else:
         m[:, 1:] = 0.0
     edges[key] = RestrictionMap(rm.source, rm.target, Linear(m))
-    return complete_unions(Sheaf(sh.topology, native, edges.values()))
+    return complete_unions(Sheaf(sh.topology, sh.stalks, edges.values()))
+
+
+def with_native_union(sh, oid):
+    """Copy of a linear sheaf in which the pullback open ``oid`` has a
+    stalk of its own: R^dim in kernel coordinates, with edges into its
+    parts and from every open with a stalk that contains it."""
+    t = sh.topology
+    w = t.opens[oid]
+    stalks = dict(sh.stalks)
+    stalks[oid] = euclidean(sh.dim(oid))
+    edges = list(sh.edges.values())
+    for p in sh.pullback(oid).parts:
+        edges.append(RestrictionMap(
+            w, t.opens[p], Linear(sh.restriction_matrix(oid, p))))
+    for n in sh.stalks:
+        big = t.opens[n]
+        if big.mask != w.mask and w.mask & big.mask == w.mask:
+            edges.append(RestrictionMap(
+                big, w, Linear(sh.restriction_matrix(n, oid))))
+    return complete_unions(Sheaf(t, stalks, edges))
 
 
 def constant_circle_sheaf():

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the library's own code paths:
 closures by fixpoint iteration, distances by alternative formulas,
 agreement spaces by stacked-constraint nullspaces, functoriality by
-applying every restriction-edge path.  The one exception is
+applying every restriction-edge path.  The two exceptions are
 ``all_pairs_gluing``, the library's former gluing check over every pair
-of opens, kept as the reference for the native-union check.
+of opens, kept as the reference for the native-union check, and
+``all_pairs_radius``, its former consistency-radius loop over every
+comparable pair, kept as the reference for the defined-pair loop.
 """
 
 import itertools
@@ -16,7 +18,9 @@ import numpy as np
 
 from sheaffuse import spaces as sp
 from sheaffuse._linalg import numeric_rank
+from sheaffuse.consistency import EdgeError
 from sheaffuse.sheaf import GluingReport, Sheaf
+from sheaffuse.topology import comparable_pairs
 
 
 def fixpoint_closure(masks, full):
@@ -236,8 +240,7 @@ def edge_path_functoriality(sh, samples=16, rng=None, tol=1e-9):
     points otherwise.  Returns ``(ok, worst discrepancy)``."""
     rng = rng or random.Random(7)
     t = sh.topology
-    native = [oid for oid in sh.stalks
-              if oid not in sh.pullbacks and t.opens[oid].mask]
+    native = [oid for oid in sh.stalks if t.opens[oid].mask]
     out_edges = {}
     for (a, b), rm in sh.edges.items():
         if a != b:
@@ -289,3 +292,20 @@ def edge_path_functoriality(sh, samples=16, rng=None, tol=1e-9):
                     worst = max(worst, sp.coord_distance(sh.stalk(d),
                                                          images[0], y))
     return worst <= tol, worst
+
+
+def all_pairs_radius(a):
+    """Edges of the consistency radius over every comparable pair of
+    opens with both ends defined, sorted by decreasing error."""
+    sh = a.sheaf
+    edges = []
+    for small, large in comparable_pairs(sh.topology):
+        pv = a.values.get(small.id)
+        pu = a.values.get(large.id)
+        if pv is None or pu is None:
+            continue
+        restricted = sh.restrict_coords(large.id, small.id, pu.coords)
+        err = sp.coord_distance(sh.stalk(small.id), pv.coords, restricted)
+        edges.append(EdgeError(small, large, err))
+    edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
+    return edges

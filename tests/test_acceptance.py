@@ -279,7 +279,7 @@ def test_c5c_pullback_radius_zero():
             sh = sar_sheaf
         top = sh.topology.full
         point = (sh.sample_stalk(top.id, rng)
-                 if top.id in sh.pullbacks else
+                 if sh.pullback(top.id) is not None else
                  sample_point(sh.stalk(top.id), rng))
         radius = consistency_radius(pullback_global(sh, point)).radius
         assert radius <= 1e-9

@@ -11,6 +11,7 @@ from sheaffuse import (
     RestrictionMap,
     Sheaf,
     betti,
+    circle,
     complete_unions,
     consistency_radius,
     euclidean,
@@ -195,6 +196,23 @@ def test_cohomology_nonlinear_hint(sar_files, capsys):
     assert main(["cohomology", str(spec)]) == 1
     err = capsys.readouterr().err
     assert "--lift-bins" in err
+
+
+def test_cohomology_rejects_nonlinear_union_stalk(tmp_path, capsys):
+    """A circle stalk on a union outside the basis makes the sheaf
+    nonlinear, though every basis stalk and restriction is linear."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    a = t.open_for(["a"])
+    sh = complete_unions(Sheaf(
+        t, {a: euclidean(1), t.full: circle()},
+        [RestrictionMap(t.full, a, Identity())],
+    ))
+    assert not sh.is_linear()
+    path = tmp_path / "circle.json"
+    save_sheaf(path, sh)
+    assert main(["cohomology", str(path)]) == 1
+    assert "--lift-bins" in capsys.readouterr().err
 
 
 def test_cohomology_lift_reports_dd_residual(sar_files, capsys):

@@ -1,9 +1,10 @@
 import random
 
+import numpy as np
 import pytest
 
-from conftest import random_linear_sheaf
-from oracles import max_common_distance
+from conftest import camera_chain_sheaf, random_linear_sheaf, with_native_union
+from oracles import all_pairs_radius, max_common_distance
 from sheaffuse import (
     Assignment,
     EntityUniverse,
@@ -217,11 +218,63 @@ def test_lipschitz_bound_nonnegative_and_covers_norms():
     sh = random_linear_sheaf(rng)
     k = lipschitz_bound(sh)
     assert k >= 0.0
-    import numpy as np
-
     from sheaffuse.topology import comparable_pairs
 
     for small, large in comparable_pairs(sh.topology):
         m = sh.restriction_matrix(large.id, small.id)
         if m.size:
             assert float(np.linalg.norm(m, 2)) <= k + 1e-9
+
+
+def chain_snapshots(n, seed):
+    """Random global sections of the camera chain plus noise on every
+    basis open, drawn like the benchmark's chain snapshots."""
+    sh = camera_chain_sheaf()
+    top = sh.topology.full
+    k = sh.kernel_basis(top.id)
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        truth = pullback_global(sh, make_point(
+            sh.stalk(top.id), k @ rng.normal(0.0, 17.0, k.shape[1])))
+        a = Assignment(sh)
+        for b in sh.topology.basis:
+            exact = np.asarray(truth.values[b.id].coords)
+            a.set(b, make_point(sh.stalk(b.id),
+                                exact + rng.normal(0.0, 0.5, len(exact))))
+        yield a
+
+
+def mixed_assignments(n, rng):
+    """Random linear sheaves with one union given a stalk of its own,
+    each with values on basis opens, that union and pullback opens
+    outside it."""
+    while n:
+        sh = random_linear_sheaf(rng, n_entities=4, ensure_diamond=True)
+        t = sh.topology
+        pulled = [o for o in t.opens
+                  if o.mask and sh.pullback(o.id) is not None]
+        if not pulled:
+            continue
+        w = rng.choice(pulled)
+        outside = [o for o in pulled if o.mask & w.mask != w.mask]
+        if not outside:
+            continue
+        sh = with_native_union(sh, w.id)
+        chosen = (rng.sample(t.basis, rng.randint(1, len(t.basis))) +
+                  [w] + rng.sample(outside, rng.randint(1, len(outside))))
+        yield Assignment(sh, {o: sample_point(sh.stalk(o.id), rng)
+                              for o in chosen})
+        n -= 1
+
+
+def test_radius_edges_match_all_pairs_oracle():
+    """Pairs of defined opens give the same edges, in the same order and
+    with the same floats, as the walk over every comparable pair."""
+    sar = build_sar_sheaf()
+    cases = [sar_case_assignment(sar, c) for c in (1, 2, 3)]
+    cases += chain_snapshots(20, 1)
+    cases += mixed_assignments(40, random.Random(61))
+    for a in cases:
+        edges = consistency_radius(a).edges
+        assert edges
+        assert edges == all_pairs_radius(a)

@@ -21,6 +21,7 @@ from sheaffuse import (
     euclidean,
     generate_topology,
     make_point,
+    sample_point,
     verify_functoriality,
     verify_gluing,
 )
@@ -308,7 +309,7 @@ def test_union_of_disjoint_parts_is_plain_product():
     ))
     ab = t.open_for(["a", "b"])
     assert sh.stalk(ab.id).dim == 5
-    assert not sh.pullbacks[ab.id].constraints
+    assert not sh.pullback(ab.id).constraints
 
 
 def test_union_with_overlap_gets_agreement_constraint():
@@ -318,13 +319,12 @@ def test_union_with_overlap_gets_agreement_constraint():
     )
     top = t.full
     assert sh.stalk(top.id).dim == 4
-    assert sh.pullbacks[top.id].constraints
+    pb = sh.pullback(top.id)
+    assert pb.constraints
     assert sh.dim(top.id) == 3  # 2 + 2 - 1 agreement
-    good = make_point(sh.stalk(top.id), (5.0, 1.0, 1.0, 6.0))
-    assert sh.check_point(top.id, good) <= 1e-9
-    bad = make_point(sh.stalk(top.id), (5.0, 1.0, 2.0, 6.0))
-    with pytest.raises(SpaceMismatch):
-        sh.check_point(top.id, bad)
+    rows = sh._agreement_rows(pb)
+    assert np.max(np.abs(rows @ [5.0, 1.0, 1.0, 6.0])) <= 1e-9
+    assert np.max(np.abs(rows @ [5.0, 1.0, 2.0, 6.0])) == 1.0
 
 
 def test_missing_intersection_stalk_raises():
@@ -338,12 +338,23 @@ def test_missing_intersection_stalk_raises():
 
 
 def test_complete_unions_idempotent():
+    """Completing twice keeps the given stalks and every pullback, so
+    restrictions into pullback opens still compose."""
     rng = random.Random(31)
-    sh = random_linear_sheaf(rng)
-    again = complete_unions(sh)
-    assert set(again.stalks) == set(sh.stalks)
-    for oid in sh.stalks:
-        assert again.stalk(oid).dim == sh.stalk(oid).dim
+    sar = build_sar_sheaf()
+    for sh in (sar, random_linear_sheaf(rng, include_full=False)):
+        again = complete_unions(sh)
+        assert set(again.stalks) == set(sh.stalks)
+        opens = sh.topology.opens
+        assert any(sh.pullback(o.id) is not None for o in opens if o.mask)
+        for o in opens:
+            assert again.pullback(o.id) == sh.pullback(o.id)
+            assert again.stalk(o.id) == sh.stalk(o.id)
+    t = sar.topology
+    pair = t.open_for(["theta1", "theta2"])
+    x = sample_point(sar.stalk(t.full.id), rng).coords
+    assert complete_unions(sar).restrict_coords(t.full.id, pair.id, x) == \
+        sar.restrict_coords(t.full.id, pair.id, x)
 
 
 def existence_counterexample():
