@@ -92,47 +92,54 @@ def _intersection_open(sh: Sheaf, cover: Cover, idx: tuple[int, ...]):
     return u
 
 
-def build_complex(sh: Sheaf, cover: Cover, max_degree: int) -> CochainComplex:
-    """Cochain spaces over (k+1)-fold cover intersections and the signed
-    block coboundary matrices between them."""
-    sh.require_linear("build_complex")
-    n = len(cover.sets)
-    degrees = []
-    for k in range(max_degree + 2):
-        layer = []
-        for idx in itertools.combinations(range(n), k + 1):
-            u = _intersection_open(sh, cover, idx)
-            if u is None:
-                continue
-            layer.append((idx, u.id, sh.dim(u.id)))
-        degrees.append(layer)
+def _complex(sh: Sheaf, layers: list, open_of) -> CochainComplex:
+    """The cochain complex of simplices given as tuples, one layer per
+    degree, each simplex carrying the stalk over ``open_of(simplex)``.
 
+    d^k sends the face without entry j to the simplex through the
+    restriction matrix from the face's open to the simplex's, with sign
+    (-1)^j; every face of a simplex in layer k+1 must be in layer k.
+    """
+    degrees = [[(s, open_of(s), sh.dim(open_of(s))) for s in layer]
+               for layer in layers]
     offsets = []
     for layer in degrees:
         offs = {}
         pos = 0
-        for idx, oid, d in layer:
-            offs[idx] = (pos, oid, d)
+        for s, oid, d in layer:
+            offs[s] = (pos, oid, d)
             pos += d
         offsets.append((offs, pos))
-
     coboundaries = []
-    for k in range(max_degree + 1):
-        src_offs, src_dim = offsets[k]
-        dst_offs, dst_dim = offsets[k + 1]
+    for (src_offs, src_dim), (dst_offs, dst_dim) in zip(offsets,
+                                                          offsets[1:]):
         d = np.zeros((dst_dim, src_dim))
-        for idx, (dst_pos, dst_oid, dst_d) in dst_offs.items():
-            for j in range(len(idx)):
-                sub = idx[:j] + idx[j + 1:]
-                if sub not in src_offs:
-                    continue
-                src_pos, src_oid, src_d = src_offs[sub]
+        for s, (dst_pos, dst_oid, dst_d) in dst_offs.items():
+            for j in range(len(s)):
+                src_pos, src_oid, src_d = src_offs[s[:j] + s[j + 1:]]
                 block = sh.restriction_matrix(src_oid, dst_oid)
                 sign = -1.0 if j % 2 else 1.0
                 d[dst_pos:dst_pos + dst_d, src_pos:src_pos + src_d] = \
                     sign * block
         coboundaries.append(d)
-    return CochainComplex(degrees[:max_degree + 2], coboundaries)
+    return CochainComplex(degrees, coboundaries)
+
+
+def build_complex(sh: Sheaf, cover: Cover, max_degree: int) -> CochainComplex:
+    """Cochain spaces over (k+1)-fold cover intersections and the signed
+    block coboundary matrices between them."""
+    sh.require_linear("build_complex")
+    opens = {}
+    layers = []
+    for k in range(max_degree + 2):
+        layer = []
+        for idx in itertools.combinations(range(len(cover.sets)), k + 1):
+            u = _intersection_open(sh, cover, idx)
+            if u is not None:
+                opens[idx] = u.id
+                layer.append(idx)
+        layers.append(layer)
+    return _complex(sh, layers, opens.__getitem__)
 
 
 def betti(sh: Sheaf, cover: Cover, max_degree: int) -> BettiTable:
@@ -151,31 +158,58 @@ def global_sections_via_h0(sh: Sheaf) -> np.ndarray:
     return nullspace(cx.coboundaries[0])
 
 
-def _minimal_open_poset(sh: Sheaf):
-    """Distinct minimal open neighborhoods of the entities, the
-    specialization poset of the finite space."""
+def _minimal_open_poset(sh: Sheaf) -> list[int]:
+    """Distinct minimal open neighborhoods of the entities, largest
+    first: the specialization poset of the finite space.
+
+    The minimal neighborhood of an entity is the intersection of the
+    basis opens that contain it (the whole space when none does), so
+    the union lattice is never walked.
+    """
     t = sh.topology
     nodes = []
-    seen = set()
     for i in range(len(t.universe)):
-        bit = 1 << i
-        mask = None
-        for o in t.opens:
-            if o.mask & bit:
-                mask = o.mask if mask is None else mask & o.mask
-        if mask is None:
-            continue
+        mask = t.full.mask
+        for b in t.basis:
+            if b.mask >> i & 1:
+                mask &= b.mask
         u = t.find(mask)
         if u is None:
             raise IntersectionNotOpen(
                 "minimal neighborhoods must be open; the topology is not "
                 "intersection-closed"
             )
-        if u.id not in seen:
-            seen.add(u.id)
+        if u.id not in nodes:
             nodes.append(u.id)
     nodes.sort(key=lambda oid: (-t.opens[oid].size, oid))
     return nodes
+
+
+def _poset_betti(sh: Sheaf, nodes: list[int], max_degree: int) -> BettiTable:
+    """Betti numbers of the stalk diagram over ``nodes``, a down-closed
+    part of the specialization poset in ``_minimal_open_poset`` order.
+
+    Chains of strictly nested nodes run from large to small and carry
+    the stalk of their smallest node, so every face but the last maps
+    in by ``restriction_matrix(n, n)`` on a node n strictly inside
+    another.  Such an n is an intersection of basis opens, so (the
+    basis being closed under intersection) a basis open with a stalk
+    of its own, and the block is exactly the identity.  Only the whole
+    space can be a node with a pullback stalk, where that block is
+    K^T K and not exactly I, and it is never inside another node.
+    """
+    t = sh.topology
+    below = {
+        n: [m for m in nodes
+            if m != n and t.opens[m].mask & t.opens[n].mask == t.opens[m].mask]
+        for n in nodes
+    }
+    chains = [[(n,) for n in nodes]]
+    for _ in range(max_degree + 1):
+        chains.append([ch + (m,) for ch in chains[-1] for m in below[ch[-1]]])
+    cx = _complex(sh, chains, lambda ch: ch[-1])
+    dims = [cx.dim(k) for k in range(max_degree + 1)]
+    return _betti_table(dims, cx.coboundaries)
 
 
 def topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
@@ -187,50 +221,7 @@ def topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
     cover satisfies the acyclicity hypothesis of the nerve theorem.
     """
     sh.require_linear("topology_betti")
-    t = sh.topology
-    nodes = _minimal_open_poset(sh)
-    below = {
-        n: [m for m in nodes
-            if m != n and t.opens[m].mask & t.opens[n].mask == t.opens[m].mask]
-        for n in nodes
-    }
-    chains: list[list[tuple[int, ...]]] = [[(n,) for n in nodes]]
-    for _ in range(max_degree + 1):
-        layer = []
-        for ch in chains[-1]:
-            for m in below[ch[-1]]:
-                layer.append(ch + (m,))
-        chains.append(layer)
-
-    def layout(layer):
-        offs = {}
-        pos = 0
-        for ch in layer:
-            d = sh.dim(ch[-1])
-            offs[ch] = (pos, d)
-            pos += d
-        return offs, pos
-
-    layouts = [layout(layer) for layer in chains]
-    dims = [total for _, total in layouts[:max_degree + 1]]
-    coboundaries = []
-    for n in range(max_degree + 1):
-        src_offs, src_dim = layouts[n]
-        dst_offs, dst_dim = layouts[n + 1]
-        d = np.zeros((dst_dim, src_dim))
-        for ch, (pos, dim) in dst_offs.items():
-            for i in range(len(ch) - 1):
-                sub = ch[:i] + ch[i + 1:]
-                spos, sdim = src_offs[sub]
-                sign = -1.0 if i % 2 else 1.0
-                d[pos:pos + dim, spos:spos + sdim] += sign * np.eye(dim)
-            sub = ch[:-1]
-            spos, sdim = src_offs[sub]
-            block = sh.restriction_matrix(ch[-2], ch[-1])
-            sign = -1.0 if (len(ch) - 1) % 2 else 1.0
-            d[pos:pos + dim, spos:spos + sdim] += sign * block
-        coboundaries.append(d)
-    return _betti_table(dims, coboundaries)
+    return _poset_betti(sh, _minimal_open_poset(sh), max_degree)
 
 
 @dataclass
@@ -291,8 +282,15 @@ def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
 def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
     """Check the acyclicity hypothesis on every nonempty intersection of
     cover elements; when it holds, certify that cover-level and
-    topology-level Betti tables agree."""
+    topology-level Betti tables agree.
+
+    The sheaf on an open U is the stalk diagram over the nodes of the
+    specialization poset inside U, with the same stalks and maps, so
+    each intersection is checked on a part of this sheaf's own poset.
+    """
     sh.require_linear("leray_check")
+    t = sh.topology
+    nodes = _minimal_open_poset(sh)
     report = LerayReport()
     n = len(cover.sets)
     seen = set()
@@ -303,8 +301,9 @@ def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
             if u is None or u.id in seen:
                 continue
             seen.add(u.id)
-            sub_sheaf = restrict_sheaf(sh, u.mask)
-            table = topology_betti(sub_sheaf, max_degree)
+            inside = [m for m in nodes
+                      if t.opens[m].mask & u.mask == t.opens[m].mask]
+            table = _poset_betti(sh, inside, max_degree)
             ok = all(b == 0 for b in table.betti[1:])
             key = str(u)
             report.acyclic[key] = ok
@@ -319,7 +318,7 @@ def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
     report.verdict = all_ok
     if all_ok:
         report.cover_betti = betti(sh, cover, max_degree)
-        report.topology_betti = topology_betti(sh, max_degree)
+        report.topology_betti = _poset_betti(sh, nodes, max_degree)
         report.tables_equal = (
             report.cover_betti.betti == report.topology_betti.betti
         )

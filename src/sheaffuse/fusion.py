@@ -29,9 +29,6 @@ class FusionOptions:
     max_iterations: int = 2000
     f_tolerance: float = 1e-8
     restarts: int = 5
-    init: str = "assignment"          # "assignment" | "explicit" | "perturbed"
-    explicit_start: tuple | None = None
-    perturb_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -237,24 +234,13 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         return worst
 
     route = "nelder_mead"
-    if opts.init == "explicit":
-        if opts.explicit_start is None:
-            raise ValueError("explicit init requires explicit_start")
-        x0 = list(opts.explicit_start)
+    top_value = a.values.get(top.id)
+    if top_value is not None:
+        x0 = list(top_value.coords)
     else:
-        top_value = a.values.get(top.id)
-        if top_value is not None:
-            x0 = list(top_value.coords)
-        else:
-            x0 = _least_squares_start(sh, a, top) or [0.0] * top_space.dim
-        if kernel is not None:
-            x0 = list(kernel.T @ np.asarray(x0, dtype=float))
-        if opts.init == "perturbed":
-            rng = random.Random(opts.seed + 1)
-            x0 = [
-                v + rng.gauss(0.0, opts.perturb_scale *
-                              (abs(v) if v else 1.0) * 0.1) for v in x0
-            ]
+        x0 = _least_squares_start(sh, a, top) or [0.0] * top_space.dim
+    if kernel is not None:
+        x0 = list(kernel.T @ np.asarray(x0, dtype=float))
 
     f0 = objective(x0)
     if f0 <= opts.f_tolerance:

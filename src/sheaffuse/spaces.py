@@ -39,8 +39,9 @@ class ValueSpace:
     labels: tuple[str, ...] = ()
     components: tuple["ValueSpace", ...] = ()
 
-    @property
+    @cached_property
     def circular_mask(self) -> tuple[bool, ...]:
+        """Per coordinate, whether it is an angle in degrees."""
         if self.kind == CIRCLE:
             return (True,)
         if self.kind == PRODUCT:

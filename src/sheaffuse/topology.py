@@ -9,7 +9,6 @@ number of opens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import TopologyTooLarge, UnknownEntity
@@ -116,18 +115,6 @@ class Topology:
     def find(self, mask: int) -> OpenSet | None:
         return self._by_mask.get(mask)
 
-    @cached_property
-    def descendants(self) -> tuple[frozenset[int], ...]:
-        """For each open id, the ids of all strictly smaller opens."""
-        result = []
-        for u in self.opens:
-            below = frozenset(
-                v.id for v in self.opens
-                if v.mask != u.mask and v.mask & u.mask == v.mask
-            )
-            result.append(below)
-        return tuple(result)
-
 
 class UnknownOpenSet(KeyError):
     def __init__(self, mask: int, universe: EntityUniverse):
@@ -182,17 +169,10 @@ def generate_topology(universe: EntityUniverse,
 
 def comparable_pairs(t: Topology) -> list[tuple[OpenSet, OpenSet]]:
     """All ordered pairs (smaller, larger) of nonempty opens with V strictly
-    inside U."""
-    pairs = []
-    for u in t.opens:
-        if u.mask == 0:
-            continue
-        for v_id in t.descendants[u.id]:
-            v = t.opens[v_id]
-            if v.mask != 0:
-                pairs.append((v, u))
-    pairs.sort(key=lambda p: (p[1].id, p[0].id))
-    return pairs
+    inside U, by the larger open's id and then the smaller's."""
+    nonempty = t.opens[1:]   # the empty open sorts first
+    return [(v, u) for u in nonempty for v in nonempty
+            if v.mask != u.mask and v.mask & u.mask == v.mask]
 
 
 @dataclass

@@ -3,11 +3,13 @@
 Everything here deliberately avoids the library's own code paths:
 closures by fixpoint iteration, distances by alternative formulas,
 agreement spaces by stacked-constraint nullspaces, functoriality by
-applying every restriction-edge path.  The two exceptions are
-``all_pairs_gluing``, the library's former gluing check over every pair
-of opens, kept as the reference for the native-union check, and
-``all_pairs_radius``, its former consistency-radius loop over every
-comparable pair, kept as the reference for the defined-pair loop.
+applying every restriction-edge path.  The exceptions are the library's
+former routines, kept as references for the ones that replaced them:
+``all_pairs_gluing``, the gluing check over every pair of opens, for
+the native-union check; ``all_pairs_radius``, the consistency-radius
+loop over every comparable pair, for the defined-pair loop; and the
+``reference_*`` cohomology routines, for the one cochain-complex
+routine and the Leray check on sub-posets.
 """
 
 import itertools
@@ -18,7 +20,17 @@ import numpy as np
 
 from sheaffuse import spaces as sp
 from sheaffuse._linalg import numeric_rank
+from sheaffuse.cohomology import (
+    BettiTable,
+    CochainComplex,
+    Cover,
+    LerayReport,
+    _betti_table,
+    _intersection_open,
+    restrict_sheaf,
+)
 from sheaffuse.consistency import EdgeError
+from sheaffuse.errors import IntersectionNotOpen
 from sheaffuse.sheaf import GluingReport, Sheaf
 from sheaffuse.topology import comparable_pairs
 
@@ -309,3 +321,174 @@ def all_pairs_radius(a):
         edges.append(EdgeError(small, large, err))
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
     return edges
+
+
+# The library's former cohomology routines, kept as written: a cover
+# nerve and a poset order complex assembled by separate loops, and a
+# Leray check that rebuilds each intersection as a sheaf of its own.
+
+def reference_build_complex(sh: Sheaf, cover: Cover,
+                            max_degree: int) -> CochainComplex:
+    """Cochain spaces over (k+1)-fold cover intersections and the signed
+    block coboundary matrices between them."""
+    sh.require_linear("build_complex")
+    n = len(cover.sets)
+    degrees = []
+    for k in range(max_degree + 2):
+        layer = []
+        for idx in itertools.combinations(range(n), k + 1):
+            u = _intersection_open(sh, cover, idx)
+            if u is None:
+                continue
+            layer.append((idx, u.id, sh.dim(u.id)))
+        degrees.append(layer)
+
+    offsets = []
+    for layer in degrees:
+        offs = {}
+        pos = 0
+        for idx, oid, d in layer:
+            offs[idx] = (pos, oid, d)
+            pos += d
+        offsets.append((offs, pos))
+
+    coboundaries = []
+    for k in range(max_degree + 1):
+        src_offs, src_dim = offsets[k]
+        dst_offs, dst_dim = offsets[k + 1]
+        d = np.zeros((dst_dim, src_dim))
+        for idx, (dst_pos, dst_oid, dst_d) in dst_offs.items():
+            for j in range(len(idx)):
+                sub = idx[:j] + idx[j + 1:]
+                if sub not in src_offs:
+                    continue
+                src_pos, src_oid, src_d = src_offs[sub]
+                block = sh.restriction_matrix(src_oid, dst_oid)
+                sign = -1.0 if j % 2 else 1.0
+                d[dst_pos:dst_pos + dst_d, src_pos:src_pos + src_d] = \
+                    sign * block
+        coboundaries.append(d)
+    return CochainComplex(degrees[:max_degree + 2], coboundaries)
+
+
+def reference_minimal_open_poset(sh: Sheaf):
+    """Distinct minimal open neighborhoods of the entities, the
+    specialization poset of the finite space."""
+    t = sh.topology
+    nodes = []
+    seen = set()
+    for i in range(len(t.universe)):
+        bit = 1 << i
+        mask = None
+        for o in t.opens:
+            if o.mask & bit:
+                mask = o.mask if mask is None else mask & o.mask
+        if mask is None:
+            continue
+        u = t.find(mask)
+        if u is None:
+            raise IntersectionNotOpen(
+                "minimal neighborhoods must be open; the topology is not "
+                "intersection-closed"
+            )
+        if u.id not in seen:
+            seen.add(u.id)
+            nodes.append(u.id)
+    nodes.sort(key=lambda oid: (-t.opens[oid].size, oid))
+    return nodes
+
+
+def reference_topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
+    """Betti numbers of the whole finite space.
+
+    Computed as derived limits of the stalk diagram over the
+    specialization poset (chains of strictly nested minimal open
+    neighborhoods), which agrees with cover-level tables exactly when a
+    cover satisfies the acyclicity hypothesis of the nerve theorem.
+    """
+    sh.require_linear("topology_betti")
+    t = sh.topology
+    nodes = reference_minimal_open_poset(sh)
+    below = {
+        n: [m for m in nodes
+            if m != n and t.opens[m].mask & t.opens[n].mask == t.opens[m].mask]
+        for n in nodes
+    }
+    chains: list[list[tuple[int, ...]]] = [[(n,) for n in nodes]]
+    for _ in range(max_degree + 1):
+        layer = []
+        for ch in chains[-1]:
+            for m in below[ch[-1]]:
+                layer.append(ch + (m,))
+        chains.append(layer)
+
+    def layout(layer):
+        offs = {}
+        pos = 0
+        for ch in layer:
+            d = sh.dim(ch[-1])
+            offs[ch] = (pos, d)
+            pos += d
+        return offs, pos
+
+    layouts = [layout(layer) for layer in chains]
+    dims = [total for _, total in layouts[:max_degree + 1]]
+    coboundaries = []
+    for n in range(max_degree + 1):
+        src_offs, src_dim = layouts[n]
+        dst_offs, dst_dim = layouts[n + 1]
+        d = np.zeros((dst_dim, src_dim))
+        for ch, (pos, dim) in dst_offs.items():
+            for i in range(len(ch) - 1):
+                sub = ch[:i] + ch[i + 1:]
+                spos, sdim = src_offs[sub]
+                sign = -1.0 if i % 2 else 1.0
+                d[pos:pos + dim, spos:spos + sdim] += sign * np.eye(dim)
+            sub = ch[:-1]
+            spos, sdim = src_offs[sub]
+            block = sh.restriction_matrix(ch[-2], ch[-1])
+            sign = -1.0 if (len(ch) - 1) % 2 else 1.0
+            d[pos:pos + dim, spos:spos + sdim] += sign * block
+        coboundaries.append(d)
+    return _betti_table(dims, coboundaries)
+
+
+def reference_leray_check(sh: Sheaf, cover: Cover,
+                           max_degree: int) -> LerayReport:
+    """Check the acyclicity hypothesis on every nonempty intersection of
+    cover elements; when it holds, certify that cover-level and
+    topology-level Betti tables agree."""
+    sh.require_linear("leray_check")
+    report = LerayReport()
+    n = len(cover.sets)
+    seen = set()
+    all_ok = True
+    for r in range(1, n + 1):
+        for idx in itertools.combinations(range(n), r):
+            u = _intersection_open(sh, cover, idx)
+            if u is None or u.id in seen:
+                continue
+            seen.add(u.id)
+            sub_sheaf = restrict_sheaf(sh, u.mask)
+            table = reference_topology_betti(sub_sheaf, max_degree)
+            ok = all(b == 0 for b in table.betti[1:])
+            key = str(u)
+            report.acyclic[key] = ok
+            if not ok:
+                all_ok = False
+                bad = [k for k in range(1, len(table.betti))
+                       if table.betti[k] != 0]
+                report.witnesses.append(
+                    f"{key} has nonzero betti at degrees {bad}: "
+                    f"{table.betti}"
+                )
+    report.verdict = all_ok
+    if all_ok:
+        cx = reference_build_complex(sh, cover, max_degree)
+        report.cover_betti = _betti_table(
+            [cx.dim(k) for k in range(max_degree + 1)], cx.coboundaries)
+        report.topology_betti = reference_topology_betti(sh, max_degree)
+        report.tables_equal = (
+            report.cover_betti.betti == report.topology_betti.betti
+        )
+    return report

@@ -3,12 +3,19 @@ import random
 import numpy as np
 import pytest
 
-from conftest import constant_circle_sheaf, random_linear_sheaf
+from conftest import (
+    camera_chain_sheaf,
+    constant_circle_sheaf,
+    random_linear_sheaf,
+)
 from oracles import (
     agreement_dim,
     circle_cover_betti,
     grid_lift_reference,
     lift_mass_matrix,
+    reference_build_complex,
+    reference_leray_check,
+    reference_topology_betti,
 )
 from sheaffuse import (
     BinGrid,
@@ -21,9 +28,16 @@ from sheaffuse import (
     stochastic_lift,
     uniform_grid,
 )
-from sheaffuse.cohomology import DD_TOL, topology_betti
+from sheaffuse.cohomology import (
+    DD_TOL,
+    _betti_table,
+    _minimal_open_poset,
+    lift_sheaf,
+    topology_betti,
+)
 from sheaffuse.errors import NonlinearSheaf, UnmappedBin
 from sheaffuse.scenarios import (
+    build_coin_sheaf,
     build_obstacle_sheaves,
     build_sar_sheaf,
     sar_lift_ranges,
@@ -270,6 +284,131 @@ def test_leray_passes_on_circle_arc_cover():
 
 
 # ---------------------------------------------------------------------------
+# the cochain-complex routine against the former routines
+
+def sar_lift_grids(sh, bins):
+    ranges = sar_lift_ranges()
+    grids = {}
+    for b in sh.topology.basis:
+        per_coord = ranges[b.key()]
+        grids[b.id] = uniform_grid([lo for lo, _ in per_coord],
+                                   [hi for _, hi in per_coord], bins)
+    return grids
+
+
+def maximal_basis_cover(t):
+    return Cover(tuple(b for b in t.basis if not any(
+        b.mask != c.mask and b.mask & c.mask == b.mask for c in t.basis)))
+
+
+def uncovered_entity_sheaf(seed):
+    """A random sheaf with an entity in no basis open, so the whole
+    space is a poset node with a constrained pullback stalk."""
+    sh = random_linear_sheaf(random.Random(seed), n_entities=4,
+                             include_full=False)
+    top = sh.topology.full.id
+    assert top in _minimal_open_poset(sh)
+    assert sh.pullback(top).constraints
+    return sh
+
+
+@pytest.fixture(scope="module")
+def reference_fixtures():
+    """(name, sheaf, covers): random linear sheaves, with and without a
+    stalk on the whole space, the obstacle, coin, circle and camera
+    chain sheaves and the SAR lift at 2 bins."""
+    rng = random.Random(4242)
+    out = []
+    for i in range(40):
+        sh = random_linear_sheaf(rng, n_entities=rng.randint(2, 4),
+                                 include_full=i >= 10)
+        t = sh.topology
+        out.append((f"random {i}", sh, [full_cover(t)] + [
+            random_cover(rng, t) for _ in range(2)]))
+    for seed in (28, 32):
+        sh = uncovered_entity_sheaf(seed)
+        out.append((f"uncovered {seed}", sh, [full_cover(sh.topology)]))
+    mosaic, prob = build_obstacle_sheaves()
+    t = prob.topology
+    two = Cover((t.open_for(["L", "V1", "V2"]),
+                 t.open_for(["R", "V1", "V2"])))
+    for name, sh in (("mosaic", mosaic), ("probability", prob)):
+        out.append((name, sh, [two, full_cover(t), Cover((t.full,))]))
+    for variant in ("mosaic", "counts", "value"):
+        sh = build_coin_sheaf(variant)
+        out.append((f"coins {variant}", sh, [full_cover(sh.topology)]))
+    sh, arcs = constant_circle_sheaf()
+    out.append(("circle", sh, [Cover(arcs), Cover((sh.topology.full,))]))
+    sh = camera_chain_sheaf()
+    out.append(("chain", sh, [maximal_basis_cover(sh.topology),
+                              Cover((sh.topology.full,))]))
+    sar = build_sar_sheaf()
+    sh = lift_sheaf(sar, sar_lift_grids(sar, 2))
+    out.append(("sar lift", sh, [maximal_basis_cover(sh.topology),
+                                 Cover((sh.topology.full,))]))
+    return out
+
+
+def test_coboundaries_match_reference(reference_fixtures):
+    for name, sh, covers in reference_fixtures:
+        for cover in covers:
+            cx = build_complex(sh, cover, 2)
+            ref = reference_build_complex(sh, cover, 2)
+            assert cx.degrees == ref.degrees, name
+            assert len(cx.coboundaries) == len(ref.coboundaries) == 3
+            for got, want in zip(cx.coboundaries, ref.coboundaries):
+                assert got.shape == want.shape, name
+                assert np.array_equal(got, want), name
+
+
+def test_betti_tables_match_reference(reference_fixtures):
+    for name, sh, covers in reference_fixtures:
+        for cover in covers:
+            ref = reference_build_complex(sh, cover, 2)
+            want = _betti_table([ref.dim(k) for k in range(3)],
+                                ref.coboundaries)
+            assert betti(sh, cover, 2).as_dict() == want.as_dict(), name
+        assert topology_betti(sh, 2).as_dict() == \
+            reference_topology_betti(sh, 2).as_dict(), name
+
+
+def test_leray_reports_match_reference(reference_fixtures):
+    checked = 0
+    for name, sh, covers in reference_fixtures:
+        for cover in covers:
+            got = leray_check(sh, cover, 2)
+            want = reference_leray_check(sh, cover, 2)
+            assert got.acyclic == want.acyclic, name
+            assert got.verdict == want.verdict, name
+            assert got.tables_equal == want.tables_equal, name
+            assert got.witnesses == want.witnesses, name
+            for a, b in ((got.cover_betti, want.cover_betti),
+                         (got.topology_betti, want.topology_betti)):
+                assert (a and a.as_dict()) == (b and b.as_dict()), name
+            checked += got.verdict
+    assert checked > 0
+
+
+def test_leray_builds_no_sheaf_or_topology(monkeypatch):
+    """The intersections are checked on the given sheaf's own poset."""
+    from sheaffuse import sheaf, topology
+
+    mosaic, _ = build_obstacle_sheaves()
+    t = mosaic.topology
+    cover = Cover((t.open_for(["L", "V1", "V2"]),
+                   t.open_for(["R", "V1", "V2"])))
+    built = []
+    for cls in (sheaf.Sheaf, topology.Topology):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(type(self).__name__)
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    report = leray_check(mosaic, cover, 2)
+    assert report.verdict and report.tables_equal
+    assert built == []
+
+
+# ---------------------------------------------------------------------------
 # stochastic lifts
 
 def test_delta_maps_to_delta():
@@ -423,12 +562,7 @@ def test_sar_lift_matches_per_point_reference():
     """Every SAR edge below the 6-d office stalk, at 2 bins: the
     projections and the nonlinear detection-to-bearing maps."""
     sh = build_sar_sheaf()
-    ranges = sar_lift_ranges()
-    grids = {}
-    for b in sh.topology.basis:
-        per_coord = ranges[b.key()]
-        grids[b.id] = uniform_grid([lo for lo, _ in per_coord],
-                                   [hi for _, hi in per_coord], 2)
+    grids = sar_lift_grids(sh, 2)
     checked = 0
     for (src, dst), rm in sh.edges.items():
         if sh.stalk(src).dim == 6:

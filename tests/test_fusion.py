@@ -181,22 +181,6 @@ def test_fuse_over_constrained_pullback_top():
     assert np.max(np.abs(residual)) <= 1e-6
 
 
-def test_fuse_init_modes():
-    sh, mid, top = identity_chain_sheaf()
-    a = Assignment(sh, {
-        mid: make_point(sh.stalk(mid.id), [0.0]),
-        top: make_point(sh.stalk(top.id), [2.0]),
-    })
-    explicit = fuse(a, FusionOptions(init="explicit",
-                                     explicit_start=(5.0,)))
-    assert explicit.section_at_top.coords[0] == pytest.approx(1.0, abs=1e-4)
-    perturbed = fuse(a, FusionOptions(init="perturbed", seed=6))
-    assert perturbed.section_at_top.coords[0] == pytest.approx(1.0,
-                                                               abs=1e-4)
-    with pytest.raises(ValueError):
-        fuse(a, FusionOptions(init="explicit"))
-
-
 def test_fuse_deterministic_under_seed():
     rng = random.Random(73)
     sh = random_linear_sheaf(rng)
