@@ -16,6 +16,10 @@ from .sheaf import Linear, RestrictionMap, Sheaf, complete_unions
 from .topology import EntityUniverse, OpenSet, Topology
 
 DD_TOL = 1e-10
+# lift_sheaf: sample points per domain cell and axis, and the most bins
+# one lifted stalk may have
+LIFT_SUBDIVISIONS = 3
+MAX_STALK_BINS = 20000
 
 
 @dataclass(frozen=True)
@@ -191,12 +195,7 @@ def _poset_betti(sh: Sheaf, nodes: list[int], max_degree: int) -> BettiTable:
 
     Chains of strictly nested nodes run from large to small and carry
     the stalk of their smallest node, so every face but the last maps
-    in by ``restriction_matrix(n, n)`` on a node n strictly inside
-    another.  Such an n is an intersection of basis opens, so (the
-    basis being closed under intersection) a basis open with a stalk
-    of its own, and the block is exactly the identity.  Only the whole
-    space can be a node with a pullback stalk, where that block is
-    K^T K and not exactly I, and it is never inside another node.
+    in by ``restriction_matrix(n, n)``, which is exactly the identity.
     """
     t = sh.topology
     below = {
@@ -469,8 +468,7 @@ def stochastic_lift(f, bins_domain, bins_codomain,
     return m / per
 
 
-def lift_sheaf(sh: Sheaf, grids: dict, subdivisions: int = 3,
-               max_stalk_bins: int = 20000) -> Sheaf:
+def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
     """Linearize a sheaf by replacing each basis stalk with probability
     distributions over a grid and each restriction with its stochastic
     lift.
@@ -489,16 +487,16 @@ def lift_sheaf(sh: Sheaf, grids: dict, subdivisions: int = 3,
                 f"grid for {b} has {len(grid.shape)} axes, stalk has "
                 f"dimension {sh.stalk(b.id).dim}"
             )
-        if grid.size > max_stalk_bins:
+        if grid.size > MAX_STALK_BINS:
             raise UnmappedBin(
                 f"lift of {b} needs {grid.size} bins "
-                f"(cap {max_stalk_bins}); use fewer bins per axis"
+                f"(cap {MAX_STALK_BINS}); use fewer bins per axis"
             )
         stalks[b.id] = sp.simplex(grid.size)
     edges = []
     for (src, dst), rm in sh.edges.items():
         matrix = stochastic_lift(
-            rm.body, grids[src], grids[dst], subdivisions
+            rm.body, grids[src], grids[dst], LIFT_SUBDIVISIONS
         )
         edges.append(RestrictionMap(t.opens[src], t.opens[dst],
                                     Linear(matrix)))

@@ -1,10 +1,13 @@
 """Data fusion: nearest global section to an assignment.
 
 The search runs over the stalk at the whole space, since a global
-section is determined by its value there.  The minimax objective (the
-sup pseudometric to the input assignment) is optimized by a built-in
-Nelder-Mead simplex method; fully linear Euclidean sheaves first take a
-least-squares step to seed the simplex.
+section is determined by its value there; when that stalk is a
+constrained pullback of a linear sheaf, over kernel coordinates of its
+agreement subspace.  The minimax objective (the sup pseudometric to the
+input assignment) is optimized by a built-in Nelder-Mead simplex
+method; on linear sheaves the simplex starts from the weighted
+least-squares fit of every observation, solved in those same search
+coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces as sp
-from .consistency import Assignment, assignment_distance, pullback_global
+from .consistency import (
+    Assignment,
+    assignment_distance,
+    consistency_radius,
+    pullback_global,
+)
 from .errors import DegenerateAssignment, NoTopStalk
 from .sheaf import Sheaf
 
@@ -233,14 +241,15 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
                 worst = d
         return worst
 
+    ls = _least_squares_start(sh, a, top, kernel)
     route = "nelder_mead"
     top_value = a.values.get(top.id)
     if top_value is not None:
         x0 = list(top_value.coords)
+        if kernel is not None:
+            x0 = list(kernel.T @ np.asarray(x0, dtype=float))
     else:
-        x0 = _least_squares_start(sh, a, top) or [0.0] * top_space.dim
-    if kernel is not None:
-        x0 = list(kernel.T @ np.asarray(x0, dtype=float))
+        x0 = ls if ls is not None else [0.0] * top_space.dim
 
     f0 = objective(x0)
     if f0 <= opts.f_tolerance:
@@ -249,11 +258,9 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         return FusionResult(section, fused, assignment_distance(fused, a),
                             _bound(a, lipschitz), 0, True, "already_global")
 
-    if sh.is_linear() and kernel is None:
-        ls = _least_squares_start(sh, a, top)
-        if ls is not None:
-            x0 = ls
-            route = "least_squares+nelder_mead"
+    if ls is not None:
+        x0 = ls
+        route = "least_squares+nelder_mead"
 
     run = nelder_mead(objective, x0, circ_mask, opts)
     section = section_point(run.x)
@@ -266,28 +273,26 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
 def _bound(a: Assignment, lipschitz: float | None) -> float | None:
     if lipschitz is None:
         return None
-    from .consistency import consistency_radius
-
     return fusion_lower_bound(consistency_radius(a).radius, lipschitz)
 
 
-def _least_squares_start(sh: Sheaf, a: Assignment, top) -> list | None:
-    """Stacked least-squares solve of all defined restrictions, used to
-    seed the simplex for linear Euclidean sheaves."""
-    if not sh.is_linear() or sh.pullback(top.id) is not None:
+def _least_squares_start(sh: Sheaf, a: Assignment, top, kernel) -> list | None:
+    """Weighted least-squares fit of every defined open, in the
+    coordinates the simplex searches: stacked rows w_U A_U K, where A_U
+    is the restriction from the whole space in ambient coordinates and
+    K the kernel basis of a constrained pullback top (no K factor
+    without one).  None for a nonlinear sheaf."""
+    if not sh.is_linear():
         return None
     rows = []
     rhs = []
     for oid, point in a.values.items():
-        try:
-            m = (np.eye(sh.stalk(top.id).dim) if oid == top.id
-                 else sh.ambient_matrix(top.id, oid))
-        except Exception:
-            return None
+        m = sh.ambient_matrix(top.id, oid)
+        if kernel is not None:
+            m = m @ kernel
         w = sh.stalk(oid).weight or 1.0
         rows.append(w * m)
         rhs.append(w * np.asarray(point.coords, dtype=float))
-    stacked = np.vstack(rows)
-    target = np.concatenate(rhs)
-    sol, *_ = np.linalg.lstsq(stacked, target, rcond=None)
+    sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs),
+                              rcond=None)
     return list(sol)

@@ -38,9 +38,6 @@ class Identity:
     def matrix(self, in_dim):
         return np.eye(in_dim)
 
-    def describe(self):
-        return "id"
-
 
 class Projection:
     """Keep the listed coordinate positions, in order."""
@@ -56,9 +53,6 @@ class Projection:
         for row, i in enumerate(self.indices):
             m[row, i] = 1.0
         return m
-
-    def describe(self):
-        return f"pr{list(self.indices)}"
 
 
 class Linear:
@@ -79,9 +73,6 @@ class Linear:
             )
         return self.mat
 
-    def describe(self):
-        return f"linear{self.mat.shape}"
-
 
 class Affine:
     def __init__(self, matrix, offset):
@@ -95,9 +86,6 @@ class Affine:
 
     def matrix(self, in_dim):
         return None
-
-    def describe(self):
-        return f"affine{self.mat.shape}"
 
 
 class Builtin:
@@ -113,9 +101,6 @@ class Builtin:
 
     def matrix(self, in_dim):
         return None
-
-    def describe(self):
-        return self.name
 
 
 class Chain:
@@ -140,9 +125,6 @@ class Chain:
             m = step @ m
         return m
 
-    def describe(self):
-        return " ; ".join(b.describe() for b in self.bodies) or "id"
-
 
 BUILTIN_CATALOG: dict = {}
 
@@ -165,9 +147,6 @@ class RestrictionMap:
     source: OpenSet  # larger open
     target: OpenSet  # smaller open
     body: object
-
-    def __call__(self, coords):
-        return self.body(coords)
 
 
 @dataclass(frozen=True)
@@ -434,12 +413,17 @@ class Sheaf:
         return m
 
     def restriction_matrix(self, src: int, dst: int) -> np.ndarray:
-        """Restriction in subspace coordinates (kernel bases on both ends)."""
+        """Restriction in subspace coordinates (kernel bases on both ends);
+        exactly the identity from an open to itself."""
         key = (src, dst)
         cached = self._matrix_cache.get(key)
         if cached is None:
-            amb = self.ambient_matrix(src, dst)
-            cached = self.kernel_basis(dst).T @ amb @ self.kernel_basis(src)
+            if src == dst:
+                cached = np.eye(self.dim(src))
+            else:
+                amb = self.ambient_matrix(src, dst)
+                cached = (self.kernel_basis(dst).T @ amb
+                          @ self.kernel_basis(src))
             self._matrix_cache[key] = cached
         return cached
 
@@ -485,6 +469,10 @@ def complete_unions(sh: Sheaf) -> Sheaf:
 # ---------------------------------------------------------------------------
 # axiom checkers
 
+# largest path discrepancy verify_functoriality accepts
+FUNCTORIALITY_TOL = 1e-9
+
+
 @dataclass
 class FunctorialityReport:
     ok: bool
@@ -524,8 +512,8 @@ def _gap(sh: Sheaf, one: Chain, other: Chain, samples: int, rng) -> float:
     return worst
 
 
-def verify_functoriality(sh: Sheaf, samples: int = 64, rng=None,
-                         tol: float = 1e-9) -> FunctorialityReport:
+def verify_functoriality(sh: Sheaf, samples: int = 64,
+                         rng=None) -> FunctorialityReport:
     """Path independence of the given restriction edges.
 
     Restrictions of pullback opens are composed from the canonical
@@ -559,12 +547,13 @@ def verify_functoriality(sh: Sheaf, samples: int = 64, rng=None,
             via = Chain((rm.body,) + rest.bodies, (a,) + rest.path)
             gap = _gap(sh, via, canonical, samples, rng)
             worst = max(worst, gap)
-            if gap > tol:
+            if gap > FUNCTORIALITY_TOL:
                 witnesses.append(
                     f"{_render(t, via.path)} and {_render(t, canonical.path)}"
                     f" disagree by {gap:.3g}"
                 )
-    return FunctorialityReport(worst <= tol, worst, checked, witnesses)
+    return FunctorialityReport(worst <= FUNCTORIALITY_TOL, worst, checked,
+                               witnesses)
 
 
 def _render(t: Topology, path) -> str:

@@ -17,6 +17,7 @@ import math
 import random
 
 import numpy as np
+from scipy.optimize import minimize
 
 from sheaffuse import spaces as sp
 from sheaffuse._linalg import numeric_rank
@@ -321,6 +322,49 @@ def all_pairs_radius(a):
         edges.append(EdgeError(small, large, err))
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
     return edges
+
+
+def minimax_optimum(a):
+    """Nearest-global-section residual of a linear sheaf with Euclidean
+    stalks on the defined opens: min over x of max_U w_U |A_U K x - b_U|,
+    by SLSQP on the epigraph form (minimise t subject to
+    w_U^2 |A_U K x - b_U|^2 <= t^2).  A_U and the top's kernel basis K
+    come from the library; the optimizer does not.  Returns the
+    objective at SLSQP's answer, so it never undercuts the optimum."""
+    sh = a.sheaf
+    top = sh.topology.full.id
+    k = sh.kernel_basis(top)
+    blocks = []
+    for oid, point in a.values.items():
+        space = sh.stalk(oid)
+        assert space.kind == sp.EUCLIDEAN, "Euclidean stalks only"
+        blocks.append((space.weight * sh.ambient_matrix(top, oid) @ k,
+                       space.weight * np.asarray(point.coords, dtype=float)))
+
+    def worst(x):
+        return max(float(np.linalg.norm(m @ x - b)) for m, b in blocks)
+
+    def gap(z, m, b):
+        r = m @ z[:-1] - b
+        return z[-1] ** 2 - r @ r
+
+    def gap_grad(z, m, b):
+        return np.append(-2.0 * (m @ z[:-1] - b) @ m, 2.0 * z[-1])
+
+    x0, *_ = np.linalg.lstsq(np.vstack([m for m, _ in blocks]),
+                             np.concatenate([b for _, b in blocks]),
+                             rcond=None)
+    last = np.zeros(len(x0) + 1)
+    last[-1] = 1.0
+    res = minimize(
+        lambda z: z[-1], np.append(x0, worst(x0)), jac=lambda z: last,
+        method="SLSQP", bounds=[(None, None)] * len(x0) + [(0.0, None)],
+        constraints=[{"type": "ineq", "fun": gap, "jac": gap_grad,
+                      "args": block} for block in blocks],
+        options={"ftol": 1e-10, "maxiter": 1000},
+    )
+    assert res.success, res.message
+    return worst(res.x[:-1])
 
 
 # The library's former cohomology routines, kept as written: a cover

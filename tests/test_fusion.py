@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from conftest import random_linear_sheaf
+from conftest import camera_chain_sheaf, random_linear_sheaf
+from oracles import minimax_optimum
 from sheaffuse import (
     Assignment,
     EntityUniverse,
@@ -192,3 +193,46 @@ def test_fuse_deterministic_under_seed():
     r2 = fuse(a, FusionOptions(seed=5))
     assert r1.section_at_top.coords == r2.section_at_top.coords
     assert r1.residual == r2.residual
+
+
+def chain_snapshot(sh, rng):
+    """A random global section (kernel coordinates with sigma 17) plus
+    sensor noise 0.5 on every basis open."""
+    top = sh.topology.full
+    k = sh.kernel_basis(top.id)
+    section = make_point(sh.stalk(top.id),
+                         k @ rng.normal(0.0, 17.0, k.shape[1]))
+    truth = pullback_global(sh, section)
+    a = Assignment(sh)
+    for b in sh.topology.basis:
+        exact = truth.values[b.id]
+        noisy = np.asarray(exact.coords) + rng.normal(
+            0.0, 0.5, len(exact.coords))
+        a.set(b, make_point(exact.space, noisy))
+    return a
+
+
+def test_pullback_top_fuses_near_minimax_optimum():
+    """A constrained pullback top is seeded by least squares in kernel
+    coordinates, so Nelder-Mead ends near the true minimax optimum."""
+    sh = camera_chain_sheaf()
+    assert sh.pullback(sh.topology.full.id).constraints
+    rng = np.random.default_rng(1)
+    for _ in range(6):
+        a = chain_snapshot(sh, rng)
+        res = fuse(a)
+        assert res.route == "least_squares+nelder_mead"
+        assert res.residual <= 1.05 * minimax_optimum(a)
+
+
+def test_global_assignment_without_top_value_is_already_global():
+    rng = random.Random(77)
+    sh = random_linear_sheaf(rng, include_full=False)
+    top = sh.topology.full
+    assert sh.pullback(top.id).constraints
+    a = pullback_global(sh, sh.sample_stalk(top.id, rng))
+    del a.values[top.id]
+    res = fuse(a)
+    assert res.route == "already_global"
+    assert res.iterations == 0
+    assert res.residual <= 1e-9

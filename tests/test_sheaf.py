@@ -434,3 +434,15 @@ def test_ambient_matrix_agrees_with_restrict_coords():
             m = sh.ambient_matrix(large.id, small.id)
             assert np.allclose(m @ x, sh.restrict_coords(large.id, small.id, x),
                                rtol=1e-12, atol=1e-9)
+
+
+def test_restriction_matrix_to_itself_is_exact_identity():
+    """Pullback opens included: K^T K would be the identity only up to
+    rounding (seeds 28 and 32 have such a whole space)."""
+    for seed in range(20, 60):
+        sh = random_linear_sheaf(random.Random(seed), n_entities=4,
+                                 include_full=bool(seed % 2))
+        for o in sh.topology.opens:
+            m = sh.restriction_matrix(o.id, o.id)
+            assert np.array_equal(m, np.eye(sh.dim(o.id))), (seed, str(o))
+            assert sh.restriction_matrix(o.id, o.id) is m
