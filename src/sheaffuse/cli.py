@@ -149,20 +149,21 @@ def _lift(sh, spec, bins: int):
             "stalks for a stochastic lift"
         )
     grids = {}
-    for b in sh.topology.basis:
-        per_coord = ranges.get(b.key())
+    for oid in sh.native_ids():
+        key = sh.topology.opens[oid].key()
+        per_coord = ranges.get(key)
         if per_coord is None:
-            raise SpecError(f"no lift range for basis open {b.key()!r}")
-        dim = sh.stalk(b.id).dim
+            raise SpecError(f"no lift range for open {key!r}")
+        dim = sh.stalk(oid).dim
         if not isinstance(per_coord, list) or len(per_coord) != dim:
-            raise SpecError(f"lift range for {b.key()!r} needs one pair per "
+            raise SpecError(f"lift range for {key!r} needs one pair per "
                             f"coordinate of its {dim}-d stalk")
-        bounds = [_lift_range(b.key(), pair) for pair in per_coord]
+        bounds = [_lift_range(key, pair) for pair in per_coord]
         try:
-            grids[b.id] = uniform_grid([lo for lo, _ in bounds],
-                                       [hi for _, hi in bounds], bins)
+            grids[oid] = uniform_grid([lo for lo, _ in bounds],
+                                      [hi for _, hi in bounds], bins)
         except ValueError as exc:
-            raise SpecError(f"lift range for {b.key()!r}: {exc}") from None
+            raise SpecError(f"lift range for {key!r}: {exc}") from None
     return lift_sheaf(sh, grids)
 
 

@@ -265,9 +265,9 @@ def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
     basis_masks = [translate(b.mask) for b in t.basis
                    if b.mask & top_mask == b.mask]
     sub = Topology(sub_universe, masks, basis_masks)
-    back = {translate(o.mask): o.id for o in t.opens
-            if o.mask & top_mask == o.mask}
-    stalks = {b.id: sh.stalk(back[b.mask]) for b in sub.basis}
+    stalks = {sub.find(translate(t.opens[n].mask)): sh.stalks[n]
+              for n in sh.native_ids()
+              if t.opens[n].mask & top_mask == t.opens[n].mask}
     edges = []
     for (src, dst), rm in sh.edges.items():
         sm, dm = t.opens[src].mask, t.opens[dst].mask
@@ -469,30 +469,30 @@ def stochastic_lift(f, bins_domain, bins_codomain,
 
 
 def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
-    """Linearize a sheaf by replacing each basis stalk with probability
+    """Linearize a sheaf by replacing each native stalk with probability
     distributions over a grid and each restriction with its stochastic
     lift.
 
-    ``grids`` maps basis open ids to BinGrid instances matching the
-    stalk dimensions.
+    ``grids`` maps the ids in ``sh.native_ids()`` to BinGrid instances
+    matching the stalk dimensions.
     """
     t = sh.topology
     stalks = {}
-    for b in t.basis:
-        grid = grids.get(b.id)
+    for oid in sh.native_ids():
+        u, grid = t.opens[oid], grids.get(oid)
         if grid is None:
-            raise UnmappedBin(f"no bin grid given for basis open {b}")
-        if len(grid.shape) != sh.stalk(b.id).dim:
+            raise UnmappedBin(f"no bin grid given for open {u}")
+        if len(grid.shape) != sh.stalk(oid).dim:
             raise UnmappedBin(
-                f"grid for {b} has {len(grid.shape)} axes, stalk has "
-                f"dimension {sh.stalk(b.id).dim}"
+                f"grid for {u} has {len(grid.shape)} axes, stalk has "
+                f"dimension {sh.stalk(oid).dim}"
             )
         if grid.size > MAX_STALK_BINS:
             raise UnmappedBin(
-                f"lift of {b} needs {grid.size} bins "
+                f"lift of {u} needs {grid.size} bins "
                 f"(cap {MAX_STALK_BINS}); use fewer bins per axis"
             )
-        stalks[b.id] = sp.simplex(grid.size)
+        stalks[oid] = sp.simplex(grid.size)
     edges = []
     for (src, dst), rm in sh.edges.items():
         matrix = stochastic_lift(

@@ -77,12 +77,20 @@ def assignment_distance(a: Assignment, b: Assignment) -> float:
     return best
 
 
+def nan_error(small: OpenSet, large: OpenSet) -> SpaceMismatch:
+    """The error for a NaN distance between a value on ``small`` and
+    the restriction of one on ``large``."""
+    return SpaceMismatch(f"distance on {small} to the restriction from "
+                         f"{large} is NaN")
+
+
 def consistency_radius(a: Assignment) -> RadiusResult:
     """Largest discrepancy d_V(a(V), a(U)|_V) over defined pairs V < U.
 
     The sup runs over every pair of defined nonempty opens with V
     strictly inside U, using composed restrictions.  Edges come back
-    sorted by decreasing error.
+    sorted by decreasing error; a NaN error raises SpaceMismatch naming
+    the pair.
     """
     sh = a.sheaf
     defined = [sh.topology.opens[oid] for oid in a.defined_ids()]
@@ -96,6 +104,8 @@ def consistency_radius(a: Assignment) -> RadiusResult:
             pv = a.values[small.id]
             restricted = sh.restrict_coords(large.id, small.id, pu.coords)
             err = sp.coord_distance(sh.stalk(small.id), pv.coords, restricted)
+            if err != err:
+                raise nan_error(small, large)
             edges.append(EdgeError(small, large, err))
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
     radius = edges[0].error if edges else 0.0
@@ -120,7 +130,8 @@ def pullback_global(sh: Sheaf, s_top: sp.Point) -> Assignment:
         if u.id == top.id:
             a.values[u.id] = s_top
         else:
-            a.values[u.id] = sh.restrict(top, u, s_top)
+            coords = sh.restrict_coords(top.id, u.id, s_top.coords)
+            a.values[u.id] = sp.make_point(sh.stalk(u.id), coords)
     return a
 
 

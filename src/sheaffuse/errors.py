@@ -26,7 +26,7 @@ class SheafMismatch(SheafFuseError):
 
 
 class MissingIntersectionStalk(SheafFuseError):
-    """A basis open needed for union completion carries no stalk."""
+    """A basis open, or the end of a restriction, carries no stalk."""
 
 
 class NonlinearSheaf(SheafFuseError):

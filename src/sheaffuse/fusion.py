@@ -22,6 +22,7 @@ from .consistency import (
     Assignment,
     assignment_distance,
     consistency_radius,
+    nan_error,
     pullback_global,
 )
 from .errors import DegenerateAssignment, NoTopStalk
@@ -237,7 +238,9 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         for oid, space, observed in targets:
             restricted = sh.restrict_coords(top.id, oid, coords)
             d = sp.coord_distance(space, observed, restricted)
-            if d > worst:
+            if not d <= worst:  # only a larger d or NaN
+                if d != d:
+                    raise nan_error(sh.topology.opens[oid], top)
                 worst = d
         return worst
 
@@ -251,23 +254,18 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     else:
         x0 = ls if ls is not None else [0.0] * top_space.dim
 
-    f0 = objective(x0)
-    if f0 <= opts.f_tolerance:
-        section = section_point(x0)
-        fused = pullback_global(sh, section)
-        return FusionResult(section, fused, assignment_distance(fused, a),
-                            _bound(a, lipschitz), 0, True, "already_global")
-
-    if ls is not None:
-        x0 = ls
-        route = "least_squares+nelder_mead"
-
-    run = nelder_mead(objective, x0, circ_mask, opts)
-    section = section_point(run.x)
+    if objective(x0) <= opts.f_tolerance:
+        x, iterations, converged, route = x0, 0, True, "already_global"
+    else:
+        if ls is not None:
+            x0 = ls
+            route = "least_squares+nelder_mead"
+        run = nelder_mead(objective, x0, circ_mask, opts)
+        x, iterations, converged = run.x, run.iterations, run.converged
+    section = section_point(x)
     fused = pullback_global(sh, section)
-    residual = assignment_distance(fused, a)
-    return FusionResult(section, fused, residual, _bound(a, lipschitz),
-                        run.iterations, run.converged, route)
+    return FusionResult(section, fused, assignment_distance(fused, a),
+                        _bound(a, lipschitz), iterations, converged, route)
 
 
 def _bound(a: Assignment, lipschitz: float | None) -> float | None:

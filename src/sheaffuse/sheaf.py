@@ -1,14 +1,14 @@
 """Sheaf structure on a finite topology.
 
-A sheaf is fixed by value spaces (stalks) on the generating opens (the
-basis: subbase members and their intersections) and restriction maps
-between comparable opens.  ``Sheaf.stalks`` holds only those given
-stalks, plus any union the caller gave its own stalk.  Every other
-union carries the pullback of its maximal basis parts: tuples of part
-observations that agree on overlaps, with projection restrictions.
-``Sheaf.pullback`` builds that layout the first time something asks
-for it.  For linear sheaves the pullback subspaces are realized
-explicitly through orthonormal kernel bases.
+A sheaf is fixed by value spaces (stalks) on its native opens, those
+with a stalk of their own (the basis, subbase members and their
+intersections, and any union the caller gave a stalk), and restriction
+maps between comparable opens.  ``Sheaf.stalks`` holds only those.
+Every other union carries the pullback of the maximal native opens
+inside it: tuples of part observations that agree on overlaps, with
+projection restrictions.  ``Sheaf.pullback`` builds that layout the
+first time something asks for it.  For linear sheaves the pullback
+subspaces are realized explicitly through orthonormal kernel bases.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import numpy as np
 from . import spaces as sp
 from ._linalg import nullspace, numeric_rank
 from .errors import (
+    IntersectionNotOpen,
     MissingIntersectionStalk,
     NonlinearSheaf,
     NotComparable,
@@ -151,7 +152,7 @@ class RestrictionMap:
 
 @dataclass(frozen=True)
 class Pullback:
-    """Decomposition of a union open into maximal basis parts."""
+    """Decomposition of a union open into maximal native parts."""
 
     parts: tuple[int, ...]
     offsets: tuple[int, ...]            # coordinate offset of each part
@@ -164,16 +165,19 @@ class Pullback:
                 for p, off, dim in zip(self.parts, self.offsets, self.dims)}
 
 
-def _pullback(t: Topology, mask: int, stalks: dict) -> Pullback:
-    """The maximal basis opens strictly inside ``mask``, laid side by
-    side, with an agreement constraint on each overlapping pair."""
-    inside = [b for b in t.basis if b.mask & mask == b.mask != mask]
+def _pullback(sh: Sheaf, mask: int) -> Pullback:
+    """The maximal native opens strictly inside ``mask``, laid side by
+    side, with an agreement constraint on each overlapping pair; the
+    constraint names the intersection open, native or not."""
+    t = sh.topology
+    inside = [t.opens[n] for n in sh.native_ids()
+              if t.opens[n].mask & mask == t.opens[n].mask != mask]
     parts = sorted(
         b.id for b in inside
         if not any(b.mask != c.mask and b.mask & c.mask == b.mask
                    for c in inside)
     )
-    dims = tuple(stalks[p].dim for p in parts)
+    dims = tuple(sh.stalks[p].dim for p in parts)
     offsets = tuple(int(x) for x in np.cumsum((0,) + dims[:-1]))
     constraints = []
     for i, a in enumerate(parts):
@@ -181,10 +185,10 @@ def _pullback(t: Topology, mask: int, stalks: dict) -> Pullback:
             inter_mask = t.opens[a].mask & t.opens[b].mask
             if inter_mask:
                 inter = t.find(inter_mask)
-                if inter is None or inter.id not in stalks:
-                    raise MissingIntersectionStalk(
+                if inter is None:
+                    raise IntersectionNotOpen(
                         f"intersection of {t.opens[a]} and {t.opens[b]} "
-                        f"has no stalk"
+                        f"is not an open set"
                     )
                 constraints.append((a, b, inter.id))
     return Pullback(tuple(parts), offsets, dims, tuple(constraints))
@@ -194,10 +198,10 @@ class Sheaf:
     """Stalks plus restrictions.
 
     ``stalks`` holds the stalks the caller gave, plus R^0 on the empty
-    open; every other open outside the basis gets the pullback of its
-    maximal basis parts from ``pullback`` on first use.  Immutable once
-    built; the internal memo caches only ever gain idempotent entries,
-    so concurrent readers are safe.
+    open; every other open gets the pullback of its maximal native parts
+    from ``pullback`` on first use.  Immutable once built; the internal
+    memo caches only ever gain idempotent entries, so concurrent readers
+    are safe.
     """
 
     def __init__(self, topology: Topology, stalks: dict, restrictions):
@@ -205,13 +209,19 @@ class Sheaf:
         and any union with a stalk of its own; the empty open gets R^0
         unless given.  `restrictions` is an iterable of RestrictionMap
         between comparable such opens (at least the covering pairs of
-        the basis poset)."""
+        the basis poset).  Raises MissingIntersectionStalk when a basis
+        open or the end of a restriction has no stalk."""
         self.topology = topology
         self.stalks: dict[int, sp.ValueSpace] = {}
         for key, space in stalks.items():
             oid = key.id if isinstance(key, OpenSet) else int(key)
             self.stalks[oid] = space
         self.stalks.setdefault(topology.empty.id, sp.euclidean(0))
+        missing = [b for b in topology.basis if b.id not in self.stalks]
+        if missing:
+            raise MissingIntersectionStalk(
+                "no stalk on basis opens: " + ", ".join(map(str, missing))
+            )
         self.edges: dict[tuple[int, int], RestrictionMap] = {}
         for rm in restrictions:
             if rm.target.mask & rm.source.mask != rm.target.mask:
@@ -219,6 +229,11 @@ class Sheaf:
                     f"restriction {rm.source}->{rm.target}: target is not "
                     f"a subset of source"
                 )
+            for end in (rm.source, rm.target):
+                if end.id not in self.stalks:
+                    raise MissingIntersectionStalk(
+                        f"restriction {rm.source}->{rm.target}: {end} has "
+                        f"no stalk of its own")
             self.edges[(rm.source.id, rm.target.id)] = rm
         # given stalks plus the product stalk of every pullback built
         self._all_stalks: dict[int, sp.ValueSpace] = dict(self.stalks)
@@ -238,18 +253,21 @@ class Sheaf:
             self.pullback(oid)
             return self._all_stalks[oid]
 
+    def native_ids(self) -> list[int]:
+        """Nonempty opens with a stalk of their own, in id order: the
+        basis and any union given a stalk."""
+        return [oid for oid in sorted(self.stalks)
+                if self.topology.opens[oid].mask]
+
     def pullback(self, oid: int) -> Pullback | None:
-        """None for an open with its own stalk; for any other open
-        outside the basis, its maximal basis parts laid side by side,
-        built with their product stalk the first time it is asked for."""
+        """None for an open with its own stalk; for any other open, its
+        maximal native parts laid side by side, built with their
+        product stalk the first time it is asked for."""
         if oid in self.stalks:
             return None
         pb = self._pullback_cache.get(oid)
         if pb is None:
-            t = self.topology
-            if any(b.id == oid for b in t.basis):
-                raise MissingIntersectionStalk(f"no stalk on {t.opens[oid]}")
-            pb = _pullback(t, t.opens[oid].mask, self.stalks)
+            pb = _pullback(self, self.topology.opens[oid].mask)
             self._all_stalks[oid] = sp.product(
                 [self.stalks[p] for p in pb.parts])
             self._pullback_cache[oid] = pb
@@ -318,7 +336,8 @@ class Sheaf:
     def _blocks(self, src: int, dst: int):
         """The restriction from ``src`` to ``dst`` as one block per part of
         ``dst``: ``(src_lo, src_hi, dst_lo, dst_hi, chain)``, where the
-        source slice holds the part of ``src`` that carries it."""
+        source slice holds the first part of ``src`` that carries it.
+        Every native open inside ``src`` lies in one of its parts."""
         key = (src, dst)
         blocks = self._blocks_cache.get(key)
         if blocks is not None:
@@ -336,8 +355,6 @@ class Sheaf:
                     blocks.append((lo, hi, dst_lo, dst_hi,
                                    self._basis_chain(part_id, b_id)))
                     break
-            else:
-                raise NotComparable(f"no part of {big} carries {t.opens[b_id]}")
         blocks = tuple(blocks)
         self._blocks_cache[key] = blocks
         return blocks
@@ -375,13 +392,9 @@ class Sheaf:
         rows = [np.zeros((0, amb))]
         for a, b, inter in pb.constraints:
             (a_lo, a_hi), (b_lo, b_hi) = slices[a], slices[b]
-            ma = self._basis_chain(a, inter).matrix(a_hi - a_lo)
-            mb = self._basis_chain(b, inter).matrix(b_hi - b_lo)
-            if ma is None or mb is None:
-                raise NonlinearSheaf("kernel basis requires linear restrictions")
-            row = np.zeros((ma.shape[0], amb))
-            row[:, a_lo:a_hi] = ma
-            row[:, b_lo:b_hi] -= mb
+            row = np.zeros((self.stalk(inter).dim, amb))
+            row[:, a_lo:a_hi] = self.ambient_matrix(a, inter)
+            row[:, b_lo:b_hi] -= self.ambient_matrix(b, inter)
             rows.append(row)
         return np.vstack(rows)
 
@@ -448,22 +461,16 @@ class Sheaf:
 
 
 def complete_unions(sh: Sheaf) -> Sheaf:
-    """Check that every basis open has a stalk and return a fresh sheaf
-    on the same given stalks.
+    """A fresh sheaf on the same given stalks and edges.
 
-    Every other union gets the pullback of its maximal basis parts when
-    first asked for (``Sheaf.pullback``): single-part unions reuse the
-    part's stalk, disjoint parts yield a plain product, and overlapping
-    parts record agreement constraints on their pairwise intersections.
-    Completing a completed sheaf changes nothing.
+    Every union without a stalk of its own gets the pullback of its
+    maximal native parts when first asked for (``Sheaf.pullback``):
+    single-part unions reuse the part's stalk, disjoint parts yield a
+    plain product, and overlapping parts record agreement constraints on
+    their pairwise intersections.  Completing a completed sheaf changes
+    nothing.
     """
-    t = sh.topology
-    missing = [b for b in t.basis if b.id not in sh.stalks]
-    if missing:
-        raise MissingIntersectionStalk(
-            "no stalk on basis opens: " + ", ".join(map(str, missing))
-        )
-    return Sheaf(t, sh.stalks, sh.edges.values())
+    return Sheaf(sh.topology, sh.stalks, sh.edges.values())
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +497,6 @@ class FunctorialityReport:
         for w in self.witnesses[:8]:
             lines.append(f"  - {w}")
         return "\n".join(lines)
-
-
-def _native_ids(sh: Sheaf) -> list[int]:
-    """Nonempty opens with an explicit stalk: the basis and any union
-    kept native."""
-    return [oid for oid in sorted(sh.stalks) if sh.topology.opens[oid].mask]
 
 
 def _gap(sh: Sheaf, one: Chain, other: Chain, samples: int, rng) -> float:
@@ -526,7 +527,7 @@ def verify_functoriality(sh: Sheaf, samples: int = 64,
     """
     rng = rng or random.Random(2024)
     t = sh.topology
-    native = _native_ids(sh)
+    native = sh.native_ids()
     worst = 0.0
     checked = 0
     witnesses = []
@@ -579,19 +580,20 @@ def verify_gluing(sh: Sheaf) -> GluingReport:
     """Rank-based existence and uniqueness check for linear sheaves.
 
     A presheaf on a finite space is a sheaf exactly when each open's
-    value is the limit of the basis opens inside it; ``Sheaf.pullback``
-    builds every pullback open as that limit.  So only a native W that
-    is the union of the basis opens strictly inside it is checked: the
-    stacked restriction to its maximal parts must reach the tuples that
-    agree on overlaps (existence) and be injective (uniqueness).
+    value is the limit of the native opens inside it; ``Sheaf.pullback``
+    builds every other union as that limit.  So only a native W that is
+    the union of the native opens strictly inside it is checked: the
+    stacked restriction to its maximal native parts must reach the
+    tuples that agree on overlaps (existence) and be injective
+    (uniqueness).
     """
     sh.require_linear("verify_gluing")
     t = sh.topology
     failures = []
     checked = 0
-    for w_id in _native_ids(sh):
+    for w_id in sh.native_ids():
         w = t.opens[w_id]
-        pb = _pullback(t, w.mask, sh.stalks)
+        pb = _pullback(sh, w.mask)
         covered = 0
         for p in pb.parts:
             covered |= t.opens[p].mask

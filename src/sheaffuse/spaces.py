@@ -206,7 +206,9 @@ def _dist(space: ValueSpace, a, b, off: int) -> float:
         best = 0.0
         for c in space.components:
             d = _dist(c, a, b, off)
-            if d > best:
+            if not d <= best:  # only a larger d or NaN, which must stay
+                if d != d:
+                    return d
                 best = d
             off += c.dim
         return best

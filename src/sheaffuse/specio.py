@@ -131,7 +131,9 @@ def body_from_json(data: dict):
 def _check_body(body, src_dim: int, dst_dim: int, where: str):
     """Reject a body that cannot map the source stalk into the target:
     a matrix not shaped (target dim, source dim), an offset not of the
-    target's length, a projection index outside the source."""
+    target's length, projection indices that leave the source or do not
+    number the target dim, an identity between stalks of different
+    dims."""
     if isinstance(body, (Linear, Affine)) and \
             body.mat.shape != (dst_dim, src_dim):
         raise SpecError(f"{where}: matrix of shape {body.mat.shape}, the "
@@ -143,6 +145,12 @@ def _check_body(body, src_dim: int, dst_dim: int, where: str):
             not all(0 <= i < src_dim for i in body.indices):
         raise SpecError(f"{where}: projection indices "
                         f"{list(body.indices)} must lie in [0, {src_dim})")
+    if isinstance(body, Projection) and len(body.indices) != dst_dim:
+        raise SpecError(f"{where}: projection keeps {len(body.indices)} "
+                        f"coordinates, the target stalk has {dst_dim}")
+    if isinstance(body, Identity) and src_dim != dst_dim:
+        raise SpecError(f"{where}: identity from a {src_dim}-d stalk to a "
+                        f"{dst_dim}-d one")
 
 
 # -- sheaf specs --------------------------------------------------------------

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sheaffuse import (
+    Builtin,
     EntityUniverse,
     Identity,
     Linear,
@@ -179,3 +181,31 @@ def constant_circle_sheaf():
     sh = complete_unions(Sheaf(t, stalks, restrictions))
     cover_sets = tuple(t.open_for(a) for a in arcs)
     return sh, cover_sets
+
+
+def nested_native_union():
+    """A linear sheaf on basis {e0}, {e1}, {e2}, {e2,e3} whose union
+    W = {e0,e1} has a stalk of its own; the pullback opens {e0,e1,e2}
+    and the whole space contain W.  Returns ``(sheaf, W)``."""
+    base = random_linear_sheaf(random.Random(7), n_entities=4,
+                               include_full=False)
+    w = base.topology.open_for(["e0", "e1"])
+    return with_native_union(base, w.id), w
+
+
+def nan_sheaf(calls):
+    """The whole space R over {a} and {b}: an identity to {b}, and to
+    {a} a builtin that records its input in ``calls`` and returns NaN."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",), ("b",)])
+    a, b = t.open_for(["a"]), t.open_for(["b"])
+
+    def nan(coords):
+        calls.append(coords)
+        return (math.nan,)
+
+    return complete_unions(Sheaf(
+        t, {t.full: euclidean(1), a: euclidean(1), b: euclidean(1)},
+        [RestrictionMap(t.full, a, Builtin("nan", nan)),
+         RestrictionMap(t.full, b, Identity())],
+    ))

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -119,7 +120,7 @@ def test_radius_unknown_open_exits_2(sar_files, tmp_path, capsys):
     assert "nope" in err
 
 
-def test_radius_mis_sized_projection_exits_1(tmp_path, capsys):
+def test_radius_mis_sized_projection_exits_2(tmp_path, capsys):
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
@@ -133,8 +134,10 @@ def test_radius_mis_sized_projection_exits_1(tmp_path, capsys):
         top: make_point(sh.stalk(top.id), [1.0, 2.0]),
         mid: make_point(sh.stalk(mid.id), [1.0, 2.0]),
     }))
-    assert main(["radius", str(spec), str(values)]) == 1
-    assert "expected 2 coordinates" in capsys.readouterr().err
+    assert main(["radius", str(spec), str(values)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "projection keeps 3 coordinates" in err
 
 
 def test_radius_of_global_section_is_zero(sar_files, tmp_path, capsys):
@@ -280,9 +283,15 @@ def obstacle_spec(tmp_path_factory):
 
 
 # restrictions 0-1 project V1+V2 onto V1 and V2; restriction 2 is a
-# 2x2 linear map from L+V1+V2 to V1+V2; stalk V1 is R^1
+# 2x2 linear map from L+V1+V2 to V1+V2; stalk V1 is R^1; the whole
+# space L+R+V1+V2 has no stalk of its own
 SPEC_MUTATIONS = {
     "bad_index": lambda d: d["restrictions"][0].update(indices=[5]),
+    "projection_count": lambda d: d["restrictions"][0].update(
+        indices=[0, 1]),
+    "identity_dims": lambda d: d["restrictions"][0].update(kind="identity"),
+    "edge_from_union": lambda d: d["restrictions"].append(
+        {"from": "L+R+V1+V2", "to": "V1", "kind": "identity"}),
     "linear_shape": lambda d: d["restrictions"][2].update(
         matrix=[[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]),
     "linear_nan": lambda d: d["restrictions"][2].update(
@@ -395,3 +404,51 @@ def test_fuse_rejects_non_finite_observation(sar_files, tmp_path, capsys):
     bad.write_text("\n".join([header, f"{key},nan,{tail}"] + rest) + "\n")
     assert main(["fuse", str(spec), str(bad)]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+def native_union_files(tmp_path):
+    """Spec and values of a linear sheaf whose union W = {e0,e1} has a
+    stalk of its own inside the whole space, a pullback of four basis
+    opens; the spec has a lift range for every open with a stalk."""
+    from conftest import random_linear_sheaf, with_native_union
+    from sheaffuse import sample_point
+
+    base = random_linear_sheaf(random.Random(7), n_entities=4,
+                               include_full=False, conjugate=False)
+    t = base.topology
+    w = t.open_for(["e0", "e1"])
+    sh = with_native_union(base, w.id)
+    assert base.pullback(w.id) is not None
+    assert sh.pullback(t.full.id) is not None
+    # a smaller open gets a 3x wider box, which holds the image of every
+    # box above it under these restrictions
+    ranges = {}
+    for oid, space in sh.stalks.items():
+        o, r = t.opens[oid], 10.0 * 3 ** (4 - t.opens[oid].size)
+        if o.mask:
+            ranges[o.key()] = [[-r, r]] * space.dim
+    spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
+    save_sheaf(spec, sh, lift_ranges=ranges)
+    rng = random.Random(3)
+    save_assignment(values, Assignment(sh, {
+        o: sample_point(sh.stalk(o.id), rng)
+        for o in list(t.basis) + [w, t.full]}))
+    return spec, values
+
+
+def test_native_union_spec_runs_end_to_end(tmp_path, capsys):
+    """The whole space restricts to W through W itself, and W is lifted
+    with its own range."""
+    spec, values = native_union_files(tmp_path)
+    assert main(["check", str(spec)]) == 0
+    assert main(["radius", str(spec), str(values)]) == 0
+    assert main(["fuse", str(spec), str(values), "--restarts", "1"]) == 0
+    assert main(["cohomology", str(spec), "--lift-bins", "1"]) == 0
+    assert "e0+e1 < e0+e1+e2+e3" in capsys.readouterr().out
+
+    data = json.loads(spec.read_text())
+    del data["lift_ranges"]["e0+e1"]
+    spec.write_text(json.dumps(data))
+    assert main(["cohomology", str(spec), "--lift-bins", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "input error: no lift range for open 'e0+e1'\n"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import (
     camera_chain_sheaf,
     constant_circle_sheaf,
+    nested_native_union,
     random_linear_sheaf,
 )
 from oracles import (
@@ -153,6 +155,36 @@ def test_refined_cover_tables_vanish():
         refined = Cover((st.full, st.open_for(["V1"]), st.open_for(["V2"])))
         assert all(b == 0 for b in betti(sub, refined, 2).betti[1:])
         assert all(b == 0 for b in topology_betti(sub, 2).betti[1:])
+
+
+def test_restrict_sheaf_keeps_native_union_stalk():
+    """W's stalk comes along with its edges, so the subsheaf on
+    {e0,e1,e2} is the part of the sheaf inside it."""
+    from sheaffuse.cohomology import restrict_sheaf
+
+    sh, w = nested_native_union()
+    t = sh.topology
+    top = t.open_for(["e0", "e1", "e2"])
+    sub = restrict_sheaf(sh, top.mask)
+    st = sub.topology
+    sub_w = st.open_for(w.members)
+    assert sub.stalks[sub_w.id] == sh.stalks[w.id]
+    assert sub.is_linear()
+    assert sub_w.id in sub.pullback(st.full.id).parts
+    inside = Cover(tuple(o for o in t.opens
+                         if o.mask and o.mask & top.mask == o.mask))
+    assert betti(sub, full_cover(st), 2).betti == betti(sh, inside, 2).betti
+
+
+def test_lift_needs_a_grid_for_each_native_union():
+    sh, w = nested_native_union()
+    grids = {}
+    for b in sh.topology.basis:
+        dim = sh.stalk(b.id).dim
+        grids[b.id] = uniform_grid([-1.0] * dim, [1.0] * dim, 1)
+    with pytest.raises(UnmappedBin,
+                       match=re.escape(f"no bin grid given for open {w}")):
+        lift_sheaf(sh, grids)
 
 
 def test_circular_cover_of_constant_sheaf():

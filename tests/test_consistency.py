@@ -3,7 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import camera_chain_sheaf, random_linear_sheaf, with_native_union
+from conftest import (
+    camera_chain_sheaf,
+    nan_sheaf,
+    random_linear_sheaf,
+    with_native_union,
+)
 from oracles import all_pairs_radius, max_common_distance
 from sheaffuse import (
     Assignment,
@@ -246,8 +251,8 @@ def chain_snapshots(n, seed):
 
 def mixed_assignments(n, rng):
     """Random linear sheaves with one union given a stalk of its own,
-    each with values on basis opens, that union and pullback opens
-    outside it."""
+    each with values on basis opens (one inside that union at least),
+    that union and other unions, those around it included."""
     while n:
         sh = random_linear_sheaf(rng, n_entities=4, ensure_diamond=True)
         t = sh.topology
@@ -256,15 +261,26 @@ def mixed_assignments(n, rng):
         if not pulled:
             continue
         w = rng.choice(pulled)
-        outside = [o for o in pulled if o.mask & w.mask != w.mask]
-        if not outside:
-            continue
+        inner = [b for b in t.basis if b.mask & w.mask == b.mask]
         sh = with_native_union(sh, w.id)
         chosen = (rng.sample(t.basis, rng.randint(1, len(t.basis))) +
-                  [w] + rng.sample(outside, rng.randint(1, len(outside))))
+                  [rng.choice(inner), w] +
+                  rng.sample(pulled, rng.randint(1, len(pulled))))
         yield Assignment(sh, {o: sample_point(sh.stalk(o.id), rng)
                               for o in chosen})
         n -= 1
+
+
+def test_radius_raises_on_nan_edge():
+    """A NaN distance does not vanish from the maximum next to the
+    finite edge on {b}."""
+    sh = nan_sheaf([])
+    t = sh.topology
+    a = Assignment(sh, {o: make_point(sh.stalk(o.id), [1.0])
+                        for o in t.opens if o.mask})
+    with pytest.raises(SpaceMismatch,
+                       match=r"on \{a\} to the restriction from \{a,b\}"):
+        consistency_radius(a)
 
 
 def test_radius_edges_match_all_pairs_oracle():

@@ -3,8 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from conftest import camera_chain_sheaf, random_linear_sheaf
-from oracles import minimax_optimum
+from conftest import (
+    camera_chain_sheaf,
+    nan_sheaf,
+    random_linear_sheaf,
+    with_native_union,
+)
+from oracles import all_pairs_gluing, minimax_optimum
 from sheaffuse import (
     Assignment,
     EntityUniverse,
@@ -12,9 +17,11 @@ from sheaffuse import (
     RestrictionMap,
     Sheaf,
     assignment_distance,
+    betti,
     complete_unions,
     consistency_radius,
     euclidean,
+    full_cover,
     fuse,
     fusion_lower_bound,
     generate_topology,
@@ -23,8 +30,9 @@ from sheaffuse import (
     nelder_mead,
     pullback_global,
     sample_point,
+    verify_gluing,
 )
-from sheaffuse.errors import DegenerateAssignment
+from sheaffuse.errors import DegenerateAssignment, SpaceMismatch
 from sheaffuse.fusion import FusionOptions
 
 
@@ -236,3 +244,43 @@ def test_global_assignment_without_top_value_is_already_global():
     assert res.route == "already_global"
     assert res.iterations == 0
     assert res.residual <= 1e-9
+
+
+def test_nan_distance_stops_fusion_at_once():
+    """The first objective evaluation meets the NaN and raises, before
+    any simplex run."""
+    calls = []
+    sh = nan_sheaf(calls)
+    a = Assignment(sh, {o: make_point(sh.stalk(o.id), [1.0])
+                        for o in sh.topology.opens if o.mask})
+    with pytest.raises(SpaceMismatch,
+                       match=r"on \{a\} to the restriction from \{a,b\}"):
+        fuse(a)
+    assert len(calls) == 1
+
+
+def test_native_union_sheaves_glue_and_fuse():
+    """Every union W without a stalk, short of the whole space, of
+    4-entity random sheaves with a pullback whole space, given a stalk
+    of its own: the gluing verdict is the all-pairs oracle's, the
+    full-cover Betti table is that of the sheaf without W's stalk, and
+    fusion ends on a global section."""
+    cases = 0
+    for seed in range(20):
+        base = random_linear_sheaf(random.Random(seed), n_entities=4,
+                                   include_full=False)
+        t = base.topology
+        for w in t.opens:
+            if not w.mask or w == t.full or base.pullback(w.id) is None:
+                continue
+            cases += 1
+            sh = with_native_union(base, w.id)
+            assert verify_gluing(sh).ok == all_pairs_gluing(sh).ok
+            assert betti(sh, full_cover(t), 2).betti == \
+                betti(base, full_cover(t), 2).betti
+            rng = random.Random(seed)
+            a = Assignment(sh, {o: sample_point(sh.stalk(o.id), rng)
+                                for o in t.basis + (w, t.full)})
+            res = fuse(a, FusionOptions(restarts=1))
+            assert consistency_radius(res.fused).radius <= 1e-6, (seed, w)
+    assert cases == 12

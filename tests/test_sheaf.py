@@ -5,8 +5,10 @@ import pytest
 
 from conftest import (
     camera_chain_sheaf,
+    nested_native_union,
     random_linear_sheaf,
     with_corrupted_edge,
+    with_native_union,
 )
 from oracles import agreement_dim, all_pairs_gluing, edge_path_functoriality
 from sheaffuse import (
@@ -26,6 +28,7 @@ from sheaffuse import (
     verify_gluing,
 )
 from sheaffuse.errors import (
+    IntersectionNotOpen,
     MissingIntersectionStalk,
     NonlinearSheaf,
     NotComparable,
@@ -39,6 +42,7 @@ from sheaffuse.scenarios import (
     build_sar_sheaf,
     sar_lift_ranges,
 )
+from sheaffuse.topology import Topology
 
 
 def test_restrict_identity():
@@ -335,6 +339,56 @@ def test_missing_intersection_stalk_raises():
             t, {t.open_for(["p", "q"]): euclidean(2),
                 t.open_for(["q", "r"]): euclidean(2)}, [],
         ))
+
+
+def test_missing_basis_stalk_raises_at_construction():
+    u = EntityUniverse(["p", "q", "r"])
+    t = generate_topology(u, [("p", "q"), ("q", "r")])
+    with pytest.raises(MissingIntersectionStalk,
+                       match=r"no stalk on basis opens: \{q\}"):
+        Sheaf(t, {t.open_for(["p", "q"]): euclidean(2),
+                  t.open_for(["q", "r"]): euclidean(2)}, [])
+
+
+def test_pullback_over_intersection_that_is_not_open_raises():
+    """A hand-built family that is not intersection-closed: {a,b} ^
+    {b,c} = {b} is missing, so the whole space has no pullback."""
+    u = EntityUniverse(["a", "b", "c"])
+    ab, bc = u.mask_of(["a", "b"]), u.mask_of(["b", "c"])
+    t = Topology(u, [ab, bc], [ab, bc])
+    sh = Sheaf(t, {t.find(ab): euclidean(1), t.find(bc): euclidean(1)}, [])
+    with pytest.raises(IntersectionNotOpen, match=r"\{a,b\} and \{b,c\}"):
+        sh.pullback(t.full.id)
+
+
+def test_pullback_open_containing_native_union_lists_it_as_part():
+    """W is one part of every pullback open around it, so restricting
+    to W reads W's own slice."""
+    sh, w = nested_native_union()
+    t = sh.topology
+    rng = random.Random(53)
+    for big in (t.open_for(["e0", "e1", "e2"]), t.full):
+        pb = sh.pullback(big.id)
+        assert w.id in pb.parts
+        lo, hi = pb.slices()[w.id]
+        x = sh.sample_stalk(big.id, rng).coords
+        assert sh.restrict_coords(big.id, w.id, x) == tuple(x[lo:hi])
+
+
+def test_overlap_of_native_unions_meets_in_a_pullback():
+    """With {e0,e1,e2} and {e1,e2,e3} native, the whole space is their
+    pullback, constrained on {e1,e2}, which has no stalk of its own;
+    every stalk keeps the dimension it has without the two unions."""
+    base = random_linear_sheaf(random.Random(7), n_entities=4,
+                               include_full=False)
+    t = base.topology
+    w1, w2 = t.open_for(["e0", "e1", "e2"]), t.open_for(["e1", "e2", "e3"])
+    sh = with_native_union(with_native_union(base, w1.id), w2.id)
+    inter = t.open_for(["e1", "e2"])
+    assert sh.pullback(inter.id) is not None
+    assert sh.pullback(t.full.id).constraints == ((w1.id, w2.id, inter.id),)
+    assert [sh.dim(o.id) for o in t.opens] == [base.dim(o.id) for o in t.opens]
+    assert verify_gluing(sh).ok and all_pairs_gluing(sh).ok
 
 
 def test_complete_unions_idempotent():

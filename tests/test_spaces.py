@@ -99,6 +99,16 @@ def test_product_flattens_and_takes_max():
     assert distance(p, a, b) == pytest.approx(10.0)
 
 
+def test_product_distance_keeps_nan():
+    """Restricted coordinates are not checked for finiteness, so a NaN
+    in one component must reach the caller, whatever the other gives."""
+    from sheaffuse.spaces import coord_distance
+
+    p = product([euclidean(1), euclidean(1)])
+    for a in [(math.nan, 0.0), (5.0, math.nan), (math.nan, 5.0)]:
+        assert math.isnan(coord_distance(p, a, (0.0, 0.0)))
+
+
 def test_product_of_one_space_is_that_space():
     e = euclidean(3)
     assert product([e]) is e
