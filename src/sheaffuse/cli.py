@@ -87,18 +87,23 @@ def cmd_radius(args) -> int:
 
 
 def cmd_fuse(args) -> int:
+    try:
+        opts = FusionOptions(max_iterations=args.max_iter,
+                             f_tolerance=args.tol, restarts=args.restarts,
+                             seed=args.seed)
+    except ValueError as exc:
+        raise SpecError(f"fuse options: {exc}") from None
     sh, spec = load_sheaf(args.spec)
     a = load_assignment(args.assignment, sh)
-    opts = FusionOptions(max_iterations=args.max_iter, f_tolerance=args.tol,
-                         restarts=args.restarts, seed=args.seed)
     result = fuse(a, opts)
     _print_weights(spec)
     print("fused section over the whole space:")
     for i, value in enumerate(result.section_at_top.coords):
         print(f"  c{i}: {fmt(value)}")
     print(f"residual (sup distance to input): {fmt(result.residual)}")
-    if result.lower_bound is not None:
-        print(f"lower bound: {fmt(result.lower_bound)}")
+    if result.dual_bound is not None:
+        print(f"certificate: dual bound {fmt(result.dual_bound)}  gap "
+              f"{fmt(result.residual - result.dual_bound)}")
     print(f"iterations: {result.iterations}  route: {result.route}  "
           f"converged: {result.converged}")
     if args.csv:
@@ -419,10 +424,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="nearest global section to an assignment")
     p.add_argument("spec")
     p.add_argument("assignment")
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--restarts", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-iter", type=int, default=2000,
+                   help="cap on Lawson iterations on the lawson route, "
+                        "and on each Nelder-Mead run otherwise")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="largest gap between the residual and its proven "
+                        "lower bound (Lawson), or spread of the simplex "
+                        "values (Nelder-Mead)")
+    p.add_argument("--restarts", type=int, default=5,
+                   help="Nelder-Mead runs from perturbed starts; unused "
+                        "by Lawson")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the Nelder-Mead restarts; unused by "
+                        "Lawson")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the optimizer hit the iteration cap")
     p.add_argument("--csv", help="write the fused assignment CSV here")

@@ -3,21 +3,32 @@
 The search runs over the stalk at the whole space, since a global
 section is determined by its value there; when that stalk is a
 constrained pullback of a linear sheaf, over kernel coordinates of its
-agreement subspace.  The minimax objective (the sup pseudometric to the
-input assignment) is optimized by a built-in Nelder-Mead simplex
-method; on linear sheaves the simplex starts from the weighted
-least-squares fit of every observation, solved in those same search
-coordinates.
+agreement subspace.  The objective is the sup pseudometric to the input
+assignment.
+
+On a linear sheaf whose defined stalks are Euclidean spaces and time
+lines, or products of them, that objective is the largest of a few
+weighted Euclidean norms of affine maps, one group for each component
+of each defined stalk, and fusion is a convex minimax problem.  It is
+solved by Lawson's iteration in group form (Lawson, UCLA thesis, 1961)
+with a Newton finish on the optimality conditions, and it stops only
+on a certificate: a proven lower bound on the optimum within
+``f_tolerance`` of the residual reached.  Every other sheaf is fused by
+a built-in Nelder-Mead simplex method; a linear sheaf with a simplex
+stalk defined starts it from the first Lawson iterate, the weighted
+least-squares fit, and searches where every simplex stalk sums to one.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import spaces as sp
+from ._linalg import nullspace
 from .consistency import (
     Assignment,
     assignment_distance,
@@ -31,10 +42,22 @@ from .sheaf import Sheaf
 INIT_STEP_FRACTION = 0.05
 ZERO_COORD_STEP = 0.025
 RESTART_NOISE_FRACTION = 0.10
+# Lawson tries its Newton finish after this many iterations, then after
+# twice as many each time, on the groups whose weight is at least
+# FINISH_WEIGHT times the largest
+FINISH_FIRST = 20
+FINISH_WEIGHT = 1e-2
+NEWTON_STEPS = 8
 
 
 @dataclass(frozen=True)
 class FusionOptions:
+    """``max_iterations`` caps Lawson iterations on the ``lawson`` route
+    and each Nelder-Mead run elsewhere; ``f_tolerance`` is the
+    certificate's gap on the ``lawson`` route and the simplex's spread
+    of values elsewhere; ``restarts`` and ``seed`` act only on
+    Nelder-Mead."""
+
     max_iterations: int = 2000
     f_tolerance: float = 1e-8
     restarts: int = 5
@@ -43,8 +66,8 @@ class FusionOptions:
     def __post_init__(self):
         if self.max_iterations <= 0 or self.restarts <= 0:
             raise ValueError("iteration and restart counts must be positive")
-        if self.f_tolerance < 0:
-            raise ValueError("f_tolerance must be nonnegative")
+        if not (math.isfinite(self.f_tolerance) and self.f_tolerance >= 0):
+            raise ValueError("f_tolerance must be finite and nonnegative")
 
 
 @dataclass
@@ -183,6 +206,8 @@ class FusionResult:
     iterations: int
     converged: bool
     route: str
+    # proven lower bound on the optimal residual; set on the lawson route
+    dual_bound: float | None = None
 
 
 def fusion_lower_bound(radius: float, lipschitz: float) -> float:
@@ -192,19 +217,196 @@ def fusion_lower_bound(radius: float, lipschitz: float) -> float:
     return radius / (1.0 + lipschitz)
 
 
-def _top_parameterization(sh: Sheaf):
+def _search_coordinates(sh: Sheaf):
+    """The whole space, its stalk, the circular mask searched, and the
+    map ``origin + basis @ x`` from search coordinates x to the stalk's
+    coordinates; on a nonlinear sheaf both are None and x is the stalk's
+    own coordinates.
+
+    A linear sheaf is searched in kernel coordinates of the agreement
+    subspace of a constrained pullback at the whole space.  When one of
+    its stalks has a simplex factor, the search is cut down further to
+    where every simplex factor of every stalk sums to one, so each
+    section it meets restricts onto the simplexes' affine hulls."""
     top = sh.topology.full
     space = sh.stalk(top.id)
-    pb = sh.pullback(top.id)
-    if pb is None or not pb.constraints:
-        return top, space, space.circular_mask, None
-    if sh.is_linear():
-        # optimize in kernel coordinates of the pullback subspace
-        return top, space, None, sh.kernel_basis(top.id)
-    raise NoTopStalk(
-        "the stalk over the whole space is a constrained pullback of a "
-        "nonlinear sheaf and has no finite parameterization"
-    )
+    if not sh.is_linear():
+        pb = sh.pullback(top.id)
+        if pb is not None and pb.constraints:
+            raise NoTopStalk(
+                "the stalk over the whole space is a constrained pullback "
+                "of a nonlinear sheaf and has no finite parameterization"
+            )
+        return top, space, space.circular_mask, None, None
+    basis = sh.kernel_basis(top.id)
+    sums = []
+    for oid, stalk in sh.stalks.items():
+        if stalk.has_simplex:
+            m = sh.ambient_matrix(top.id, oid) @ basis
+            sums.extend(m[lo:hi].sum(axis=0)
+                        for c, lo, hi in _factors(stalk)
+                        if c.kind == sp.SIMPLEX)
+    if not sums:
+        return top, space, None, np.zeros(space.dim), basis
+    point, *_ = np.linalg.lstsq(np.array(sums), np.ones(len(sums)),
+                                rcond=None)
+    return top, space, None, basis @ point, basis @ nullspace(sums)
+
+
+def _factors(space: sp.ValueSpace):
+    """Each factor of a stalk with the slice of coordinates it holds."""
+    lo = 0
+    for c in space.components or (space,):
+        yield c, lo, lo + c.dim
+        lo += c.dim
+
+
+class _Groups:
+    """The fusion objective of a linear sheaf as groups of rows: one
+    group per component of each defined stalk, its rows w_c A_U[c] and
+    right-hand side w_c (a(U)[c] - A_U[c] origin), where A_U is the
+    restriction from the whole space in search coordinates.  A product
+    stalk's distance is the largest of its weighted components, so on
+    Euclidean and time components the objective at x is the largest
+    group residual |rows_g x - rhs_g|."""
+
+    def __init__(self, sh: Sheaf, a: Assignment, top, origin, basis):
+        rows, rhs, group = [], [], []
+        for oid in a.defined_ids():
+            m = sh.ambient_matrix(top.id, oid)
+            b = np.asarray(a.values[oid].coords, dtype=float) - m @ origin
+            m = m @ basis
+            for c, lo, hi in _factors(sh.stalk(oid)):
+                if c.dim and c.weight:
+                    group.extend([len(rows)] * c.dim)
+                    rows.append(c.weight * m[lo:hi])
+                    rhs.append(c.weight * b[lo:hi])
+        self.count = len(rows)
+        self.rows = (np.vstack(rows) if rows
+                     else np.zeros((0, basis.shape[1])))
+        self.rhs = np.concatenate(rhs) if rhs else np.zeros(0)
+        self.group = np.array(group, dtype=int)
+
+    def solve(self, weights: np.ndarray) -> np.ndarray:
+        """Minimum-norm minimizer of sum_g weights_g |rows_g x - rhs_g|^2."""
+        w = np.sqrt(weights[self.group])
+        x, *_ = np.linalg.lstsq(self.rows * w[:, None], self.rhs * w,
+                                rcond=None)
+        return x
+
+    def residuals(self, x: np.ndarray) -> np.ndarray:
+        e = self.rows @ x - self.rhs
+        return np.sqrt(np.bincount(self.group, e * e, minlength=self.count))
+
+
+def _lawson(groups: _Groups, opts: FusionOptions):
+    """Certified minimax over the groups: (best x, best lower bound,
+    iterations, whether the bounds met).
+
+    Weights lambda on the simplex over the groups start uniform.  Each
+    iteration takes the lambda-weighted least-squares fit x and its group
+    residuals r; sqrt(lambda . r^2) is a lower bound on the optimum, since
+    no x does better on that weighted sum, and max r is an upper bound
+    that x attains.  Lawson's update lambda <- lambda r / (lambda . r)
+    then moves the weight onto the groups that stay largest.  Its rate
+    is set by the inactive groups nearest the optimum, so after
+    FINISH_FIRST iterations, then twice as many each time, a Newton
+    finish proposes exact weights and a section, which only count
+    through the bounds they give.  The iteration stops when the best
+    upper bound is within ``f_tolerance`` of the best lower bound."""
+    lam = np.full(groups.count, 1.0 / groups.count)
+    best, upper, lower = None, math.inf, 0.0
+    finish_at = FINISH_FIRST
+    for iteration in range(1, opts.max_iterations + 1):
+        x = groups.solve(lam)
+        r = groups.residuals(x)
+        lower = max(lower, math.sqrt(lam @ (r * r)))
+        if r.max() < upper:
+            best, upper = x, float(r.max())
+        if iteration == finish_at:
+            finish_at *= 2
+            found = _newton_finish(groups, lam, best)
+            if found is not None:
+                x_n, mu = found
+                r_n = groups.residuals(x_n)
+                if r_n.max() < upper:
+                    best, upper = x_n, float(r_n.max())
+                r_mu = groups.residuals(groups.solve(mu))
+                lower = max(lower, math.sqrt(mu @ (r_mu * r_mu)))
+        if upper - lower <= opts.f_tolerance:
+            return best, lower, iteration, True
+        lam = lam * r
+        lam /= lam.sum()
+    return best, lower, opts.max_iterations, False
+
+
+def _newton_finish(groups: _Groups, lam: np.ndarray, x: np.ndarray):
+    """Weights and a section from the optimality conditions, or None.
+
+    At the optimum every group with weight has its residual at one level
+    t, and the weights mu (on the simplex) make x stationary for
+    sum_g mu_g |rows_g x - rhs_g|^2.  Newton's method solves those
+    equations from x and Lawson's weights, over the groups whose weight
+    is at least FINISH_WEIGHT of the largest.  A group whose multiplier
+    comes out negative, or whose residual stays below the level when
+    Newton does not reach it, leaves the set; a group outside it whose
+    residual ends above the level joins it; and the solve repeats, at
+    most once per group.  Returns (x, weights over all groups)."""
+    active = list(np.flatnonzero(lam >= FINISH_WEIGHT * lam.max()))
+    for _ in range(groups.count):
+        rows = np.isin(groups.group, active)
+        member = (groups.group[rows][:, None] == active).astype(float)
+        x_n, t, mu = _kkt_newton(groups.rows[rows], groups.rhs[rows],
+                                 member, x, lam[active] / lam[active].sum())
+        if not (np.all(np.isfinite(mu)) and math.isfinite(t)):
+            return None
+        r = groups.residuals(x_n)
+        below = r[active] - t
+        over = r - t
+        over[active] = 0.0
+        if mu.min() < -1e-9:
+            del active[int(np.argmin(mu))]
+        elif np.abs(below).max() > 1e-9 * max(t, 1.0):
+            del active[int(np.argmin(below))]
+        elif over.max() > 0.0:
+            active.append(int(np.argmax(over)))
+        else:
+            weights = np.zeros(groups.count)
+            weights[active] = np.maximum(mu, 0.0)
+            return x_n, weights / weights.sum()
+        if not active:
+            return None
+    return None
+
+
+def _kkt_newton(rows, rhs, member, x, mu):
+    """Newton steps on  sum_g mu_g rows_g^T e_g = 0,  sum mu = 1  and
+    |e_g|^2 = t^2  for every group g, where e = rows x - rhs and
+    ``member`` marks each row's group; least-squares steps, so a
+    singular system moves along its row space only."""
+    n, s = rows.shape[1], member.shape[1]
+    e = rows @ x - rhs
+    t = math.sqrt(mu @ (member.T @ (e * e)))
+    jac = np.zeros((n + 1 + s, n + 1 + s))
+    jac[n, n + 1:] = 1.0
+    f = np.empty(n + 1 + s)
+    for _ in range(NEWTON_STEPS):
+        v = rows.T @ (member * e[:, None])
+        f[:n] = v @ mu
+        f[n] = mu.sum() - 1.0
+        f[n + 1:] = 0.5 * (member.T @ (e * e) - t * t)
+        jac[:n, :n] = rows.T @ (rows * (member @ mu)[:, None])
+        jac[:n, n + 1:] = v
+        jac[n + 1:, :n] = v.T
+        jac[n + 1:, n] = -t
+        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
+        x = x + step[:n]
+        t += step[n]
+        mu = mu + step[n + 1:]
+        e = rows @ x - rhs
+        if np.abs(step).max() <= 1e-14 * max(1.0, abs(t), np.abs(x).max()):
+            break
+    return x, t, mu
 
 
 def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
@@ -214,22 +416,27 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     Minimizes sup_U d_U(a(U), s|_U) over sections s in the stalk at the
     whole space.  Returns the fused (pulled back) assignment, the
     achieved residual, and radius/(1+K) when a Lipschitz constant is
-    known.
+    known.  The route says how: ``already_global`` when the start is a
+    section within ``f_tolerance`` (the top's own value, else the
+    weighted least-squares fit or zero); ``lawson``, with the proven
+    ``dual_bound``, on a linear sheaf with only Euclidean and time
+    stalks defined; ``least_squares+nelder_mead`` on a linear sheaf
+    with a simplex stalk defined; ``nelder_mead`` on a nonlinear one.
     """
     if not a.values:
         raise DegenerateAssignment("cannot fuse an empty assignment")
     sh = a.sheaf
-    top, top_space, circ_mask, kernel = _top_parameterization(sh)
+    top, top_space, circ_mask, origin, basis = _search_coordinates(sh)
     defined = a.defined_ids()
     # (open, stalk, observed coordinates): the assignment's points were
     # validated when they were set
     targets = [(oid, sh.stalk(oid), a.values[oid].coords) for oid in defined]
 
     def section_point(x):
-        if kernel is not None:
-            coords = tuple(kernel @ np.asarray(x, dtype=float))
-        else:
+        if basis is None:
             coords = tuple(x)
+        else:
+            coords = tuple(origin + basis @ np.asarray(x, dtype=float))
         return sp.make_point(top_space, coords)
 
     def objective(x):
@@ -244,53 +451,45 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
                 worst = d
         return worst
 
-    ls = _least_squares_start(sh, a, top, kernel)
-    route = "nelder_mead"
+    groups = fit = None
+    if sh.is_linear():
+        groups = _Groups(sh, a, top, origin, basis)
+        # the first Lawson iterate: the least-squares fit, equal weights
+        fit = list(groups.solve(np.ones(groups.count)))
     top_value = a.values.get(top.id)
     if top_value is not None:
         x0 = list(top_value.coords)
-        if kernel is not None:
-            x0 = list(kernel.T @ np.asarray(x0, dtype=float))
+        if basis is not None:
+            x0 = list(basis.T @ (np.asarray(x0, dtype=float) - origin))
     else:
-        x0 = ls if ls is not None else [0.0] * top_space.dim
+        x0 = fit if fit is not None else [0.0] * top_space.dim
 
+    dual_bound = None
     if objective(x0) <= opts.f_tolerance:
         x, iterations, converged, route = x0, 0, True, "already_global"
-    else:
-        if ls is not None:
-            x0 = ls
-            route = "least_squares+nelder_mead"
+    elif groups is None:
         run = nelder_mead(objective, x0, circ_mask, opts)
         x, iterations, converged = run.x, run.iterations, run.converged
+        route = "nelder_mead"
+    elif any(sh.stalk(oid).has_simplex for oid in defined):
+        # simplex distance is half an L1 norm, outside Lawson's bound
+        run = nelder_mead(objective, fit, circ_mask, opts)
+        x, iterations, converged = run.x, run.iterations, run.converged
+        route = "least_squares+nelder_mead"
+    else:
+        x, dual_bound, iterations, converged = _lawson(groups, opts)
+        route = "lawson"
     section = section_point(x)
     fused = pullback_global(sh, section)
-    return FusionResult(section, fused, assignment_distance(fused, a),
-                        _bound(a, lipschitz), iterations, converged, route)
+    residual = assignment_distance(fused, a)
+    if dual_bound is not None:
+        # at an exact optimum the two sides differ only by rounding
+        dual_bound = min(dual_bound, residual)
+    return FusionResult(section, fused, residual, _bound(a, lipschitz),
+                        iterations, converged, route, dual_bound)
 
 
 def _bound(a: Assignment, lipschitz: float | None) -> float | None:
     if lipschitz is None:
         return None
     return fusion_lower_bound(consistency_radius(a).radius, lipschitz)
-
-
-def _least_squares_start(sh: Sheaf, a: Assignment, top, kernel) -> list | None:
-    """Weighted least-squares fit of every defined open, in the
-    coordinates the simplex searches: stacked rows w_U A_U K, where A_U
-    is the restriction from the whole space in ambient coordinates and
-    K the kernel basis of a constrained pullback top (no K factor
-    without one).  None for a nonlinear sheaf."""
-    if not sh.is_linear():
-        return None
-    rows = []
-    rhs = []
-    for oid, point in a.values.items():
-        m = sh.ambient_matrix(top.id, oid)
-        if kernel is not None:
-            m = m @ kernel
-        w = sh.stalk(oid).weight or 1.0
-        rows.append(w * m)
-        rhs.append(w * np.asarray(point.coords, dtype=float))
-    sol, *_ = np.linalg.lstsq(np.vstack(rows), np.concatenate(rhs),
-                              rcond=None)
-    return list(sol)

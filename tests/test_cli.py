@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -169,6 +170,44 @@ def test_fuse_strict_exit_on_iteration_cap(sar_files, capsys):
     code = main(["fuse", str(spec), str(case1), "--max-iter", "2",
                  "--restarts", "1", "--strict"])
     assert code == 3
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--max-iter", "0"), ("--restarts", "0"), ("--tol", "-1"),
+    ("--tol", "nan"), ("--tol", "inf"),
+])
+def test_fuse_bad_option_exits_2(sar_files, capsys, option, value):
+    spec, case1 = sar_files
+    assert main(["fuse", str(spec), str(case1), option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: fuse "
+                                                   "options: ")
+
+
+def test_fuse_prints_certificate_on_linear_sheaf(tmp_path, capsys):
+    """Lawson's route reports its proven lower bound and the gap."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid, top = t.open_for(["a"]), t.full
+    sh = complete_unions(Sheaf(
+        t, {mid: euclidean(1), top: euclidean(1)},
+        [RestrictionMap(top, mid, Identity())],
+    ))
+    spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
+    save_sheaf(spec, sh)
+    save_assignment(values, Assignment(sh, {
+        mid: make_point(sh.stalk(mid.id), [0.0]),
+        top: make_point(sh.stalk(top.id), [2.0]),
+    }))
+    assert main(["fuse", str(spec), str(values)]) == 0
+    out = capsys.readouterr().out
+    bound, gap = re.search(r"certificate: dual bound (\S+)  gap (\S+)\n",
+                           out).groups()
+    assert float(bound) == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= float(gap) <= 1e-12
+    assert "route: lawson  converged: True" in out
 
 
 def test_cohomology_json_on_probability_sheaf(tmp_path, capsys):

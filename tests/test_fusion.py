@@ -14,6 +14,7 @@ from sheaffuse import (
     Assignment,
     EntityUniverse,
     Identity,
+    Linear,
     RestrictionMap,
     Sheaf,
     assignment_distance,
@@ -28,8 +29,11 @@ from sheaffuse import (
     lipschitz_bound,
     make_point,
     nelder_mead,
+    product,
     pullback_global,
     sample_point,
+    simplex,
+    time_line,
     verify_gluing,
 )
 from sheaffuse.errors import DegenerateAssignment, SpaceMismatch
@@ -81,6 +85,12 @@ def test_determinism_under_fixed_seed():
     assert a.x == b.x and a.f == b.f
 
 
+@pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+def test_options_reject_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="f_tolerance"):
+        FusionOptions(f_tolerance=tol)
+
+
 def identity_chain_sheaf():
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
@@ -116,8 +126,10 @@ def test_fuse_identity_chain_minimax_midpoint():
         top: make_point(sh.stalk(top.id), [2.0]),
     })
     res = fuse(a)
-    assert res.section_at_top.coords[0] == pytest.approx(1.0, abs=1e-5)
-    assert res.residual == pytest.approx(1.0, abs=1e-5)
+    assert res.route == "lawson"
+    assert res.section_at_top.coords[0] == pytest.approx(1.0, abs=1e-12)
+    assert res.residual == pytest.approx(1.0, abs=1e-12)
+    assert res.dual_bound == pytest.approx(1.0, abs=1e-12)
 
 
 def test_fused_assignment_is_global():
@@ -221,16 +233,119 @@ def chain_snapshot(sh, rng):
 
 
 def test_pullback_top_fuses_near_minimax_optimum():
-    """A constrained pullback top is seeded by least squares in kernel
-    coordinates, so Nelder-Mead ends near the true minimax optimum."""
+    """A constrained pullback top is fused by Lawson's iteration in
+    kernel coordinates, and its certificate brackets the true minimax
+    optimum."""
     sh = camera_chain_sheaf()
     assert sh.pullback(sh.topology.full.id).constraints
     rng = np.random.default_rng(1)
+    tol = FusionOptions().f_tolerance
     for _ in range(6):
         a = chain_snapshot(sh, rng)
         res = fuse(a)
-        assert res.route == "least_squares+nelder_mead"
-        assert res.residual <= 1.05 * minimax_optimum(a)
+        assert res.route == "lawson"
+        assert res.dual_bound <= minimax_optimum(a) <= res.residual + tol
+
+
+def test_chain_snapshots_fuse_with_a_closed_certificate():
+    """Every one of 96 chain snapshots converges under the default
+    options: the certificate's lower bound is within f_tolerance of the
+    residual, and on 12 of them it brackets the SLSQP optimum."""
+    sh = camera_chain_sheaf()
+    rng = np.random.default_rng(1)
+    tol = FusionOptions().f_tolerance
+    for i in range(96):
+        a = chain_snapshot(sh, rng)
+        res = fuse(a)
+        assert res.route == "lawson" and res.converged, i
+        assert res.dual_bound <= res.residual <= res.dual_bound + tol, i
+        if i % 8 == 0:
+            assert res.dual_bound <= minimax_optimum(a) <= \
+                res.residual + tol, i
+
+
+def test_lawson_iteration_cap_leaves_the_certificate_open():
+    """Stopped by max_iterations, the route reports converged False
+    with a lower bound that is still a bound."""
+    sh = camera_chain_sheaf()
+    a = chain_snapshot(sh, np.random.default_rng(1))
+    res = fuse(a, FusionOptions(max_iterations=3))
+    assert res.route == "lawson"
+    assert (res.converged, res.iterations) == (False, 3)
+    assert res.dual_bound < res.residual - FusionOptions().f_tolerance
+    assert res.dual_bound <= minimax_optimum(a) <= res.residual
+
+
+def weighted_product_sheaf():
+    """Two cameras {a,b} and {b,c} reading the overlap {b} through one
+    row each.  The {b,c} stalk is a product of a weighted line and a
+    weighted time line, so the whole space, a pullback of both cameras,
+    carries a product stalk with three differently weighted components."""
+    u = EntityUniverse(["a", "b", "c"])
+    t = generate_topology(u, [("a", "b"), ("b", "c")])
+    ab, bc, b = t.open_for(["a", "b"]), t.open_for(["b", "c"]), \
+        t.open_for(["b"])
+    return complete_unions(Sheaf(
+        t,
+        {ab: euclidean(2, 2.0),
+         bc: product([euclidean(1, 0.5), time_line(3.0)]),
+         b: euclidean(1)},
+        [RestrictionMap(ab, b, Linear([[1.0, 0.5]])),
+         RestrictionMap(bc, b, Linear([[2.0, -1.0]]))],
+    ))
+
+
+def test_weighted_product_stalk_fuses_to_the_minimax_optimum():
+    """Each component of a defined product stalk is its own group with
+    its own weight: the Lawson residual is the assignment distance of
+    the fused section and no worse than Nelder-Mead on the same
+    objective."""
+    sh = weighted_product_sheaf()
+    top = sh.topology.full
+    assert sh.stalk(top.id).components[1].weight == 0.5
+    k = sh.kernel_basis(top.id)
+    tol = FusionOptions().f_tolerance
+    rng = random.Random(83)
+    for _ in range(5):
+        a = Assignment(sh, {o: sample_point(sh.stalk(o.id), rng)
+                            for o in sh.topology.opens if o.mask})
+        res = fuse(a)
+        assert res.route == "lawson" and res.converged
+        assert res.residual == pytest.approx(
+            assignment_distance(res.fused, a), abs=1e-9)
+        assert res.residual <= res.dual_bound + tol
+
+        def objective(x):
+            s = make_point(sh.stalk(top.id), k @ np.asarray(x))
+            return assignment_distance(pullback_global(sh, s), a)
+
+        run = nelder_mead(objective, [0.0] * k.shape[1])
+        assert res.residual <= run.f + tol
+
+
+def test_simplex_stalk_keeps_nelder_mead_and_fuses_to_a_global_section():
+    """Simplex distance is half an L1 norm, outside Lawson's bound, so a
+    defined simplex stalk keeps Nelder-Mead.  It searches where every
+    simplex stalk sums to one: two readings of one distribution fuse to
+    a distribution halfway between them."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid, top = t.open_for(["a"]), t.full
+    sh = complete_unions(Sheaf(
+        t, {mid: simplex(3), top: product([simplex(3), time_line()])},
+        [RestrictionMap(top, mid, Linear([[1.0, 0.0, 0.0, 0.0],
+                                          [0.0, 1.0, 0.0, 0.0],
+                                          [0.0, 0.0, 1.0, 0.0]]))],
+    ))
+    a = Assignment(sh, {
+        mid: make_point(sh.stalk(mid.id), [0.2, 0.3, 0.5]),
+        top: make_point(sh.stalk(top.id), [0.4, 0.3, 0.3, 7.0]),
+    })
+    res = fuse(a)
+    assert res.route == "least_squares+nelder_mead"
+    assert res.dual_bound is None
+    assert consistency_radius(res.fused).radius <= 1e-6
+    assert res.residual == pytest.approx(0.1, abs=1e-6)
 
 
 def test_global_assignment_without_top_value_is_already_global():
