@@ -35,3 +35,14 @@ def nullspace(m, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
     _, s, vh = np.linalg.svd(a)
     rank = int(np.sum(s > _threshold(a, rel_tol)))
     return vh[rank:].T.copy()
+
+
+def rowspace(m, rel_tol: float = RANK_REL_TOL) -> np.ndarray:
+    """Orthonormal basis of the row space, columns of the returned
+    matrix: the complement of ``nullspace``."""
+    a = np.asarray(m, dtype=float)
+    if a.size == 0:
+        return np.zeros((a.shape[1] if a.ndim == 2 else 0, 0))
+    _, s, vh = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > _threshold(a, rel_tol)))
+    return vh[:rank].T.copy()

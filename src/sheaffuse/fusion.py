@@ -11,12 +11,13 @@ lines, or products of them, that objective is the largest of a few
 weighted Euclidean norms of affine maps, one group for each component
 of each defined stalk, and fusion is a convex minimax problem.  It is
 solved by Lawson's iteration in group form (Lawson, UCLA thesis, 1961)
-with a Newton finish on the optimality conditions, and it stops only
-on a certificate: a proven lower bound on the optimum within
-``f_tolerance`` of the residual reached.  Every other sheaf is fused by
-a built-in Nelder-Mead simplex method; a linear sheaf with a simplex
-stalk defined starts it from the first Lawson iterate, the weighted
-least-squares fit, and searches where every simplex stalk sums to one.
+with a Newton finish on the optimality conditions, started from the
+path of a log barrier, and it stops only on a certificate: a proven
+lower bound on the optimum within ``f_tolerance`` of the residual
+reached.  Every other sheaf is fused by a built-in Nelder-Mead simplex
+method; a linear sheaf with a simplex stalk defined starts it from the
+first Lawson iterate, the weighted least-squares fit, and searches
+where every simplex stalk sums to one.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces as sp
-from ._linalg import nullspace
+from ._linalg import nullspace, rowspace
 from .consistency import (
     Assignment,
     assignment_distance,
@@ -43,11 +44,19 @@ INIT_STEP_FRACTION = 0.05
 ZERO_COORD_STEP = 0.025
 RESTART_NOISE_FRACTION = 0.10
 # Lawson tries its Newton finish after this many iterations, then after
-# twice as many each time, on the groups whose weight is at least
-# FINISH_WEIGHT times the largest
+# twice as many each time, on the groups whose barrier weight is at
+# least BARRIER_WEIGHT times the largest, else on those whose Lawson
+# weight is at least FINISH_WEIGHT times the largest
 FINISH_FIRST = 20
 FINISH_WEIGHT = 1e-2
 NEWTON_STEPS = 8
+# the barrier weights: BARRIER_STAGES stages along the log-barrier path,
+# each multiplying the barrier parameter by BARRIER_GROWTH and taking
+# BARRIER_STEPS Newton steps
+BARRIER_WEIGHT = 1e-4
+BARRIER_STAGES = 6
+BARRIER_STEPS = 2
+BARRIER_GROWTH = 10.0
 
 
 @dataclass(frozen=True)
@@ -311,9 +320,10 @@ def _lawson(groups: _Groups, opts: FusionOptions):
     then moves the weight onto the groups that stay largest.  Its rate
     is set by the inactive groups nearest the optimum, so after
     FINISH_FIRST iterations, then twice as many each time, a Newton
-    finish proposes exact weights and a section, which only count
-    through the bounds they give.  The iteration stops when the best
-    upper bound is within ``f_tolerance`` of the best lower bound."""
+    finish from the best x proposes exact weights and a section, which
+    only count through the bounds they give.  The iteration stops when
+    the best upper bound is within ``f_tolerance`` of the best lower
+    bound."""
     lam = np.full(groups.count, 1.0 / groups.count)
     best, upper, lower = None, math.inf, 0.0
     finish_at = FINISH_FIRST
@@ -346,13 +356,35 @@ def _newton_finish(groups: _Groups, lam: np.ndarray, x: np.ndarray):
     At the optimum every group with weight has its residual at one level
     t, and the weights mu (on the simplex) make x stationary for
     sum_g mu_g |rows_g x - rhs_g|^2.  Newton's method solves those
-    equations from x and Lawson's weights, over the groups whose weight
-    is at least FINISH_WEIGHT of the largest.  A group whose multiplier
-    comes out negative, or whose residual stays below the level when
-    Newton does not reach it, leaves the set; a group outside it whose
-    residual ends above the level joins it; and the solve repeats, at
-    most once per group.  Returns (x, weights over all groups)."""
-    active = list(np.flatnonzero(lam >= FINISH_WEIGHT * lam.max()))
+    equations over a guessed set of active groups (``_active_newton``).
+    The first guess is the groups whose weight is at least
+    BARRIER_WEIGHT of the largest at a point near the central path of a
+    log barrier (``_central_point``): there an active group's weight is
+    near its multiplier and an inactive group's near zero, so the guess
+    is nearly always the optimum's set.  Should it fail, the guess is
+    the groups whose Lawson weight is at least FINISH_WEIGHT of the
+    largest, which improves as Lawson goes on.  Returns (x, weights over
+    all groups)."""
+    starts = [(x, lam, FINISH_WEIGHT)]
+    centred = _central_point(groups, x)
+    if centred is not None:
+        starts.insert(0, (*centred, BARRIER_WEIGHT))
+    for start, weights, cut in starts:
+        found = _active_newton(groups, start, weights, cut)
+        if found is not None:
+            return found
+    return None
+
+
+def _active_newton(groups: _Groups, x: np.ndarray, lam: np.ndarray,
+                   cut: float):
+    """Newton's method on the optimality conditions from x and the
+    weights lam, over the groups whose weight is at least ``cut`` of the
+    largest, or None.  A group whose multiplier comes out negative, or
+    whose residual stays below the level when Newton does not reach it,
+    leaves the set; a group outside it whose residual ends above the
+    level joins it; and the solve repeats, at most once per group."""
+    active = list(np.flatnonzero(lam >= cut * lam.max()))
     for _ in range(groups.count):
         rows = np.isin(groups.group, active)
         member = (groups.group[rows][:, None] == active).astype(float)
@@ -377,6 +409,69 @@ def _newton_finish(groups: _Groups, lam: np.ndarray, x: np.ndarray):
         if not active:
             return None
     return None
+
+
+def _central_point(groups: _Groups, x: np.ndarray):
+    """(x, weights) near the central path of  min s  subject to
+    q_g(x) = |rows_g x - rhs_g|^2 <= s  for every group, or None.
+
+    Newton's method on  tau s - sum_g log(s - q_g(x))  from x and s
+    a quarter above its largest q_g, with tau first where that start is
+    centred in s; then BARRIER_STAGES stages multiply tau by
+    BARRIER_GROWTH and take BARRIER_STEPS backtracking Newton steps
+    each.  x moves only along the row space of the groups' rows, where
+    the Hessian is definite.  The weights 1 / (s - q_g), normalised, are
+    the barrier's estimate of the multipliers.  The number of Newton
+    steps does not depend on the data, so the finish costs about the
+    same on every input."""
+    basis = rowspace(groups.rows)
+    rows = groups.rows @ basis
+    offset = groups.rows @ x - groups.rhs
+    member = (groups.group[:, None] == np.arange(groups.count)).astype(float)
+    n = rows.shape[1]
+    y = np.zeros(n)
+    e = offset
+    q = member.T @ (e * e)
+    if not q.max() > 0.0:
+        return None
+    s = 1.25 * q.max()
+    tau = float(np.sum(1.0 / (s - q)))
+    hess = np.empty((n + 1, n + 1))
+    grad = np.empty(n + 1)
+    for _ in range(BARRIER_STAGES):
+        tau *= BARRIER_GROWTH
+        for _ in range(BARRIER_STEPS):
+            w = 1.0 / (s - q)
+            dq = 2.0 * (member.T @ (rows * e[:, None]))
+            w2 = w * w
+            grad[:n] = dq.T @ w
+            grad[n] = tau - w.sum()
+            hess[:n, :n] = (2.0 * rows.T @ (rows * (member @ w)[:, None])
+                            + dq.T @ (dq * w2[:, None]))
+            hess[:n, n] = hess[n, :n] = -(dq.T @ w2)
+            hess[n, n] = w2.sum()
+            try:
+                step = np.linalg.solve(hess, -grad)
+            except np.linalg.LinAlgError:
+                return None
+            if not np.all(np.isfinite(step)):
+                return None
+            value = tau * s - np.log(s - q).sum()
+            slope = grad @ step
+            size = 1.0
+            while True:
+                y_n, s_n = y + size * step[:n], s + size * step[n]
+                e_n = rows @ y_n + offset
+                q_n = member.T @ (e_n * e_n)
+                if (np.all(q_n < s_n) and tau * s_n - np.log(s_n - q_n).sum()
+                        <= value + 0.25 * size * slope):
+                    break
+                size *= 0.5
+                if size < 1e-12:
+                    return None
+            y, s, e, q = y_n, s_n, e_n, q_n
+    w = 1.0 / (s - q)
+    return x + basis @ y, w / w.sum()
 
 
 def _kkt_newton(rows, rhs, member, x, mu):

@@ -24,6 +24,7 @@ from sheaffuse import (
     euclidean,
     full_cover,
     fuse,
+    fusion,
     fusion_lower_bound,
     generate_topology,
     lipschitz_bound,
@@ -262,6 +263,35 @@ def test_chain_snapshots_fuse_with_a_closed_certificate():
         if i % 8 == 0:
             assert res.dual_bound <= minimax_optimum(a) <= \
                 res.residual + tol, i
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_chain_snapshots_close_at_the_first_finish(seed):
+    """The Newton finish starts from the log-barrier path, so its first
+    try finds the active set: no chain snapshot needs a second round of
+    Lawson iterations, and each costs about the same."""
+    sh = camera_chain_sheaf()
+    rng = np.random.default_rng(seed)
+    for i in range(96):
+        res = fuse(chain_snapshot(sh, rng))
+        assert res.converged and res.iterations <= fusion.FINISH_FIRST, i
+
+
+def test_central_point_weights_separate_the_active_groups():
+    """On the barrier path an active group's weight stays near its
+    multiplier and an inactive group's falls toward zero."""
+    sh = camera_chain_sheaf()
+    a = chain_snapshot(sh, np.random.default_rng(1))
+    top, _, _, origin, basis = fusion._search_coordinates(sh)
+    groups = fusion._Groups(sh, a, top, origin, basis)
+    res = fuse(a)
+    x_opt = basis.T @ (np.asarray(res.section_at_top.coords) - origin)
+    r = groups.residuals(x_opt)
+    active = r >= r.max() * (1 - 1e-9)
+    x0 = groups.solve(np.ones(groups.count))
+    _, lam = fusion._central_point(groups, x0)
+    assert lam.sum() == pytest.approx(1.0)
+    assert lam[active].min() > 1e3 * lam[~active].max()
 
 
 def test_lawson_iteration_cap_leaves_the_certificate_open():

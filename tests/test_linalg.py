@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sheaffuse._linalg import nullspace, numeric_rank
+from sheaffuse._linalg import nullspace, numeric_rank, rowspace
 
 
 def rank_deficient(seed, rows, cols, rank):
@@ -36,3 +36,14 @@ def test_rank_and_nullity_invariant_under_scaling(name):
     m, rank = MATRICES[name]
     assert numeric_rank(m * 1e6) == rank
     assert nullspace(m * 1e6).shape[1] == nullspace(m).shape[1]
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_row_space_and_nullspace_split_the_columns(name):
+    """Together the two bases are one orthonormal basis of the column
+    coordinates, the row space's as many vectors as the rank."""
+    m, rank = MATRICES[name]
+    rows = rowspace(m)
+    assert rows.shape == (m.shape[1], rank)
+    both = np.hstack([rows, nullspace(m)])
+    assert np.allclose(both.T @ both, np.eye(m.shape[1]))
