@@ -11,13 +11,15 @@ lines, or products of them, that objective is the largest of a few
 weighted Euclidean norms of affine maps, one group for each component
 of each defined stalk, and fusion is a convex minimax problem.  It is
 solved by Lawson's iteration in group form (Lawson, UCLA thesis, 1961)
-with a Newton finish on the optimality conditions, started from the
-path of a log barrier, and it stops only on a certificate: a proven
-lower bound on the optimum within ``f_tolerance`` of the residual
-reached.  Every other sheaf is fused by a built-in Nelder-Mead simplex
-method; a linear sheaf with a simplex stalk defined starts it from the
-first Lawson iterate, the weighted least-squares fit, and searches
-where every simplex stalk sums to one.
+with a Newton finish on the optimality conditions, tried at the first
+iterate and at iterations 2, 4, 8, ..., each time started from the path
+of a log barrier, and it stops only on a certificate: a proven lower
+bound on the optimum within ``f_tolerance`` of the residual reached.
+Every other sheaf is fused by a built-in Nelder-Mead simplex method; a
+linear sheaf with a simplex stalk defined starts it from the first
+Lawson iterate, the weighted least-squares fit, and searches where
+every simplex stalk sums to one, scoring a section off the simplexes
+as infinitely far.
 """
 
 from __future__ import annotations
@@ -37,22 +39,18 @@ from .consistency import (
     nan_error,
     pullback_global,
 )
-from .errors import DegenerateAssignment, NoTopStalk
+from .errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
 from .sheaf import Sheaf
 
 INIT_STEP_FRACTION = 0.05
 ZERO_COORD_STEP = 0.025
 RESTART_NOISE_FRACTION = 0.10
-# Lawson tries its Newton finish after this many iterations, then after
-# twice as many each time, on the groups whose barrier weight is at
-# least BARRIER_WEIGHT times the largest, else on those whose Lawson
-# weight is at least FINISH_WEIGHT times the largest
-FINISH_FIRST = 20
-FINISH_WEIGHT = 1e-2
+# Lawson tries its Newton finish at iterations 1, 2, 4, 8, ..., on the
+# groups whose barrier weight is at least BARRIER_WEIGHT times the
+# largest; the barrier weights come from BARRIER_STAGES stages along the
+# log-barrier path, each multiplying the barrier parameter by
+# BARRIER_GROWTH and taking BARRIER_STEPS Newton steps
 NEWTON_STEPS = 8
-# the barrier weights: BARRIER_STAGES stages along the log-barrier path,
-# each multiplying the barrier parameter by BARRIER_GROWTH and taking
-# BARRIER_STEPS Newton steps
 BARRIER_WEIGHT = 1e-4
 BARRIER_STAGES = 6
 BARRIER_STEPS = 2
@@ -308,34 +306,31 @@ class _Groups:
         return np.sqrt(np.bincount(self.group, e * e, minlength=self.count))
 
 
-def _lawson(groups: _Groups, opts: FusionOptions):
-    """Certified minimax over the groups: (best x, best lower bound,
-    iterations, whether the bounds met).
+def _lawson(groups: _Groups, x: np.ndarray, opts: FusionOptions):
+    """Certified minimax over the groups from the equal-weight
+    least-squares fit x: (best x, best lower bound, iterations, whether
+    the bounds met).
 
     Weights lambda on the simplex over the groups start uniform.  Each
     iteration takes the lambda-weighted least-squares fit x and its group
     residuals r; sqrt(lambda . r^2) is a lower bound on the optimum, since
     no x does better on that weighted sum, and max r is an upper bound
-    that x attains.  Lawson's update lambda <- lambda r / (lambda . r)
-    then moves the weight onto the groups that stay largest.  Its rate
-    is set by the inactive groups nearest the optimum, so after
-    FINISH_FIRST iterations, then twice as many each time, a Newton
-    finish from the best x proposes exact weights and a section, which
-    only count through the bounds they give.  The iteration stops when
-    the best upper bound is within ``f_tolerance`` of the best lower
-    bound."""
+    that x attains.  At iterations 1, 2, 4, 8, ... a Newton finish from
+    the best x proposes exact weights and a section, which only count
+    through the bounds they give; it nearly always closes the bounds at
+    the first try.  Otherwise Lawson's update lambda <- lambda r /
+    (lambda . r) moves the weight onto the groups that stay largest, and
+    converges on its own.  The iteration stops when the best upper bound
+    is within ``f_tolerance`` of the best lower bound."""
     lam = np.full(groups.count, 1.0 / groups.count)
-    best, upper, lower = None, math.inf, 0.0
-    finish_at = FINISH_FIRST
+    best, upper, lower = x, math.inf, 0.0
     for iteration in range(1, opts.max_iterations + 1):
-        x = groups.solve(lam)
         r = groups.residuals(x)
         lower = max(lower, math.sqrt(lam @ (r * r)))
         if r.max() < upper:
             best, upper = x, float(r.max())
-        if iteration == finish_at:
-            finish_at *= 2
-            found = _newton_finish(groups, lam, best)
+        if iteration & (iteration - 1) == 0:  # a power of two
+            found = _newton_finish(groups, best)
             if found is not None:
                 x_n, mu = found
                 r_n = groups.residuals(x_n)
@@ -347,44 +342,35 @@ def _lawson(groups: _Groups, opts: FusionOptions):
             return best, lower, iteration, True
         lam = lam * r
         lam /= lam.sum()
+        x = groups.solve(lam)
     return best, lower, opts.max_iterations, False
 
 
-def _newton_finish(groups: _Groups, lam: np.ndarray, x: np.ndarray):
+def _newton_finish(groups: _Groups, x: np.ndarray):
     """Weights and a section from the optimality conditions, or None.
 
     At the optimum every group with weight has its residual at one level
     t, and the weights mu (on the simplex) make x stationary for
     sum_g mu_g |rows_g x - rhs_g|^2.  Newton's method solves those
-    equations over a guessed set of active groups (``_active_newton``).
-    The first guess is the groups whose weight is at least
-    BARRIER_WEIGHT of the largest at a point near the central path of a
-    log barrier (``_central_point``): there an active group's weight is
-    near its multiplier and an inactive group's near zero, so the guess
-    is nearly always the optimum's set.  Should it fail, the guess is
-    the groups whose Lawson weight is at least FINISH_WEIGHT of the
-    largest, which improves as Lawson goes on.  Returns (x, weights over
-    all groups)."""
-    starts = [(x, lam, FINISH_WEIGHT)]
+    equations (``_active_newton``) from a point near the central path of
+    a log barrier (``_central_point``), over the groups whose barrier
+    weight is at least BARRIER_WEIGHT of the largest: there an active
+    group's weight is near its multiplier and an inactive group's near
+    zero, so the guess is nearly always the optimum's set.  Returns (x,
+    weights over all groups)."""
     centred = _central_point(groups, x)
-    if centred is not None:
-        starts.insert(0, (*centred, BARRIER_WEIGHT))
-    for start, weights, cut in starts:
-        found = _active_newton(groups, start, weights, cut)
-        if found is not None:
-            return found
-    return None
+    return None if centred is None else _active_newton(groups, *centred)
 
 
-def _active_newton(groups: _Groups, x: np.ndarray, lam: np.ndarray,
-                   cut: float):
+def _active_newton(groups: _Groups, x: np.ndarray, lam: np.ndarray):
     """Newton's method on the optimality conditions from x and the
-    weights lam, over the groups whose weight is at least ``cut`` of the
-    largest, or None.  A group whose multiplier comes out negative, or
-    whose residual stays below the level when Newton does not reach it,
-    leaves the set; a group outside it whose residual ends above the
-    level joins it; and the solve repeats, at most once per group."""
-    active = list(np.flatnonzero(lam >= cut * lam.max()))
+    weights lam, over the groups whose weight is at least BARRIER_WEIGHT
+    of the largest, or None.  A group whose multiplier comes out
+    negative, or whose residual stays below the level when Newton does
+    not reach it, leaves the set; a group outside it whose residual ends
+    above the level joins it; and the solve repeats, at most once per
+    group."""
+    active = list(np.flatnonzero(lam >= BARRIER_WEIGHT * lam.max()))
     for _ in range(groups.count):
         rows = np.isin(groups.group, active)
         member = (groups.group[rows][:, None] == active).astype(float)
@@ -535,7 +521,10 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         return sp.make_point(top_space, coords)
 
     def objective(x):
-        coords = section_point(x).coords
+        try:
+            coords = section_point(x).coords
+        except SpaceMismatch:  # a step off the top stalk's simplexes
+            return math.inf
         worst = 0.0
         for oid, space, observed in targets:
             restricted = sh.restrict_coords(top.id, oid, coords)
@@ -550,7 +539,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     if sh.is_linear():
         groups = _Groups(sh, a, top, origin, basis)
         # the first Lawson iterate: the least-squares fit, equal weights
-        fit = list(groups.solve(np.ones(groups.count)))
+        fit = groups.solve(np.ones(groups.count))
     top_value = a.values.get(top.id)
     if top_value is not None:
         x0 = list(top_value.coords)
@@ -559,6 +548,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     else:
         x0 = fit if fit is not None else [0.0] * top_space.dim
 
+    section_point(x0)  # a start off the top stalk's simplexes raises
     dual_bound = None
     if objective(x0) <= opts.f_tolerance:
         x, iterations, converged, route = x0, 0, True, "already_global"
@@ -568,11 +558,12 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         route = "nelder_mead"
     elif any(sh.stalk(oid).has_simplex for oid in defined):
         # simplex distance is half an L1 norm, outside Lawson's bound
+        section_point(fit)  # a fit off the simplexes raises too
         run = nelder_mead(objective, fit, circ_mask, opts)
         x, iterations, converged = run.x, run.iterations, run.converged
         route = "least_squares+nelder_mead"
     else:
-        x, dual_bound, iterations, converged = _lawson(groups, opts)
+        x, dual_bound, iterations, converged = _lawson(groups, fit, opts)
         route = "lawson"
     section = section_point(x)
     fused = pullback_global(sh, section)

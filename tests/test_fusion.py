@@ -12,6 +12,7 @@ from conftest import (
 from oracles import all_pairs_gluing, minimax_optimum
 from sheaffuse import (
     Assignment,
+    Builtin,
     EntityUniverse,
     Identity,
     Linear,
@@ -145,6 +146,10 @@ def test_fused_assignment_is_global():
             continue
         res = fuse(a, FusionOptions(seed=1))
         assert consistency_radius(res.fused).radius <= 1e-6
+        if res.route == "lawson":
+            assert res.converged
+            assert res.residual - res.dual_bound <= \
+                FusionOptions().f_tolerance
 
 
 def test_optimizer_not_beaten_by_random_candidates():
@@ -268,13 +273,25 @@ def test_chain_snapshots_fuse_with_a_closed_certificate():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_chain_snapshots_close_at_the_first_finish(seed):
     """The Newton finish starts from the log-barrier path, so its first
-    try finds the active set: no chain snapshot needs a second round of
-    Lawson iterations, and each costs about the same."""
+    try, at the first Lawson iterate, finds the active set: every chain
+    snapshot closes its certificate at iteration 1."""
     sh = camera_chain_sheaf()
     rng = np.random.default_rng(seed)
     for i in range(96):
         res = fuse(chain_snapshot(sh, rng))
-        assert res.converged and res.iterations <= fusion.FINISH_FIRST, i
+        assert res.converged and res.iterations == 1, i
+
+
+def test_lawson_alone_closes_the_certificate(monkeypatch):
+    """Without the Newton finish, Lawson's weight update still closes
+    the certificate under the default options."""
+    monkeypatch.setattr(fusion, "_central_point", lambda groups, x: None)
+    sh = camera_chain_sheaf()
+    res = fuse(chain_snapshot(sh, np.random.default_rng(1)))
+    tol = FusionOptions().f_tolerance
+    assert res.route == "lawson" and res.converged
+    assert res.iterations > 1
+    assert res.dual_bound <= res.residual <= res.dual_bound + tol
 
 
 def test_central_point_weights_separate_the_active_groups():
@@ -294,9 +311,11 @@ def test_central_point_weights_separate_the_active_groups():
     assert lam[active].min() > 1e3 * lam[~active].max()
 
 
-def test_lawson_iteration_cap_leaves_the_certificate_open():
+def test_lawson_iteration_cap_leaves_the_certificate_open(monkeypatch):
     """Stopped by max_iterations, the route reports converged False
-    with a lower bound that is still a bound."""
+    with a lower bound that is still a bound.  The Newton finish is
+    switched off, since it would close the certificate at once."""
+    monkeypatch.setattr(fusion, "_central_point", lambda groups, x: None)
     sh = camera_chain_sheaf()
     a = chain_snapshot(sh, np.random.default_rng(1))
     res = fuse(a, FusionOptions(max_iterations=3))
@@ -353,29 +372,68 @@ def test_weighted_product_stalk_fuses_to_the_minimax_optimum():
         assert res.residual <= run.f + tol
 
 
-def test_simplex_stalk_keeps_nelder_mead_and_fuses_to_a_global_section():
-    """Simplex distance is half an L1 norm, outside Lawson's bound, so a
-    defined simplex stalk keeps Nelder-Mead.  It searches where every
-    simplex stalk sums to one: two readings of one distribution fuse to
-    a distribution halfway between them."""
+def simplex_sheaf(mid_stalk, restriction):
+    """{a} and the whole space {a,b}, which holds a simplex(3) and a time
+    line; ``restriction`` reads {a} from the whole space."""
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
     sh = complete_unions(Sheaf(
-        t, {mid: simplex(3), top: product([simplex(3), time_line()])},
-        [RestrictionMap(top, mid, Linear([[1.0, 0.0, 0.0, 0.0],
-                                          [0.0, 1.0, 0.0, 0.0],
-                                          [0.0, 0.0, 1.0, 0.0]]))],
+        t, {mid: mid_stalk, top: product([simplex(3), time_line()])},
+        [RestrictionMap(top, mid, Linear(restriction))],
     ))
+    return sh, mid, top
+
+
+@pytest.mark.parametrize("mid_reading, top_reading, residual", [
+    pytest.param((0.2, 0.3, 0.5), (0.4, 0.3, 0.3, 7.0), 0.1, id="interior"),
+    pytest.param((1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 7.0), 0.5, id="vertices"),
+    pytest.param((0.9, 0.1, 0.0), (0.1, 0.9, 0.0, 7.0), 0.4, id="edge"),
+])
+def test_simplex_stalk_keeps_nelder_mead_and_fuses_to_a_global_section(
+        mid_reading, top_reading, residual):
+    """Simplex distance is half an L1 norm, outside Lawson's bound, so a
+    defined simplex stalk keeps Nelder-Mead.  It searches where every
+    simplex stalk sums to one: two readings of one distribution fuse to
+    a distribution halfway between them, also when the optimum lies on
+    the simplex's boundary, where a step off it scores as infinitely
+    far."""
+    sh, mid, top = simplex_sheaf(simplex(3), [[1.0, 0.0, 0.0, 0.0],
+                                              [0.0, 1.0, 0.0, 0.0],
+                                              [0.0, 0.0, 1.0, 0.0]])
     a = Assignment(sh, {
-        mid: make_point(sh.stalk(mid.id), [0.2, 0.3, 0.5]),
-        top: make_point(sh.stalk(top.id), [0.4, 0.3, 0.3, 7.0]),
+        mid: make_point(sh.stalk(mid.id), mid_reading),
+        top: make_point(sh.stalk(top.id), top_reading),
     })
     res = fuse(a)
     assert res.route == "least_squares+nelder_mead"
     assert res.dual_bound is None
     assert consistency_radius(res.fused).radius <= 1e-6
-    assert res.residual == pytest.approx(0.1, abs=1e-6)
+    assert res.residual == pytest.approx(residual, abs=1e-6)
+
+
+def test_fusion_started_off_the_simplexes_raises():
+    """A start off the top stalk's simplex, such as a least-squares fit
+    with a negative share or the zero start of a nonlinear sheaf, raises
+    SpaceMismatch rather than searching from it."""
+    sh, mid, top = simplex_sheaf(euclidean(1), [[1.0, 0.0, 0.0, 0.0]])
+    a = Assignment(sh, {
+        mid: make_point(sh.stalk(mid.id), [5.0]),
+        top: make_point(sh.stalk(top.id), [1 / 3, 1 / 3, 1 / 3, 7.0]),
+    })
+    with pytest.raises(SpaceMismatch, match="nonnegative"):
+        fuse(a)
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid = t.open_for(["a"])
+    sh = complete_unions(Sheaf(
+        t, {mid: euclidean(1), t.full: simplex(3)},
+        [RestrictionMap(t.full, mid,
+                        Builtin("square", lambda c: (c[0] ** 2,)))],
+    ))
+    a = Assignment(sh, {mid: make_point(sh.stalk(mid.id), [0.5])})
+    with pytest.raises(SpaceMismatch, match="sum to 1"):
+        fuse(a)
 
 
 def test_global_assignment_without_top_value_is_already_global():
