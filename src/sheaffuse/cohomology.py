@@ -12,7 +12,7 @@ import numpy as np
 from . import spaces as sp
 from ._linalg import numeric_rank, nullspace
 from .errors import IntersectionNotOpen, UnmappedBin
-from .sheaf import Linear, RestrictionMap, Sheaf, complete_unions
+from .sheaf import Linear, RestrictionMap, Sheaf
 from .topology import EntityUniverse, OpenSet, Topology
 
 DD_TOL = 1e-10
@@ -275,7 +275,7 @@ def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
             edges.append(RestrictionMap(
                 sub.find(translate(sm)), sub.find(translate(dm)), rm.body
             ))
-    return complete_unions(Sheaf(sub, stalks, edges))
+    return Sheaf(sub, stalks, edges)
 
 
 def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
@@ -500,4 +500,4 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
         )
         edges.append(RestrictionMap(t.opens[src], t.opens[dst],
                                     Linear(matrix)))
-    return complete_unions(Sheaf(t, stalks, edges))
+    return Sheaf(t, stalks, edges)

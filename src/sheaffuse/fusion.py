@@ -34,7 +34,6 @@ from . import spaces as sp
 from ._linalg import nullspace, rowspace
 from .consistency import (
     Assignment,
-    assignment_distance,
     consistency_radius,
     nan_error,
     pullback_global,
@@ -86,15 +85,7 @@ class NelderMeadResult:
     converged: bool
 
 
-def _wrap(x, circular_mask):
-    if circular_mask is None:
-        return x
-    return [
-        (xi % 360.0 if flag else xi) for xi, flag in zip(x, circular_mask)
-    ]
-
-
-def _nelder_mead_single(objective, x0, circular_mask, max_iterations,
+def _nelder_mead_single(objective, x0, max_iterations,
                         f_tolerance) -> NelderMeadResult:
     """One simplex run with the standard coefficients."""
     alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
@@ -104,7 +95,7 @@ def _nelder_mead_single(objective, x0, circular_mask, max_iterations,
     def f(x):
         nonlocal evals
         evals += 1
-        return objective(_wrap(x, circular_mask))
+        return objective(x)
 
     simplex = [list(x0)]
     for i in range(n):
@@ -162,12 +153,11 @@ def _nelder_mead_single(objective, x0, circular_mask, max_iterations,
                     ]
                     values[i] = f(simplex[i])
     i_best = min(range(n + 1), key=lambda i: values[i])
-    x_best = tuple(_wrap(simplex[i_best], circular_mask))
-    return NelderMeadResult(x_best, values[i_best], iterations, evals,
-                            converged)
+    return NelderMeadResult(tuple(simplex[i_best]), values[i_best],
+                            iterations, evals, converged)
 
 
-def nelder_mead(objective, x0, circular_mask=None,
+def nelder_mead(objective, x0,
                 opts: FusionOptions = FusionOptions()) -> NelderMeadResult:
     """Best of ``opts.restarts`` simplex runs; deterministic in the seed.
 
@@ -177,7 +167,7 @@ def nelder_mead(objective, x0, circular_mask=None,
     ``converged=False``.
     """
     x0 = [float(v) for v in x0]
-    f0 = objective(_wrap(list(x0), circular_mask))
+    f0 = objective(x0)
     if not np.isfinite(f0):
         raise ValueError("objective is not finite at the start point")
     rng = random.Random(opts.seed)
@@ -193,8 +183,8 @@ def nelder_mead(objective, x0, circular_mask=None,
                               (abs(v) if v != 0.0 else ZERO_COORD_STEP * 10))
                 for v in x0
             ]
-        run = _nelder_mead_single(objective, start, circular_mask,
-                                  opts.max_iterations, opts.f_tolerance)
+        run = _nelder_mead_single(objective, start, opts.max_iterations,
+                                  opts.f_tolerance)
         total_iter += run.iterations
         total_eval += run.evaluations
         if best is None or run.f < best.f:
@@ -225,10 +215,9 @@ def fusion_lower_bound(radius: float, lipschitz: float) -> float:
 
 
 def _search_coordinates(sh: Sheaf):
-    """The whole space, its stalk, the circular mask searched, and the
-    map ``origin + basis @ x`` from search coordinates x to the stalk's
-    coordinates; on a nonlinear sheaf both are None and x is the stalk's
-    own coordinates.
+    """The whole space, its stalk, and the map ``origin + basis @ x``
+    from search coordinates x to the stalk's coordinates; on a nonlinear
+    sheaf both are None and x is the stalk's own coordinates.
 
     A linear sheaf is searched in kernel coordinates of the agreement
     subspace of a constrained pullback at the whole space.  When one of
@@ -244,28 +233,20 @@ def _search_coordinates(sh: Sheaf):
                 "the stalk over the whole space is a constrained pullback "
                 "of a nonlinear sheaf and has no finite parameterization"
             )
-        return top, space, space.circular_mask, None, None
+        return top, space, None, None
     basis = sh.kernel_basis(top.id)
     sums = []
     for oid, stalk in sh.stalks.items():
         if stalk.has_simplex:
             m = sh.ambient_matrix(top.id, oid) @ basis
             sums.extend(m[lo:hi].sum(axis=0)
-                        for c, lo, hi in _factors(stalk)
+                        for c, lo, hi in stalk.factors
                         if c.kind == sp.SIMPLEX)
     if not sums:
-        return top, space, None, np.zeros(space.dim), basis
+        return top, space, np.zeros(space.dim), basis
     point, *_ = np.linalg.lstsq(np.array(sums), np.ones(len(sums)),
                                 rcond=None)
-    return top, space, None, basis @ point, basis @ nullspace(sums)
-
-
-def _factors(space: sp.ValueSpace):
-    """Each factor of a stalk with the slice of coordinates it holds."""
-    lo = 0
-    for c in space.components or (space,):
-        yield c, lo, lo + c.dim
-        lo += c.dim
+    return top, space, basis @ point, basis @ nullspace(sums)
 
 
 class _Groups:
@@ -283,7 +264,7 @@ class _Groups:
             m = sh.ambient_matrix(top.id, oid)
             b = np.asarray(a.values[oid].coords, dtype=float) - m @ origin
             m = m @ basis
-            for c, lo, hi in _factors(sh.stalk(oid)):
+            for c, lo, hi in sh.stalk(oid).factors:
                 if c.dim and c.weight:
                     group.extend([len(rows)] * c.dim)
                     rows.append(c.weight * m[lo:hi])
@@ -507,7 +488,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     if not a.values:
         raise DegenerateAssignment("cannot fuse an empty assignment")
     sh = a.sheaf
-    top, top_space, circ_mask, origin, basis = _search_coordinates(sh)
+    top, top_space, origin, basis = _search_coordinates(sh)
     defined = a.defined_ids()
     # (open, stalk, observed coordinates): the assignment's points were
     # validated when they were set
@@ -550,29 +531,32 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
 
     section_point(x0)  # a start off the top stalk's simplexes raises
     dual_bound = None
-    if objective(x0) <= opts.f_tolerance:
+    start = objective(x0)
+    if start <= opts.f_tolerance:
         x, iterations, converged, route = x0, 0, True, "already_global"
+    elif start == math.inf:  # an observation too large for its metric
+        raise SpaceMismatch("the distance to the assignment overflows")
     elif groups is None:
-        run = nelder_mead(objective, x0, circ_mask, opts)
+        run = nelder_mead(objective, x0, opts)
         x, iterations, converged = run.x, run.iterations, run.converged
         route = "nelder_mead"
     elif any(sh.stalk(oid).has_simplex for oid in defined):
         # simplex distance is half an L1 norm, outside Lawson's bound
         section_point(fit)  # a fit off the simplexes raises too
-        run = nelder_mead(objective, fit, circ_mask, opts)
+        run = nelder_mead(objective, fit, opts)
         x, iterations, converged = run.x, run.iterations, run.converged
         route = "least_squares+nelder_mead"
     else:
         x, dual_bound, iterations, converged = _lawson(groups, fit, opts)
         route = "lawson"
     section = section_point(x)
-    fused = pullback_global(sh, section)
-    residual = assignment_distance(fused, a)
+    residual = objective(x)
     if dual_bound is not None:
         # at an exact optimum the two sides differ only by rounding
         dual_bound = min(dual_bound, residual)
-    return FusionResult(section, fused, residual, _bound(a, lipschitz),
-                        iterations, converged, route, dual_bound)
+    return FusionResult(section, pullback_global(sh, section), residual,
+                        _bound(a, lipschitz), iterations, converged, route,
+                        dual_bound)
 
 
 def _bound(a: Assignment, lipschitz: float | None) -> float | None:

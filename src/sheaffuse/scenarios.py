@@ -24,7 +24,6 @@ from .sheaf import (
     Projection,
     RestrictionMap,
     Sheaf,
-    complete_unions,
     register_builtin,
     resolve_builtin,
 )
@@ -265,7 +264,7 @@ def build_sar_sheaf(params: SarParameters | None = None) -> Sheaf:
         RestrictionMap(u5, th2, builtin("bearing_of_detection",
                                         params.rdf2)),
     ]
-    return complete_unions(Sheaf(t, stalks, restrictions))
+    return Sheaf(t, stalks, restrictions)
 
 
 def sar_case_assignment(sh: Sheaf, case: int) -> Assignment:
@@ -350,7 +349,7 @@ def build_obstacle_sheaves(m: int = 4, n: int = 4, p: int = 2, q: int = 2):
         RestrictionMap(v12, v1, Projection(range(dp))),
         RestrictionMap(v12, v2, Projection(range(dp, dp + dq))),
     ]
-    mosaic = complete_unions(Sheaf(t, mosaic_stalks, mosaic_restrictions))
+    mosaic = Sheaf(t, mosaic_stalks, mosaic_restrictions)
 
     prob_stalks = {
         ul: sp.euclidean(2), ur: sp.euclidean(2),
@@ -365,7 +364,7 @@ def build_obstacle_sheaves(m: int = 4, n: int = 4, p: int = 2, q: int = 2):
         RestrictionMap(v12, v1, Projection([0])),
         RestrictionMap(v12, v2, Projection([1])),
     ]
-    prob = complete_unions(Sheaf(t, prob_stalks, prob_restrictions))
+    prob = Sheaf(t, prob_stalks, prob_restrictions)
     return mosaic, prob
 
 
@@ -429,4 +428,4 @@ def build_coin_sheaf(variant: str = "counts") -> Sheaf:
         ]
     else:
         raise ValueError(f"unknown coin sheaf variant {variant!r}")
-    return complete_unions(Sheaf(t, stalks, restrictions))
+    return Sheaf(t, stalks, restrictions)

@@ -463,12 +463,13 @@ class Sheaf:
 def complete_unions(sh: Sheaf) -> Sheaf:
     """A fresh sheaf on the same given stalks and edges.
 
-    Every union without a stalk of its own gets the pullback of its
-    maximal native parts when first asked for (``Sheaf.pullback``):
-    single-part unions reuse the part's stalk, disjoint parts yield a
-    plain product, and overlapping parts record agreement constraints on
-    their pairwise intersections.  Completing a completed sheaf changes
-    nothing.
+    Never needed: ``Sheaf`` itself gives every union without a stalk of
+    its own the pullback of its maximal native parts when first asked
+    for (``Sheaf.pullback``): single-part unions reuse the part's stalk,
+    disjoint parts yield a plain product, and overlapping parts record
+    agreement constraints on their pairwise intersections.  Kept for
+    callers that still wrap their sheaves in it; completing a completed
+    sheaf changes nothing.
     """
     return Sheaf(sh.topology, sh.stalks, sh.edges.values())
 

@@ -2,9 +2,10 @@
 
 Every observation lives in a ValueSpace with a uniform coordinate
 representation (a flat tuple of floats), so metrics, samplers and the
-optimizer never special-case the space kind.  Product spaces are
-flattened and use the max of weighted component distances, matching the
-sup form of the assignment pseudometric.
+optimizer never special-case the space kind.  Products are flat (no
+component is a product) and ``ValueSpace.factors`` gives their layout;
+the distance is the max of weighted factor distances, matching the sup
+form of the assignment pseudometric.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 from . import _kernels as K
 from .errors import SpaceMismatch
@@ -40,28 +42,29 @@ class ValueSpace:
     components: tuple["ValueSpace", ...] = ()
 
     @cached_property
+    def factors(self) -> tuple[tuple["ValueSpace", int, int], ...]:
+        """Each factor with the slice ``lo:hi`` of coordinates it holds: a
+        product's components in order, else the space itself."""
+        if self.kind != PRODUCT:
+            return ((self, 0, self.dim),)
+        ends = list(accumulate((c.dim for c in self.components), initial=0))
+        return tuple(zip(self.components, ends, ends[1:]))
+
+    @cached_property
     def circular_mask(self) -> tuple[bool, ...]:
         """Per coordinate, whether it is an angle in degrees."""
-        if self.kind == CIRCLE:
-            return (True,)
-        if self.kind == PRODUCT:
-            return tuple(
-                flag for c in self.components for flag in c.circular_mask
-            )
-        return (False,) * self.dim
+        return tuple(c.kind == CIRCLE for c, lo, hi in self.factors
+                     for _ in range(lo, hi))
 
     @cached_property
     def has_simplex(self) -> bool:
         """Whether the space or one of its factors is a simplex."""
-        return self.kind == SIMPLEX or any(
-            c.has_simplex for c in self.components)
+        return any(c.kind == SIMPLEX for c, _, _ in self.factors)
 
     @property
     def is_linear(self) -> bool:
         """Whether coordinates carry a vector-space structure."""
-        if self.kind == PRODUCT:
-            return all(c.is_linear for c in self.components)
-        return self.kind in _LINEAR_KINDS
+        return all(c.kind in _LINEAR_KINDS for c, _, _ in self.factors)
 
     def describe(self) -> str:
         if self.kind == PRODUCT:
@@ -172,19 +175,14 @@ def _check_dim(space: ValueSpace, vals) -> None:
         )
 
 
-def _check_simplexes(space: ValueSpace, vals, offset: int = 0) -> int:
-    if space.kind == SIMPLEX:
-        chunk = vals[offset:offset + space.dim]
-        if min(chunk) < -SIMPLEX_TOL:
-            raise SpaceMismatch("simplex coordinates must be nonnegative")
-        if abs(sum(chunk) - 1.0) > SIMPLEX_TOL:
-            raise SpaceMismatch("simplex coordinates must sum to 1")
-        return offset + space.dim
-    if space.kind == PRODUCT:
-        for c in space.components:
-            offset = _check_simplexes(c, vals, offset)
-        return offset
-    return offset + space.dim
+def _check_simplexes(space: ValueSpace, vals) -> None:
+    for c, lo, hi in space.factors:
+        if c.kind == SIMPLEX:
+            chunk = vals[lo:hi]
+            if min(chunk) < -SIMPLEX_TOL:
+                raise SpaceMismatch("simplex coordinates must be nonnegative")
+            if abs(sum(chunk) - 1.0) > SIMPLEX_TOL:
+                raise SpaceMismatch("simplex coordinates must sum to 1")
 
 
 def distance(space: ValueSpace, x: Point, y: Point) -> float:
@@ -197,21 +195,19 @@ def distance(space: ValueSpace, x: Point, y: Point) -> float:
 def coord_distance(space: ValueSpace, a, b) -> float:
     """``distance`` on bare coordinate tuples, which the caller vouches
     lie in ``space``; the inner loops of the radius and fusion use it."""
-    return _dist(space, a, b, 0)
+    best = 0.0
+    for c, lo, _ in space.factors:
+        d = _dist(c, a, b, lo)
+        if not d <= best:  # only a larger d or NaN, which must stay
+            if d != d:
+                return d
+            best = d
+    return best
 
 
 def _dist(space: ValueSpace, a, b, off: int) -> float:
+    """The distance on one factor whose coordinates start at ``off``."""
     kind = space.kind
-    if kind == PRODUCT:
-        best = 0.0
-        for c in space.components:
-            d = _dist(c, a, b, off)
-            if not d <= best:  # only a larger d or NaN, which must stay
-                if d != d:
-                    return d
-                best = d
-            off += c.dim
-        return best
     if kind == EUCLIDEAN:
         s = 0.0
         for i in range(off, off + space.dim):
@@ -241,16 +237,12 @@ def _dist(space: ValueSpace, a, b, off: int) -> float:
 
 def sample_point(space: ValueSpace, rng) -> Point:
     """Draw a random point, used by the axiom checkers."""
-    return make_point(space, _sample(space, rng))
+    return make_point(space, [v for c, _, _ in space.factors
+                              for v in _sample(c, rng)])
 
 
 def _sample(space: ValueSpace, rng) -> list[float]:
     kind = space.kind
-    if kind == PRODUCT:
-        out: list[float] = []
-        for c in space.components:
-            out.extend(_sample(c, rng))
-        return out
     if kind == EUCLIDEAN:
         return [rng.gauss(0.0, 10.0) for _ in range(space.dim)]
     if kind == CIRCLE:

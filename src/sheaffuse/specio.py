@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import random
 from pathlib import Path
 
 from . import spaces as sp
@@ -17,12 +18,12 @@ from .consistency import Assignment, RadiusResult
 from .errors import SheafFuseError, SpaceMismatch
 from .sheaf import (
     Affine,
+    Builtin,
     Identity,
     Linear,
     Projection,
     RestrictionMap,
     Sheaf,
-    complete_unions,
     resolve_builtin,
 )
 from .topology import EntityUniverse, generate_topology
@@ -123,7 +124,7 @@ def body_from_json(data: dict):
             from . import scenarios  # noqa: F401  (registers its builtins)
 
             return resolve_builtin(data["name"], data.get("params"))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise SpecError(f"bad restriction body {data!r}: {exc}") from None
     raise SpecError(f"unknown restriction kind {kind!r}")
 
@@ -151,6 +152,23 @@ def _check_body(body, src_dim: int, dst_dim: int, where: str):
     if isinstance(body, Identity) and src_dim != dst_dim:
         raise SpecError(f"{where}: identity from a {src_dim}-d stalk to a "
                         f"{dst_dim}-d one")
+
+
+def _check_builtin(body: Builtin, src: sp.ValueSpace, dst_dim: int,
+                   where: str):
+    """Reject a builtin that cannot map a sample of the source stalk,
+    drawn from a fixed seed, to ``dst_dim`` numbers: its params or the
+    stalks do not fit the code it names, which would otherwise fail only
+    when something first restricts along it."""
+    point = sp.sample_point(src, random.Random(0))
+    try:
+        out = [float(v) for v in body(point.coords)]
+    except Exception as exc:  # the builtin is arbitrary registered code
+        raise SpecError(f"{where}: builtin {body.name!r} fails on a point "
+                        f"of the source stalk: {exc!r}") from None
+    if len(out) != dst_dim:
+        raise SpecError(f"{where}: builtin {body.name!r} gives {len(out)} "
+                        f"coordinates, the target stalk has {dst_dim}")
 
 
 # -- sheaf specs --------------------------------------------------------------
@@ -216,12 +234,14 @@ def sheaf_from_spec(spec: dict) -> Sheaf:
             raise SpecError(f"restriction entry missing from/to: {entry!r}")
         restrictions.append(RestrictionMap(src, dst, body_from_json(entry)))
     try:
-        sh = complete_unions(Sheaf(topology, stalks, restrictions))
+        sh = Sheaf(topology, stalks, restrictions)
     except SheafFuseError as exc:
         raise SpecError(str(exc)) from None
     for (src, dst), rm in sh.edges.items():
-        _check_body(rm.body, sh.stalk(src).dim, sh.stalk(dst).dim,
-                    f"restriction {rm.source.key()} -> {rm.target.key()}")
+        where = f"restriction {rm.source.key()} -> {rm.target.key()}"
+        _check_body(rm.body, sh.stalk(src).dim, sh.stalk(dst).dim, where)
+        if isinstance(rm.body, Builtin):
+            _check_builtin(rm.body, sh.stalk(src), sh.stalk(dst).dim, where)
     return sh
 
 

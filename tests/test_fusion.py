@@ -20,6 +20,7 @@ from sheaffuse import (
     Sheaf,
     assignment_distance,
     betti,
+    circle,
     complete_unions,
     consistency_radius,
     euclidean,
@@ -38,6 +39,7 @@ from sheaffuse import (
     time_line,
     verify_gluing,
 )
+from sheaffuse._kernels import circle_dist_deg
 from sheaffuse.errors import DegenerateAssignment, SpaceMismatch
 from sheaffuse.fusion import FusionOptions
 
@@ -65,13 +67,24 @@ def test_one_dimensional_minimax():
     assert res.f == pytest.approx(1.0, abs=1e-6)
 
 
-def test_circular_coordinates_wrapped():
-    res = nelder_mead(
-        lambda x: min(abs(x[0] - 10.0), 360.0 - abs(x[0] - 10.0)),
-        [350.0], circular_mask=(True,),
-    )
-    assert 0.0 <= res.x[0] < 360.0
-    assert res.f == pytest.approx(0.0, abs=1e-5)
+def test_fusion_on_a_circle_wraps_the_section():
+    """Nelder-Mead searches the angle unwrapped; the stalk wraps every
+    section it scores, so the fused angle lies in [0, 360) and the
+    residual is its arc distance to the readings."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid, top = t.open_for(["a"]), t.full
+    sh = Sheaf(t, {mid: circle(), top: circle()},
+               [RestrictionMap(top, mid, Identity())])
+    a = Assignment(sh, {top: make_point(circle(), [350.0]),
+                        mid: make_point(circle(), [10.0])})
+    res = fuse(a)
+    (angle,) = res.section_at_top.coords
+    assert res.route == "nelder_mead" and res.converged
+    assert 0.0 <= angle < 360.0
+    assert res.residual == max(circle_dist_deg(angle, 350.0),
+                               circle_dist_deg(angle, 10.0))
+    assert res.residual == pytest.approx(10.0, abs=1e-6)
 
 
 def test_iteration_cap_flags_nonconvergence():
@@ -299,7 +312,7 @@ def test_central_point_weights_separate_the_active_groups():
     multiplier and an inactive group's falls toward zero."""
     sh = camera_chain_sheaf()
     a = chain_snapshot(sh, np.random.default_rng(1))
-    top, _, _, origin, basis = fusion._search_coordinates(sh)
+    top, _, origin, basis = fusion._search_coordinates(sh)
     groups = fusion._Groups(sh, a, top, origin, basis)
     res = fuse(a)
     x_opt = basis.T @ (np.asarray(res.section_at_top.coords) - origin)

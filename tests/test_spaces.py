@@ -109,6 +109,22 @@ def test_product_distance_keeps_nan():
         assert math.isnan(coord_distance(p, a, (0.0, 0.0)))
 
 
+@pytest.mark.parametrize("space", ALL_KINDS)
+def test_factors_tile_the_coordinates(space):
+    """The factor slices run through 0..dim in order; a product's
+    factors are its components, any other space's only factor is
+    itself."""
+    factors = space.factors
+    assert [lo for _, lo, _ in factors] == \
+        [0] + [hi for _, _, hi in factors[:-1]]
+    assert factors[-1][2] == space.dim
+    assert all(hi - lo == c.dim for c, lo, hi in factors)
+    if space.kind == "product":
+        assert tuple(c for c, _, _ in factors) == space.components
+    else:
+        assert factors == ((space, 0, space.dim),)
+
+
 def test_product_of_one_space_is_that_space():
     e = euclidean(3)
     assert product([e]) is e
