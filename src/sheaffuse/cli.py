@@ -105,7 +105,8 @@ def cmd_fuse(args) -> int:
         print(f"certificate: dual bound {fmt(result.dual_bound)}  gap "
               f"{fmt(result.residual - result.dual_bound)}")
     print(f"iterations: {result.iterations}  route: {result.route}  "
-          f"converged: {result.converged}")
+          f"converged: {result.converged}  "
+          f"evaluations: {result.evaluations}")
     if args.csv:
         save_assignment(args.csv, result.fused)
         print(f"fused assignment written to {args.csv}")
@@ -425,18 +426,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("assignment")
     p.add_argument("--max-iter", type=int, default=2000,
-                   help="cap on Lawson iterations on the lawson route, "
+                   help="cap on iterations of the lawson and sqp routes, "
                         "and on each Nelder-Mead run otherwise")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="largest gap between the residual and its proven "
-                        "lower bound (Lawson), or spread of the simplex "
+                        "lower bound (lawson), decrease of the residual "
+                        "a linearized step still predicts, over 1 + the "
+                        "residual (sqp), or spread of the simplex "
                         "values (Nelder-Mead)")
     p.add_argument("--restarts", type=int, default=5,
                    help="Nelder-Mead runs from perturbed starts; unused "
-                        "by Lawson")
+                        "by the lawson and sqp routes")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the Nelder-Mead restarts; unused by "
-                        "Lawson")
+                        "the lawson and sqp routes")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the optimizer hit the iteration cap")
     p.add_argument("--csv", help="write the fused assignment CSV here")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,11 +78,13 @@ def assignment_distance(a: Assignment, b: Assignment) -> float:
     return best
 
 
-def nan_error(small: OpenSet, large: OpenSet) -> SpaceMismatch:
-    """The error for a NaN distance between a value on ``small`` and
-    the restriction of one on ``large``."""
+def nan_error(small: OpenSet, large: OpenSet,
+              what: str = "NaN") -> SpaceMismatch:
+    """The error for a NaN distance, or another that is ``what``,
+    between a value on ``small`` and the restriction of one on
+    ``large``."""
     return SpaceMismatch(f"distance on {small} to the restriction from "
-                         f"{large} is NaN")
+                         f"{large} is {what}")
 
 
 def consistency_radius(a: Assignment) -> RadiusResult:
@@ -89,8 +92,9 @@ def consistency_radius(a: Assignment) -> RadiusResult:
 
     The sup runs over every pair of defined nonempty opens with V
     strictly inside U, using composed restrictions.  Edges come back
-    sorted by decreasing error; a NaN error raises SpaceMismatch naming
-    the pair.
+    sorted by decreasing error; a NaN error, or an infinite one from a
+    reading whose distance overflows, raises SpaceMismatch naming the
+    pair.
     """
     sh = a.sheaf
     defined = [sh.topology.opens[oid] for oid in a.defined_ids()]
@@ -104,8 +108,9 @@ def consistency_radius(a: Assignment) -> RadiusResult:
             pv = a.values[small.id]
             restricted = sh.restrict_coords(large.id, small.id, pu.coords)
             err = sp.coord_distance(sh.stalk(small.id), pv.coords, restricted)
-            if err != err:
-                raise nan_error(small, large)
+            if not err < math.inf:
+                raise nan_error(small, large,
+                                "NaN" if err != err else "infinite")
             edges.append(EdgeError(small, large, err))
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
     radius = edges[0].error if edges else 0.0

@@ -15,6 +15,15 @@ with a Newton finish on the optimality conditions, tried at the first
 iterate and at iterations 2, 4, 8, ..., each time started from the path
 of a log barrier, and it stops only on a certificate: a proven lower
 bound on the optimum within ``f_tolerance`` of the residual reached.
+
+On a nonlinear sheaf whose whole-space and defined stalks have only
+Euclidean, time, circle and geographic factors, the objective is the
+largest entry of a smooth vector of distances, one per factor of each
+defined stalk, and fusion is a nonlinear minimax problem.  It is solved
+by linearized steps with a quasi-Newton curvature term (Madsen, 1975;
+Hald and Madsen, Math. Programming 20, 1981) on forward-difference
+Jacobians, from the whole space's reading or from zero.
+
 Every other sheaf is fused by a built-in Nelder-Mead simplex method; a
 linear sheaf with a simplex stalk defined starts it from the first
 Lawson iterate, the weighted least-squares fit, and searches where
@@ -54,15 +63,32 @@ BARRIER_WEIGHT = 1e-4
 BARRIER_STAGES = 6
 BARRIER_STEPS = 2
 BARRIER_GROWTH = 10.0
+# The sqp route takes forward differences with steps of FD_STEP times
+# each coordinate's size (at least 1), keeps a step when the largest
+# distance falls by at least ARMIJO times the decrease the linear model
+# predicts, and otherwise halves it, at most BACKTRACKS times; its
+# curvature starts as B0_SCALE times the Jacobian's squared column
+# norms, each at least CURVATURE_FLOOR times the largest
+FD_STEP = 1.5e-8
+ARMIJO = 1e-4
+BACKTRACKS = 30
+B0_SCALE = 0.01
+CURVATURE_FLOOR = 1e-12
+# factor kinds whose distance is smooth in the coordinates away from
+# where it vanishes (and, on angles and the globe, from antipodes), as
+# the sqp route's derivatives need
+SMOOTH_KINDS = frozenset({sp.EUCLIDEAN, sp.TIME, sp.CIRCLE, sp.GEO2D,
+                          sp.GEO3D})
 
 
 @dataclass(frozen=True)
 class FusionOptions:
-    """``max_iterations`` caps Lawson iterations on the ``lawson`` route
-    and each Nelder-Mead run elsewhere; ``f_tolerance`` is the
-    certificate's gap on the ``lawson`` route and the simplex's spread
-    of values elsewhere; ``restarts`` and ``seed`` act only on
-    Nelder-Mead."""
+    """``max_iterations`` caps the iterations of the ``lawson`` and
+    ``sqp`` routes and of each Nelder-Mead run elsewhere;
+    ``f_tolerance`` is the certificate's gap on the ``lawson`` route,
+    the largest decrease a converged ``sqp`` step may still predict,
+    per unit of 1 + the residual, and the simplex's spread of values
+    elsewhere; ``restarts`` and ``seed`` act only on Nelder-Mead."""
 
     max_iterations: int = 2000
     f_tolerance: float = 1e-8
@@ -203,6 +229,9 @@ class FusionResult:
     iterations: int
     converged: bool
     route: str
+    # the route's objective or distance-vector evaluations (Nelder-Mead,
+    # sqp) or group-residual evaluations (lawson); 0 when already global
+    evaluations: int = 0
     # proven lower bound on the optimal residual; set on the lawson route
     dual_bound: float | None = None
 
@@ -274,6 +303,7 @@ class _Groups:
                      else np.zeros((0, basis.shape[1])))
         self.rhs = np.concatenate(rhs) if rhs else np.zeros(0)
         self.group = np.array(group, dtype=int)
+        self.evaluations = 0
 
     def solve(self, weights: np.ndarray) -> np.ndarray:
         """Minimum-norm minimizer of sum_g weights_g |rows_g x - rhs_g|^2."""
@@ -283,6 +313,7 @@ class _Groups:
         return x
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
+        self.evaluations += 1
         e = self.rows @ x - self.rhs
         return np.sqrt(np.bincount(self.group, e * e, minlength=self.count))
 
@@ -350,9 +381,14 @@ def _active_newton(groups: _Groups, x: np.ndarray, lam: np.ndarray):
     negative, or whose residual stays below the level when Newton does
     not reach it, leaves the set; a group outside it whose residual ends
     above the level joins it; and the solve repeats, at most once per
-    group."""
+    group.  The solve depends only on the set, in its order, so a set
+    met again would cycle: the finish gives up at once."""
     active = list(np.flatnonzero(lam >= BARRIER_WEIGHT * lam.max()))
+    seen = set()
     for _ in range(groups.count):
+        if tuple(active) in seen:
+            return None
+        seen.add(tuple(active))
         rows = np.isin(groups.group, active)
         member = (groups.group[rows][:, None] == active).astype(float)
         x_n, t, mu = _kkt_newton(groups.rows[rows], groups.rhs[rows],
@@ -471,6 +507,168 @@ def _kkt_newton(rows, rhs, member, x, mu):
     return x, t, mu
 
 
+def _sqp(distances, x0, opts: FusionOptions):
+    """Minimax of the distance vector d(x) from x0 by linearized steps
+    with curvature (Madsen, 1975; Hald and Madsen, Math. Programming 20,
+    1981): (x, iterations, vector evaluations, whether it converged).
+
+    Each iteration takes the forward-difference Jacobian J of d, n
+    evaluations beyond d itself, and the step p of the model
+    min t + p.B p / 2 subject to d + J p <= t (``_minimax_step``), whose
+    multipliers lam lie on the simplex over the distances.  F - t is the
+    decrease of max d that the linearization predicts; when it is at
+    most ``f_tolerance`` (1 + F) the iteration has converged.  Otherwise
+    the step is halved until the largest distance falls by ARMIJO times
+    that prediction and the Jacobian at the new point is finite, and B
+    takes a damped BFGS update (Powell, 1978) with the change of the
+    weighted gradient J^T lam.  When no step is kept, or the model has
+    no solution, B restarts from the diagonal of J's squared column
+    norms; if it had just restarted, the search ends unconverged."""
+    evaluations = 0
+
+    def d_at(x):
+        nonlocal evaluations
+        evaluations += 1
+        return np.asarray(distances(x), dtype=float)
+
+    def jacobian(x, d):
+        jac = np.empty((len(d), len(x)))
+        for j, v in enumerate(x):
+            probe = x.copy()
+            probe[j] = v + FD_STEP * max(1.0, abs(v))
+            if not math.isfinite(probe[j]):
+                return None
+            jac[:, j] = (d_at(probe) - d) / (probe[j] - v)
+        return jac if np.all(np.isfinite(jac)) else None
+
+    def initial_curvature(jac):
+        norms = (jac * jac).sum(axis=0)
+        floor = CURVATURE_FLOOR * float(norms.max(initial=1.0))
+        return np.diag(B0_SCALE * np.maximum(norms, floor))
+
+    def backtrack(x, p, f, decrease):
+        """The first of x + p, x + p/2, ... where the largest distance
+        falls by ARMIJO times its share of ``decrease`` and the Jacobian
+        is finite, with its distances, their largest and the Jacobian;
+        or None."""
+        step = 1.0
+        for _ in range(BACKTRACKS):
+            x_n = x + step * p
+            if np.all(np.isfinite(x_n)):
+                d_n = d_at(x_n)
+                f_n = float(d_n.max())
+                if f_n <= f - ARMIJO * step * decrease:
+                    jac_n = jacobian(x_n, d_n)
+                    if jac_n is not None:
+                        return x_n, d_n, f_n, jac_n
+            step *= 0.5
+        return None
+
+    x = np.asarray(x0, dtype=float)
+    d = d_at(x)
+    f = float(d.max())
+    jac = jacobian(x, d)
+    if jac is None:
+        return x, 0, evaluations, False
+    b, fresh = initial_curvature(jac), True
+    for iteration in range(1, opts.max_iterations + 1):
+        found = _minimax_step(d, jac, b)
+        kept = None
+        if found is not None:
+            p, t, lam = found
+            decrease = f - t
+            if decrease <= opts.f_tolerance * (1.0 + f):
+                return x, iteration, evaluations, True
+            kept = backtrack(x, p, f, decrease)
+        if kept is None:
+            if fresh:
+                return x, iteration, evaluations, False
+            b, fresh = initial_curvature(jac), True
+            continue
+        x_n, d, f, jac_n = kept
+        b = _damped_bfgs(b, x_n - x, (jac_n - jac).T @ lam)
+        x, jac, fresh = x_n, jac_n, False
+    return x, opts.max_iterations, evaluations, False
+
+
+def _minimax_step(d, jac, b):
+    """(p, t, lam) solving  min t + p.B p / 2  subject to  d + J p <= t,
+    with lam the multipliers, or None.
+
+    A primal active-set method on z = (p, t) from p = 0, t = max d,
+    with the largest distance as the working set.  Each pass solves the
+    model with the working set's constraints as equalities; a step that
+    would cross another constraint stops on it and adds it, and a full
+    step whose multipliers are all nonnegative is the solution, else the
+    most negative one leaves the set.  B is positive definite, so every
+    working set has one solution.  A constraint moves the step only when
+    its rate exceeds the rounding seen on the working set's own, so one
+    in the span of the set's, such as a repeated distance, never enters
+    and the system stays regular."""
+    m, n = jac.shape
+    rows = np.hstack([jac, -np.ones((m, 1))])  # rows @ z <= -d
+    z = np.zeros(n + 1)
+    z[n] = d.max()
+    work = [int(np.argmax(d))]
+    hess = np.zeros((n + 1, n + 1))
+    hess[:n, :n] = b
+    for _ in range(3 * (m + n + 1)):
+        k = len(work)
+        kkt = np.zeros((n + 1 + k, n + 1 + k))
+        kkt[:n + 1, :n + 1] = hess
+        kkt[:n + 1, n + 1:] = rows[work].T
+        kkt[n + 1:, :n + 1] = rows[work]
+        rhs = np.zeros(n + 1 + k)
+        rhs[:n + 1] = -(hess @ z)
+        rhs[n] -= 1.0
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(sol)):
+            return None
+        s, lam = sol[:n + 1], sol[n + 1:]
+        rate = rows @ s
+        # the working set's rates are zero but for rounding; a rate
+        # within that rounding runs along the constraint, as a repeated
+        # distance's does
+        size = np.abs(rows) @ np.abs(s) + 1e-300
+        noise = 2.0 * float((np.abs(rate[work]) / size[work]).max())
+        noise = max(noise, 1e-12)
+        rate[work] = 0.0
+        rate[rate <= noise * size] = 0.0
+        slack = np.maximum(-d - rows @ z, 0.0)
+        step, enter = 1.0, None
+        for i in np.flatnonzero(rate):
+            if slack[i] < step * rate[i]:
+                step, enter = slack[i] / rate[i], int(i)
+        z += step * s
+        if enter is not None:
+            work.append(enter)
+        elif lam.min() >= 0.0:
+            weights = np.zeros(m)
+            weights[work] = lam
+            return z[:n], float(z[n]), weights
+        else:
+            del work[int(np.argmin(lam))]
+    return None
+
+
+def _damped_bfgs(b, s, y):
+    """B updated by the step s and gradient change y, with y moved
+    toward B s until s.y >= 0.2 s.B s, which keeps B positive definite."""
+    bs = b @ s
+    sbs = s @ bs
+    if not sbs > 0.0:
+        return b
+    sy = s @ y
+    if sy < 0.2 * sbs:
+        theta = 0.8 * sbs / (sbs - sy)
+        y = theta * y + (1.0 - theta) * bs
+        sy = s @ y
+    return b - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
+
+
 def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
          lipschitz: float | None = None) -> FusionResult:
     """Solve the fusion problem: the global section nearest to ``a``.
@@ -483,7 +681,9 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     weighted least-squares fit or zero); ``lawson``, with the proven
     ``dual_bound``, on a linear sheaf with only Euclidean and time
     stalks defined; ``least_squares+nelder_mead`` on a linear sheaf
-    with a simplex stalk defined; ``nelder_mead`` on a nonlinear one.
+    with a simplex stalk defined; ``sqp`` on a nonlinear one whose top
+    and defined stalks have only Euclidean, time, circle and geographic
+    factors; ``nelder_mead`` on any other nonlinear one.
     """
     if not a.values:
         raise DegenerateAssignment("cannot fuse an empty assignment")
@@ -501,20 +701,24 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
             coords = tuple(origin + basis @ np.asarray(x, dtype=float))
         return sp.make_point(top_space, coords)
 
+    def distances(coords):
+        """The distance on each factor of each defined stalk between the
+        reading and the restriction of the section at ``coords``."""
+        out = []
+        for oid, space, observed in targets:
+            restricted = sh.restrict_coords(top.id, oid, coords)
+            for d in sp.factor_distances(space, observed, restricted):
+                if d != d:
+                    raise nan_error(sh.topology.opens[oid], top)
+                out.append(d)
+        return out
+
     def objective(x):
         try:
             coords = section_point(x).coords
         except SpaceMismatch:  # a step off the top stalk's simplexes
             return math.inf
-        worst = 0.0
-        for oid, space, observed in targets:
-            restricted = sh.restrict_coords(top.id, oid, coords)
-            d = sp.coord_distance(space, observed, restricted)
-            if not d <= worst:  # only a larger d or NaN
-                if d != d:
-                    raise nan_error(sh.topology.opens[oid], top)
-                worst = d
-        return worst
+        return max(distances(coords), default=0.0)
 
     groups = fit = None
     if sh.is_linear():
@@ -533,22 +737,30 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     dual_bound = None
     start = objective(x0)
     if start <= opts.f_tolerance:
-        x, iterations, converged, route = x0, 0, True, "already_global"
+        x, iterations, evaluations, converged = x0, 0, 0, True
+        route = "already_global"
     elif start == math.inf:  # an observation too large for its metric
         raise SpaceMismatch("the distance to the assignment overflows")
+    elif groups is None and all(
+            c.kind in SMOOTH_KINDS
+            for oid in (top.id, *defined)
+            for c, _, _ in sh.stalk(oid).factors):
+        x, iterations, evaluations, converged = _sqp(
+            lambda x: distances(section_point(x).coords), x0, opts)
+        route = "sqp"
     elif groups is None:
         run = nelder_mead(objective, x0, opts)
         x, iterations, converged = run.x, run.iterations, run.converged
-        route = "nelder_mead"
+        evaluations, route = run.evaluations, "nelder_mead"
     elif any(sh.stalk(oid).has_simplex for oid in defined):
         # simplex distance is half an L1 norm, outside Lawson's bound
         section_point(fit)  # a fit off the simplexes raises too
         run = nelder_mead(objective, fit, opts)
         x, iterations, converged = run.x, run.iterations, run.converged
-        route = "least_squares+nelder_mead"
+        evaluations, route = run.evaluations, "least_squares+nelder_mead"
     else:
         x, dual_bound, iterations, converged = _lawson(groups, fit, opts)
-        route = "lawson"
+        evaluations, route = groups.evaluations, "lawson"
     section = section_point(x)
     residual = objective(x)
     if dual_bound is not None:
@@ -556,7 +768,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         dual_bound = min(dual_bound, residual)
     return FusionResult(section, pullback_global(sh, section), residual,
                         _bound(a, lipschitz), iterations, converged, route,
-                        dual_bound)
+                        evaluations, dual_bound)
 
 
 def _bound(a: Assignment, lipschitz: float | None) -> float | None:

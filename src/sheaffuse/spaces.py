@@ -205,6 +205,12 @@ def coord_distance(space: ValueSpace, a, b) -> float:
     return best
 
 
+def factor_distances(space: ValueSpace, a, b) -> list[float]:
+    """The weighted distance on each factor of ``space`` between bare
+    coordinate tuples; ``coord_distance`` is their largest."""
+    return [_dist(c, a, b, lo) for c, lo, _ in space.factors]
+
+
 def _dist(space: ValueSpace, a, b, off: int) -> float:
     """The distance on one factor whose coordinates start at ``off``."""
     kind = space.kind

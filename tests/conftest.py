@@ -125,6 +125,28 @@ def camera_chain_sheaf(cameras=5, camera_dim=2, seed=2016):
     return complete_unions(Sheaf(t, stalks, maps))
 
 
+def noisy_sar_snapshots(sh, count, seed):
+    """Recorded SAR cases 1, 2, 3, 1, ... with Gaussian noise on every
+    reading, at each coordinate's sample standard deviation over cases 1
+    and 2 (zero where they agree)."""
+    from sheaffuse import make_point
+    from sheaffuse.scenarios import sar_case_assignment
+
+    pair = [sar_case_assignment(sh, c) for c in (1, 2)]
+    sigma = {oid: np.std([a.values[oid].coords for a in pair], axis=0,
+                         ddof=1)
+             for oid in pair[0].values}
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        a = sar_case_assignment(sh, i % 3 + 1)
+        for oid, point in list(a.values.items()):
+            noisy = np.asarray(point.coords) + rng.normal(0.0, sigma[oid])
+            a.set(oid, make_point(point.space, noisy))
+        out.append(a)
+    return out
+
+
 def with_corrupted_edge(sh, rng):
     """Copy of a linear sheaf with one restriction edge, chosen at
     random, scaled, perturbed, zeroed or cut to rank one."""

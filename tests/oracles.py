@@ -367,6 +367,53 @@ def minimax_optimum(a):
     return worst(res.x[:-1])
 
 
+def factor_distances(a, x):
+    """Per factor of each defined stalk, the distance between the
+    reading and the restriction of the whole-space section x, scored
+    point by point through ``Sheaf.restrict`` and ``spaces.distance``
+    on each factor's own points."""
+    sh = a.sheaf
+    top = sh.topology.full
+    section = sp.make_point(sh.stalk(top.id), x)
+    out = []
+    for oid, reading in sorted(a.values.items()):
+        restricted = sh.restrict(top, oid, section)
+        for c, lo, hi in sh.stalk(oid).factors:
+            out.append(sp.distance(c, sp.make_point(c, reading.coords[lo:hi]),
+                                   sp.make_point(c, restricted.coords[lo:hi])))
+    return np.array(out)
+
+
+def nonlinear_minimax(a, starts):
+    """Nearest-global-section residual of a nonlinear sheaf whose
+    whole-space stalk has real coordinates: the best over ``starts`` of
+    SLSQP on the epigraph form (minimise t subject to d_i(x) <= t for
+    every ``factor_distances`` entry), with finite-difference gradients
+    in coordinates scaled by each start's size.  SLSQP may stop short
+    without reaching an optimum, so its message is not checked; the
+    value returned is the largest distance at an answer, which never
+    undercuts the optimum."""
+    best = math.inf
+    for start in starts:
+        start = np.asarray(start, dtype=float)
+        scale = np.maximum(np.abs(start), 1.0)
+
+        def gaps(z, scale=scale):
+            return z[-1] - factor_distances(a, scale * z[:-1])
+
+        last = np.zeros(len(start) + 1)
+        last[-1] = 1.0
+        res = minimize(
+            lambda z: z[-1],
+            np.append(start / scale, factor_distances(a, start).max()),
+            jac=lambda z: last, method="SLSQP",
+            constraints=[{"type": "ineq", "fun": gaps}],
+            options={"ftol": 1e-10, "maxiter": 100},
+        )
+        best = min(best, float(factor_distances(a, scale * res.x[:-1]).max()))
+    return best
+
+
 # The library's former cohomology routines, kept as written: a cover
 # nerve and a poset order complex assembled by separate loops, and a
 # Leray check that rebuilds each intersection as a sheaf of its own.

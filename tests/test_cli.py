@@ -112,6 +112,24 @@ def test_radius_command_reports_and_writes_csv(sar_files, tmp_path, capsys):
     assert first.split(",")[0] == "s+theta1+theta2"
 
 
+def test_radius_of_an_overflowing_reading_exits_1(sar_files, tmp_path,
+                                                  capsys):
+    """A finite reading whose distance overflows is an error naming the
+    pair, as it is for ``fuse``, not a radius of inf."""
+    spec, case1 = sar_files
+    path = tmp_path / "overflow.csv"
+    path.write_text(case1.read_text().replace(
+        "t+theta1,77.099999999999994,0.94299999999999995",
+        "t+theta1,77.099999999999994,1e308"))
+    capsys.readouterr()
+    assert main(["radius", str(spec), str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "consistency radius" not in captured.out
+    assert captured.err == (
+        "error: distance on {t,theta1} to the restriction from "
+        "{x,y,z,vx,vy,t,theta1,theta2,s} is infinite\n")
+
+
 def test_radius_unknown_open_exits_2(sar_files, tmp_path, capsys):
     spec, _ = sar_files
     bad = tmp_path / "bad.csv"
@@ -163,6 +181,8 @@ def test_fuse_deterministic_reports(sar_files, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "fused section" in first
+    assert re.search(r"route: sqp  converged: True  evaluations: \d+\n",
+                     first)
 
 
 def test_fuse_strict_exit_on_iteration_cap(sar_files, capsys):

@@ -283,6 +283,17 @@ def test_radius_raises_on_nan_edge():
         consistency_radius(a)
 
 
+def test_radius_raises_on_an_overflowing_edge():
+    """Finite readings 2e308 apart overflow their distance; the radius
+    names the pair instead of reporting inf."""
+    sh, mid, top = chain_sheaf()
+    a = Assignment(sh, {mid: make_point(sh.stalk(mid.id), [-1e308]),
+                        top: make_point(sh.stalk(top.id), [1e308])})
+    with pytest.raises(SpaceMismatch, match=r"on \{a\} to the restriction "
+                                            r"from \{a,b\} is infinite"):
+        consistency_radius(a)
+
+
 def test_radius_edges_match_all_pairs_oracle():
     """Pairs of defined opens give the same edges, in the same order and
     with the same floats, as the walk over every comparable pair."""

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,10 +7,16 @@ import pytest
 from conftest import (
     camera_chain_sheaf,
     nan_sheaf,
+    noisy_sar_snapshots,
     random_linear_sheaf,
     with_native_union,
 )
-from oracles import all_pairs_gluing, minimax_optimum
+from oracles import (
+    all_pairs_gluing,
+    factor_distances,
+    minimax_optimum,
+    nonlinear_minimax,
+)
 from sheaffuse import (
     Assignment,
     Builtin,
@@ -42,6 +49,7 @@ from sheaffuse import (
 from sheaffuse._kernels import circle_dist_deg
 from sheaffuse.errors import DegenerateAssignment, SpaceMismatch
 from sheaffuse.fusion import FusionOptions
+from sheaffuse.scenarios import build_sar_sheaf, sar_case_assignment
 
 
 def test_quadratic_minimum():
@@ -68,7 +76,7 @@ def test_one_dimensional_minimax():
 
 
 def test_fusion_on_a_circle_wraps_the_section():
-    """Nelder-Mead searches the angle unwrapped; the stalk wraps every
+    """The sqp route searches the angle unwrapped; the stalk wraps every
     section it scores, so the fused angle lies in [0, 360) and the
     residual is its arc distance to the readings."""
     u = EntityUniverse(["a", "b"])
@@ -80,7 +88,7 @@ def test_fusion_on_a_circle_wraps_the_section():
                         mid: make_point(circle(), [10.0])})
     res = fuse(a)
     (angle,) = res.section_at_top.coords
-    assert res.route == "nelder_mead" and res.converged
+    assert res.route == "sqp" and res.converged
     assert 0.0 <= angle < 360.0
     assert res.residual == max(circle_dist_deg(angle, 350.0),
                                circle_dist_deg(angle, 10.0))
@@ -307,6 +315,30 @@ def test_lawson_alone_closes_the_certificate(monkeypatch):
     assert res.dual_bound <= res.residual <= res.dual_bound + tol
 
 
+def test_newton_finish_gives_up_when_an_active_set_repeats(monkeypatch):
+    """On chain seed 5 snapshot 0 the first finish drops a group and
+    adds it back; it stops at the first set it has solved before rather
+    than cycling to its cap, and Lawson still closes the certificate."""
+    finishes = []
+    active_newton, kkt_newton = fusion._active_newton, fusion._kkt_newton
+
+    def recording_finish(groups, x, lam):
+        finishes.append([])
+        return active_newton(groups, x, lam)
+
+    def recording_solve(rows, rhs, member, x, mu):
+        finishes[-1].append((rows.tobytes(), member.tobytes()))
+        return kkt_newton(rows, rhs, member, x, mu)
+
+    monkeypatch.setattr(fusion, "_active_newton", recording_finish)
+    monkeypatch.setattr(fusion, "_kkt_newton", recording_solve)
+    sh = camera_chain_sheaf()
+    res = fuse(chain_snapshot(sh, np.random.default_rng(5)))
+    assert res.route == "lawson" and res.converged
+    assert [len(f) for f in finishes] == [5, 1]
+    assert all(len(set(f)) == len(f) for f in finishes)
+
+
 def test_central_point_weights_separate_the_active_groups():
     """On the barrier path an active group's weight stays near its
     multiplier and an inactive group's falls toward zero."""
@@ -500,3 +532,138 @@ def test_native_union_sheaves_glue_and_fuse():
             res = fuse(a, FusionOptions(restarts=1))
             assert consistency_radius(res.fused).radius <= 1e-6, (seed, w)
     assert cases == 12
+
+
+SAR = build_sar_sheaf()
+SAR_TOP = SAR.topology.full.id
+# the residual the sqp route must reach on each recorded case without
+# its whole-space reading, started from zero
+NO_TOP_CAPS = {1: 2.4818, 2: 8.8637, 3: 38.961}
+
+
+def assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res, monkeypatch):
+    """The sqp residual is within 1e-6 relative of SLSQP's best from the
+    same start and from the former Nelder-Mead route's answer, and at
+    most that route's residual times 1 + 1e-6."""
+    with monkeypatch.context() as m:
+        m.setattr(fusion, "SMOOTH_KINDS", frozenset())
+        nm = fuse(a)
+    assert nm.route == "nelder_mead"
+    start = (a.values[SAR_TOP].coords if SAR_TOP in a.values
+             else [0.0] * SAR.stalk(SAR_TOP).dim)
+    best = nonlinear_minimax(a, [start, nm.section_at_top.coords])
+    assert res.residual == pytest.approx(best, rel=1e-6)
+    assert res.residual <= nm.residual * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("with_top", [True, False])
+@pytest.mark.parametrize("case", [1, 2, 3])
+def test_sqp_fuses_the_sar_cases_to_the_optimum(case, with_top, monkeypatch):
+    """Without the whole-space reading the search starts from zero,
+    thousands of km away, and still converges to the optimum."""
+    a = sar_case_assignment(SAR, case)
+    if not with_top:
+        del a.values[SAR_TOP]
+    res = fuse(a)
+    assert res.route == "sqp" and res.converged
+    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res, monkeypatch)
+    if not with_top:
+        assert res.residual <= NO_TOP_CAPS[case]
+
+
+def test_sqp_fuses_noisy_sar_snapshots_to_the_optimum(monkeypatch):
+    for i, a in enumerate(noisy_sar_snapshots(SAR, 12, 2016)):
+        res = fuse(a)
+        assert res.route == "sqp" and res.converged, i
+        assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res,
+                                                          monkeypatch)
+
+
+def test_sqp_iteration_cap_flags_nonconvergence():
+    a = sar_case_assignment(SAR, 1)
+    res = fuse(a, FusionOptions(max_iterations=2))
+    assert res.route == "sqp"
+    assert (res.converged, res.iterations) == (False, 2)
+    # every kept step lowers the largest distance
+    assert res.residual < factor_distances(a, a.values[SAR_TOP].coords).max()
+
+
+def test_sqp_is_deterministic_and_ignores_restarts_and_seed():
+    (a,) = noisy_sar_snapshots(SAR, 1, 7)
+    runs = [fuse(a), fuse(a), fuse(a, FusionOptions(restarts=1, seed=9))]
+    assert len({(r.section_at_top.coords, r.residual, r.iterations,
+                 r.evaluations) for r in runs}) == 1
+
+
+def test_evaluations_count_the_routes_own_work(monkeypatch):
+    """``evaluations`` is the number of distance vectors the sqp route
+    scored, Nelder-Mead's objective evaluations, and Lawson's
+    group-residual evaluations."""
+    vectors = []
+    sqp = fusion._sqp
+
+    def counting_sqp(distances, x0, opts):
+        def counted(x):
+            vectors.append(x)
+            return distances(x)
+        return sqp(counted, x0, opts)
+
+    monkeypatch.setattr(fusion, "_sqp", counting_sqp)
+    res = fuse(sar_case_assignment(SAR, 2))
+    assert res.route == "sqp" and res.evaluations == len(vectors)
+    # the Jacobian costs one vector per coordinate on each iteration
+    assert res.evaluations > res.iterations * SAR.stalk(SAR_TOP).dim
+
+    monkeypatch.setattr(fusion, "SMOOTH_KINDS", frozenset())
+    a = sar_case_assignment(SAR, 2)
+    x0 = a.values[SAR_TOP].coords
+    run = nelder_mead(lambda x: factor_distances(a, x).max(), x0)
+    res = fuse(a)
+    assert res.route == "nelder_mead"
+    assert (res.evaluations, res.iterations) == (run.evaluations,
+                                                 run.iterations)
+
+    sh = camera_chain_sheaf()
+    res = fuse(chain_snapshot(sh, np.random.default_rng(1)))
+    assert res.route == "lawson"
+    assert res.evaluations >= res.iterations > 0
+
+
+def test_sqp_keeps_a_repeated_distance_out_of_its_working_set():
+    """Both velocity readings of this snapshot are noise-free and equal,
+    so two distances are one function.  When one is in the step's
+    working set, rounding gives the other a tiny rate; it must not
+    enter, which would make the step's system singular and stop the
+    search at 16.98, over twice Nelder-Mead's 7.372."""
+    a = noisy_sar_snapshots(SAR, 86, 1)[85]
+    res = fuse(a)
+    assert res.route == "sqp" and res.converged
+    assert res.residual < 7.3722
+
+
+def test_sqp_backtracks_from_steps_where_a_distance_overflows():
+    """A trial point whose distances are infinite is a rejected step."""
+    rejected = []
+
+    def distances(x):
+        (v,) = x
+        if abs(v) > 5.0:
+            rejected.append(v)
+            return [math.inf]
+        return [(v - 1.0) ** 2 + 1.0]
+
+    # the first model, with a small curvature, steps from 3 to -22
+    x, _, _, converged = fusion._sqp(distances, [3.0], FusionOptions())
+    assert converged and rejected[0] == pytest.approx(-22.0)
+    assert x[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sqp_on_a_whole_space_without_coordinates():
+    """Nothing to search: the first model predicts no decrease."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid, top = t.open_for(["a"]), t.full
+    sh = Sheaf(t, {mid: euclidean(1), top: euclidean(0)},
+               [RestrictionMap(top, mid, Builtin("five", lambda c: (5.0,)))])
+    res = fuse(Assignment(sh, {mid: make_point(euclidean(1), [1.0])}))
+    assert (res.route, res.converged, res.residual) == ("sqp", True, 4.0)
