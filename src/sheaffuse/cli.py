@@ -431,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-8,
                    help="largest gap between the residual and its proven "
                         "lower bound (lawson), decrease of the residual "
-                        "a linearized step still predicts, over 1 + the "
-                        "residual (sqp), or spread of the simplex "
+                        "a linearized step still predicts, or that eight "
+                        "steps in a row gain, over 1 + the residual "
+                        "(sqp), or spread of the simplex "
                         "values (Nelder-Mead)")
     p.add_argument("--restarts", type=int, default=5,
                    help="Nelder-Mead runs from perturbed starts; unused "

@@ -641,6 +641,46 @@ def test_sqp_keeps_a_repeated_distance_out_of_its_working_set():
     assert res.residual < 7.3722
 
 
+def test_sqp_corrects_steps_along_curved_active_distances(monkeypatch):
+    """Five distances are active at this snapshot's optimum, and one of
+    them curves sharply along the model's step, so every full step
+    overshoots it.  Halving alone takes 73 iterations, one correction
+    per step 55; two take 13 and reach the optimum."""
+    a = noisy_sar_snapshots(SAR, 52, 9)[51]
+    with monkeypatch.context() as m:
+        m.setattr(fusion, "CORRECTIONS", 0)
+        assert fuse(a).iterations > 50
+    res = fuse(a)
+    assert res.route == "sqp" and res.converged
+    assert res.iterations <= 16
+    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res, monkeypatch)
+
+
+def test_sqp_stops_when_its_steps_stop_gaining(monkeypatch):
+    """Near this snapshot's optimum the model keeps predicting a
+    decrease of about 4e-7, ten times f_tolerance, that its steps never
+    deliver: each gains about 5e-10.  Without the stall stop it runs
+    435 iterations; eight such steps in a row end it."""
+    a = noisy_sar_snapshots(SAR, 79, 119)[78]
+    with monkeypatch.context() as m:
+        m.setattr(fusion, "STALLS", 10 ** 6)
+        assert fuse(a).iterations > 400
+    res = fuse(a)
+    assert res.route == "sqp" and res.converged
+    assert res.iterations <= 30
+    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res, monkeypatch)
+
+
+def test_sqp_cost_is_steady_over_noisy_snapshots():
+    """No snapshot costs far more than the others, so the rate of a
+    stream does not hang on which snapshots it draws.  Without the
+    corrections snapshot 69 takes 280 evaluations, 4.4 times the
+    median."""
+    evaluations = [fuse(a).evaluations
+                   for a in noisy_sar_snapshots(SAR, 96, 1)]
+    assert max(evaluations) <= 2.5 * np.median(evaluations)
+
+
 def test_sqp_backtracks_from_steps_where_a_distance_overflows():
     """A trial point whose distances are infinite is a rejected step."""
     rejected = []
