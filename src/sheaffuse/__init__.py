@@ -35,7 +35,6 @@ from .fusion import (
     FusionResult,
     fuse,
     fusion_lower_bound,
-    nelder_mead,
 )
 from .sheaf import (
     Affine,

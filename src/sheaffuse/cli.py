@@ -89,8 +89,7 @@ def cmd_radius(args) -> int:
 def cmd_fuse(args) -> int:
     try:
         opts = FusionOptions(max_iterations=args.max_iter,
-                             f_tolerance=args.tol, restarts=args.restarts,
-                             seed=args.seed)
+                             f_tolerance=args.tol)
     except ValueError as exc:
         raise SpecError(f"fuse options: {exc}") from None
     sh, spec = load_sheaf(args.spec)
@@ -231,7 +230,7 @@ def _expect(checks: list, label: str, ok: bool, detail: str):
     print(f"  [{'PASS' if ok else 'FAIL'}] {label}: {detail}")
 
 
-def _run_sar_case(case: int, seed: int, export_dir=None) -> bool:
+def _run_sar_case(case: int, export_dir=None) -> bool:
     from . import scenarios as sc
 
     params = sc.SarParameters()
@@ -276,7 +275,7 @@ def _run_sar_case(case: int, seed: int, export_dir=None) -> bool:
         ok = dominant[0] == ("t+theta2", t.full.key())
         _expect(checks, "dominant edge", ok, f"top {dominant[0]}")
 
-    fusion = fuse(a, FusionOptions(seed=seed))
+    fusion = fuse(a)
     est_open = t.open_for(["theta1", "theta2", "s"])
     fused_est = fusion.fused.get(est_open).coords
     fused_err = sc.crash_error_km(params, fused_est)
@@ -388,7 +387,7 @@ def _run_coins(export_dir=None) -> bool:
 def cmd_scenario(args) -> int:
     if args.name == "sar":
         cases = [args.case] if args.case else [1, 2, 3]
-        outcomes = [_run_sar_case(c, args.seed, args.export) for c in cases]
+        outcomes = [_run_sar_case(c, args.export) for c in cases]
         ok = all(outcomes)
     elif args.name == "obstacle":
         ok = _run_obstacle(args.export)
@@ -426,21 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("assignment")
     p.add_argument("--max-iter", type=int, default=2000,
-                   help="cap on iterations of the lawson and sqp routes, "
-                        "and on each Nelder-Mead run otherwise")
+                   help="cap on iterations of the lawson and sqp routes "
+                        "and on Newton steps of the barrier route")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="largest gap between the residual and its proven "
-                        "lower bound (lawson), decrease of the residual "
-                        "a linearized step still predicts, or that eight "
-                        "steps in a row gain, over 1 + the residual "
-                        "(sqp), or spread of the simplex "
-                        "values (Nelder-Mead)")
-    p.add_argument("--restarts", type=int, default=5,
-                   help="Nelder-Mead runs from perturbed starts; unused "
-                        "by the lawson and sqp routes")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the Nelder-Mead restarts; unused by "
-                        "the lawson and sqp routes")
+                        "lower bound (lawson, barrier), or decrease of "
+                        "the residual a linearized step still predicts, "
+                        "or that eight steps in a row gain, over 1 + the "
+                        "residual (sqp)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the optimizer hit the iteration cap")
     p.add_argument("--csv", help="write the fused assignment CSV here")
@@ -466,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run a packaged reference scenario")
     p.add_argument("name", choices=["sar", "obstacle", "coins"])
     p.add_argument("--case", type=int, choices=[1, 2, 3])
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--export", help="write spec/assignment files here")
     p.set_defaults(fn=cmd_scenario)
     return parser

@@ -1,40 +1,39 @@
 """Data fusion: nearest global section to an assignment.
 
-The search runs over the stalk at the whole space, since a global
-section is determined by its value there; when that stalk is a
-constrained pullback of a linear sheaf, over kernel coordinates of its
-agreement subspace.  The objective is the sup pseudometric to the input
-assignment.
+The search runs over the stalk at the whole space, whose value
+determines a global section; when that stalk is a constrained pullback
+of a linear sheaf, over kernel coordinates of its agreement subspace.
+The objective is the sup pseudometric to the input assignment.
 
 On a linear sheaf whose defined stalks are Euclidean spaces and time
-lines, or products of them, that objective is the largest of a few
-weighted Euclidean norms of affine maps, one group for each component
-of each defined stalk, and fusion is a convex minimax problem.  It is
-solved by Lawson's iteration in group form (Lawson, UCLA thesis, 1961)
-with a Newton finish on the optimality conditions, tried at the first
-iterate and at iterations 2, 4, 8, ..., each time started from the path
-of a log barrier, and it stops only on a certificate: a proven lower
-bound on the optimum within ``f_tolerance`` of the residual reached.
+lines, or products of them, the objective is the largest of a few
+weighted Euclidean norms of affine maps, one group per component of
+each defined stalk: a convex minimax problem.  Lawson's iteration in
+group form (Lawson, UCLA thesis, 1961) solves it, with a Newton finish
+on the optimality conditions started from the path of a log barrier,
+and stops only on a certificate: a proven lower bound on the optimum
+within ``f_tolerance`` of the residual reached.
+
+A simplex stalk's distance is half an L1 norm of an affine map, so on a
+linear sheaf with one, fusion over the simplexes is a convex program
+too, solved on the same log-barrier path (Boyd and Vandenberghe, Convex
+Optimization, ch. 11) from inside them until the barrier's duality gap
+proves such a bound.
 
 On a nonlinear sheaf whose whole-space and defined stalks have only
 Euclidean, time, circle and geographic factors, the objective is the
-largest entry of a smooth vector of distances, one per factor of each
-defined stalk, and fusion is a nonlinear minimax problem.  It is solved
-by linearized steps with a quasi-Newton curvature term (Madsen, 1975;
-Hald and Madsen, Math. Programming 20, 1981) on forward-difference
-Jacobians, from the whole space's reading or from zero.
-
-Every other sheaf is fused by a built-in Nelder-Mead simplex method; a
-linear sheaf with a simplex stalk defined starts it from the first
-Lawson iterate, the weighted least-squares fit, and searches where
-every simplex stalk sums to one, scoring a section off the simplexes
-as infinitely far.
+largest of a smooth vector of distances, one per factor of each defined
+stalk, minimized by linearized steps with a quasi-Newton curvature term
+(Madsen, 1975; Hald and Madsen, Math. Programming 20, 1981) on
+forward-difference Jacobians, from the whole space's reading or zero.
+A nonlinear sheaf with a discrete or simplex factor is not fused: a
+discrete distance is 0 or its weight, and a simplex needs the barrier's
+linearity.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +49,6 @@ from .consistency import (
 from .errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
 from .sheaf import Sheaf
 
-INIT_STEP_FRACTION = 0.05
-ZERO_COORD_STEP = 0.025
-RESTART_NOISE_FRACTION = 0.10
 # Lawson tries its Newton finish at iterations 1, 2, 4, 8, ..., on the
 # groups whose barrier weight is at least BARRIER_WEIGHT times the
 # largest; the barrier weights come from BARRIER_STAGES stages along the
@@ -63,6 +59,8 @@ BARRIER_WEIGHT = 1e-4
 BARRIER_STAGES = 6
 BARRIER_STEPS = 2
 BARRIER_GROWTH = 10.0
+# the barrier route centres each stage until lam^2 / 2 <= CENTRED
+CENTRED = 5e-3
 # The sqp route takes forward differences with steps of FD_STEP times
 # each coordinate's size (at least 1), keeps a step when the largest
 # distance falls by at least ARMIJO times the decrease the linear model
@@ -89,141 +87,22 @@ SMOOTH_KINDS = frozenset({sp.EUCLIDEAN, sp.TIME, sp.CIRCLE, sp.GEO2D,
 @dataclass(frozen=True)
 class FusionOptions:
     """``max_iterations`` caps the iterations of the ``lawson`` and
-    ``sqp`` routes and of each Nelder-Mead run elsewhere;
-    ``f_tolerance`` is the certificate's gap on the ``lawson`` route,
-    the largest decrease a converged ``sqp`` step may still predict
-    (or that STALLS kept steps in a row may gain), per unit of 1 + the
-    residual, and the simplex's spread of values
-    elsewhere; ``restarts`` and ``seed`` act only on Nelder-Mead."""
+    ``sqp`` routes and the Newton steps of the ``barrier`` route;
+    ``f_tolerance`` is the certificate's gap on the ``lawson`` and
+    ``barrier`` routes, and on the ``sqp`` route the largest decrease a
+    converged step may still predict (or that STALLS kept steps in a row
+    may gain), per unit of 1 + the residual."""
 
     max_iterations: int = 2000
     f_tolerance: float = 1e-8
-    restarts: int = 5
+    # ignored (no route is random); the benchmark's workloads pass it
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.restarts <= 0:
-            raise ValueError("iteration and restart counts must be positive")
+        if self.max_iterations <= 0:
+            raise ValueError("max_iterations must be positive")
         if not (math.isfinite(self.f_tolerance) and self.f_tolerance >= 0):
             raise ValueError("f_tolerance must be finite and nonnegative")
-
-
-@dataclass
-class NelderMeadResult:
-    x: tuple[float, ...]
-    f: float
-    iterations: int
-    evaluations: int
-    converged: bool
-
-
-def _nelder_mead_single(objective, x0, max_iterations,
-                        f_tolerance) -> NelderMeadResult:
-    """One simplex run with the standard coefficients."""
-    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
-    n = len(x0)
-    evals = 0
-
-    def f(x):
-        nonlocal evals
-        evals += 1
-        return objective(x)
-
-    simplex = [list(x0)]
-    for i in range(n):
-        step = INIT_STEP_FRACTION * abs(x0[i])
-        if step == 0.0:
-            step = ZERO_COORD_STEP
-        vertex = list(x0)
-        vertex[i] += step
-        simplex.append(vertex)
-    values = [f(v) for v in simplex]
-
-    iterations = 0
-    converged = False
-    while iterations < max_iterations:
-        order = sorted(range(n + 1), key=lambda i: values[i])
-        simplex = [simplex[i] for i in order]
-        values = [values[i] for i in order]
-        if values[-1] - values[0] <= f_tolerance:
-            converged = True
-            break
-        iterations += 1
-        centroid = [
-            sum(simplex[i][j] for i in range(n)) / n for j in range(n)
-        ]
-        worst = simplex[-1]
-        reflected = [
-            centroid[j] + alpha * (centroid[j] - worst[j]) for j in range(n)
-        ]
-        fr = f(reflected)
-        if fr < values[0]:
-            expanded = [
-                centroid[j] + gamma * (reflected[j] - centroid[j])
-                for j in range(n)
-            ]
-            fe = f(expanded)
-            if fe < fr:
-                simplex[-1], values[-1] = expanded, fe
-            else:
-                simplex[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            simplex[-1], values[-1] = reflected, fr
-        else:
-            contracted = [
-                centroid[j] + rho * (worst[j] - centroid[j]) for j in range(n)
-            ]
-            fc = f(contracted)
-            if fc < values[-1]:
-                simplex[-1], values[-1] = contracted, fc
-            else:
-                best = simplex[0]
-                for i in range(1, n + 1):
-                    simplex[i] = [
-                        best[j] + sigma * (simplex[i][j] - best[j])
-                        for j in range(n)
-                    ]
-                    values[i] = f(simplex[i])
-    i_best = min(range(n + 1), key=lambda i: values[i])
-    return NelderMeadResult(tuple(simplex[i_best]), values[i_best],
-                            iterations, evals, converged)
-
-
-def nelder_mead(objective, x0,
-                opts: FusionOptions = FusionOptions()) -> NelderMeadResult:
-    """Best of ``opts.restarts`` simplex runs; deterministic in the seed.
-
-    Restart k > 0 perturbs the start by Gaussian noise at 10% of each
-    coordinate's scale.  Ties keep the first-found optimum.  When the
-    iteration budget runs out the best-so-far comes back flagged
-    ``converged=False``.
-    """
-    x0 = [float(v) for v in x0]
-    f0 = objective(x0)
-    if not np.isfinite(f0):
-        raise ValueError("objective is not finite at the start point")
-    rng = random.Random(opts.seed)
-    best: NelderMeadResult | None = None
-    total_iter = 0
-    total_eval = 1
-    for attempt in range(opts.restarts):
-        if attempt == 0:
-            start = list(x0)
-        else:
-            start = [
-                v + rng.gauss(0.0, RESTART_NOISE_FRACTION *
-                              (abs(v) if v != 0.0 else ZERO_COORD_STEP * 10))
-                for v in x0
-            ]
-        run = _nelder_mead_single(objective, start, opts.max_iterations,
-                                  opts.f_tolerance)
-        total_iter += run.iterations
-        total_eval += run.evaluations
-        if best is None or run.f < best.f:
-            best = run
-    assert best is not None
-    return NelderMeadResult(best.x, best.f, total_iter, total_eval,
-                            best.converged)
 
 
 @dataclass
@@ -235,10 +114,10 @@ class FusionResult:
     iterations: int
     converged: bool
     route: str
-    # the route's objective or distance-vector evaluations (Nelder-Mead,
-    # sqp) or group-residual evaluations (lawson); 0 when already global
+    # the route's distance-vector (sqp), group-residual (lawson) or
+    # barrier (barrier) evaluations; 0 when already global
     evaluations: int = 0
-    # proven lower bound on the optimal residual; set on the lawson route
+    # proven lower bound on the optimal residual (lawson, barrier)
     dual_bound: float | None = None
 
 
@@ -270,18 +149,19 @@ def _search_coordinates(sh: Sheaf):
             )
         return top, space, None, None
     basis = sh.kernel_basis(top.id)
-    sums = []
-    for oid, stalk in sh.stalks.items():
-        if stalk.has_simplex:
-            m = sh.ambient_matrix(top.id, oid) @ basis
-            sums.extend(m[lo:hi].sum(axis=0)
-                        for c, lo, hi in stalk.factors
-                        if c.kind == sp.SIMPLEX)
+    sums = [rows.sum(axis=0) @ basis for rows in _simplex_rows(sh, top)]
     if not sums:
         return top, space, np.zeros(space.dim), basis
     point, *_ = np.linalg.lstsq(np.array(sums), np.ones(len(sums)),
                                 rcond=None)
     return top, space, basis @ point, basis @ nullspace(sums)
+
+
+def _simplex_rows(sh: Sheaf, top):
+    """The rows mapping the whole space to each stalk's simplexes."""
+    return [sh.ambient_matrix(top.id, oid)[lo:hi]
+            for oid, stalk in sh.stalks.items() if stalk.has_simplex
+            for c, lo, hi in stalk.factors if c.kind == sp.SIMPLEX]
 
 
 class _Groups:
@@ -291,37 +171,66 @@ class _Groups:
     restriction from the whole space in search coordinates.  A product
     stalk's distance is the largest of its weighted components, so on
     Euclidean and time components the objective at x is the largest
-    group residual |rows_g x - rhs_g|."""
+    group residual |rows_g x - rhs_g|; a simplex component's rows, its
+    weight halved, are ``l1_rows``, and its distance their L1 norm.  When
+    a stalk has a simplex (``bounded``), floor_rows x + floor_offset must
+    stay nonnegative: the whole space's simplex coordinates and others
+    not a nonnegative mix of them; ``start`` is nearest uniform shares."""
 
     def __init__(self, sh: Sheaf, a: Assignment, top, origin, basis):
-        rows, rhs, group = [], [], []
+        parts = {False: ([], [], []), True: ([], [], [])}  # by simplex
         for oid in a.defined_ids():
             m = sh.ambient_matrix(top.id, oid)
             b = np.asarray(a.values[oid].coords, dtype=float) - m @ origin
             m = m @ basis
             for c, lo, hi in sh.stalk(oid).factors:
                 if c.dim and c.weight:
-                    group.extend([len(rows)] * c.dim)
-                    rows.append(c.weight * m[lo:hi])
-                    rhs.append(c.weight * b[lo:hi])
-        self.count = len(rows)
-        self.rows = (np.vstack(rows) if rows
-                     else np.zeros((0, basis.shape[1])))
-        self.rhs = np.concatenate(rhs) if rhs else np.zeros(0)
-        self.group = np.array(group, dtype=int)
+                    rows, rhs, group = parts[c.kind == sp.SIMPLEX]
+                    w = 0.5 * c.weight if c.kind == sp.SIMPLEX else c.weight
+                    group.extend([len(rhs)] * c.dim)
+                    rows.append(w * m[lo:hi])
+                    rhs.append(w * b[lo:hi])
+        self.count, self.l1_count = len(parts[False][1]), len(parts[True][1])
+        ((self.rows, self.rhs, self.group),
+         (self.l1_rows, self.l1_rhs, self.l1_group)) = (
+            (np.vstack(rows) if rows else np.zeros((0, basis.shape[1])),
+             np.concatenate(rhs) if rhs else np.zeros(0),
+             np.array(group, dtype=int))
+            for rows, rhs, group in parts.values())
+        self.bounded = any(s.has_simplex for s in sh.stalks.values())
         self.evaluations = 0
+        if not self.bounded:
+            return
+        share = np.concatenate([  # the uniform distribution on simplexes
+            np.full(c.dim, 1.0 / c.dim if c.kind == sp.SIMPLEX else 0.0)
+            for c, _, _ in sh.stalk(top.id).factors])
+        floor = np.vstack([np.eye(len(share))[share > 0.0]] + [
+            r[(r < 0.0).any(axis=1) | r[:, share == 0.0].any(axis=1)]
+            for r in _simplex_rows(sh, top)])
+        self.floor_rows, self.floor_offset = floor @ basis, floor @ origin
+        self.start = basis.T @ (share - origin)
 
     def solve(self, weights: np.ndarray) -> np.ndarray:
-        """Minimum-norm minimizer of sum_g weights_g |rows_g x - rhs_g|^2."""
+        """Minimum-norm minimizer of sum_g weights_g |rows_g x - rhs_g|^2
+        over the Euclidean groups plus |l1_rows x - l1_rhs|^2."""
         w = np.sqrt(weights[self.group])
-        x, *_ = np.linalg.lstsq(self.rows * w[:, None], self.rhs * w,
-                                rcond=None)
+        rows, rhs = self.rows * w[:, None], self.rhs * w
+        if self.l1_count:
+            rows = np.vstack([rows, self.l1_rows])
+            rhs = np.concatenate([rhs, self.l1_rhs])
+        x, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
         return x
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
+        """Every group's residual, the simplex groups' last."""
         self.evaluations += 1
         e = self.rows @ x - self.rhs
-        return np.sqrt(np.bincount(self.group, e * e, minlength=self.count))
+        r = np.sqrt(np.bincount(self.group, e * e, minlength=self.count))
+        if not self.l1_count:
+            return r
+        f = np.abs(self.l1_rows @ x - self.l1_rhs)
+        return np.concatenate([r, np.bincount(self.l1_group, f,
+                                              minlength=self.l1_count)])
 
 
 def _lawson(groups: _Groups, x: np.ndarray, opts: FusionOptions):
@@ -333,13 +242,14 @@ def _lawson(groups: _Groups, x: np.ndarray, opts: FusionOptions):
     iteration takes the lambda-weighted least-squares fit x and its group
     residuals r; sqrt(lambda . r^2) is a lower bound on the optimum, since
     no x does better on that weighted sum, and max r is an upper bound
-    that x attains.  At iterations 1, 2, 4, 8, ... a Newton finish from
-    the best x proposes exact weights and a section, which only count
-    through the bounds they give; it nearly always closes the bounds at
-    the first try.  Otherwise Lawson's update lambda <- lambda r /
-    (lambda . r) moves the weight onto the groups that stay largest, and
-    converges on its own.  The iteration stops when the best upper bound
-    is within ``f_tolerance`` of the best lower bound."""
+    that x attains.  At iterations 1, 2, 4, 8, ... a Newton finish
+    (``_active_newton``, from near the central path of a log barrier,
+    ``_central_point``) proposes exact weights and a section, which
+    count only through the bounds they give; it nearly always closes
+    them at the first try.  Otherwise Lawson's update lambda <- lambda r
+    / (lambda . r) moves the weight onto the groups that stay largest,
+    and converges on its own.  The iteration stops when the best upper
+    bound is within ``f_tolerance`` of the best lower bound."""
     lam = np.full(groups.count, 1.0 / groups.count)
     best, upper, lower = x, math.inf, 0.0
     for iteration in range(1, opts.max_iterations + 1):
@@ -348,7 +258,9 @@ def _lawson(groups: _Groups, x: np.ndarray, opts: FusionOptions):
         if r.max() < upper:
             best, upper = x, float(r.max())
         if iteration & (iteration - 1) == 0:  # a power of two
-            found = _newton_finish(groups, best)
+            centred = _central_point(groups, best)
+            found = None if centred is None else _active_newton(groups,
+                                                                *centred)
             if found is not None:
                 x_n, mu = found
                 r_n = groups.residuals(x_n)
@@ -364,31 +276,17 @@ def _lawson(groups: _Groups, x: np.ndarray, opts: FusionOptions):
     return best, lower, opts.max_iterations, False
 
 
-def _newton_finish(groups: _Groups, x: np.ndarray):
-    """Weights and a section from the optimality conditions, or None.
-
-    At the optimum every group with weight has its residual at one level
-    t, and the weights mu (on the simplex) make x stationary for
-    sum_g mu_g |rows_g x - rhs_g|^2.  Newton's method solves those
-    equations (``_active_newton``) from a point near the central path of
-    a log barrier (``_central_point``), over the groups whose barrier
-    weight is at least BARRIER_WEIGHT of the largest: there an active
-    group's weight is near its multiplier and an inactive group's near
-    zero, so the guess is nearly always the optimum's set.  Returns (x,
-    weights over all groups)."""
-    centred = _central_point(groups, x)
-    return None if centred is None else _active_newton(groups, *centred)
-
-
 def _active_newton(groups: _Groups, x: np.ndarray, lam: np.ndarray):
-    """Newton's method on the optimality conditions from x and the
-    weights lam, over the groups whose weight is at least BARRIER_WEIGHT
-    of the largest, or None.  A group whose multiplier comes out
-    negative, or whose residual stays below the level when Newton does
+    """(x, weights over all groups) from Newton's method on the
+    optimality conditions (one residual level t for the groups with
+    weight, x stationary for their weighted sum of squares) from x and
+    the weights lam, over the groups whose weight is at least
+    BARRIER_WEIGHT of the largest, or None.  A group whose multiplier
+    comes out negative, or whose residual stays below t when Newton does
     not reach it, leaves the set; a group outside it whose residual ends
-    above the level joins it; and the solve repeats, at most once per
-    group.  The solve depends only on the set, in its order, so a set
-    met again would cycle: the finish gives up at once."""
+    above t joins it; and the solve repeats, at most once per group.
+    The solve depends only on the set, in its order, so a set met again
+    would cycle: the finish gives up at once."""
     active = list(np.flatnonzero(lam >= BARRIER_WEIGHT * lam.max()))
     seen = set()
     for _ in range(groups.count):
@@ -420,65 +318,184 @@ def _active_newton(groups: _Groups, x: np.ndarray, lam: np.ndarray):
     return None
 
 
-def _central_point(groups: _Groups, x: np.ndarray):
-    """(x, weights) near the central path of  min s  subject to
-    q_g(x) = |rows_g x - rhs_g|^2 <= s  for every group, or None.
+def _central_point(groups: _Groups, x: np.ndarray,
+                   opts: FusionOptions | None = None):
+    """A point near the central path of  min s  subject to  q_g <= s,
+    q_g = |rows_g x - rhs_g|^2 on a Euclidean group and (sum of u over
+    U)^2 on a simplex group U whose slacks u bound its L1 rows f,
+    -u <= f <= u, and with every floor row l positive: Newton's method
+    on  tau s - sum_g log(s - q_g) - sum log(u^2 - f^2) - sum log(l)  from
+    x, u = |f| plus its mean and s a quarter above max q_g, with tau
+    first where that start is centred in s; each stage multiplies tau by
+    BARRIER_GROWTH and takes backtracking steps, x moving only along the
+    row space of the rows, where the Hessian is definite.
 
-    Newton's method on  tau s - sum_g log(s - q_g(x))  from x and s
-    a quarter above its largest q_g, with tau first where that start is
-    centred in s; then BARRIER_STAGES stages multiply tau by
-    BARRIER_GROWTH and take BARRIER_STEPS backtracking Newton steps
-    each.  x moves only along the row space of the groups' rows, where
-    the Hessian is definite.  The weights 1 / (s - q_g), normalised, are
-    the barrier's estimate of the multipliers.  The number of Newton
-    steps does not depend on the data, so the finish costs about the
-    same on every input."""
-    basis = rowspace(groups.rows)
-    rows = groups.rows @ basis
-    offset = groups.rows @ x - groups.rhs
+    Without ``opts`` (the lawson finish), BARRIER_STAGES stages of
+    BARRIER_STEPS steps, a cost alike on every input: (x, the weights
+    1 / (s - q_g) normalised), or None.  With ``opts`` (the barrier
+    route) a stage steps until the Newton decrement lam is at most
+    sqrt(2 CENTRED), as close as rounding allows late on the path, and
+    s - (m + (lam + sqrt(m)) lam / (1 - lam)) / tau, m log terms, bounds
+    the optimal s from below (Nesterov, Introductory Lectures on Convex
+    Optimization, 2004, Theorem 4.2.7); each step moves s to its best
+    value, the root of sum 1 / (s - q) = tau, lest the steps pin s to
+    max q_g and creep.  The stages end once the bound's root is within
+    ``f_tolerance`` of the residual, at ``opts.max_iterations`` steps or
+    at a stage not centred: (x, the bound, steps, barrier evaluations,
+    whether it closed), or None when x is not strictly inside the floor."""
+    bounded = groups.bounded
+    basis = rowspace(groups.rows if not bounded else np.vstack(
+        [groups.rows, groups.l1_rows, groups.floor_rows]))
+    rows, offset = groups.rows @ basis, groups.rows @ x - groups.rhs
     member = (groups.group[:, None] == np.arange(groups.count)).astype(float)
-    n = rows.shape[1]
-    y = np.zeros(n)
-    e = offset
-    q = member.T @ (e * e)
-    if not q.max() > 0.0:
+    g, n = groups.count, rows.shape[1]
+    if bounded:  # the L1 rows and the floor, in coordinates y of the row space
+        l1, floor = groups.l1_rows @ basis, groups.floor_rows @ basis
+        l1_offset = groups.l1_rows @ x - groups.l1_rhs
+        floor_offset = groups.floor_rows @ x + groups.floor_offset
+        within = np.eye(groups.l1_count)[groups.l1_group]  # rows' groups
+        m = g + groups.l1_count + 2 * len(l1) + len(floor)
+
+    def at(y, u):
+        """The residuals e, the L1 rows f, the floor l and q at (y, u)."""
+        e = rows @ y + offset
+        q = member.T @ (e * e)
+        if not bounded:  # the lawson finish, kept lean
+            return e, u, u, q
+        q = np.concatenate([q, (within.T @ u) ** 2])
+        return e, l1 @ y + l1_offset, floor @ y + floor_offset, q
+
+    def barrier(s, u, f, l, q, tau):
+        """The barrier at a point, or inf outside its domain."""
+        if not np.all(q < s) or bounded and not (
+                np.all(u > np.abs(f)) and np.all(l > 0)):
+            return math.inf
+        value = tau * s - np.log(s - q).sum()
+        return value - (np.log(u - f).sum() + np.log(u + f).sum()
+                        + np.log(l).sum()) if bounded else value
+
+    def best_s(q, tau):
+        """Newton's method from the left, where the sum is convex."""
+        s = q.max() + 1.0 / tau
+        while True:
+            r = 1.0 / (s - q)
+            if not (s_n := s + (r.sum() - tau) / (r * r).sum()) > s:
+                return s
+            s = s_n
+
+    def bounded_step(w, dq):
+        """(step in (y, s), step in u, slope) or None, once ``grad`` and
+        ``hess`` hold the Euclidean groups' terms.  u's block is diag(d)
+        plus push_U 1 1^T on each simplex group U, whose sum meets s by
+        pull_U; without the diagonal a system over y, s and the sums is
+        left, solved scaled to a unit diagonal, its right-hand side over y
+        summed without terms of size 1 / (u - |f|) that cancel late on."""
+        wu, sigma = w[g:], within.T @ u
+        low, high, above = 1.0 / (u - f), 1.0 / (u + f), 1.0 / l
+        d = low * low + high * high
+        cross = (high * high - low * low)[:, None] * l1
+        lift = within @ (2.0 * wu * sigma)
+        grad_u = lift - low - high
+        push = 2.0 * wu + 4.0 * (wu * sigma) ** 2
+        pull = -2.0 * wu * wu * sigma
+        link = within.T @ (cross / d[:, None])
+        spread = within.T @ (1.0 / d)  # each group's sum of 1 / d
+        hess[:n, :n] += (l1.T @ (l1 * (4.0 * (low * high) ** 2 / d)[:, None])
+                         + floor.T @ (floor * (above * above)[:, None]))
+        system = np.block([
+            [hess[:n, :n], (hess[:n, n] - link.T @ pull)[:, None],
+             -link.T * push],
+            [hess[n:, :n], hess[n:, n:], pull[None, :]],
+            [-link, -(spread * pull)[:, None], -np.diag(spread * push + 1)]])
+        rhs = np.concatenate([
+            floor.T @ above - grad[:n] + l1.T @ (
+                (2.0 * low * high * (low - high)
+                 + lift * (high * high - low * low)) / d),
+            [-grad[n]], within.T @ (grad_u / d)])
+        scale = 1.0 / np.sqrt(np.abs(np.diag(system)))
+        try:
+            step = scale * np.linalg.solve(system * scale[:, None] * scale,
+                                           rhs * scale)
+        except np.linalg.LinAlgError:
+            return None
+        dy, ds = step[:n], step[n]
+        du = -(grad_u + cross @ dy
+               + within @ (push * step[n + 1:] + pull * ds)) / d
+        if not (np.all(np.isfinite(step)) and np.all(np.isfinite(du))):
+            return None
+        grad_y = grad[:n] + l1.T @ (low - high) - floor.T @ above
+        return step[:n + 1], du, grad_y @ dy + grad[n] * ds + grad_u @ du
+
+    y, u = np.zeros(n), np.abs(l1_offset) if bounded else np.zeros(0)
+    u += u.mean() if u.any() else 1.0
+    e, f, l, q = at(y, u)
+    if not (q.max() > 0.0 and np.all(l > 0.0)):
         return None
     s = 1.25 * q.max()
     tau = float(np.sum(1.0 / (s - q)))
-    hess = np.empty((n + 1, n + 1))
-    grad = np.empty(n + 1)
-    for _ in range(BARRIER_STAGES):
+    hess, grad, du = np.empty((n + 1, n + 1)), np.empty(n + 1), 0.0 * u
+    steps, evaluations, bound = 0, 0, 0.0
+    for _ in range(BARRIER_STAGES if opts is None
+                   else opts.max_iterations + 1):
         tau *= BARRIER_GROWTH
-        for _ in range(BARRIER_STEPS):
+        centred, value = False, barrier(s, u, f, l, q, tau)
+        for _ in range(BARRIER_STEPS if opts is None
+                       else opts.max_iterations - steps):
             w = 1.0 / (s - q)
             dq = 2.0 * (member.T @ (rows * e[:, None]))
             w2 = w * w
-            grad[:n] = dq.T @ w
+            grad[:n] = dq.T @ w[:g]
             grad[n] = tau - w.sum()
-            hess[:n, :n] = (2.0 * rows.T @ (rows * (member @ w)[:, None])
-                            + dq.T @ (dq * w2[:, None]))
-            hess[:n, n] = hess[n, :n] = -(dq.T @ w2)
+            hess[:n, :n] = (2.0 * rows.T @ (rows * (member @ w[:g])[:, None])
+                            + dq.T @ (dq * w2[:g, None]))
+            hess[:n, n] = hess[n, :n] = -(dq.T @ w2[:g])
             hess[n, n] = w2.sum()
-            try:
-                step = np.linalg.solve(hess, -grad)
-            except np.linalg.LinAlgError:
-                return None
-            if not np.all(np.isfinite(step)):
-                return None
-            value = tau * s - np.log(s - q).sum()
-            slope = grad @ step
+            if not bounded:
+                try:
+                    step = np.linalg.solve(hess, -grad)
+                except np.linalg.LinAlgError:
+                    return None
+                if not np.all(np.isfinite(step)):
+                    return None
+                slope = grad @ step
+            else:
+                found = bounded_step(w, dq)
+                if found is None:
+                    break
+                step, du, slope = found
+                if -slope <= 2.0 * CENTRED:
+                    centred = True
+                    break
             size = 1.0
-            while True:
+            while size >= 1e-12:
                 y_n, s_n = y + size * step[:n], s + size * step[n]
-                e_n = rows @ y_n + offset
-                q_n = member.T @ (e_n * e_n)
-                if (np.all(q_n < s_n) and tau * s_n - np.log(s_n - q_n).sum()
-                        <= value + 0.25 * size * slope):
+                u_n = u + size * du if bounded else u
+                e_n, f_n, l_n, q_n = at(y_n, u_n)
+                evaluations += 1
+                trial = barrier(s_n, u_n, f_n, l_n, q_n, tau)
+                if trial <= value + 0.25 * size * slope:
                     break
                 size *= 0.5
-                if size < 1e-12:
+            else:
+                if opts is None:
                     return None
-            y, s, e, q = y_n, s_n, e_n, q_n
+                break
+            if opts is not None:
+                s_n = best_s(q_n, tau)
+                trial = barrier(s_n, u_n, f_n, l_n, q_n, tau)
+            y, s, u, e, f, l, q = y_n, s_n, u_n, e_n, f_n, l_n, q_n
+            value = trial
+            steps += 1
+        if opts is None:
+            continue
+        x_n = x + basis @ y
+        if centred:
+            lam = math.sqrt(max(-slope, 0.0))
+            gap = (m + (lam + math.sqrt(m)) * lam / (1.0 - lam)) / tau
+            bound = max(bound, math.sqrt(max(s - gap, 0.0)))
+        closed = groups.residuals(x_n).max() - bound <= opts.f_tolerance
+        if closed or not centred:
+            return x_n, bound, steps, evaluations, closed
     w = 1.0 / (s - q)
     return x + basis @ y, w / w.sum()
 
@@ -526,15 +543,13 @@ def _sqp(distances, x0, opts: FusionOptions):
     most ``f_tolerance`` (1 + F) the iteration has converged, and so it
     has after STALLS kept steps in a row that each lowered F by at most
     that much: there the differenced Jacobian is too coarse for the
-    prediction (435 iterations of 5e-10 gains on one SAR snapshot, with
-    4e-7 predicted each time).  Otherwise the step is kept once the
+    prediction.  Otherwise the step is kept once the
     largest distance falls by ARMIJO times that prediction and the
     Jacobian at the new point is finite.  Once the model's active set
     repeats, a full step that fails gets second-order corrections
     before it is halved: along curved active distances the linear model
-    overshoots, and halving alone can take dozens of short steps (2,138
-    evaluations on one noisy SAR snapshot whose neighbours take about
-    64).  B takes a damped BFGS update (Powell, 1978) with the change of
+    overshoots, and halving alone can take dozens of short steps.  B
+    takes a damped BFGS update (Powell, 1978) with the change of
     the weighted gradient J^T lam over the step kept.  When no step is
     kept, or the model has no solution, B restarts from the diagonal of
     J's squared column norms; if it had just restarted, the search ends
@@ -766,12 +781,11 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     achieved residual, and radius/(1+K) when a Lipschitz constant is
     known.  The route says how: ``already_global`` when the start is a
     section within ``f_tolerance`` (the top's own value, else the
-    weighted least-squares fit or zero); ``lawson``, with the proven
-    ``dual_bound``, on a linear sheaf with only Euclidean and time
-    stalks defined; ``least_squares+nelder_mead`` on a linear sheaf
-    with a simplex stalk defined; ``sqp`` on a nonlinear one whose top
-    and defined stalks have only Euclidean, time, circle and geographic
-    factors; ``nelder_mead`` on any other nonlinear one.
+    least-squares fit, else zero); ``lawson`` on a linear sheaf with only
+    Euclidean and time stalks and ``barrier`` on one with a simplex
+    stalk, both with a proven ``dual_bound``; ``sqp`` on a nonlinear one
+    whose top and defined stalks have only Euclidean, time, circle and
+    geographic factors.  Any other raises ``SpaceMismatch``.
     """
     if not a.values:
         raise DegenerateAssignment("cannot fuse an empty assignment")
@@ -802,11 +816,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         return out
 
     def objective(x):
-        try:
-            coords = section_point(x).coords
-        except SpaceMismatch:  # a step off the top stalk's simplexes
-            return math.inf
-        return max(distances(coords), default=0.0)
+        return max(distances(section_point(x).coords), default=0.0)
 
     groups = fit = None
     if sh.is_linear():
@@ -820,7 +830,9 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
             x0 = list(basis.T @ (np.asarray(x0, dtype=float) - origin))
     else:
         x0 = fit if fit is not None else [0.0] * top_space.dim
-
+    if groups and groups.bounded and np.any(
+            groups.floor_rows @ x0 + groups.floor_offset < -sp.SIMPLEX_TOL):
+        x0 = groups.start  # off the simplexes, as an inconsistent fit may be
     section_point(x0)  # a start off the top stalk's simplexes raises
     dual_bound = None
     start = objective(x0)
@@ -829,23 +841,24 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
         route = "already_global"
     elif start == math.inf:  # an observation too large for its metric
         raise SpaceMismatch("the distance to the assignment overflows")
-    elif groups is None and all(
-            c.kind in SMOOTH_KINDS
-            for oid in (top.id, *defined)
-            for c, _, _ in sh.stalk(oid).factors):
+    elif groups is None:
+        for oid in (top.id, *defined):
+            for c, _, _ in sh.stalk(oid).factors:
+                if c.kind not in SMOOTH_KINDS:
+                    raise SpaceMismatch(
+                        f"the stalk on {sh.topology.opens[oid]} has a "
+                        f"{c.kind} factor; fusing a nonlinear sheaf needs "
+                        f"Euclidean, time, circle and geographic ones")
         x, iterations, evaluations, converged = _sqp(
             lambda x: distances(section_point(x).coords), x0, opts)
         route = "sqp"
-    elif groups is None:
-        run = nelder_mead(objective, x0, opts)
-        x, iterations, converged = run.x, run.iterations, run.converged
-        evaluations, route = run.evaluations, "nelder_mead"
-    elif any(sh.stalk(oid).has_simplex for oid in defined):
-        # simplex distance is half an L1 norm, outside Lawson's bound
-        section_point(fit)  # a fit off the simplexes raises too
-        run = nelder_mead(objective, fit, opts)
-        x, iterations, converged = run.x, run.iterations, run.converged
-        evaluations, route = run.evaluations, "least_squares+nelder_mead"
+    elif groups.bounded:  # from nearest the uniform shares, else from x0
+        found = (_central_point(groups, groups.start, opts)
+                 or _central_point(groups, np.asarray(x0, float), opts))
+        if found is None:
+            raise SpaceMismatch("no start lies strictly inside the simplexes")
+        x, dual_bound, iterations, evaluations, converged = found
+        route = "barrier"
     else:
         x, dual_bound, iterations, converged = _lawson(groups, fit, opts)
         evaluations, route = groups.evaluations, "lawson"
@@ -854,12 +867,8 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     if dual_bound is not None:
         # at an exact optimum the two sides differ only by rounding
         dual_bound = min(dual_bound, residual)
+    lower = (None if lipschitz is None else
+             fusion_lower_bound(consistency_radius(a).radius, lipschitz))
     return FusionResult(section, pullback_global(sh, section), residual,
-                        _bound(a, lipschitz), iterations, converged, route,
-                        evaluations, dual_bound)
-
-
-def _bound(a: Assignment, lipschitz: float | None) -> float | None:
-    if lipschitz is None:
-        return None
-    return fusion_lower_bound(consistency_radius(a).radius, lipschitz)
+                        lower, iterations, converged, route, evaluations,
+                        dual_bound)

@@ -147,6 +147,37 @@ def noisy_sar_snapshots(sh, count, seed):
     return out
 
 
+def lifted_sar_cases(bins):
+    """The SAR sheaf lifted at ``bins`` bins per axis over its lift
+    ranges, as ``sheafctl cohomology --lift-bins`` lifts it, and its
+    three recorded cases read as point masses: each reading becomes the
+    distribution with all its mass on the bin that holds it."""
+    from sheaffuse import Assignment, make_point, uniform_grid
+    from sheaffuse.cli import _lift
+    from sheaffuse.scenarios import (
+        build_sar_sheaf,
+        sar_case_assignment,
+        sar_lift_ranges,
+    )
+
+    sh = build_sar_sheaf()
+    ranges = sar_lift_ranges()
+    lifted = _lift(sh, {"lift_ranges": ranges}, bins)
+    cases = []
+    for case in (1, 2, 3):
+        a = Assignment(lifted)
+        for oid, point in sar_case_assignment(sh, case).values.items():
+            axes = ranges[sh.topology.opens[oid].key()]
+            grid = uniform_grid([lo for lo, _ in axes],
+                                [hi for _, hi in axes], bins)
+            mass = np.zeros(grid.size)
+            mass[np.ravel_multi_index(grid.locate(point.coords),
+                                      grid.shape)] = 1.0
+            a.set(oid, make_point(lifted.stalk(oid), mass))
+        cases.append(a)
+    return lifted, cases
+
+
 def with_corrupted_edge(sh, rng):
     """Copy of a linear sheaf with one restriction edge, chosen at
     random, scaled, perturbed, zeroed or cut to rank one."""

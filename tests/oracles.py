@@ -7,17 +7,20 @@ applying every restriction-edge path.  The exceptions are the library's
 former routines, kept as references for the ones that replaced them:
 ``all_pairs_gluing``, the gluing check over every pair of opens, for
 the native-union check; ``all_pairs_radius``, the consistency-radius
-loop over every comparable pair, for the defined-pair loop; and the
+loop over every comparable pair, for the defined-pair loop; the
 ``reference_*`` cohomology routines, for the one cochain-complex
-routine and the Leray check on sub-posets.
+routine and the Leray check on sub-posets; and ``nelder_mead``, the
+derivative-free simplex search that fused simplex, discrete and
+nonlinear sheaves, for the minimax routes.
 """
 
 import itertools
 import math
 import random
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import linprog, minimize
 
 from sheaffuse import spaces as sp
 from sheaffuse._linalg import numeric_rank
@@ -412,6 +415,208 @@ def nonlinear_minimax(a, starts):
         )
         best = min(best, float(factor_distances(a, scale * res.x[:-1]).max()))
     return best
+
+
+def lp_fusion_optimum(a):
+    """Nearest-global-section residual of a linear sheaf whose defined
+    stalks have only simplex, time and one-dimensional Euclidean
+    factors, each a weighted L1 distance: the optimum of the linear
+    program  min t  subject to  scale_c sum_i u_i <= t  and
+    -u <= A_c K w - b_c <= u  for each defined factor c, over kernel
+    coordinates w of the whole space on which every simplex factor of
+    every stalk is nonnegative and sums to one, by SciPy's HiGHS.  A_c
+    and the kernel basis K come from the library; the solver does not."""
+    sh = a.sheaf
+    top = sh.topology.full.id
+    k = sh.kernel_basis(top)
+    n = k.shape[1]
+    factors = []
+    for oid, point in sorted(a.values.items()):
+        m = sh.ambient_matrix(top, oid) @ k
+        for c, lo, hi in sh.stalk(oid).factors:
+            assert c.kind == sp.SIMPLEX or (
+                c.dim == 1 and c.kind in (sp.TIME, sp.EUCLIDEAN)), c.kind
+            scale = 0.5 * c.weight if c.kind == sp.SIMPLEX else c.weight
+            factors.append((scale, m[lo:hi],
+                            np.asarray(point.coords[lo:hi], dtype=float)))
+    # variables: w, then t, then one slack u_i per row of every factor
+    size = n + 1 + sum(len(b) for _, _, b in factors)
+    upper, upper_rhs, equal, equal_rhs = [], [], [], []
+    col = n + 1
+    for scale, m, b in factors:
+        for i in range(len(b)):
+            for sign in (1.0, -1.0):
+                row = np.zeros(size)
+                row[:n], row[col + i] = sign * m[i], -1.0
+                upper.append(row)
+                upper_rhs.append(sign * b[i])
+        row = np.zeros(size)
+        row[col:col + len(b)], row[n] = scale, -1.0
+        upper.append(row)
+        upper_rhs.append(0.0)
+        col += len(b)
+    for oid, stalk in sh.stalks.items():
+        if not stalk.has_simplex:
+            continue
+        m = sh.ambient_matrix(top, oid) @ k
+        for c, lo, hi in stalk.factors:
+            if c.kind == sp.SIMPLEX:
+                for coordinate in m[lo:hi]:
+                    row = np.zeros(size)
+                    row[:n] = -coordinate
+                    upper.append(row)
+                    upper_rhs.append(0.0)
+                row = np.zeros(size)
+                row[:n] = m[lo:hi].sum(axis=0)
+                equal.append(row)
+                equal_rhs.append(1.0)
+    cost = np.zeros(size)
+    cost[n] = 1.0
+    res = linprog(cost, A_ub=np.array(upper), b_ub=upper_rhs,
+                  A_eq=np.array(equal) if equal else None,
+                  b_eq=equal_rhs or None, bounds=[(None, None)] * size,
+                  method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+# The library's former Nelder-Mead search, kept as written but for its
+# options, which the library's FusionOptions no longer carries.
+
+INIT_STEP_FRACTION = 0.05
+ZERO_COORD_STEP = 0.025
+RESTART_NOISE_FRACTION = 0.10
+
+
+@dataclass(frozen=True)
+class NelderMeadOptions:
+    """Each run's iteration cap and spread of simplex values at which it
+    stops, and the seeded restarts from perturbed starts."""
+
+    max_iterations: int = 2000
+    f_tolerance: float = 1e-8
+    restarts: int = 5
+    seed: int = 0
+
+
+@dataclass
+class NelderMeadResult:
+    x: tuple[float, ...]
+    f: float
+    iterations: int
+    evaluations: int
+    converged: bool
+
+
+def _nelder_mead_single(objective, x0, max_iterations,
+                        f_tolerance) -> NelderMeadResult:
+    """One simplex run with the standard coefficients."""
+    alpha, gamma, rho, sigma = 1.0, 2.0, 0.5, 0.5
+    n = len(x0)
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        evals += 1
+        return objective(x)
+
+    simplex = [list(x0)]
+    for i in range(n):
+        step = INIT_STEP_FRACTION * abs(x0[i])
+        if step == 0.0:
+            step = ZERO_COORD_STEP
+        vertex = list(x0)
+        vertex[i] += step
+        simplex.append(vertex)
+    values = [f(v) for v in simplex]
+
+    iterations = 0
+    converged = False
+    while iterations < max_iterations:
+        order = sorted(range(n + 1), key=lambda i: values[i])
+        simplex = [simplex[i] for i in order]
+        values = [values[i] for i in order]
+        if values[-1] - values[0] <= f_tolerance:
+            converged = True
+            break
+        iterations += 1
+        centroid = [
+            sum(simplex[i][j] for i in range(n)) / n for j in range(n)
+        ]
+        worst = simplex[-1]
+        reflected = [
+            centroid[j] + alpha * (centroid[j] - worst[j]) for j in range(n)
+        ]
+        fr = f(reflected)
+        if fr < values[0]:
+            expanded = [
+                centroid[j] + gamma * (reflected[j] - centroid[j])
+                for j in range(n)
+            ]
+            fe = f(expanded)
+            if fe < fr:
+                simplex[-1], values[-1] = expanded, fe
+            else:
+                simplex[-1], values[-1] = reflected, fr
+        elif fr < values[-2]:
+            simplex[-1], values[-1] = reflected, fr
+        else:
+            contracted = [
+                centroid[j] + rho * (worst[j] - centroid[j]) for j in range(n)
+            ]
+            fc = f(contracted)
+            if fc < values[-1]:
+                simplex[-1], values[-1] = contracted, fc
+            else:
+                best = simplex[0]
+                for i in range(1, n + 1):
+                    simplex[i] = [
+                        best[j] + sigma * (simplex[i][j] - best[j])
+                        for j in range(n)
+                    ]
+                    values[i] = f(simplex[i])
+    i_best = min(range(n + 1), key=lambda i: values[i])
+    return NelderMeadResult(tuple(simplex[i_best]), values[i_best],
+                            iterations, evals, converged)
+
+
+def nelder_mead(objective, x0, opts: NelderMeadOptions = NelderMeadOptions()
+                ) -> NelderMeadResult:
+    """Best of ``opts.restarts`` simplex runs; deterministic in the seed.
+
+    Restart k > 0 perturbs the start by Gaussian noise at 10% of each
+    coordinate's scale.  Ties keep the first-found optimum.  When the
+    iteration budget runs out the best-so-far comes back flagged
+    ``converged=False``.
+    """
+    x0 = [float(v) for v in x0]
+    f0 = objective(x0)
+    if not np.isfinite(f0):
+        raise ValueError("objective is not finite at the start point")
+    rng = random.Random(opts.seed)
+    best: NelderMeadResult | None = None
+    total_iter = 0
+    total_eval = 1
+    for attempt in range(opts.restarts):
+        if attempt == 0:
+            start = list(x0)
+        else:
+            start = [
+                v + rng.gauss(0.0, RESTART_NOISE_FRACTION *
+                              (abs(v) if v != 0.0 else ZERO_COORD_STEP * 10))
+                for v in x0
+            ]
+        run = _nelder_mead_single(objective, start, opts.max_iterations,
+                                  opts.f_tolerance)
+        total_iter += run.iterations
+        total_eval += run.evaluations
+        if best is None or run.f < best.f:
+            best = run
+    assert best is not None
+    return NelderMeadResult(best.x, best.f, total_iter, total_eval,
+                            best.converged)
 
 
 # The library's former cohomology routines, kept as written: a cover

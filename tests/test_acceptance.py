@@ -327,7 +327,7 @@ def test_c5e_betti0_equals_brute_force():
 
 def test_c5f_lipschitz_lower_bound():
     rng = random.Random(6)
-    opts = FusionOptions(max_iterations=300, restarts=2, seed=1)
+    opts = FusionOptions(max_iterations=300, seed=1)
     for _ in range(100):
         sh = random_linear_sheaf(rng, n_entities=2)
         a = Assignment(sh)

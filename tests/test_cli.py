@@ -16,6 +16,7 @@ from sheaffuse import (
     circle,
     complete_unions,
     consistency_radius,
+    discrete,
     euclidean,
     generate_topology,
     make_point,
@@ -175,9 +176,9 @@ def test_radius_of_global_section_is_zero(sar_files, tmp_path, capsys):
 
 def test_fuse_deterministic_reports(sar_files, capsys):
     spec, case1 = sar_files
-    assert main(["fuse", str(spec), str(case1), "--seed", "11"]) == 0
+    assert main(["fuse", str(spec), str(case1)]) == 0
     first = capsys.readouterr().out
-    assert main(["fuse", str(spec), str(case1), "--seed", "11"]) == 0
+    assert main(["fuse", str(spec), str(case1)]) == 0
     second = capsys.readouterr().out
     assert first == second
     assert "fused section" in first
@@ -188,12 +189,12 @@ def test_fuse_deterministic_reports(sar_files, capsys):
 def test_fuse_strict_exit_on_iteration_cap(sar_files, capsys):
     spec, case1 = sar_files
     code = main(["fuse", str(spec), str(case1), "--max-iter", "2",
-                 "--restarts", "1", "--strict"])
+                 "--strict"])
     assert code == 3
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--max-iter", "0"), ("--restarts", "0"), ("--tol", "-1"),
+    ("--max-iter", "0"), ("--tol", "-1"),
     ("--tol", "nan"), ("--tol", "inf"),
 ])
 def test_fuse_bad_option_exits_2(sar_files, capsys, option, value):
@@ -205,6 +206,27 @@ def test_fuse_bad_option_exits_2(sar_files, capsys, option, value):
     assert len(lines) == 1 and lines[0].startswith("input error: fuse "
                                                    "options: ")
 
+
+def test_fuse_refuses_a_discrete_stalk_with_one_error_line(tmp_path, capsys):
+    """A sheaf with a discrete stalk is nonlinear, and fusion cannot
+    search a discrete factor: exit 1 with one error line naming the open
+    and the kind, and no traceback."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid = t.open_for(["a"])
+    labels = discrete(["red", "green"])
+    sh = complete_unions(Sheaf(t, {mid: labels, t.full: labels},
+                               [RestrictionMap(t.full, mid, Identity())]))
+    spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
+    save_sheaf(spec, sh)
+    save_assignment(values, Assignment(sh, {
+        mid: make_point(labels, [0.0]), t.full: make_point(labels, [1.0])}))
+    assert main(["fuse", str(spec), str(values)]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "on {a,b} has a discrete factor" in lines[0]
+    assert "Traceback" not in captured.err + captured.out
 
 def test_fuse_prints_certificate_on_linear_sheaf(tmp_path, capsys):
     """Lawson's route reports its proven lower bound and the gap."""
@@ -501,7 +523,7 @@ def test_native_union_spec_runs_end_to_end(tmp_path, capsys):
     spec, values = native_union_files(tmp_path)
     assert main(["check", str(spec)]) == 0
     assert main(["radius", str(spec), str(values)]) == 0
-    assert main(["fuse", str(spec), str(values), "--restarts", "1"]) == 0
+    assert main(["fuse", str(spec), str(values)]) == 0
     assert main(["cohomology", str(spec), "--lift-bins", "1"]) == 0
     assert "e0+e1 < e0+e1+e2+e3" in capsys.readouterr().out
 

@@ -6,15 +6,19 @@ import pytest
 
 from conftest import (
     camera_chain_sheaf,
+    lifted_sar_cases,
     nan_sheaf,
     noisy_sar_snapshots,
     random_linear_sheaf,
     with_native_union,
 )
 from oracles import (
+    NelderMeadOptions,
     all_pairs_gluing,
     factor_distances,
+    lp_fusion_optimum,
     minimax_optimum,
+    nelder_mead,
     nonlinear_minimax,
 )
 from sheaffuse import (
@@ -30,6 +34,7 @@ from sheaffuse import (
     circle,
     complete_unions,
     consistency_radius,
+    discrete,
     euclidean,
     full_cover,
     fuse,
@@ -38,7 +43,6 @@ from sheaffuse import (
     generate_topology,
     lipschitz_bound,
     make_point,
-    nelder_mead,
     product,
     pullback_global,
     sample_point,
@@ -54,7 +58,7 @@ from sheaffuse.scenarios import build_sar_sheaf, sar_case_assignment
 
 def test_quadratic_minimum():
     res = nelder_mead(lambda x: (x[0] - 3.0) ** 2 + (x[1] + 2.0) ** 2,
-                      [0.0, 0.0], opts=FusionOptions(f_tolerance=1e-12))
+                      [0.0, 0.0], opts=NelderMeadOptions(f_tolerance=1e-12))
     assert res.x[0] == pytest.approx(3.0, abs=1e-5)
     assert res.x[1] == pytest.approx(-2.0, abs=1e-5)
 
@@ -63,7 +67,7 @@ def test_rosenbrock():
     res = nelder_mead(
         lambda x: (1 - x[0]) ** 2 + 100 * (x[1] - x[0] ** 2) ** 2,
         [-1.2, 1.0],
-        opts=FusionOptions(max_iterations=5000),
+        opts=NelderMeadOptions(max_iterations=5000),
     )
     assert res.x[0] == pytest.approx(1.0, abs=1e-3)
     assert res.x[1] == pytest.approx(1.0, abs=1e-3)
@@ -97,14 +101,14 @@ def test_fusion_on_a_circle_wraps_the_section():
 
 def test_iteration_cap_flags_nonconvergence():
     res = nelder_mead(lambda x: (x[0] - 1e6) ** 2, [0.0],
-                      opts=FusionOptions(max_iterations=3, restarts=1))
+                      opts=NelderMeadOptions(max_iterations=3, restarts=1))
     assert not res.converged
 
 
 def test_determinism_under_fixed_seed():
     rough = lambda x: max(abs(x[0] - 1.0), abs(x[1] + 2.0), 0.5 * abs(x[0]))
-    a = nelder_mead(rough, [10.0, 10.0], opts=FusionOptions(seed=9))
-    b = nelder_mead(rough, [10.0, 10.0], opts=FusionOptions(seed=9))
+    a = nelder_mead(rough, [10.0, 10.0], opts=NelderMeadOptions(seed=9))
+    b = nelder_mead(rough, [10.0, 10.0], opts=NelderMeadOptions(seed=9))
     assert a.x == b.x and a.f == b.f
 
 
@@ -408,12 +412,8 @@ def test_weighted_product_stalk_fuses_to_the_minimax_optimum():
         assert res.residual == pytest.approx(
             assignment_distance(res.fused, a), abs=1e-9)
         assert res.residual <= res.dual_bound + tol
-
-        def objective(x):
-            s = make_point(sh.stalk(top.id), k @ np.asarray(x))
-            return assignment_distance(pullback_global(sh, s), a)
-
-        run = nelder_mead(objective, [0.0] * k.shape[1])
+        run = nelder_mead(lambda x: factor_distances(a, k @ x).max(),
+                          [0.0] * k.shape[1])
         assert res.residual <= run.f + tol
 
 
@@ -435,14 +435,14 @@ def simplex_sheaf(mid_stalk, restriction):
     pytest.param((1.0, 0.0, 0.0), (0.0, 1.0, 0.0, 7.0), 0.5, id="vertices"),
     pytest.param((0.9, 0.1, 0.0), (0.1, 0.9, 0.0, 7.0), 0.4, id="edge"),
 ])
-def test_simplex_stalk_keeps_nelder_mead_and_fuses_to_a_global_section(
+def test_simplex_stalk_fuses_on_the_barrier_route_to_a_global_section(
         mid_reading, top_reading, residual):
-    """Simplex distance is half an L1 norm, outside Lawson's bound, so a
-    defined simplex stalk keeps Nelder-Mead.  It searches where every
-    simplex stalk sums to one: two readings of one distribution fuse to
-    a distribution halfway between them, also when the optimum lies on
-    the simplex's boundary, where a step off it scores as infinitely
-    far."""
+    """Simplex distance is half an L1 norm, so a defined simplex stalk
+    is fused on the barrier route, where every simplex stalk sums to one
+    and stays nonnegative: two readings of one distribution fuse to a
+    distribution halfway between them, also when the optimum lies on the
+    simplex's boundary, and the certificate closes on the linear
+    program's optimum."""
     sh, mid, top = simplex_sheaf(simplex(3), [[1.0, 0.0, 0.0, 0.0],
                                               [0.0, 1.0, 0.0, 0.0],
                                               [0.0, 0.0, 1.0, 0.0]])
@@ -451,23 +451,29 @@ def test_simplex_stalk_keeps_nelder_mead_and_fuses_to_a_global_section(
         top: make_point(sh.stalk(top.id), top_reading),
     })
     res = fuse(a)
-    assert res.route == "least_squares+nelder_mead"
-    assert res.dual_bound is None
+    tol = FusionOptions().f_tolerance
+    assert res.route == "barrier" and res.converged
+    assert res.dual_bound <= lp_fusion_optimum(a) <= res.residual <= \
+        res.dual_bound + tol
     assert consistency_radius(res.fused).radius <= 1e-6
     assert res.residual == pytest.approx(residual, abs=1e-6)
 
 
-def test_fusion_started_off_the_simplexes_raises():
-    """A start off the top stalk's simplex, such as a least-squares fit
-    with a negative share or the zero start of a nonlinear sheaf, raises
-    SpaceMismatch rather than searching from it."""
+def test_fit_off_the_simplexes_fuses_but_a_start_off_them_raises():
+    """A reading of 5 for a share, whose least-squares fit leaves the
+    simplex, fuses from inside the simplex to the share's bound, 1, 4
+    from the reading; the zero start of a nonlinear sheaf off the top
+    stalk's simplex still raises SpaceMismatch rather than searching."""
     sh, mid, top = simplex_sheaf(euclidean(1), [[1.0, 0.0, 0.0, 0.0]])
     a = Assignment(sh, {
         mid: make_point(sh.stalk(mid.id), [5.0]),
         top: make_point(sh.stalk(top.id), [1 / 3, 1 / 3, 1 / 3, 7.0]),
     })
-    with pytest.raises(SpaceMismatch, match="nonnegative"):
-        fuse(a)
+    res = fuse(a)
+    assert res.route == "barrier" and res.converged
+    assert res.residual == pytest.approx(4.0, abs=1e-6)
+    assert res.section_at_top.coords[0] == pytest.approx(1.0, abs=1e-6)
+    assert consistency_radius(res.fused).radius <= 1e-6
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid = t.open_for(["a"])
@@ -480,6 +486,83 @@ def test_fusion_started_off_the_simplexes_raises():
     with pytest.raises(SpaceMismatch, match="sum to 1"):
         fuse(a)
 
+
+def test_lifted_sar_cases_fuse_to_the_linear_programs_optimum():
+    """The SAR sheaf's stochastic linearization at 2 bins (a simplex(64)
+    whole space, 116 distance rows), with each recorded case read as
+    point masses, fuses on the barrier route to the optimum of the same
+    linear program under HiGHS, inside a closed certificate."""
+    _, cases = lifted_sar_cases(2)
+    tol = FusionOptions().f_tolerance
+    for case, a in enumerate(cases, 1):
+        res = fuse(a)
+        assert res.route == "barrier" and res.converged, case
+        assert res.dual_bound <= lp_fusion_optimum(a) <= res.residual <= \
+            res.dual_bound + tol, case
+        assert 0 < res.evaluations and 0 < res.iterations <= \
+            FusionOptions().max_iterations, case
+
+
+def test_barrier_keeps_every_stalks_simplex_nonnegative():
+    """A whole space of time lines read onto a simplex: its reading, and
+    so the start it gives, has a share below zero there.  The route
+    starts inside the simplex instead, keeps the restriction onto it
+    nonnegative, and reaches the linear program's optimum."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid = t.open_for(["a"])
+    lines = product([time_line(), time_line(0.5), time_line()])
+    sh = complete_unions(Sheaf(t, {mid: simplex(3), t.full: lines},
+                               [RestrictionMap(t.full, mid, Identity())]))
+    a = Assignment(sh, {mid: make_point(simplex(3), (0.2, 0.3, 0.5)),
+                        t.full: make_point(lines, (2.0, -1.0, 0.0))})
+    res = fuse(a)
+    assert res.route == "barrier" and res.converged
+    assert min(res.fused.values[mid.id].coords) >= 0.0
+    assert res.dual_bound <= lp_fusion_optimum(a) <= res.residual <= \
+        res.dual_bound + FusionOptions().f_tolerance
+
+def test_barrier_iteration_cap_leaves_the_certificate_open():
+    """Stopped by max_iterations, the route reports converged False and
+    a lower bound that is still a bound."""
+    sh, mid, top = simplex_sheaf(simplex(3), [[1.0, 0.0, 0.0, 0.0],
+                                              [0.0, 1.0, 0.0, 0.0],
+                                              [0.0, 0.0, 1.0, 0.0]])
+    a = Assignment(sh, {
+        mid: make_point(sh.stalk(mid.id), (1.0, 0.0, 0.0)),
+        top: make_point(sh.stalk(top.id), (0.0, 1.0, 0.0, 7.0)),
+    })
+    res = fuse(a, FusionOptions(max_iterations=10))
+    assert res.route == "barrier"
+    assert (res.converged, res.iterations) == (False, 10)
+    assert res.dual_bound <= 0.5 <= res.residual
+
+
+def test_nonlinear_sheaf_with_a_discrete_or_simplex_factor_is_refused():
+    """A discrete distance is 0 or its weight, and a simplex needs the
+    linear structure of the barrier route: fusing either on a nonlinear
+    sheaf raises SpaceMismatch naming the open and the factor's kind."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid = t.open_for(["a"])
+    labels = discrete(["red", "green"])
+    sh = complete_unions(Sheaf(t, {mid: labels, t.full: labels},
+                               [RestrictionMap(t.full, mid, Identity())]))
+    a = Assignment(sh, {mid: make_point(labels, [0.0]),
+                        t.full: make_point(labels, [1.0])})
+    with pytest.raises(SpaceMismatch,
+                       match=r"on \{a,b\} has a discrete factor"):
+        fuse(a)
+    sh = complete_unions(Sheaf(
+        t, {mid: simplex(2), t.full: euclidean(1)},
+        [RestrictionMap(t.full, mid,
+                        Builtin("split", lambda c: (c[0] ** 2,
+                                                    1.0 - c[0] ** 2)))],
+    ))
+    a = Assignment(sh, {mid: make_point(simplex(2), [0.25, 0.75])})
+    with pytest.raises(SpaceMismatch,
+                       match=r"on \{a\} has a simplex factor"):
+        fuse(a)
 
 def test_global_assignment_without_top_value_is_already_global():
     rng = random.Random(77)
@@ -529,7 +612,7 @@ def test_native_union_sheaves_glue_and_fuse():
             rng = random.Random(seed)
             a = Assignment(sh, {o: sample_point(sh.stalk(o.id), rng)
                                 for o in t.basis + (w, t.full)})
-            res = fuse(a, FusionOptions(restarts=1))
+            res = fuse(a)
             assert consistency_radius(res.fused).radius <= 1e-6, (seed, w)
     assert cases == 12
 
@@ -541,24 +624,23 @@ SAR_TOP = SAR.topology.full.id
 NO_TOP_CAPS = {1: 2.4818, 2: 8.8637, 3: 38.961}
 
 
-def assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res, monkeypatch):
+def assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res):
     """The sqp residual is within 1e-6 relative of SLSQP's best from the
-    same start and from the former Nelder-Mead route's answer, and at
-    most that route's residual times 1 + 1e-6."""
-    with monkeypatch.context() as m:
-        m.setattr(fusion, "SMOOTH_KINDS", frozenset())
-        nm = fuse(a)
-    assert nm.route == "nelder_mead"
+    same start and from Nelder-Mead's answer on the same objective, the
+    library's former route, and at most Nelder-Mead's largest distance
+    times 1 + 1e-6."""
     start = (a.values[SAR_TOP].coords if SAR_TOP in a.values
              else [0.0] * SAR.stalk(SAR_TOP).dim)
-    best = nonlinear_minimax(a, [start, nm.section_at_top.coords])
+    nm = nelder_mead(lambda x: factor_distances(a, x).max(), start)
+    nm_section = make_point(SAR.stalk(SAR_TOP), nm.x).coords
+    best = nonlinear_minimax(a, [start, nm_section])
     assert res.residual == pytest.approx(best, rel=1e-6)
-    assert res.residual <= nm.residual * (1.0 + 1e-6)
+    assert res.residual <= nm.f * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize("with_top", [True, False])
 @pytest.mark.parametrize("case", [1, 2, 3])
-def test_sqp_fuses_the_sar_cases_to_the_optimum(case, with_top, monkeypatch):
+def test_sqp_fuses_the_sar_cases_to_the_optimum(case, with_top):
     """Without the whole-space reading the search starts from zero,
     thousands of km away, and still converges to the optimum."""
     a = sar_case_assignment(SAR, case)
@@ -566,17 +648,16 @@ def test_sqp_fuses_the_sar_cases_to_the_optimum(case, with_top, monkeypatch):
         del a.values[SAR_TOP]
     res = fuse(a)
     assert res.route == "sqp" and res.converged
-    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res, monkeypatch)
+    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res)
     if not with_top:
         assert res.residual <= NO_TOP_CAPS[case]
 
 
-def test_sqp_fuses_noisy_sar_snapshots_to_the_optimum(monkeypatch):
+def test_sqp_fuses_noisy_sar_snapshots_to_the_optimum():
     for i, a in enumerate(noisy_sar_snapshots(SAR, 12, 2016)):
         res = fuse(a)
         assert res.route == "sqp" and res.converged, i
-        assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res,
-                                                          monkeypatch)
+        assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res)
 
 
 def test_sqp_iteration_cap_flags_nonconvergence():
@@ -590,15 +671,14 @@ def test_sqp_iteration_cap_flags_nonconvergence():
 
 def test_sqp_is_deterministic_and_ignores_restarts_and_seed():
     (a,) = noisy_sar_snapshots(SAR, 1, 7)
-    runs = [fuse(a), fuse(a), fuse(a, FusionOptions(restarts=1, seed=9))]
+    runs = [fuse(a), fuse(a), fuse(a, FusionOptions(seed=9))]
     assert len({(r.section_at_top.coords, r.residual, r.iterations,
                  r.evaluations) for r in runs}) == 1
 
 
 def test_evaluations_count_the_routes_own_work(monkeypatch):
     """``evaluations`` is the number of distance vectors the sqp route
-    scored, Nelder-Mead's objective evaluations, and Lawson's
-    group-residual evaluations."""
+    scored and Lawson's group-residual evaluations."""
     vectors = []
     sqp = fusion._sqp
 
@@ -613,15 +693,6 @@ def test_evaluations_count_the_routes_own_work(monkeypatch):
     assert res.route == "sqp" and res.evaluations == len(vectors)
     # the Jacobian costs one vector per coordinate on each iteration
     assert res.evaluations > res.iterations * SAR.stalk(SAR_TOP).dim
-
-    monkeypatch.setattr(fusion, "SMOOTH_KINDS", frozenset())
-    a = sar_case_assignment(SAR, 2)
-    x0 = a.values[SAR_TOP].coords
-    run = nelder_mead(lambda x: factor_distances(a, x).max(), x0)
-    res = fuse(a)
-    assert res.route == "nelder_mead"
-    assert (res.evaluations, res.iterations) == (run.evaluations,
-                                                 run.iterations)
 
     sh = camera_chain_sheaf()
     res = fuse(chain_snapshot(sh, np.random.default_rng(1)))
@@ -653,7 +724,7 @@ def test_sqp_corrects_steps_along_curved_active_distances(monkeypatch):
     res = fuse(a)
     assert res.route == "sqp" and res.converged
     assert res.iterations <= 16
-    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res, monkeypatch)
+    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res)
 
 
 def test_sqp_stops_when_its_steps_stop_gaining(monkeypatch):
@@ -668,7 +739,7 @@ def test_sqp_stops_when_its_steps_stop_gaining(monkeypatch):
     res = fuse(a)
     assert res.route == "sqp" and res.converged
     assert res.iterations <= 30
-    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res, monkeypatch)
+    assert_at_the_slsqp_optimum_and_below_nelder_mead(a, res)
 
 
 def test_sqp_cost_is_steady_over_noisy_snapshots():

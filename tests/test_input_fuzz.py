@@ -17,7 +17,7 @@ from sheaffuse.cli import main
 from sheaffuse.specio import save_assignment, sheaf_to_spec
 
 SAR_TOP = "s+t+theta1+theta2+vx+vy+x+y+z"
-FAST_FUSE = ["--max-iter", "20", "--restarts", "1"]
+FAST_FUSE = ["--max-iter", "20"]
 
 
 def _specs():
