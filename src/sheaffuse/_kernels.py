@@ -8,6 +8,8 @@ north.  All distances are kilometers.
 
 from math import asin, atan2, cos, degrees, fmod, radians, sin, sqrt
 
+import numpy as np
+
 EARTH_RADIUS_KM = 6371.0
 
 
@@ -51,12 +53,26 @@ def equirect_bearing_deg(sensor_lon_w: float, sensor_lat: float,
     return wrap_deg(degrees(atan2(east, north)))
 
 
+def equirect_bearings_deg(sensor_lon_w: float, sensor_lat: float,
+                          lon_w: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    """``equirect_bearing_deg`` over arrays of points, wrapped like
+    ``wrap_deg``.  ``np.arctan2`` may differ from ``math.atan2`` in the
+    last bit, so a bearing may differ from the point call's by up to
+    two ulps of its value in degrees."""
+    east = (sensor_lon_w - lon_w) * cos(radians(sensor_lat))
+    north = lat - sensor_lat
+    a = np.fmod(np.degrees(np.arctan2(east, north)), 360.0)
+    a = np.where(a < 0.0, a + 360.0, a)
+    return np.where(a == 360.0, 0.0, a)
+
+
 def dead_reckon_deg(lon_w: float, lat: float, vx_w_kmh: float, vy_n_kmh: float,
                     t_h: float, radius_km: float, lon_ref_lat_deg: float):
     """Advance a position by a constant velocity for ``t_h`` hours.
 
     Velocities are km/h (west-positive, north-positive); the east-west
-    kilometer-to-degree scale is fixed at the reference latitude.
+    kilometer-to-degree scale is fixed at the reference latitude.  The
+    state may be arrays of positions, velocities and times as well.
     """
     km_per_deg = radians(1.0) * radius_km
     lon = lon_w + vx_w_kmh * t_h / (km_per_deg * cos(radians(lon_ref_lat_deg)))

@@ -12,7 +12,7 @@ import numpy as np
 from . import spaces as sp
 from ._linalg import numeric_rank, nullspace
 from .errors import IntersectionNotOpen, UnmappedBin
-from .sheaf import Linear, RestrictionMap, Sheaf
+from .sheaf import Linear, RestrictionMap, Sheaf, batch_call
 from .topology import EntityUniverse, OpenSet, Topology
 
 DD_TOL = 1e-10
@@ -20,6 +20,10 @@ DD_TOL = 1e-10
 # one lifted stalk may have
 LIFT_SUBDIVISIONS = 3
 MAX_STALK_BINS = 20000
+# stochastic_lift maps the samples of whole domain cells, about this
+# many points at a time; the size keeps the peak memory of a lift near
+# that of mapping one cell at a time
+LIFT_CHUNK_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -351,23 +355,31 @@ class BinGrid:
             n *= s
         return n
 
-    def cell_samples(self, subdivisions: int = 1):
-        """Representative points per cell, cells in row-major order:
-        yields (cell_index, points), where points iterates over the
-        midpoints of a regular subdivision of the cell as tuples."""
-        axes = []
+    def cell_samples(self, subdivisions: int, per_chunk: int):
+        """The midpoints of a regular subdivision of every cell, cells in
+        row-major order and ``per_chunk`` whole cells at a time: yields
+        (cells, points), where ``cells`` is a range of flat cell indices
+        and ``points`` holds their samples as rows, cell by cell, and
+        within a cell in row-major order of the subdivision."""
+        d, shape = len(self.edges), self.shape
+        mids = []
         for edge in self.edges:
-            pts = []
-            for i in range(len(edge) - 1):
-                lo, hi = edge[i], edge[i + 1]
+            per_bin = []
+            for lo, hi in zip(edge, edge[1:]):
                 step = (hi - lo) / subdivisions
-                pts.append([lo + (j + 0.5) * step
-                            for j in range(subdivisions)])
-            axes.append(pts)
-        for cell in itertools.product(*(range(s) for s in self.shape)):
-            yield cell, itertools.product(
-                *(axes[ax][c] for ax, c in enumerate(cell))
-            )
+                per_bin.append([lo + (j + 0.5) * step
+                                for j in range(subdivisions)])
+            mids.append(np.array(per_bin))
+        for start in range(0, self.size, per_chunk):
+            cells = range(start, min(start + per_chunk, self.size))
+            cell = np.arange(cells.start, cells.stop)
+            out = np.empty((len(cells),) + (subdivisions,) * d + (d,))
+            for ax in range(d):
+                view = [len(cells)] + [1] * d
+                view[1 + ax] = subdivisions
+                c = cell // math.prod(shape[ax + 1:]) % shape[ax]
+                out[..., ax] = mids[ax][c].reshape(view)
+            yield cells, out.reshape(-1, d)
 
     def cells(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bin the rows of an (n, d) array: per-axis cell indices, shape
@@ -403,24 +415,30 @@ def uniform_grid(lows, highs, bins: int) -> BinGrid:
     return BinGrid(tuple(edges))
 
 
-def _bad_image(images, cell, grid: BinGrid) -> UnmappedBin:
-    """The error naming the first of ``images`` that has the wrong
-    number of coordinates, is not finite or lies outside ``grid``."""
-    dim = len(grid.edges)
-    for image in images:
-        image = tuple(image)
+def _bad_image(f, points: np.ndarray, cells: range, grid_in: BinGrid,
+               grid_out: BinGrid) -> UnmappedBin:
+    """The error naming the first of ``points``, the samples of
+    ``cells``, whose image by the point call of ``f`` has the wrong
+    number of coordinates, is not finite or lies outside ``grid_out``."""
+    dim = len(grid_out.edges)
+    per = len(points) // len(cells)
+    for k, point in enumerate(map(tuple, points.tolist())):
+        image = tuple(f(point))
         if len(image) != dim:
             why = f"has {len(image)} coordinates, the codomain grid {dim}"
         elif not all(map(math.isfinite, image)):
             why = "is not finite"
-        elif grid.locate(image) is None:
+        elif grid_out.locate(image) is None:
             why = "lies outside the codomain grid"
         else:
             continue
-        return UnmappedBin(
-            f"image {image} of sample in domain bin {cell} {why}"
-        )
-    raise AssertionError("no bad image among the samples")
+        cell = np.unravel_index(cells[k // per], grid_in.shape)
+        return UnmappedBin(f"image {image} of sample in domain bin "
+                           f"{tuple(int(c) for c in cell)} {why}")
+    first, last = (tuple(int(c) for c in np.unravel_index(i, grid_in.shape))
+                   for i in (cells[0], cells[-1]))
+    return UnmappedBin(f"the batch call fails on domain bins {first} to "
+                       f"{last}, the point calls do not")
 
 
 def stochastic_lift(f, bins_domain, bins_codomain,
@@ -431,7 +449,9 @@ def stochastic_lift(f, bins_domain, bins_codomain,
     indices to bin indices) or BinGrid instances (f maps points to
     points; each domain cell is subdivided and the image mass
     histogrammed).  Column i holds the mass fractions of domain bin i
-    landing in each codomain bin.
+    landing in each codomain bin.  The samples of whole domain cells
+    go through f together, by ``sheaf.batch_call``; when an image is
+    bad, the point calls of f name the first bad sample.
     """
     if isinstance(bins_domain, int) and isinstance(bins_codomain, int):
         m = np.zeros((bins_codomain, bins_domain))
@@ -447,24 +467,30 @@ def stochastic_lift(f, bins_domain, bins_codomain,
         raise TypeError("bins must both be ints or both BinGrid")
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
-    # one block of samples per domain cell: f runs once per point, the
-    # binning once per block
-    dim = len(bins_codomain.edges)
+    # the samples of whole domain cells, about LIFT_CHUNK_POINTS at a
+    # time, go through f's batch call and are binned together
+    n_cod = bins_codomain.size
     per = subdivisions ** len(bins_domain.edges)
-    m = np.zeros((bins_codomain.size, bins_domain.size))
-    for i, (cell, points) in enumerate(bins_domain.cell_samples(subdivisions)):
-        images = [f(p) for p in points]
-        if set(map(len, images)) != {dim}:
-            raise _bad_image(images, cell, bins_codomain)
-        coords = np.fromiter(itertools.chain.from_iterable(images),
-                             float, count=per * dim)
-        idx, inside = bins_codomain.cells(coords.reshape(per, dim))
+    m = np.zeros((n_cod, bins_domain.size))
+    for cells, points in bins_domain.cell_samples(
+            subdivisions, max(1, LIFT_CHUNK_POINTS // per)):
+        try:
+            images = batch_call(f, points)
+        except ValueError:  # images of unequal lengths
+            images = None
+        if images is None or images.shape != \
+                (len(points), len(bins_codomain.edges)):
+            raise _bad_image(f, points, cells, bins_domain, bins_codomain)
+        idx, inside = bins_codomain.cells(images)
         if not inside.all():
-            raise _bad_image(images, cell, bins_codomain)
-        flat = np.zeros(per, dtype=np.intp)
+            raise _bad_image(f, points, cells, bins_domain, bins_codomain)
+        flat = np.zeros(len(points), dtype=np.intp)
         for ax, s in enumerate(bins_codomain.shape):
             flat = flat * s + idx[:, ax]
-        m[:, i] = np.bincount(flat, minlength=len(m))
+        dom = np.repeat(np.arange(len(cells)), per)
+        counts = np.bincount(flat * len(cells) + dom,
+                             minlength=n_cod * len(cells))
+        m[:, cells.start:cells.stop] = counts.reshape(n_cod, len(cells))
     return m / per
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import _kernels as K
 from . import spaces as sp
 from .consistency import Assignment
@@ -179,12 +181,36 @@ def _bearing_time_factory(p):
     return fn
 
 
+def _bearing_time_batch(p):
+    sensor_lon, sensor_lat = p["sensor_lon_w"], p["sensor_lat"]
+    radius, ref_lat = p["earth_radius_km"], p["lon_ref_lat_deg"]
+
+    def fn(states):
+        x, y, _z, vx, vy, t = states.T
+        lon, lat = K.dead_reckon_deg(x, y, vx, vy, t, radius, ref_lat)
+        return np.column_stack(
+            (K.equirect_bearings_deg(sensor_lon, sensor_lat, lon, lat), t))
+
+    return fn
+
+
 def _bearing_of_detection_factory(p):
     sensor_lon, sensor_lat = p["sensor_lon_w"], p["sensor_lat"]
 
     def fn(detection):
         return (K.equirect_bearing_deg(sensor_lon, sensor_lat,
                                        detection[0], detection[1]),)
+
+    return fn
+
+
+def _bearing_of_detection_batch(p):
+    sensor_lon, sensor_lat = p["sensor_lon_w"], p["sensor_lat"]
+
+    def fn(detections):
+        lon, lat = detections.T
+        return K.equirect_bearings_deg(sensor_lon, sensor_lat,
+                                       lon, lat)[:, None]
 
     return fn
 
@@ -199,9 +225,18 @@ def _dead_reckon_factory(p):
     return fn
 
 
-register_builtin("bearing_and_time_of_state", _bearing_time_factory)
-register_builtin("bearing_of_detection", _bearing_of_detection_factory)
-register_builtin("dead_reckon_state", _dead_reckon_factory)
+def _dead_reckon_batch(p):
+    point = _dead_reckon_factory(p)
+    # dead_reckon_deg takes arrays as it is: one state per column
+    return lambda states: np.column_stack(point(states.T))
+
+
+register_builtin("bearing_and_time_of_state", _bearing_time_factory,
+                 _bearing_time_batch)
+register_builtin("bearing_of_detection", _bearing_of_detection_factory,
+                 _bearing_of_detection_batch)
+register_builtin("dead_reckon_state", _dead_reckon_factory,
+                 _dead_reckon_batch)
 
 
 def build_sar_topology() -> Topology:

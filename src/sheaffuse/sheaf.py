@@ -31,10 +31,30 @@ from .topology import OpenSet, Topology
 
 # ---------------------------------------------------------------------------
 # restriction map bodies
+#
+# A body maps one point, a tuple of coordinates, to a tuple; ``batch``
+# maps the rows of an (n, d) array to an (n, k) array in one go.
+
+def batch_call(body, points: np.ndarray) -> np.ndarray:
+    """A body, or any callable on tuples, applied to the rows of an
+    (n, d) array: its ``batch`` call when it has one, else one call per
+    row on a tuple of Python floats, stacked into an (n, k) array."""
+    batch = getattr(body, "batch", None)
+    if batch is None:
+        return np.array([tuple(body(p)) for p in map(tuple, points.tolist())],
+                        dtype=float)
+    # NumPy warns where the point call's float arithmetic passes inf and
+    # NaN on silently; callers check the images themselves
+    with np.errstate(all="ignore"):
+        return np.asarray(batch(points), dtype=float)
+
 
 class Identity:
     def __call__(self, coords):
         return tuple(coords)
+
+    def batch(self, points):
+        return points
 
     def matrix(self, in_dim):
         return np.eye(in_dim)
@@ -49,6 +69,9 @@ class Projection:
     def __call__(self, coords):
         return tuple(coords[i] for i in self.indices)
 
+    def batch(self, points):
+        return points[:, list(self.indices)]
+
     def matrix(self, in_dim):
         m = np.zeros((len(self.indices), in_dim))
         for row, i in enumerate(self.indices):
@@ -57,6 +80,9 @@ class Projection:
 
 
 class Linear:
+    """Matrix restriction; ``batch`` agrees with the point call up to
+    the rounding of each dot product, not bit for bit."""
+
     def __init__(self, matrix):
         self.mat = np.asarray(matrix, dtype=float)
         if self.mat.ndim != 2:
@@ -66,6 +92,9 @@ class Linear:
 
     def __call__(self, coords):
         return tuple(self.mat @ np.asarray(coords, dtype=float))
+
+    def batch(self, points):
+        return points @ self.mat.T
 
     def matrix(self, in_dim):
         if self.mat.shape[1] != in_dim:
@@ -85,20 +114,31 @@ class Affine:
     def __call__(self, coords):
         return tuple(self.mat @ np.asarray(coords, dtype=float) + self.offset)
 
+    def batch(self, points):
+        return points @ self.mat.T + self.offset
+
     def matrix(self, in_dim):
         return None
 
 
 class Builtin:
-    """Named map from the registered catalog (e.g. scenario geometry)."""
+    """Named map from the registered catalog (e.g. scenario geometry).
+    ``batch_fn``, when given, maps an (n, d) array to an (n, k) array;
+    without it ``batch`` calls ``fn`` once per row."""
 
-    def __init__(self, name, fn, params=None):
+    def __init__(self, name, fn, params=None, batch_fn=None):
         self.name = name
         self.fn = fn
         self.params = dict(params or {})
+        self.batch_fn = batch_fn
 
     def __call__(self, coords):
         return tuple(self.fn(coords))
+
+    def batch(self, points):
+        if self.batch_fn is None:
+            return batch_call(self.fn, points)
+        return self.batch_fn(points)
 
     def matrix(self, in_dim):
         return None
@@ -117,6 +157,11 @@ class Chain:
             coords = b(coords)
         return coords
 
+    def batch(self, points):
+        for b in self.bodies:
+            points = batch_call(b, points)
+        return points
+
     def matrix(self, in_dim):
         m = np.eye(in_dim)
         for b in self.bodies:
@@ -130,17 +175,26 @@ class Chain:
 BUILTIN_CATALOG: dict = {}
 
 
-def register_builtin(name, factory):
-    """Register a factory(params) -> callable for JSON-spec restrictions."""
-    BUILTIN_CATALOG[name] = factory
+def register_builtin(name, factory, batch=None):
+    """Register a factory(params) -> callable for JSON-spec restrictions.
+
+    The callable maps one point, a tuple of Python floats, to a tuple.
+    ``batch``, when given, is a factory(params) -> callable that maps
+    the rows of an (n, d) float array to an (n, k) array and agrees
+    with the point callable row by row; stochastic lifts push whole
+    sample arrays through it.  Without it a lift calls the point
+    callable once per sample point."""
+    BUILTIN_CATALOG[name] = (factory, batch)
 
 
 def resolve_builtin(name, params=None) -> Builtin:
     try:
-        factory = BUILTIN_CATALOG[name]
+        factory, batch = BUILTIN_CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown builtin restriction {name!r}") from None
-    return Builtin(name, factory(dict(params or {})), params)
+    params = dict(params or {})
+    return Builtin(name, factory(dict(params)), params,
+                   None if batch is None else batch(dict(params)))
 
 
 @dataclass(frozen=True)
@@ -241,6 +295,7 @@ class Sheaf:
         self._basis_chain_cache: dict[tuple[int, int], Chain] = {}
         self._blocks_cache: dict[tuple[int, int], tuple] = {}
         self._kernel_cache: dict[int, np.ndarray] = {}
+        self._ambient_cache: dict[tuple[int, int], np.ndarray] = {}
         self._matrix_cache: dict[tuple[int, int], np.ndarray] = {}
 
     # -- basic accessors ----------------------------------------------------
@@ -416,13 +471,20 @@ class Sheaf:
         return self.kernel_basis(oid).shape[1]
 
     def ambient_matrix(self, src: int, dst: int) -> np.ndarray:
-        """Restriction as a matrix between ambient coordinate tuples."""
+        """Restriction as a matrix between ambient coordinate tuples;
+        built once per pair and read-only."""
+        key = (src, dst)
+        m = self._ambient_cache.get(key)
+        if m is not None:
+            return m
         m = np.zeros((self.stalk(dst).dim, self.stalk(src).dim))
         for lo, hi, dst_lo, dst_hi, chain in self._blocks(src, dst):
             block = chain.matrix(hi - lo)
             if block is None:
                 raise NonlinearSheaf("matrix restriction requires linear maps")
             m[dst_lo:dst_hi, lo:hi] = block
+        m.flags.writeable = False
+        self._ambient_cache[key] = m
         return m
 
     def restriction_matrix(self, src: int, dst: int) -> np.ndarray:

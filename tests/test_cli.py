@@ -318,6 +318,19 @@ def test_cohomology_lift_json_is_one_object(sar_files, capsys):
     assert "do not shrink it" in captured.err
 
 
+def test_cohomology_lift_at_three_bins(sar_files, capsys):
+    """Pins the 3-bin lifted complex, where a sample that changed bin
+    would show."""
+    spec, _ = sar_files
+    assert main(["cohomology", str(spec), "--lift-bins", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["dims"] == [1026, 333, 36]
+    assert payload["ranks"] == [301, 36, 0]
+    assert payload["betti"] == [725, -4, 0]
+    assert payload["dd_residual"] == pytest.approx(0.7572016460905349,
+                                                   rel=1e-12)
+
+
 @pytest.mark.parametrize("bins", ["-1", "0"])
 def test_cohomology_lift_bins_below_one_exits_2(sar_files, capsys, bins):
     spec, _ = sar_files

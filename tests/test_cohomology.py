@@ -32,12 +32,19 @@ from sheaffuse import (
 )
 from sheaffuse.cohomology import (
     DD_TOL,
+    LIFT_CHUNK_POINTS,
     _betti_table,
     _minimal_open_poset,
     lift_sheaf,
     topology_betti,
 )
 from sheaffuse.errors import NonlinearSheaf, UnmappedBin
+from sheaffuse.sheaf import (
+    BUILTIN_CATALOG,
+    Builtin,
+    register_builtin,
+    resolve_builtin,
+)
 from sheaffuse.scenarios import (
     build_coin_sheaf,
     build_obstacle_sheaves,
@@ -209,6 +216,7 @@ def test_betti_invariant_under_matrix_scaling():
     }
     sh.edges = scaled_edges
     sh._basis_chain_cache.clear()
+    sh._ambient_cache.clear()
     sh._matrix_cache.clear()
     sh._kernel_cache.clear()
     assert betti(sh, cover, 2).betti == base
@@ -618,6 +626,9 @@ def test_grid_lift_rejects_bad_image(image, why):
 
 
 def test_grid_lift_names_first_bad_sample():
+    """A plain callable, and a builtin whose batch form has the same
+    NaN: the error text is the same on the array path; images of
+    unequal lengths are named too."""
     grid_in = uniform_grid([0.0], [1.0], 3)
     grid_out = uniform_grid([0.0], [1.0], 2)
 
@@ -627,7 +638,98 @@ def test_grid_lift_names_first_bad_sample():
             return (float("nan"),)
         return (p[0] * 2.0,)
 
+    def batch(points):
+        x = points[:, 0]
+        return np.where((0.5 < x) & (x < 0.6), np.nan, x * 2.0)[:, None]
+
+    def ragged(p):
+        return (1.0, 2.0) if 0.5 < p[0] < 0.6 else (p[0] * 2.0,)
+
+    for body, text in (
+        (f, "image (nan,) of sample in domain bin (1,) is not finite"),
+        (Builtin("nan_at", f, batch_fn=batch),
+         "image (nan,) of sample in domain bin (1,) is not finite"),
+        (ragged, "image (1.0, 2.0) of sample in domain bin (1,) has 2 "
+                 "coordinates, the codomain grid 1"),
+    ):
+        with pytest.raises(UnmappedBin) as info:
+            stochastic_lift(body, grid_in, grid_out, 2)
+        assert str(info.value) == text
+
+
+@pytest.mark.parametrize("batch", [
+    lambda q: np.full((len(q), 1), np.inf),
+    lambda q: q[:, 0],
+], ids=["outside", "one-d"])
+def test_grid_lift_names_a_batch_form_its_point_form_contradicts(batch):
+    grid_in = uniform_grid([0.0], [1.0], 3)
+    body = Builtin("half", lambda p: (p[0] * 0.5,), batch_fn=batch)
     with pytest.raises(UnmappedBin) as info:
-        stochastic_lift(f, grid_in, grid_out, 2)
-    assert str(info.value) == \
-        "image (nan,) of sample in domain bin (1,) is not finite"
+        stochastic_lift(body, grid_in, grid_in, 2)
+    assert str(info.value) == ("the batch call fails on domain bins (0,) "
+                               "to (2,), the point calls do not")
+
+
+def test_grid_lift_calls_a_batch_body_once_per_chunk():
+    """No silent fallback to one call per sample point."""
+    calls = {"point": 0, "batch": 0}
+
+    def point(p):
+        calls["point"] += 1
+        return (p[0] * 0.5, p[2])
+
+    def batch(points):
+        calls["batch"] += 1
+        return np.column_stack((points[:, 0] * 0.5, points[:, 2]))
+
+    grid_in = uniform_grid([0.0] * 3, [1.0] * 3, 10)
+    grid_out = uniform_grid([0.0] * 2, [1.0] * 2, 4)
+    m = stochastic_lift(Builtin("spy", point, batch_fn=batch),
+                        grid_in, grid_out, 3)
+    per_chunk = LIFT_CHUNK_POINTS // 27
+    assert 1 < per_chunk < grid_in.size
+    assert calls == {"point": 0, "batch": -(-grid_in.size // per_chunk)}
+    assert np.array_equal(m, grid_lift_reference(point, grid_in, grid_out))
+
+
+def test_builtin_without_batch_form_lifts_like_the_reference():
+    register_builtin("test_fold", lambda params: (
+        lambda p: (p[0] * p[1] * params["k"], p[0] - p[1])))
+    try:
+        body = resolve_builtin("test_fold", {"k": 0.25})
+        assert body.batch_fn is None
+        grid_in = uniform_grid([-1.0, 0.0], [1.0, 2.0], 4)
+        grid_out = uniform_grid([-0.5, -3.0], [0.5, 1.0], 3)
+        m = stochastic_lift(body, grid_in, grid_out)
+        ref = grid_lift_reference(body, grid_in, grid_out)
+        assert np.array_equal(m, ref)
+    finally:
+        del BUILTIN_CATALOG["test_fold"]
+
+
+def test_sar_batch_forms_match_point_calls_on_lift_samples():
+    """Every SAR edge, the four from the 6-d office stalk included, on
+    all lift sample points of the 2-bin grids: the images fall in the
+    same bins, and only bearings differ at all.  np.arctan2 may differ
+    from math.atan2 in the last bit, which is up to two ulps of the
+    bearing in degrees."""
+    sh = build_sar_sheaf()
+    grids = sar_lift_grids(sh, 2)
+    bearings = {"bearing_and_time_of_state", "bearing_of_detection"}
+    builtins = set()
+    for (src, dst), rm in sh.edges.items():
+        grid_in, grid_out = grids[src], grids[dst]
+        ((_, points),) = grid_in.cell_samples(3, grid_in.size)
+        assert len(points) == 6 ** len(grid_in.shape)  # 46,656 at 6-d
+        got = rm.body.batch(points)
+        want = np.array([rm.body(p) for p in map(tuple, points.tolist())])
+        assert got.shape == want.shape
+        for a, b in zip(grid_out.cells(got), grid_out.cells(want)):
+            assert np.array_equal(a, b), (src, dst)
+        if getattr(rm.body, "name", None) in bearings:
+            ulps = np.abs(got[:, 0] - want[:, 0]) / np.spacing(want[:, 0])
+            assert ulps.max() <= 2.0
+            got, want = got[:, 1:], want[:, 1:]
+        assert np.array_equal(got, want)
+        builtins.add(getattr(rm.body, "name", None))
+    assert builtins >= bearings | {"dead_reckon_state"}

@@ -12,6 +12,9 @@ from conftest import (
 )
 from oracles import agreement_dim, all_pairs_gluing, edge_path_functoriality
 from sheaffuse import (
+    Affine,
+    Builtin,
+    Chain,
     EntityUniverse,
     Identity,
     Linear,
@@ -42,6 +45,7 @@ from sheaffuse.scenarios import (
     build_sar_sheaf,
     sar_lift_ranges,
 )
+from sheaffuse.sheaf import batch_call
 from sheaffuse.topology import Topology
 
 
@@ -500,3 +504,62 @@ def test_restriction_matrix_to_itself_is_exact_identity():
             m = sh.restriction_matrix(o.id, o.id)
             assert np.array_equal(m, np.eye(sh.dim(o.id))), (seed, str(o))
             assert sh.restriction_matrix(o.id, o.id) is m
+
+
+def test_ambient_matrix_is_built_once_and_read_only():
+    sh = random_linear_sheaf(random.Random(49))
+    for small, large in comparable_pairs(sh.topology):
+        m = sh.ambient_matrix(large.id, small.id)
+        assert sh.ambient_matrix(large.id, small.id) is m
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[...] = 0.0
+
+
+def point_rows(body, points):
+    return [tuple(body(tuple(p))) for p in points.tolist()]
+
+
+def test_batch_call_matches_point_call_for_every_body_kind():
+    """Identity, Projection, Builtin and plain callables agree bit for
+    bit; Linear, Affine and chains through them up to the rounding of
+    each dot product, d * eps * (|A| |x| + |b|)."""
+    rng = np.random.default_rng(53)
+    points = rng.normal(0.0, 100.0, size=(200, 4))
+    mat, offset = rng.normal(size=(3, 4)), rng.normal(size=3)
+    seen = []
+
+    def plain(p):
+        # a plain callable is handed tuples of Python floats
+        assert type(p) is tuple and all(type(v) is float for v in p)
+        seen.append(p)
+        return (p[0] * p[1], p[3])
+
+    exact = [
+        Identity(),
+        Projection([2, 0, 0]),
+        Builtin("fold", lambda p: (p[0] * p[1], abs(p[2]))),
+        Builtin("fold", lambda p: (p[0] * p[1], abs(p[2])),
+                batch_fn=lambda q: np.column_stack((q[:, 0] * q[:, 1],
+                                                    np.abs(q[:, 2])))),
+        Chain((Projection([3, 1]), Identity()), ()),
+        plain,
+    ]
+    for body in exact:
+        got = batch_call(body, points)
+        assert got.shape[0] == len(points)
+        assert [tuple(r) for r in got.tolist()] == point_rows(body, points)
+    assert len(seen) == 2 * len(points)  # the batch loop and point_rows
+    rounded = [
+        (Linear(mat), np.abs(mat), 0.0),
+        (Affine(mat, offset), np.abs(mat), np.abs(offset)),
+        (Chain((Projection([0, 1, 2, 3]), Linear(mat)), ()), np.abs(mat),
+         0.0),
+    ]
+    for body, abs_mat, abs_offset in rounded:
+        got = batch_call(body, points)
+        want = np.array(point_rows(body, points))
+        bound = 4 * np.finfo(float).eps * (np.abs(points) @ abs_mat.T
+                                           + abs_offset)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= bound)
