@@ -124,19 +124,37 @@ def is_epsilon_approximate(a: Assignment, eps: float) -> bool:
 
 
 def pullback_global(sh: Sheaf, s_top: sp.Point) -> Assignment:
-    """Total assignment obtained by restricting a global section everywhere."""
+    """Total assignment obtained by restricting a global section everywhere.
+
+    The section is restricted once to each native open.  Every other
+    union takes its parts' values side by side, which is what a
+    restriction to it computes: ``Sheaf._blocks`` restricts to each part
+    along the same chain, and the union's stalk is the product of the
+    parts' stalks, so the parts' ``make_point`` checks already cover it.
+    Opens sort by size, so each part is reached before its unions and the
+    first error raised names the same open as a restriction to every
+    open in turn would.
+    """
     top = sh.topology.full
     if s_top.space != sh.stalk(top.id):
         raise SpaceMismatch("section does not lie in the stalk over X")
     a = Assignment(sh)
+    values = a.values
     for u in sh.topology.opens:
         if u.mask == 0:
             continue
         if u.id == top.id:
-            a.values[u.id] = s_top
-        else:
+            values[u.id] = s_top
+            continue
+        pb = sh.pullback(u.id)
+        if pb is None:
             coords = sh.restrict_coords(top.id, u.id, s_top.coords)
-            a.values[u.id] = sp.make_point(sh.stalk(u.id), coords)
+            values[u.id] = sp.make_point(sh.stalk(u.id), coords)
+        else:
+            coords = ()
+            for p in pb.parts:
+                coords += values[p].coords
+            values[u.id] = sp.Point(coords, sh.stalk(u.id))
     return a
 
 

@@ -9,15 +9,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from sheaffuse import (
+    Affine,
     Builtin,
     EntityUniverse,
     Identity,
     Linear,
     RestrictionMap,
     Sheaf,
+    circle,
     complete_unions,
     euclidean,
     generate_topology,
+    product,
+    simplex,
 )
 
 
@@ -100,6 +104,47 @@ def random_linear_sheaf(rng, n_entities=3, dims_per_entity=(1, 2),
                 )
                 restrictions.append(RestrictionMap(big, small, Linear(mat)))
     return complete_unions(Sheaf(t, stalks, restrictions))
+
+
+def random_product_sheaf(rng, n_entities=4):
+    """Random sheaf whose entities each own one factor: R^1, R^2, a
+    circle or a simplex.  A basis stalk is the product of its entities'
+    factors in entity order, and each restriction edge keeps the
+    target's factors and adds 360 to every circle coordinate it keeps,
+    so restricted angles need wrapping and composites differ by path.
+    The whole space is a basis open."""
+    universe, subbase = random_subbase(rng, n_entities,
+                                       rng.randint(2, n_entities + 1))
+    subbase.append(tuple(universe.names))
+    t = generate_topology(universe, subbase)
+    factors = [rng.choice([euclidean(1), euclidean(2), circle(), simplex(3)])
+               for _ in universe.names]
+
+    def owned(mask):
+        return [i for i in range(len(factors)) if mask >> i & 1]
+
+    stalks = {b: product([factors[i] for i in owned(b.mask)])
+              for b in t.basis}
+    restrictions = []
+    for big in t.basis:
+        starts, col = {}, 0
+        for i in owned(big.mask):
+            starts[i] = col
+            col += factors[i].dim
+        for small in t.basis:
+            if small.mask == big.mask or small.mask & big.mask != small.mask:
+                continue
+            rows, offset = [], []
+            for i in owned(small.mask):
+                for k in range(factors[i].dim):
+                    row = [0.0] * col
+                    row[starts[i] + k] = 1.0
+                    rows.append(row)
+                    offset.append(360.0 if factors[i].kind == "circle"
+                                  else 0.0)
+            restrictions.append(RestrictionMap(big, small,
+                                               Affine(rows, offset)))
+    return Sheaf(t, stalks, restrictions)
 
 
 def camera_chain_sheaf(cameras=5, camera_dim=2, seed=2016):

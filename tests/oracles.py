@@ -7,8 +7,10 @@ applying every restriction-edge path.  The exceptions are the library's
 former routines, kept as references for the ones that replaced them:
 ``all_pairs_gluing``, the gluing check over every pair of opens, for
 the native-union check; ``all_pairs_radius``, the consistency-radius
-loop over every comparable pair, for the defined-pair loop; the
-``reference_*`` cohomology routines, for the one cochain-complex
+loop over every comparable pair, for the defined-pair loop;
+``pullback_every_open``, the restriction of a global section to every
+open in turn, for the pullback that restricts it once per native open;
+the ``reference_*`` cohomology routines, for the one cochain-complex
 routine and the Leray check on sub-posets; and ``nelder_mead``, the
 derivative-free simplex search that fused simplex, discrete and
 nonlinear sheaves, for the minimax routes.
@@ -33,8 +35,8 @@ from sheaffuse.cohomology import (
     _intersection_open,
     restrict_sheaf,
 )
-from sheaffuse.consistency import EdgeError
-from sheaffuse.errors import IntersectionNotOpen
+from sheaffuse.consistency import Assignment, EdgeError
+from sheaffuse.errors import IntersectionNotOpen, SpaceMismatch
 from sheaffuse.sheaf import GluingReport, Sheaf
 from sheaffuse.topology import comparable_pairs
 
@@ -325,6 +327,23 @@ def all_pairs_radius(a):
         edges.append(EdgeError(small, large, err))
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
     return edges
+
+
+def pullback_every_open(sh: Sheaf, s_top: sp.Point) -> Assignment:
+    """Total assignment obtained by restricting a global section everywhere."""
+    top = sh.topology.full
+    if s_top.space != sh.stalk(top.id):
+        raise SpaceMismatch("section does not lie in the stalk over X")
+    a = Assignment(sh)
+    for u in sh.topology.opens:
+        if u.mask == 0:
+            continue
+        if u.id == top.id:
+            a.values[u.id] = s_top
+        else:
+            coords = sh.restrict_coords(top.id, u.id, s_top.coords)
+            a.values[u.id] = sp.make_point(sh.stalk(u.id), coords)
+    return a
 
 
 def minimax_optimum(a):

@@ -6,12 +6,15 @@ import pytest
 from conftest import (
     camera_chain_sheaf,
     nan_sheaf,
+    nested_native_union,
     random_linear_sheaf,
+    random_product_sheaf,
     with_native_union,
 )
-from oracles import all_pairs_radius, max_common_distance
+from oracles import all_pairs_radius, max_common_distance, pullback_every_open
 from sheaffuse import (
     Assignment,
+    Builtin,
     EntityUniverse,
     Identity,
     Linear,
@@ -23,6 +26,7 @@ from sheaffuse import (
     consistency_radius,
     distance,
     euclidean,
+    fuse,
     generate_topology,
     is_epsilon_approximate,
     lipschitz_bound,
@@ -34,6 +38,8 @@ from sheaffuse import (
 from sheaffuse.errors import SheafMismatch, SpaceMismatch
 from sheaffuse.scenarios import (
     SarParameters,
+    build_coin_sheaf,
+    build_obstacle_sheaves,
     build_sar_sheaf,
     sar_case_assignment,
 )
@@ -165,6 +171,132 @@ def test_pullback_round_trip_at_top():
     again = pullback_global(sh, a.get(top))
     for oid in a.values:
         assert again.values[oid].coords == a.values[oid].coords
+
+
+def assert_same_values(got, want):
+    """The same opens, each with the same coordinates and stalk."""
+    assert got.values.keys() == want.values.keys()
+    for oid, point in want.values.items():
+        assert got.values[oid].coords == point.coords, oid
+        assert got.values[oid].space == point.space, oid
+
+
+def assert_same_as_every_open(sh, s):
+    """``pullback_global`` gives exactly the restriction to every open
+    in turn.  Returns how many opens below the whole space are unions of
+    two or more parts, whose values depend on the order of the parts."""
+    assert_same_values(pullback_global(sh, s), pullback_every_open(sh, s))
+    top = sh.topology.full.id
+    return sum(1 for u in sh.topology.opens
+               if u.mask and u.id != top and sh.pullback(u.id) is not None
+               and len(sh.pullback(u.id).parts) > 1)
+
+
+def test_pullback_matches_every_open_on_sar_fused_sections():
+    sh = build_sar_sheaf()
+    for case in (1, 2, 3):
+        res = fuse(sar_case_assignment(sh, case))
+        assert_same_values(res.fused,
+                           pullback_every_open(sh, res.section_at_top))
+        assert assert_same_as_every_open(sh, res.section_at_top) > 0
+
+
+def test_pullback_matches_every_open_on_random_sheaves():
+    rng = random.Random(61)
+    unions = 0
+    for _ in range(12):
+        for include_full in (True, False):
+            sh = random_linear_sheaf(rng, n_entities=4,
+                                     include_full=include_full)
+            top = sh.topology.full.id
+            unions += assert_same_as_every_open(
+                sh, sh.sample_stalk(top, rng))
+    sh, _ = nested_native_union()
+    unions += assert_same_as_every_open(
+        sh, sh.sample_stalk(sh.topology.full.id, rng))
+    assert unions > 0
+
+
+def test_pullback_matches_every_open_on_circle_and_simplex_stalks():
+    rng = random.Random(67)
+    kinds = set()
+    unions = 0
+    for _ in range(24):
+        sh = random_product_sheaf(rng)
+        kinds |= {c.kind for space in sh.stalks.values()
+                  for c, _, _ in space.factors}
+        unions += assert_same_as_every_open(
+            sh, sample_point(sh.stalk(sh.topology.full.id), rng))
+    assert {"circle", "simplex"} <= kinds
+    assert unions > 0
+
+
+def test_pullback_matches_every_open_on_scenario_sheaves():
+    rng = random.Random(71)
+    sheaves = list(build_obstacle_sheaves()) + [
+        build_coin_sheaf(v) for v in ("mosaic", "counts", "value")]
+    for sh in sheaves:
+        assert_same_as_every_open(
+            sh, sh.sample_stalk(sh.topology.full.id, rng))
+
+
+def test_pullback_matches_every_open_on_an_eight_camera_chain():
+    sh = camera_chain_sheaf(cameras=8)
+    top = sh.topology.full
+    assert len(sh.topology.opens) == 1597
+    k = sh.kernel_basis(top.id)
+    rng = np.random.default_rng(3)
+    s = make_point(sh.stalk(top.id), k @ rng.normal(0.0, 17.0, k.shape[1]))
+    assert assert_same_as_every_open(sh, s) > 1000
+
+
+def test_pullback_restricts_once_per_native_open(monkeypatch):
+    calls = []
+    original = Sheaf.restrict_coords
+
+    def spy(self, src, dst, coords):
+        calls.append((src, dst))
+        return original(self, src, dst, coords)
+
+    monkeypatch.setattr(Sheaf, "restrict_coords", spy)
+    rng = random.Random(73)
+    nested, _ = nested_native_union()
+    for sh in (camera_chain_sheaf(), nested):
+        top = sh.topology.full.id
+        s = sh.sample_stalk(top, rng)
+        native = set(sh.native_ids())
+        calls.clear()
+        pullback_global(sh, s)
+        assert len(calls) == len(set(calls))
+        assert {src for src, _ in calls} <= {top}
+        assert {dst for _, dst in calls} <= native - {top}
+        # the walk over every open restricts to the unions too
+        calls.clear()
+        pullback_every_open(sh, s)
+        assert {dst for _, dst in calls} - native
+
+
+@pytest.mark.parametrize("stalk, image", [
+    (euclidean(1), lambda coords: (float("nan"),)),
+    (simplex(2), lambda coords: (0.5, 0.6)),
+], ids=["nan", "off-simplex"])
+def test_pullback_raises_as_every_open_does(stalk, image):
+    """A builtin edge into {b} gives an invalid value; {b} lies inside
+    the unions {a,b} and {b,c}, which are pullbacks."""
+    u = EntityUniverse(["a", "b", "c"])
+    t = generate_topology(u, [("a",), ("b",), ("c",)])
+    a, b, c = (t.open_for([n]) for n in "abc")
+    sh = Sheaf(t, {t.full: euclidean(1), a: euclidean(1), b: stalk,
+                   c: euclidean(1)},
+               [RestrictionMap(t.full, a, Identity()),
+                RestrictionMap(t.full, b, Builtin("bad", image)),
+                RestrictionMap(t.full, c, Identity())])
+    s = make_point(sh.stalk(t.full.id), [1.0])
+    with pytest.raises(SpaceMismatch) as got:
+        pullback_global(sh, s)
+    with pytest.raises(SpaceMismatch) as want:
+        pullback_every_open(sh, s)
+    assert str(got.value) == str(want.value)
 
 
 def test_radius_of_case_assignments_ordering():
