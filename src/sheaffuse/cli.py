@@ -425,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("assignment")
     p.add_argument("--max-iter", type=int, default=2000,
-                   help="cap on iterations of the lawson and sqp routes "
-                        "and on Newton steps of the barrier route")
+                   help="cap on iterations of the sqp route and on "
+                        "Newton steps of the barrier route")
     p.add_argument("--tol", type=float, default=1e-8,
                    help="largest gap between the residual and its proven "
-                        "lower bound (lawson, barrier), or decrease of "
+                        "lower bound (linear sheaves), or decrease of "
                         "the residual a linearized step still predicts, "
                         "or that eight steps in a row gain, over 1 + the "
-                        "residual (sqp)")
+                        "residual (nonlinear sheaves)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the optimizer hit the iteration cap")
     p.add_argument("--csv", help="write the fused assignment CSV here")

@@ -8,11 +8,11 @@ The objective is the sup pseudometric to the input assignment.
 On a linear sheaf whose defined stalks are Euclidean spaces and time
 lines, or products of them, the objective is the largest of a few
 weighted Euclidean norms of affine maps, one group per component of
-each defined stalk: a convex minimax problem.  Lawson's iteration in
-group form (Lawson, UCLA thesis, 1961) solves it, with a Newton finish
-on the optimality conditions started from the path of a log barrier,
-and stops only on a certificate: a proven lower bound on the optimum
-within ``f_tolerance`` of the residual reached.
+each defined stalk: a convex minimax problem.  Linearized steps on the
+groups' exact derivatives (Madsen, 1975; Hald and Madsen, Math.
+Programming 20, 1981), from the path of a log barrier, solve it and
+stop only on a certificate: Lawson's lower bound (UCLA thesis, 1961)
+from the model's multipliers, within ``f_tolerance`` of the residual.
 
 A simplex stalk's distance is half an L1 norm of an affine map, so on a
 linear sheaf with one, fusion over the simplexes is a convex program
@@ -23,9 +23,9 @@ proves such a bound.
 On a nonlinear sheaf whose whole-space and defined stalks have only
 Euclidean, time, circle and geographic factors, the objective is the
 largest of a smooth vector of distances, one per factor of each defined
-stalk, minimized by linearized steps with a quasi-Newton curvature term
-(Madsen, 1975; Hald and Madsen, Math. Programming 20, 1981) on
-forward-difference Jacobians, from the whole space's reading or zero.
+stalk, minimized by the same linearized steps with a quasi-Newton
+curvature term on forward-difference Jacobians, from the whole space's
+reading or zero.
 A nonlinear sheaf with a discrete or simplex factor is not fused: a
 discrete distance is 0 or its weight, and a simplex needs the barrier's
 linearity.
@@ -49,12 +49,10 @@ from .consistency import (
 from .errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
 from .sheaf import Sheaf
 
-# Lawson tries its Newton finish at iterations 1, 2, 4, 8, ..., on the
-# groups whose barrier weight is at least BARRIER_WEIGHT times the
-# largest; the barrier weights come from BARRIER_STAGES stages along the
+# The sqp route on a linear sheaf starts BARRIER_STAGES stages along the
 # log-barrier path, each multiplying the barrier parameter by
-# BARRIER_GROWTH and taking BARRIER_STEPS Newton steps
-NEWTON_STEPS = 8
+# BARRIER_GROWTH and taking BARRIER_STEPS Newton steps; groups whose
+# barrier weight is at least BARRIER_WEIGHT times the largest start active
 BARRIER_WEIGHT = 1e-4
 BARRIER_STAGES = 6
 BARRIER_STEPS = 2
@@ -86,12 +84,12 @@ SMOOTH_KINDS = frozenset({sp.EUCLIDEAN, sp.TIME, sp.CIRCLE, sp.GEO2D,
 
 @dataclass(frozen=True)
 class FusionOptions:
-    """``max_iterations`` caps the iterations of the ``lawson`` and
-    ``sqp`` routes and the Newton steps of the ``barrier`` route;
-    ``f_tolerance`` is the certificate's gap on the ``lawson`` and
-    ``barrier`` routes, and on the ``sqp`` route the largest decrease a
-    converged step may still predict (or that STALLS kept steps in a row
-    may gain), per unit of 1 + the residual."""
+    """``max_iterations`` caps the iterations of the ``sqp`` route and
+    the Newton steps of the ``barrier`` route; ``f_tolerance`` is the
+    certificate's gap on a linear sheaf (either route), and on a
+    nonlinear one the largest decrease a converged step may still
+    predict (or that STALLS kept steps in a row may gain), per unit of 1
+    + the residual."""
 
     max_iterations: int = 2000
     f_tolerance: float = 1e-8
@@ -114,10 +112,10 @@ class FusionResult:
     iterations: int
     converged: bool
     route: str
-    # the route's distance-vector (sqp), group-residual (lawson) or
-    # barrier (barrier) evaluations; 0 when already global
+    # the route's distance-vector (sqp) or barrier (barrier)
+    # evaluations; 0 when already global
     evaluations: int = 0
-    # proven lower bound on the optimal residual (lawson, barrier)
+    # proven lower bound on the optimal residual (linear sheaves)
     dual_bound: float | None = None
 
 
@@ -197,8 +195,8 @@ class _Groups:
              np.concatenate(rhs) if rhs else np.zeros(0),
              np.array(group, dtype=int))
             for rows, rhs, group in parts.values())
+        self.member = np.eye(self.count)[self.group]  # rows' groups
         self.bounded = any(s.has_simplex for s in sh.stalks.values())
-        self.evaluations = 0
         if not self.bounded:
             return
         share = np.concatenate([  # the uniform distribution on simplexes
@@ -223,7 +221,6 @@ class _Groups:
 
     def residuals(self, x: np.ndarray) -> np.ndarray:
         """Every group's residual, the simplex groups' last."""
-        self.evaluations += 1
         e = self.rows @ x - self.rhs
         r = np.sqrt(np.bincount(self.group, e * e, minlength=self.count))
         if not self.l1_count:
@@ -232,90 +229,35 @@ class _Groups:
         return np.concatenate([r, np.bincount(self.l1_group, f,
                                               minlength=self.l1_count)])
 
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        """The Euclidean group residuals' gradients rows_g^T e_g / r_g as
+        rows, zero where r_g vanishes."""
+        e = self.rows @ x - self.rhs
+        r = np.sqrt(np.bincount(self.group, e * e, minlength=self.count))
+        grad = self.member.T @ (self.rows * e[:, None])
+        return np.divide(grad, r[:, None], out=np.zeros_like(grad),
+                         where=r[:, None] > 0.0)
 
-def _lawson(groups: _Groups, x: np.ndarray, opts: FusionOptions):
-    """Certified minimax over the groups from the equal-weight
-    least-squares fit x: (best x, best lower bound, iterations, whether
-    the bounds met).
+    def hessian(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        """The Hessian of lam . r over the Euclidean groups with r_g > 0,
+        sum_g lam_g (rows_g^T rows_g - grad r_g grad r_g^T) / r_g, plus
+        CURVATURE_FLOOR times its first term's largest diagonal entry on
+        the diagonal: a group of one row adds nothing, and
+        ``_minimax_step`` needs B definite."""
+        r, jac = self.residuals(x), self.jacobian(x)
+        w = np.divide(lam, r, out=np.zeros(self.count), where=r > 0.0)
+        gauss = self.rows.T @ (self.rows * w[self.group][:, None])
+        ridge = CURVATURE_FLOOR * (float(np.diag(gauss).max(initial=0.0))
+                                   or 1.0)
+        return gauss - jac.T @ (jac * w[:, None]) + ridge * np.eye(len(x))
 
-    Weights lambda on the simplex over the groups start uniform.  Each
-    iteration takes the lambda-weighted least-squares fit x and its group
-    residuals r; sqrt(lambda . r^2) is a lower bound on the optimum, since
-    no x does better on that weighted sum, and max r is an upper bound
-    that x attains.  At iterations 1, 2, 4, 8, ... a Newton finish
-    (``_active_newton``, from near the central path of a log barrier,
-    ``_central_point``) proposes exact weights and a section, which
-    count only through the bounds they give; it nearly always closes
-    them at the first try.  Otherwise Lawson's update lambda <- lambda r
-    / (lambda . r) moves the weight onto the groups that stay largest,
-    and converges on its own.  The iteration stops when the best upper
-    bound is within ``f_tolerance`` of the best lower bound."""
-    lam = np.full(groups.count, 1.0 / groups.count)
-    best, upper, lower = x, math.inf, 0.0
-    for iteration in range(1, opts.max_iterations + 1):
-        r = groups.residuals(x)
-        lower = max(lower, math.sqrt(lam @ (r * r)))
-        if r.max() < upper:
-            best, upper = x, float(r.max())
-        if iteration & (iteration - 1) == 0:  # a power of two
-            centred = _central_point(groups, best)
-            found = None if centred is None else _active_newton(groups,
-                                                                *centred)
-            if found is not None:
-                x_n, mu = found
-                r_n = groups.residuals(x_n)
-                if r_n.max() < upper:
-                    best, upper = x_n, float(r_n.max())
-                r_mu = groups.residuals(groups.solve(mu))
-                lower = max(lower, math.sqrt(mu @ (r_mu * r_mu)))
-        if upper - lower <= opts.f_tolerance:
-            return best, lower, iteration, True
-        lam = lam * r
-        lam /= lam.sum()
-        x = groups.solve(lam)
-    return best, lower, opts.max_iterations, False
-
-
-def _active_newton(groups: _Groups, x: np.ndarray, lam: np.ndarray):
-    """(x, weights over all groups) from Newton's method on the
-    optimality conditions (one residual level t for the groups with
-    weight, x stationary for their weighted sum of squares) from x and
-    the weights lam, over the groups whose weight is at least
-    BARRIER_WEIGHT of the largest, or None.  A group whose multiplier
-    comes out negative, or whose residual stays below t when Newton does
-    not reach it, leaves the set; a group outside it whose residual ends
-    above t joins it; and the solve repeats, at most once per group.
-    The solve depends only on the set, in its order, so a set met again
-    would cycle: the finish gives up at once."""
-    active = list(np.flatnonzero(lam >= BARRIER_WEIGHT * lam.max()))
-    seen = set()
-    for _ in range(groups.count):
-        if tuple(active) in seen:
-            return None
-        seen.add(tuple(active))
-        rows = np.isin(groups.group, active)
-        member = (groups.group[rows][:, None] == active).astype(float)
-        x_n, t, mu = _kkt_newton(groups.rows[rows], groups.rhs[rows],
-                                 member, x, lam[active] / lam[active].sum())
-        if not (np.all(np.isfinite(mu)) and math.isfinite(t)):
-            return None
-        r = groups.residuals(x_n)
-        below = r[active] - t
-        over = r - t
-        over[active] = 0.0
-        if mu.min() < -1e-9:
-            del active[int(np.argmin(mu))]
-        elif np.abs(below).max() > 1e-9 * max(t, 1.0):
-            del active[int(np.argmin(below))]
-        elif over.max() > 0.0:
-            active.append(int(np.argmax(over)))
-        else:
-            weights = np.zeros(groups.count)
-            weights[active] = np.maximum(mu, 0.0)
-            return x_n, weights / weights.sum()
-        if not active:
-            return None
-    return None
+    def bound(self, lam: np.ndarray) -> float:
+        """Lawson's lower bound on the optimum, sqrt(lam . r(x_lam)^2) for
+        weights lam >= 0 scaled to sum to one and x_lam their weighted
+        least-squares fit: no x has a smaller weighted sum of squares."""
+        lam = lam / lam.sum()
+        r = self.residuals(self.solve(lam))
+        return math.sqrt(lam @ (r * r))
 
 
 def _central_point(groups: _Groups, x: np.ndarray,
@@ -330,7 +272,7 @@ def _central_point(groups: _Groups, x: np.ndarray,
     BARRIER_GROWTH and takes backtracking steps, x moving only along the
     row space of the rows, where the Hessian is definite.
 
-    Without ``opts`` (the lawson finish), BARRIER_STAGES stages of
+    Without ``opts`` (the sqp route's start), BARRIER_STAGES stages of
     BARRIER_STEPS steps, a cost alike on every input: (x, the weights
     1 / (s - q_g) normalised), or None.  With ``opts`` (the barrier
     route) a stage steps until the Newton decrement lam is at most
@@ -347,7 +289,7 @@ def _central_point(groups: _Groups, x: np.ndarray,
     basis = rowspace(groups.rows if not bounded else np.vstack(
         [groups.rows, groups.l1_rows, groups.floor_rows]))
     rows, offset = groups.rows @ basis, groups.rows @ x - groups.rhs
-    member = (groups.group[:, None] == np.arange(groups.count)).astype(float)
+    member = groups.member
     g, n = groups.count, rows.shape[1]
     if bounded:  # the L1 rows and the floor, in coordinates y of the row space
         l1, floor = groups.l1_rows @ basis, groups.floor_rows @ basis
@@ -360,7 +302,7 @@ def _central_point(groups: _Groups, x: np.ndarray,
         """The residuals e, the L1 rows f, the floor l and q at (y, u)."""
         e = rows @ y + offset
         q = member.T @ (e * e)
-        if not bounded:  # the lawson finish, kept lean
+        if not bounded:  # the sqp route's start, kept lean
             return e, u, u, q
         q = np.concatenate([q, (within.T @ u) ** 2])
         return e, l1 @ y + l1_offset, floor @ y + floor_offset, q
@@ -500,90 +442,49 @@ def _central_point(groups: _Groups, x: np.ndarray,
     return x + basis @ y, w / w.sum()
 
 
-def _kkt_newton(rows, rhs, member, x, mu):
-    """Newton steps on  sum_g mu_g rows_g^T e_g = 0,  sum mu = 1  and
-    |e_g|^2 = t^2  for every group g, where e = rows x - rhs and
-    ``member`` marks each row's group; least-squares steps, so a
-    singular system moves along its row space only."""
-    n, s = rows.shape[1], member.shape[1]
-    e = rows @ x - rhs
-    t = math.sqrt(mu @ (member.T @ (e * e)))
-    jac = np.zeros((n + 1 + s, n + 1 + s))
-    jac[n, n + 1:] = 1.0
-    f = np.empty(n + 1 + s)
-    for _ in range(NEWTON_STEPS):
-        v = rows.T @ (member * e[:, None])
-        f[:n] = v @ mu
-        f[n] = mu.sum() - 1.0
-        f[n + 1:] = 0.5 * (member.T @ (e * e) - t * t)
-        jac[:n, :n] = rows.T @ (rows * (member @ mu)[:, None])
-        jac[:n, n + 1:] = v
-        jac[n + 1:, :n] = v.T
-        jac[n + 1:, n] = -t
-        step, *_ = np.linalg.lstsq(jac, -f, rcond=None)
-        x = x + step[:n]
-        t += step[n]
-        mu = mu + step[n + 1:]
-        e = rows @ x - rhs
-        if np.abs(step).max() <= 1e-14 * max(1.0, abs(t), np.abs(x).max()):
-            break
-    return x, t, mu
-
-
-def _sqp(distances, x0, opts: FusionOptions):
+def _sqp(distances, jacobian, curvature, x0, opts: FusionOptions,
+         bound=None, lam=None):
     """Minimax of the distance vector d(x) from x0 by linearized steps
     with curvature (Madsen, 1975; Hald and Madsen, Math. Programming 20,
-    1981): (x, iterations, vector evaluations, whether it converged).
+    1981): (x, iterations, vector evaluations, whether it converged, the
+    best lower bound or None).
 
-    Each iteration takes the forward-difference Jacobian J of d, n
-    evaluations beyond d itself, and the step p of the model
-    min t + p.B p / 2 subject to d + J p <= t (``_minimax_step``), whose
-    multipliers lam lie on the simplex over the distances.  F - t is the
-    decrease of max d that the linearization predicts; when it is at
-    most ``f_tolerance`` (1 + F) the iteration has converged, and so it
-    has after STALLS kept steps in a row that each lowered F by at most
-    that much: there the differenced Jacobian is too coarse for the
-    prediction.  Otherwise the step is kept once the
-    largest distance falls by ARMIJO times that prediction and the
-    Jacobian at the new point is finite.  Once the model's active set
-    repeats, a full step that fails gets second-order corrections
-    before it is halved: along curved active distances the linear model
-    overshoots, and halving alone can take dozens of short steps.  B
-    takes a damped BFGS update (Powell, 1978) with the change of
-    the weighted gradient J^T lam over the step kept.  When no step is
-    kept, or the model has no solution, B restarts from the diagonal of
-    J's squared column norms; if it had just restarted, the search ends
-    unconverged."""
+    Each iteration takes the Jacobian J = ``jacobian(x, d, score)``, None
+    if not finite (``score`` evaluates and counts d), and the step p of
+    the model min t + p.B p / 2 subject to d + J p <= t
+    (``_minimax_step``), whose multipliers lam lie on the simplex over
+    the distances.  With ``bound``, a proven lower bound on the optimum
+    from lam, the search converges only once F = max d is within
+    ``f_tolerance`` of the best bound.  Without, it converges once the
+    decrease F - t that the linearization predicts is at most
+    ``f_tolerance`` (1 + F), or after STALLS kept steps in a row that
+    each lowered F by at most that much: there a differenced Jacobian is
+    too coarse for the prediction.  A step is kept once F falls by
+    ARMIJO times that prediction and J at the new point is finite.  Once
+    the model's active set repeats, a full step that fails gets
+    second-order corrections before it is halved: along curved active
+    distances the linear model overshoots, and halving alone can take
+    dozens of short steps.  B = ``curvature(x, J, lam, last)``, afresh
+    when ``last`` is None, else after the step from ``last`` = (x', J',
+    B').  The first B takes ``lam``, weights from a nearby problem or
+    None, and the first model guesses as active where it is positive.
+    When no step is kept, or the model has no solution, B restarts
+    afresh; if it had just restarted, the search ends unconverged."""
     evaluations = 0
 
-    def d_at(x):
+    def score(x):
         nonlocal evaluations
         evaluations += 1
         return np.asarray(distances(x), dtype=float)
-
-    def jacobian(x, d):
-        jac = np.empty((len(d), len(x)))
-        for j, v in enumerate(x):
-            probe = x.copy()
-            probe[j] = v + FD_STEP * max(1.0, abs(v))
-            if not math.isfinite(probe[j]):
-                return None
-            jac[:, j] = (d_at(probe) - d) / (probe[j] - v)
-        return jac if np.all(np.isfinite(jac)) else None
-
-    def initial_curvature(jac):
-        norms = (jac * jac).sum(axis=0)
-        floor = CURVATURE_FLOOR * float(norms.max(initial=1.0))
-        return np.diag(B0_SCALE * np.maximum(norms, floor))
 
     def accept(x_n, f, share):
         """((x_n, its distances, their largest, its Jacobian), distances)
         when the largest distance at x_n is at most f - ARMIJO * share
         and the Jacobian is finite, else (None, distances)."""
-        d_n = d_at(x_n)
+        d_n = score(x_n)
         f_n = float(d_n.max())
         if f_n <= f - ARMIJO * share:
-            jac_n = jacobian(x_n, d_n)
+            jac_n = jacobian(x_n, d_n, score)
             if jac_n is not None:
                 return (x_n, d_n, f_n, jac_n), d_n
         return None, d_n
@@ -625,13 +526,15 @@ def _sqp(distances, x0, opts: FusionOptions):
         return None
 
     x = np.asarray(x0, dtype=float)
-    d = d_at(x)
+    d = score(x)
     f = float(d.max())
-    jac = jacobian(x, d)
+    jac = jacobian(x, d, score)
+    lower = None if bound is None else 0.0
     if jac is None:
-        return x, 0, evaluations, False
-    b, fresh = initial_curvature(jac), True
-    active = ()  # the constraints active in the last model
+        return x, 0, evaluations, False, lower
+    b, fresh = curvature(x, jac, lam, None), True
+    # the constraints active in the last model
+    active = () if lam is None else np.flatnonzero(lam > 0.0)
     stalls = 0
     for iteration in range(1, opts.max_iterations + 1):
         found = _minimax_step(d, jac, b, active)
@@ -643,26 +546,68 @@ def _sqp(distances, x0, opts: FusionOptions):
             settled = np.array_equal(np.flatnonzero(lam > 0.0), active)
             active = np.flatnonzero(lam > 0.0)
             decrease = f - t
-            if decrease <= opts.f_tolerance * (1.0 + f):
-                return x, iteration, evaluations, True
+            if bound is not None:
+                lower = max(lower, bound(lam))
+            if (decrease <= opts.f_tolerance * (1.0 + f) if bound is None
+                    else f - lower <= opts.f_tolerance):
+                return x, iteration, evaluations, True, lower
             kept = backtrack(x, p, f, decrease, jac, b, active, settled)
         if kept is None:
             if fresh:
-                return x, iteration, evaluations, False
-            b, fresh = initial_curvature(jac), True
+                return x, iteration, evaluations, False, lower
+            b, fresh = curvature(x, jac, lam, None), True
             continue
         x_n, d, f_n, jac_n = kept
         # near the optimum, a model whose Jacobian is no better than its
         # differences can keep predicting a decrease its steps never
         # deliver; STALLS kept steps in a row that each gain at most
-        # f_tolerance end it
+        # f_tolerance end it; with a bound, the step may close its gap
         stalls = stalls + 1 if f - f_n <= opts.f_tolerance * (1.0 + f_n) \
             else 0
-        if stalls >= STALLS:
-            return x_n, iteration, evaluations, True
-        b = _damped_bfgs(b, x_n - x, (jac_n - jac).T @ lam)
+        if (stalls >= STALLS if bound is None
+                else f_n - lower <= opts.f_tolerance):
+            return x_n, iteration, evaluations, True, lower
+        b = curvature(x_n, jac_n, lam, (x, jac, b))
         x, f, jac, fresh = x_n, f_n, jac_n, False
-    return x, opts.max_iterations, evaluations, False
+    return x, opts.max_iterations, evaluations, False, lower
+
+
+def _differences(x, d, score):
+    """The Jacobian of the distances d = score(x) at x by forward
+    differences, steps of FD_STEP times each coordinate's size (at least
+    1), or None when a probe or the Jacobian is not finite."""
+    jac = np.empty((len(d), len(x)))
+    for j, v in enumerate(x):
+        probe = x.copy()
+        probe[j] = v + FD_STEP * max(1.0, abs(v))
+        if not math.isfinite(probe[j]):
+            return None
+        jac[:, j] = (score(probe) - d) / (probe[j] - v)
+    return jac if np.all(np.isfinite(jac)) else None
+
+
+def _bfgs(x, jac, lam, last):
+    """Quasi-Newton curvature: afresh, B0_SCALE times J's squared column
+    norms, each at least CURVATURE_FLOOR times the largest; after a step
+    from ``last`` = (x', J', B), B's damped BFGS update (Powell, 1978) by
+    s = x - x' and y = (J - J')^T lam, y moved toward B s until s.y >=
+    0.2 s.B s, which keeps B positive definite."""
+    if last is None:
+        norms = (jac * jac).sum(axis=0)
+        floor = CURVATURE_FLOOR * float(norms.max(initial=1.0))
+        return np.diag(B0_SCALE * np.maximum(norms, floor))
+    x_last, jac_last, b = last
+    s, y = x - x_last, (jac - jac_last).T @ lam
+    bs = b @ s
+    sbs = s @ bs
+    if not sbs > 0.0:
+        return b
+    sy = s @ y
+    if sy < 0.2 * sbs:
+        theta = 0.8 * sbs / (sbs - sy)
+        y = theta * y + (1.0 - theta) * bs
+        sy = s @ y
+    return b - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
 
 
 def _minimax_step(d, jac, b, guess=()):
@@ -674,11 +619,13 @@ def _minimax_step(d, jac, b, guess=()):
     model with the working set's constraints as equalities; a step that
     would cross another constraint stops on it and adds it, and a full
     step whose multipliers are all nonnegative is the solution, else the
-    most negative one leaves the set.  B is positive definite, so every
-    working set has one solution.  A constraint moves the step only when
-    its rate exceeds the rounding seen on the working set's own, so one
-    in the span of the set's, such as a repeated distance, never enters
-    and the system stays regular.
+    most negative one leaves the set.  A multiplier within 1e-12 of 0
+    (they sum to one) counts as 0: a constraint weakly active at the
+    solution would otherwise leave and re-enter, without end.  B is
+    positive definite, so every working set has one solution.  A
+    constraint moves the step only when its rate exceeds the rounding
+    seen on the working set's own, so one in the span of the set's, such
+    as a repeated distance, never enters and the system stays regular.
 
     ``guess`` names the constraints that were active in a nearby model,
     as the last iteration's or the step being corrected; when they are
@@ -700,9 +647,9 @@ def _minimax_step(d, jac, b, guess=()):
             size = np.abs(rows) @ np.abs(z) + np.abs(d) + 1e-300
             noise = max(2.0 * float((np.abs(gap[work]) / size[work]).max()),
                         1e-12)
-            if lam.min() >= 0.0 and np.all(gap <= noise * size):
+            if lam.min() >= -1e-12 and np.all(gap <= noise * size):
                 weights = np.zeros(m)
-                weights[work] = lam
+                weights[work] = np.maximum(lam, 0.0)
                 return z[:n], float(z[n]), weights
     z = np.zeros(n + 1)
     z[n] = d.max()
@@ -730,9 +677,9 @@ def _minimax_step(d, jac, b, guess=()):
         z += step * s
         if enter is not None:
             work.append(enter)
-        elif lam.min() >= 0.0:
+        elif lam.min() >= -1e-12:
             weights = np.zeros(m)
-            weights[work] = lam
+            weights[work] = np.maximum(lam, 0.0)
             return z[:n], float(z[n]), weights
         else:
             del work[int(np.argmin(lam))]
@@ -757,21 +704,6 @@ def _working_set_solve(hess, rows, work, top, bottom):
     return sol[:n1], sol[n1:]
 
 
-def _damped_bfgs(b, s, y):
-    """B updated by the step s and gradient change y, with y moved
-    toward B s until s.y >= 0.2 s.B s, which keeps B positive definite."""
-    bs = b @ s
-    sbs = s @ bs
-    if not sbs > 0.0:
-        return b
-    sy = s @ y
-    if sy < 0.2 * sbs:
-        theta = 0.8 * sbs / (sbs - sy)
-        y = theta * y + (1.0 - theta) * bs
-        sy = s @ y
-    return b - np.outer(bs, bs) / sbs + np.outer(y, y) / sy
-
-
 def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
          lipschitz: float | None = None) -> FusionResult:
     """Solve the fusion problem: the global section nearest to ``a``.
@@ -781,11 +713,11 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     achieved residual, and radius/(1+K) when a Lipschitz constant is
     known.  The route says how: ``already_global`` when the start is a
     section within ``f_tolerance`` (the top's own value, else the
-    least-squares fit, else zero); ``lawson`` on a linear sheaf with only
-    Euclidean and time stalks and ``barrier`` on one with a simplex
-    stalk, both with a proven ``dual_bound``; ``sqp`` on a nonlinear one
-    whose top and defined stalks have only Euclidean, time, circle and
-    geographic factors.  Any other raises ``SpaceMismatch``.
+    least-squares fit, else zero); ``barrier`` on a linear sheaf with a
+    simplex stalk; ``sqp`` on a linear one without, and on a nonlinear
+    one whose top and defined stalks have only Euclidean, time, circle
+    and geographic factors.  On a linear sheaf either route proves a
+    ``dual_bound``.  Any other sheaf raises ``SpaceMismatch``.
     """
     if not a.values:
         raise DegenerateAssignment("cannot fuse an empty assignment")
@@ -821,7 +753,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     groups = fit = None
     if sh.is_linear():
         groups = _Groups(sh, a, top, origin, basis)
-        # the first Lawson iterate: the least-squares fit, equal weights
+        # the least-squares fit, equal weights
         fit = groups.solve(np.ones(groups.count))
     top_value = a.values.get(top.id)
     if top_value is not None:
@@ -849,8 +781,9 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
                         f"the stalk on {sh.topology.opens[oid]} has a "
                         f"{c.kind} factor; fusing a nonlinear sheaf needs "
                         f"Euclidean, time, circle and geographic ones")
-        x, iterations, evaluations, converged = _sqp(
-            lambda x: distances(section_point(x).coords), x0, opts)
+        x, iterations, evaluations, converged, dual_bound = _sqp(
+            lambda x: distances(section_point(x).coords), _differences,
+            _bfgs, x0, opts)
         route = "sqp"
     elif groups.bounded:  # from nearest the uniform shares, else from x0
         found = (_central_point(groups, groups.start, opts)
@@ -859,9 +792,15 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
             raise SpaceMismatch("no start lies strictly inside the simplexes")
         x, dual_bound, iterations, evaluations, converged = found
         route = "barrier"
-    else:
-        x, dual_bound, iterations, converged = _lawson(groups, fit, opts)
-        evaluations, route = groups.evaluations, "lawson"
+    else:  # from the barrier path, else from the fit with equal weights
+        x_c, lam = (_central_point(groups, fit)
+                    or (fit, np.full(groups.count, 1.0 / groups.count)))
+        lam = np.where(lam >= BARRIER_WEIGHT * lam.max(), lam, 0.0)
+        x, iterations, evaluations, converged, dual_bound = _sqp(
+            groups.residuals, lambda x, d, score: groups.jacobian(x),
+            lambda x, jac, lam, last: groups.hessian(x, lam), x_c, opts,
+            groups.bound, lam)
+        route = "sqp"
     section = section_point(x)
     residual = objective(x)
     if dual_bound is not None:

@@ -229,7 +229,8 @@ def test_fuse_refuses_a_discrete_stalk_with_one_error_line(tmp_path, capsys):
     assert "Traceback" not in captured.err + captured.out
 
 def test_fuse_prints_certificate_on_linear_sheaf(tmp_path, capsys):
-    """Lawson's route reports its proven lower bound and the gap."""
+    """The sqp route on a linear sheaf reports its proven lower bound
+    and the gap."""
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
@@ -249,7 +250,7 @@ def test_fuse_prints_certificate_on_linear_sheaf(tmp_path, capsys):
                            out).groups()
     assert float(bound) == pytest.approx(1.0, abs=1e-12)
     assert 0.0 <= float(gap) <= 1e-12
-    assert "route: lawson  converged: True" in out
+    assert "route: sqp  converged: True" in out
 
 
 def test_cohomology_json_on_probability_sheaf(tmp_path, capsys):
