@@ -53,7 +53,13 @@ def _print_weights(spec: dict):
             print(f"  {key}: {value}")
 
 
+def _at_least(flag: str, value: int, least: int):
+    if value < least:
+        raise SpecError(f"{flag} must be at least {least}, got {value}")
+
+
 def cmd_check(args) -> int:
+    _at_least("--samples", args.samples, 1)
     sh, spec = load_sheaf(args.spec)
     t = sh.topology
     topo_report = verify_topology(t.universe,
@@ -145,8 +151,7 @@ def _lift_range(key: str, bounds) -> tuple[float, float]:
 
 
 def _lift(sh, spec, bins: int):
-    if bins < 1:
-        raise SpecError(f"--lift-bins must be at least 1, got {bins}")
+    _at_least("--lift-bins", bins, 1)
     ranges = spec.get("lift_ranges")
     if not ranges or not isinstance(ranges, dict):
         raise SpecError(
@@ -173,6 +178,7 @@ def _lift(sh, spec, bins: int):
 
 
 def cmd_cohomology(args) -> int:
+    _at_least("--max-degree", args.max_degree, 0)
     sh, spec = load_sheaf(args.spec)
     if args.lift_bins is not None:
         sh = _lift(sh, spec, args.lift_bins)
@@ -202,6 +208,7 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_leray(args) -> int:
+    _at_least("--max-degree", args.max_degree, 0)
     sh, spec = load_sheaf(args.spec)
     try:
         cover = _resolve_cover(sh, spec, args.cover)

@@ -133,9 +133,16 @@ def _complex(sh: Sheaf, layers: list, open_of) -> CochainComplex:
     return CochainComplex(degrees, coboundaries)
 
 
+def _check_degree(max_degree: int):
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
+
+
 def build_complex(sh: Sheaf, cover: Cover, max_degree: int) -> CochainComplex:
     """Cochain spaces over (k+1)-fold cover intersections and the signed
-    block coboundary matrices between them."""
+    block coboundary matrices between them.  Raises ValueError when
+    ``max_degree`` is negative."""
+    _check_degree(max_degree)
     sh.require_linear("build_complex")
     opens = {}
     layers = []
@@ -201,6 +208,7 @@ def _poset_betti(sh: Sheaf, nodes: list[int], max_degree: int) -> BettiTable:
     the stalk of their smallest node, so every face but the last maps
     in by ``restriction_matrix(n, n)``, which is exactly the identity.
     """
+    _check_degree(max_degree)
     t = sh.topology
     below = {
         n: [m for m in nodes
@@ -264,11 +272,8 @@ def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
     def translate(mask: int) -> int:
         return sub_universe.mask_of(t.universe.names_of(mask))
 
-    masks = [translate(o.mask) for o in t.opens
-             if o.mask & top_mask == o.mask]
-    basis_masks = [translate(b.mask) for b in t.basis
-                   if b.mask & top_mask == b.mask]
-    sub = Topology(sub_universe, masks, basis_masks)
+    sub = Topology(sub_universe, [translate(b.mask) for b in t.basis
+                                  if b.mask & top_mask == b.mask])
     stalks = {sub.find(translate(t.opens[n].mask)): sh.stalks[n]
               for n in sh.native_ids()
               if t.opens[n].mask & top_mask == t.opens[n].mask}

@@ -40,12 +40,7 @@ import numpy as np
 
 from . import spaces as sp
 from ._linalg import nullspace, rowspace
-from .consistency import (
-    Assignment,
-    consistency_radius,
-    nan_error,
-    pullback_global,
-)
+from .consistency import Assignment, nan_error, pullback_global
 from .errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
 from .sheaf import Sheaf
 
@@ -108,7 +103,6 @@ class FusionResult:
     section_at_top: sp.Point
     fused: Assignment
     residual: float
-    lower_bound: float | None
     iterations: int
     converged: bool
     route: str
@@ -704,20 +698,18 @@ def _working_set_solve(hess, rows, work, top, bottom):
     return sol[:n1], sol[n1:]
 
 
-def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
-         lipschitz: float | None = None) -> FusionResult:
+def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
     """Solve the fusion problem: the global section nearest to ``a``.
 
     Minimizes sup_U d_U(a(U), s|_U) over sections s in the stalk at the
-    whole space.  Returns the fused (pulled back) assignment, the
-    achieved residual, and radius/(1+K) when a Lipschitz constant is
-    known.  The route says how: ``already_global`` when the start is a
-    section within ``f_tolerance`` (the top's own value, else the
-    least-squares fit, else zero); ``barrier`` on a linear sheaf with a
-    simplex stalk; ``sqp`` on a linear one without, and on a nonlinear
-    one whose top and defined stalks have only Euclidean, time, circle
-    and geographic factors.  On a linear sheaf either route proves a
-    ``dual_bound``.  Any other sheaf raises ``SpaceMismatch``.
+    whole space.  Returns the fused (pulled back) assignment and the
+    achieved residual.  The route says how: ``already_global`` when the
+    start is a section within ``f_tolerance`` (the top's own value, else
+    the least-squares fit, else zero); ``barrier`` on a linear sheaf
+    with a simplex stalk; ``sqp`` on a linear one without, and on a
+    nonlinear one whose top and defined stalks have only Euclidean,
+    time, circle and geographic factors.  On a linear sheaf either route
+    proves a ``dual_bound``.  Any other sheaf raises ``SpaceMismatch``.
     """
     if not a.values:
         raise DegenerateAssignment("cannot fuse an empty assignment")
@@ -806,8 +798,6 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions(),
     if dual_bound is not None:
         # at an exact optimum the two sides differ only by rounding
         dual_bound = min(dual_bound, residual)
-    lower = (None if lipschitz is None else
-             fusion_lower_bound(consistency_radius(a).radius, lipschitz))
     return FusionResult(section, pullback_global(sh, section), residual,
-                        lower, iterations, converged, route, evaluations,
+                        iterations, converged, route, evaluations,
                         dual_bound)

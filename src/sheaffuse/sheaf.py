@@ -576,8 +576,7 @@ def _gap(sh: Sheaf, one: Chain, other: Chain, samples: int, rng) -> float:
     return worst
 
 
-def verify_functoriality(sh: Sheaf, samples: int = 64,
-                         rng=None) -> FunctorialityReport:
+def verify_functoriality(sh: Sheaf, samples: int = 64) -> FunctorialityReport:
     """Path independence of the given restriction edges.
 
     Restrictions of pullback opens are composed from the canonical
@@ -586,9 +585,13 @@ def verify_functoriality(sh: Sheaf, samples: int = 64,
     chain b -> d must equal the chain a -> d unless that chain starts
     with the edge; by induction every edge path then equals its chain.
     Linear composites are compared exactly as matrices, others on
-    ``samples`` points of the source stalk; one witness per failing pair.
+    ``samples`` points of the source stalk, drawn from one fixed seed;
+    one witness per failing pair.  Raises ValueError when ``samples`` is
+    below 1.
     """
-    rng = rng or random.Random(2024)
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    rng = random.Random(2024)
     t = sh.topology
     native = sh.native_ids()
     worst = 0.0

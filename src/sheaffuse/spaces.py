@@ -194,15 +194,11 @@ def distance(space: ValueSpace, x: Point, y: Point) -> float:
 
 def coord_distance(space: ValueSpace, a, b) -> float:
     """``distance`` on bare coordinate tuples, which the caller vouches
-    lie in ``space``; the inner loops of the radius and fusion use it."""
-    best = 0.0
-    for c, lo, _ in space.factors:
-        d = _dist(c, a, b, lo)
-        if not d <= best:  # only a larger d or NaN, which must stay
-            if d != d:
-                return d
-            best = d
-    return best
+    lie in ``space``; the inner loops of the radius and fusion use it.
+    NaN when any factor's distance is, else the largest, at least 0.0
+    (a factor weighted -0.0 gives 0.0)."""
+    ds = factor_distances(space, a, b)
+    return math.nan if any(map(math.isnan, ds)) else max([0.0, *ds])
 
 
 def factor_distances(space: ValueSpace, a, b) -> list[float]:

@@ -1,9 +1,9 @@
 """Finite topologies on named entity sets.
 
 Open sets are bitsets over a fixed entity universe.  A topology is
-generated from a subbase by closing under pairwise intersection (the
-basis) and then under arbitrary union, with an explicit cap on the
-number of opens.
+built from its basis by closing under arbitrary union, with an explicit
+cap on the number of opens; ``generate_topology`` finds the basis of a
+subbase by closing it under pairwise intersection.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 from .errors import TopologyTooLarge, UnknownEntity
 
 MAX_ENTITIES = 64
-DEFAULT_OPEN_CAP = 4096
+OPEN_CAP = 4096
 
 
 class EntityUniverse:
@@ -81,14 +81,31 @@ class OpenSet:
 
 
 class Topology:
-    """A finite topology: canonical opens, basis, and the inclusion order."""
+    """A finite topology: canonical opens, basis, and the inclusion order.
 
-    def __init__(self, universe: EntityUniverse, open_masks: Iterable[int],
-                 basis_masks: Iterable[int]):
+    The opens are every union of the basis sets, plus the empty set and
+    the whole universe, sorted by size and then bit pattern so that ids
+    are reproducible.  Raises TopologyTooLarge instead of truncating
+    when there would be more than ``OPEN_CAP`` of them.
+    """
+
+    def __init__(self, universe: EntityUniverse, basis_masks: Iterable[int]):
         self.universe = universe
         full = (1 << len(universe)) - 1
-        masks = set(open_masks) | {0, full}
-        # canonical order: by size then bit pattern, so ids are reproducible
+        basis = set(basis_masks) - {0}
+        masks = {0, full}
+        frontier = [0]
+        while frontier:
+            m = frontier.pop()
+            for b in basis:
+                u = m | b
+                if u not in masks:
+                    if len(masks) >= OPEN_CAP:
+                        raise TopologyTooLarge(
+                            f"open-set count exceeded cap of {OPEN_CAP}"
+                        )
+                    masks.add(u)
+                    frontier.append(u)
         ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
         self.opens = tuple(
             OpenSet(m, i, universe) for i, m in enumerate(ordered)
@@ -97,8 +114,8 @@ class Topology:
         self.empty = self._by_mask[0]
         self.full = self._by_mask[full]
         self.basis = tuple(
-            self._by_mask[m] for m in sorted(set(basis_masks) - {0},
-                                             key=lambda m: (m.bit_count(), m))
+            self._by_mask[m]
+            for m in sorted(basis, key=lambda m: (m.bit_count(), m))
         )
 
     def __len__(self) -> int:
@@ -139,32 +156,11 @@ def _intersection_closure(masks: set[int]) -> set[int]:
 
 
 def generate_topology(universe: EntityUniverse,
-                      subbase: Iterable[Iterable[str]],
-                      open_cap: int = DEFAULT_OPEN_CAP) -> Topology:
-    """Smallest topology containing the subbase.
-
-    The basis is the closure of the subbase under pairwise intersection;
-    opens are all unions of basis sets plus the empty set and the whole
-    universe.  Raises TopologyTooLarge instead of truncating when more
-    than ``open_cap`` opens would be produced.
-    """
-    sub_masks = {universe.mask_of(s) for s in subbase}
-    basis = _intersection_closure(sub_masks) - {0}
-    full = (1 << len(universe)) - 1
-    opens: set[int] = {0, full}
-    frontier = [0]
-    while frontier:
-        m = frontier.pop()
-        for b in basis:
-            u = m | b
-            if u not in opens:
-                if len(opens) >= open_cap:
-                    raise TopologyTooLarge(
-                        f"open-set count exceeded cap of {open_cap}"
-                    )
-                opens.add(u)
-                frontier.append(u)
-    return Topology(universe, opens, basis)
+                      subbase: Iterable[Iterable[str]]) -> Topology:
+    """Smallest topology containing the subbase, whose basis is the
+    closure of the subbase under pairwise intersection."""
+    return Topology(universe, _intersection_closure(
+        {universe.mask_of(s) for s in subbase}))
 
 
 def comparable_pairs(t: Topology) -> list[tuple[OpenSet, OpenSet]]:

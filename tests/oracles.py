@@ -11,7 +11,9 @@ loop over every comparable pair, for the defined-pair loop;
 ``pullback_every_open``, the restriction of a global section to every
 open in turn, for the pullback that restricts it once per native open;
 the ``reference_*`` cohomology routines, for the one cochain-complex
-routine and the Leray check on sub-posets; and ``nelder_mead``, the
+routine and the Leray check on sub-posets; ``reference_sub_topology``,
+built from every open inside a mask, for ``restrict_sheaf``'s topology
+built from the basis opens inside it; and ``nelder_mead``, the
 derivative-free simplex search that fused simplex, discrete and
 nonlinear sheaves, for the minimax routes.
 """
@@ -38,7 +40,7 @@ from sheaffuse.cohomology import (
 from sheaffuse.consistency import Assignment, EdgeError
 from sheaffuse.errors import IntersectionNotOpen, SpaceMismatch
 from sheaffuse.sheaf import GluingReport, Sheaf
-from sheaffuse.topology import comparable_pairs
+from sheaffuse.topology import EntityUniverse, Topology, comparable_pairs
 
 
 def fixpoint_closure(masks, full):
@@ -766,6 +768,16 @@ def reference_topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
             d[pos:pos + dim, spos:spos + sdim] += sign * block
         coboundaries.append(d)
     return _betti_table(dims, coboundaries)
+
+
+def reference_sub_topology(t: Topology, top_mask: int) -> Topology:
+    """The topology of the opens inside ``top_mask``, on a universe of
+    its entities: every such open, translated, generates it."""
+    sub_universe = EntityUniverse(t.universe.names_of(top_mask))
+    return Topology(sub_universe, [
+        sub_universe.mask_of(o.members) for o in t.opens
+        if o.mask & top_mask == o.mask
+    ])
 
 
 def reference_leray_check(sh: Sheaf, cover: Cover,

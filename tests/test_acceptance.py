@@ -261,7 +261,7 @@ def test_c5b_functoriality_on_diamond_sheaves():
     diamonds = 0
     for _ in range(100):
         sh = random_linear_sheaf(rng, ensure_diamond=True)
-        rep = verify_functoriality(sh, samples=4, rng=rng)
+        rep = verify_functoriality(sh, samples=4)
         assert rep.ok, str(rep)
         diamonds += rep.checked_pairs
     assert diamonds >= 100
@@ -335,7 +335,7 @@ def test_c5f_lipschitz_lower_bound():
             if o.mask:
                 a.values[o.id] = sample_point(sh.stalk(o.id), rng)
         k = lipschitz_bound(sh)
-        res = fuse(a, opts, lipschitz=k)
+        res = fuse(a, opts)
         radius = consistency_radius(a).radius
         assert res.residual >= radius / (1.0 + k) - 1e-9
     assert report("5f lipschitz lower bound", True, "100 fusions")

@@ -339,6 +339,17 @@ def test_cohomology_lift_bins_below_one_exits_2(sar_files, capsys, bins):
     assert "--lift-bins must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_samples_below_one_exits_2(sar_files, capsys, samples):
+    """The SAR spec's nonlinear pairs would otherwise pass unsampled."""
+    spec, _ = sar_files
+    assert main(["check", str(spec), "--samples", samples]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: --samples must be at least 1, got " \
+        f"{samples}\n"
+
+
 @pytest.mark.parametrize("ranges, why", [
     ([["west", 95.0], [27.0, 61.0]], "not a pair of numbers"),
     ([[40.0, float("inf")], [27.0, 61.0]], "finite and increasing"),
@@ -416,6 +427,22 @@ def test_malformed_spec_exits_2(obstacle_spec, tmp_path, capsys, mutation,
     assert main([command, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, degree", [
+    ("cohomology", "-1"), ("cohomology", "-3"), ("leray", "-2"),
+])
+def test_negative_max_degree_exits_2(obstacle_spec, tmp_path, capsys,
+                                     command, degree):
+    """No table is computed, so the output would be empty or a vacuous
+    pass."""
+    path = tmp_path / "probability.json"
+    path.write_text(obstacle_spec)
+    assert main([command, str(path), "--max-degree", degree]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: --max-degree must be at least 0, got " \
+        f"{degree}\n"
 
 
 @pytest.mark.parametrize("descriptor", [

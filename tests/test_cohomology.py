@@ -17,6 +17,7 @@ from oracles import (
     lift_mass_matrix,
     reference_build_complex,
     reference_leray_check,
+    reference_sub_topology,
     reference_topology_betti,
 )
 from sheaffuse import (
@@ -36,6 +37,7 @@ from sheaffuse.cohomology import (
     _betti_table,
     _minimal_open_poset,
     lift_sheaf,
+    restrict_sheaf,
     topology_betti,
 )
 from sheaffuse.errors import NonlinearSheaf, UnmappedBin
@@ -183,6 +185,24 @@ def test_restrict_sheaf_keeps_native_union_stalk():
     assert betti(sub, full_cover(st), 2).betti == betti(sh, inside, 2).betti
 
 
+def test_restricted_topology_matches_every_open_inside():
+    """restrict_sheaf generates its topology from the basis opens inside
+    the mask; it must have the same opens, in the same id order, as the
+    one every open inside the mask generates."""
+    mosaic, prob = build_obstacle_sheaves()
+    rng = random.Random(23)
+    sheaves = [build_sar_sheaf(), mosaic, prob,
+               *(build_coin_sheaf(v) for v in ("mosaic", "counts", "value")),
+               *(random_linear_sheaf(rng) for _ in range(50))]
+    for sh in sheaves:
+        for o in sh.topology.opens[1:]:
+            want = reference_sub_topology(sh.topology, o.mask)
+            got = restrict_sheaf(sh, o.mask).topology
+            assert got.universe == want.universe
+            assert [u.mask for u in got.opens] == \
+                [u.mask for u in want.opens]
+
+
 def test_lift_needs_a_grid_for_each_native_union():
     sh, w = nested_native_union()
     grids = {}
@@ -200,6 +220,19 @@ def test_circular_cover_of_constant_sheaf():
     expected = circle_cover_betti()
     assert table.betti[:2] == expected
     assert topology_betti(sh, 2).betti[:2] == expected
+
+
+def test_negative_max_degree_raises():
+    """No degree is computed below 0, so a table there would be empty."""
+    mosaic, _ = build_obstacle_sheaves()
+    cover = full_cover(mosaic.topology)
+    for run in (lambda: build_complex(mosaic, cover, -1),
+                lambda: betti(mosaic, cover, -1),
+                lambda: topology_betti(mosaic, -1),
+                lambda: leray_check(mosaic, cover, -2)):
+        with pytest.raises(ValueError, match="max_degree must be "
+                                             "nonnegative"):
+            run()
 
 
 def test_betti_invariant_under_matrix_scaling():
@@ -238,7 +271,7 @@ def test_intersection_not_open_detected():
     # hand-built family that is not intersection-closed: {a,b} ^ {b,c}
     # = {b} is missing
     ab, bc = u.mask_of(["a", "b"]), u.mask_of(["b", "c"])
-    t = Topology(u, [ab, bc], [ab, bc])
+    t = Topology(u, [ab, bc])
     sh = Sheaf(t, {t.find(ab): euc(1), t.find(bc): euc(1),
                    t.full: euc(1), t.empty: euc(0)},
                [RestrictionMap(t.full, t.find(ab), Identity()),

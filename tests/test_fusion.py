@@ -209,10 +209,11 @@ def test_lower_bound_holds_on_random_linear_sheaves():
             if o.mask:
                 a.values[o.id] = sample_point(sh.stalk(o.id), rng)
         k = lipschitz_bound(sh)
-        res = fuse(a, FusionOptions(seed=3), lipschitz=k)
+        res = fuse(a, FusionOptions(seed=3))
         radius = consistency_radius(a).radius
-        assert res.lower_bound == pytest.approx(radius / (1.0 + k))
-        assert res.residual >= res.lower_bound - 1e-9
+        lower = fusion_lower_bound(radius, k)
+        assert lower == pytest.approx(radius / (1.0 + k))
+        assert res.residual >= lower - 1e-9
 
 
 def test_fuse_over_constrained_pullback_top():

@@ -167,20 +167,34 @@ def test_overflowing_observation_exits_1(files):
     assert code == 1 and "overflows" in err
 
 
-@settings(derandomize=True, deadline=None, max_examples=150,
+# each command with its options; radius and fuse read SAR case 1, so on
+# the other specs they fall back to the first command, check
+SPEC_COMMANDS = [
+    ["check", "--samples", "4"],
+    ["radius"],
+    ["fuse", *FAST_FUSE],
+    ["cohomology"],
+    ["cohomology", "--lift-bins", "1", "--max-degree", "1"],
+    ["leray"],
+]
+
+
+@settings(derandomize=True, deadline=None, max_examples=400,
           database=None)
 @given(name=st.sampled_from(sorted(SPECS)), mutations=spec_mutations,
-       command=st.sampled_from(["check", "radius", "fuse"]))
+       command=st.sampled_from(SPEC_COMMANDS))
 def test_mutated_spec_never_raises(files, name, mutations, command):
     tmp, _ = files
     data = _mutate(json.loads(SPECS[name]), mutations)
     spec = tmp / "spec.json"
     spec.write_text(json.dumps(data))
-    argv = ["check", str(spec), "--samples", "4"]
-    if name == "sar_spec" and command != "check":
-        argv = [command, str(spec), str(tmp / "sar_case1.csv")]
-        argv += FAST_FUSE if command == "fuse" else []
-    _run(argv)
+    verb, *options = command
+    if verb in ("radius", "fuse"):
+        if name == "sar_spec":
+            options.insert(0, str(tmp / "sar_case1.csv"))
+        else:
+            verb, *options = SPEC_COMMANDS[0]
+    _run([verb, str(spec), *options])
 
 
 cells = st.one_of(

@@ -112,6 +112,13 @@ def test_functoriality_passes_on_reference_sheaf():
     assert report.max_discrepancy <= 1e-9
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_functoriality_refuses_fewer_than_one_sample(samples):
+    """Nonlinear pairs compared on no points would pass unchecked."""
+    with pytest.raises(ValueError, match="samples must be at least 1"):
+        verify_functoriality(build_sar_sheaf(), samples=samples)
+
+
 def test_functoriality_catches_corrupted_projection():
     sh = build_sar_sheaf()
     t = sh.topology
@@ -359,7 +366,7 @@ def test_pullback_over_intersection_that_is_not_open_raises():
     {b,c} = {b} is missing, so the whole space has no pullback."""
     u = EntityUniverse(["a", "b", "c"])
     ab, bc = u.mask_of(["a", "b"]), u.mask_of(["b", "c"])
-    t = Topology(u, [ab, bc], [ab, bc])
+    t = Topology(u, [ab, bc])
     sh = Sheaf(t, {t.find(ab): euclidean(1), t.find(bc): euclidean(1)}, [])
     with pytest.raises(IntersectionNotOpen, match=r"\{a,b\} and \{b,c\}"):
         sh.pullback(t.full.id)

@@ -11,6 +11,7 @@ from sheaffuse import (
     verify_topology,
 )
 from sheaffuse.errors import TopologyTooLarge, UnknownEntity
+from sheaffuse.topology import OPEN_CAP
 
 
 def masks(t):
@@ -32,10 +33,14 @@ def test_duplicate_or_unknown_entities_rejected():
 
 
 def test_cap_raises_instead_of_truncating():
-    u = EntityUniverse([f"e{i}" for i in range(12)])
-    singletons = [(f"e{i}",) for i in range(12)]
+    """n singletons generate all 2^n subsets: 12 reach the cap exactly,
+    13 pass it."""
+    names = [f"e{i}" for i in range(13)]
+    singletons = [(n,) for n in names]
+    t = generate_topology(EntityUniverse(names[:12]), singletons[:12])
+    assert len(t) == OPEN_CAP == 2 ** 12
     with pytest.raises(TopologyTooLarge):
-        generate_topology(u, singletons, open_cap=100)
+        generate_topology(EntityUniverse(names), singletons)
 
 
 def test_sensor_style_generation_produces_intersections_and_unions():
