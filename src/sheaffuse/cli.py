@@ -16,6 +16,7 @@ import sys
 from . import spaces as sp
 from .cohomology import (
     DD_TOL,
+    MAX_STALK_BINS,
     Cover,
     betti,
     leray_check,
@@ -169,6 +170,10 @@ def _lift(sh, spec, bins: int):
             raise SpecError(f"lift range for {key!r} needs one pair per "
                             f"coordinate of its {dim}-d stalk")
         bounds = [_lift_range(key, pair) for pair in per_coord]
+        if bins ** dim > MAX_STALK_BINS:
+            raise SpecError(f"--lift-bins {bins}: the lift of "
+                            f"{sh.topology.opens[oid]} needs {bins ** dim} "
+                            f"bins (cap {MAX_STALK_BINS})")
         try:
             grids[oid] = uniform_grid([lo for lo, _ in bounds],
                                       [hi for _, hi in bounds], bins)

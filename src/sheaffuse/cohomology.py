@@ -12,7 +12,7 @@ import numpy as np
 from . import spaces as sp
 from ._linalg import numeric_rank, nullspace
 from .errors import IntersectionNotOpen, UnmappedBin
-from .sheaf import Linear, RestrictionMap, Sheaf, batch_call
+from .sheaf import Linear, Projection, RestrictionMap, Sheaf, batch_call
 from .topology import EntityUniverse, OpenSet, Topology
 
 DD_TOL = 1e-10
@@ -446,6 +446,36 @@ def _bad_image(f, points: np.ndarray, cells: range, grid_in: BinGrid,
                        f"{last}, the point calls do not")
 
 
+def _lift_chunk(f, cells: range, points: np.ndarray, grid_in: BinGrid,
+                grid_out: BinGrid, counts: np.ndarray):
+    """Map ``points``, the samples of the domain ``cells``, by the batch
+    call of ``f`` and write how many land in each codomain bin into
+    ``counts[:, cells]``; raises UnmappedBin, naming the first bad
+    sample, when an image is bad."""
+    try:
+        images = batch_call(f, points)
+    except ValueError:  # images of unequal lengths
+        images = None
+    if images is None or images.shape != (len(points), len(grid_out.edges)):
+        raise _bad_image(f, points, cells, grid_in, grid_out)
+    idx, inside = grid_out.cells(images)
+    if not inside.all():
+        raise _bad_image(f, points, cells, grid_in, grid_out)
+    flat = np.zeros(len(points), dtype=np.intp)
+    for ax, s in enumerate(grid_out.shape):
+        flat = flat * s + idx[:, ax]
+    dom = np.repeat(np.arange(len(cells)), len(points) // len(cells))
+    n_cod = grid_out.size
+    counts[:, cells.start:cells.stop] = np.bincount(
+        flat * len(cells) + dom, minlength=n_cod * len(cells)
+    ).reshape(n_cod, len(cells))
+
+
+def _chunk_cells(grid: BinGrid, subdivisions: int) -> int:
+    """Whole domain cells per chunk: about LIFT_CHUNK_POINTS samples."""
+    return max(1, LIFT_CHUNK_POINTS // subdivisions ** len(grid.edges))
+
+
 def stochastic_lift(f, bins_domain, bins_codomain,
                     subdivisions: int = 3) -> np.ndarray:
     """Column-stochastic matrix of a map between binned spaces.
@@ -462,41 +492,59 @@ def stochastic_lift(f, bins_domain, bins_codomain,
         m = np.zeros((bins_codomain, bins_domain))
         for i in range(bins_domain):
             j = f(i)
-            if not isinstance(j, (int, np.integer)) or not \
-                    0 <= j < bins_codomain:
+            if isinstance(j, bool) or not isinstance(
+                    j, (int, np.integer)) or not 0 <= j < bins_codomain:
                 raise UnmappedBin(f"bin {i} maps outside the codomain: {j!r}")
             m[j, i] = 1.0
         return m
     if not isinstance(bins_domain, BinGrid) or \
             not isinstance(bins_codomain, BinGrid):
         raise TypeError("bins must both be ints or both BinGrid")
+    if isinstance(subdivisions, bool) or \
+            not isinstance(subdivisions, (int, np.integer)):
+        raise ValueError(f"subdivisions must be an integer, got "
+                         f"{subdivisions!r}")
     if subdivisions < 1:
         raise ValueError(f"subdivisions must be >= 1, got {subdivisions}")
-    # the samples of whole domain cells, about LIFT_CHUNK_POINTS at a
-    # time, go through f's batch call and are binned together
-    n_cod = bins_codomain.size
-    per = subdivisions ** len(bins_domain.edges)
-    m = np.zeros((n_cod, bins_domain.size))
+    m = np.zeros((bins_codomain.size, bins_domain.size))
     for cells, points in bins_domain.cell_samples(
-            subdivisions, max(1, LIFT_CHUNK_POINTS // per)):
-        try:
-            images = batch_call(f, points)
-        except ValueError:  # images of unequal lengths
-            images = None
-        if images is None or images.shape != \
-                (len(points), len(bins_codomain.edges)):
-            raise _bad_image(f, points, cells, bins_domain, bins_codomain)
-        idx, inside = bins_codomain.cells(images)
-        if not inside.all():
-            raise _bad_image(f, points, cells, bins_domain, bins_codomain)
-        flat = np.zeros(len(points), dtype=np.intp)
-        for ax, s in enumerate(bins_codomain.shape):
-            flat = flat * s + idx[:, ax]
-        dom = np.repeat(np.arange(len(cells)), per)
-        counts = np.bincount(flat * len(cells) + dom,
-                             minlength=n_cod * len(cells))
-        m[:, cells.start:cells.stop] = counts.reshape(n_cod, len(cells))
-    return m / per
+            subdivisions, _chunk_cells(bins_domain, subdivisions)):
+        _lift_chunk(f, cells, points, bins_domain, bins_codomain, m)
+    return m / subdivisions ** len(bins_domain.edges)
+
+
+def _kept_axes(body, grid: BinGrid) -> list[int] | None:
+    """The distinct axes of ``grid`` that a Projection keeps, in domain
+    order; None for any other body, or for a projection that keeps no
+    axis or names one the grid lacks."""
+    if not isinstance(body, Projection):
+        return None
+    kept = sorted(set(body.indices))
+    return kept if kept and 0 <= kept[0] and kept[-1] < len(grid.edges) \
+        else None
+
+
+def _projection_lift(body: Projection, kept: list[int], grid_in: BinGrid,
+                     grid_out: BinGrid) -> np.ndarray:
+    """``stochastic_lift`` of a projection at LIFT_SUBDIVISIONS, from
+    the sub-grid of its ``kept`` axes alone, bit for bit.
+
+    A domain cell's samples repeat each sample of its cell in the kept
+    axes a = LIFT_SUBDIVISIONS ** (dropped axes) times, so its column
+    holds c a / (a b) where the sub-grid's holds c / b: quotients of
+    the same rational, which round alike.  Each domain cell takes the
+    column of its cell in the kept axes.  A failure is found again on
+    the full grid, so that its error names the same sample.
+    """
+    sub = BinGrid(tuple(grid_in.edges[ax] for ax in kept))
+    position = {ax: k for k, ax in enumerate(kept)}
+    try:
+        m = stochastic_lift(Projection([position[i] for i in body.indices]),
+                            sub, grid_out, LIFT_SUBDIVISIONS)
+    except UnmappedBin:
+        return stochastic_lift(body, grid_in, grid_out, LIFT_SUBDIVISIONS)
+    cell = np.unravel_index(np.arange(grid_in.size), grid_in.shape)
+    return m[:, np.ravel_multi_index([cell[ax] for ax in kept], sub.shape)]
 
 
 def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
@@ -505,7 +553,11 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
     lift.
 
     ``grids`` maps the ids in ``sh.native_ids()`` to BinGrid instances
-    matching the stalk dimensions.
+    matching the stalk dimensions.  Each edge's matrix equals
+    ``stochastic_lift(body, grids[src], grids[dst], LIFT_SUBDIVISIONS)``
+    bit for bit, but each source grid is sampled once for all its
+    edges, and a projection only on the axes it keeps.  When edges
+    fail, the first failing one in ``sh.edges`` raises its error.
     """
     t = sh.topology
     stalks = {}
@@ -524,11 +576,38 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
                 f"(cap {MAX_STALK_BINS}); use fewer bins per axis"
             )
         stalks[oid] = sp.simplex(grid.size)
-    edges = []
+    # any error a body raises is held and raised in edge order, as a
+    # loop over the edges one at a time would raise it
+    matrices, failed, by_source = {}, {}, {}
     for (src, dst), rm in sh.edges.items():
-        matrix = stochastic_lift(
-            rm.body, grids[src], grids[dst], LIFT_SUBDIVISIONS
-        )
-        edges.append(RestrictionMap(t.opens[src], t.opens[dst],
-                                    Linear(matrix)))
+        kept = _kept_axes(rm.body, grids[src])
+        if kept is None:
+            by_source.setdefault(src, []).append((src, dst))
+            matrices[src, dst] = np.zeros((grids[dst].size, grids[src].size))
+            continue
+        try:
+            matrices[src, dst] = _projection_lift(rm.body, kept,
+                                                  grids[src], grids[dst])
+        except Exception as exc:
+            failed[src, dst] = exc
+    for src, keys in by_source.items():
+        grid = grids[src]
+        for cells, points in grid.cell_samples(
+                LIFT_SUBDIVISIONS, _chunk_cells(grid, LIFT_SUBDIVISIONS)):
+            for key in keys:
+                if key in failed:
+                    continue
+                try:
+                    _lift_chunk(sh.edges[key].body, cells, points, grid,
+                                grids[key[1]], matrices[key])
+                except Exception as exc:
+                    failed[key] = exc
+        for key in keys:
+            matrices[key] /= LIFT_SUBDIVISIONS ** len(grid.edges)
+    for key in sh.edges:
+        if key in failed:
+            raise failed[key]
+    edges = [RestrictionMap(t.opens[src], t.opens[dst],
+                            Linear(matrices[src, dst]))
+             for src, dst in sh.edges]
     return Sheaf(t, stalks, edges)

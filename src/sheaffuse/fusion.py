@@ -248,10 +248,25 @@ class _Groups:
     def bound(self, lam: np.ndarray) -> float:
         """Lawson's lower bound on the optimum, sqrt(lam . r(x_lam)^2) for
         weights lam >= 0 scaled to sum to one and x_lam their weighted
-        least-squares fit: no x has a smaller weighted sum of squares."""
+        least-squares fit: no x has a smaller weighted sum of squares.
+
+        Returned less a bound on its own rounding error, lest it pass the
+        optimum: each entry of rows x - rhs is within (n + 1) eps (|rows|
+        |x| + |rhs|) of its exact value, n = len(x) (Higham, Accuracy and
+        Stability of Numerical Algorithms, 2002, section 3.1), so r_g is
+        within the norm err_g of those over group g, the bound within
+        sqrt(lam . err^2), and (rows + groups + 4) eps of it covers the
+        sums, products and roots."""
         lam = lam / lam.sum()
-        r = self.residuals(self.solve(lam))
-        return math.sqrt(lam @ (r * r))
+        x = self.solve(lam)
+        r = self.residuals(x)
+        eps = math.ulp(1.0)
+        entry = (len(x) + 1) * eps * (np.abs(self.rows) @ np.abs(x)
+                                      + np.abs(self.rhs))
+        err = np.bincount(self.group, entry * entry, minlength=self.count)
+        value = math.sqrt(lam @ (r * r))
+        return value - math.sqrt(lam @ err) \
+            - (len(self.rows) + self.count + 4) * eps * value
 
 
 def _central_point(groups: _Groups, x: np.ndarray,

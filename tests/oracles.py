@@ -13,7 +13,9 @@ open in turn, for the pullback that restricts it once per native open;
 the ``reference_*`` cohomology routines, for the one cochain-complex
 routine and the Leray check on sub-posets; ``reference_sub_topology``,
 built from every open inside a mask, for ``restrict_sheaf``'s topology
-built from the basis opens inside it; and ``nelder_mead``, the
+built from the basis opens inside it; ``reference_lift_sheaf``, one
+``stochastic_lift`` per edge on the whole source grid, for the lift
+that samples each source grid once; and ``nelder_mead``, the
 derivative-free simplex search that fused simplex, discrete and
 nonlinear sheaves, for the minimax routes.
 """
@@ -29,6 +31,8 @@ from scipy.optimize import linprog, minimize
 from sheaffuse import spaces as sp
 from sheaffuse._linalg import numeric_rank
 from sheaffuse.cohomology import (
+    LIFT_SUBDIVISIONS,
+    MAX_STALK_BINS,
     BettiTable,
     CochainComplex,
     Cover,
@@ -36,10 +40,11 @@ from sheaffuse.cohomology import (
     _betti_table,
     _intersection_open,
     restrict_sheaf,
+    stochastic_lift,
 )
 from sheaffuse.consistency import Assignment, EdgeError
-from sheaffuse.errors import IntersectionNotOpen, SpaceMismatch
-from sheaffuse.sheaf import GluingReport, Sheaf
+from sheaffuse.errors import IntersectionNotOpen, SpaceMismatch, UnmappedBin
+from sheaffuse.sheaf import GluingReport, Linear, RestrictionMap, Sheaf
 from sheaffuse.topology import EntityUniverse, Topology, comparable_pairs
 
 
@@ -819,3 +824,34 @@ def reference_leray_check(sh: Sheaf, cover: Cover,
             report.cover_betti.betti == report.topology_betti.betti
         )
     return report
+
+
+def reference_lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
+    """The library's former ``lift_sheaf``: the stalk checks, then one
+    ``stochastic_lift`` per edge, in ``sh.edges`` order, each sampling
+    the whole source grid."""
+    t = sh.topology
+    stalks = {}
+    for oid in sh.native_ids():
+        u, grid = t.opens[oid], grids.get(oid)
+        if grid is None:
+            raise UnmappedBin(f"no bin grid given for open {u}")
+        if len(grid.shape) != sh.stalk(oid).dim:
+            raise UnmappedBin(
+                f"grid for {u} has {len(grid.shape)} axes, stalk has "
+                f"dimension {sh.stalk(oid).dim}"
+            )
+        if grid.size > MAX_STALK_BINS:
+            raise UnmappedBin(
+                f"lift of {u} needs {grid.size} bins "
+                f"(cap {MAX_STALK_BINS}); use fewer bins per axis"
+            )
+        stalks[oid] = sp.simplex(grid.size)
+    edges = []
+    for (src, dst), rm in sh.edges.items():
+        matrix = stochastic_lift(
+            rm.body, grids[src], grids[dst], LIFT_SUBDIVISIONS
+        )
+        edges.append(RestrictionMap(t.opens[src], t.opens[dst],
+                                    Linear(matrix)))
+    return Sheaf(t, stalks, edges)

@@ -339,6 +339,18 @@ def test_cohomology_lift_bins_below_one_exits_2(sar_files, capsys, bins):
     assert "--lift-bins must be at least 1" in capsys.readouterr().err
 
 
+def test_cohomology_lift_bins_over_the_cap_exit_2(sar_files, capsys):
+    """6 bins a side give the 6-d office stalk 6**6 = 46,656 bins, more
+    than the lift's cap: a choice of the caller, so an input error."""
+    spec, _ = sar_files
+    assert main(["cohomology", str(spec), "--lift-bins", "6"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("input error: --lift-bins 6: the lift of "
+                   "{x,y,z,vx,vy,t,theta1,theta2,s} needs 46656 bins "
+                   "(cap 20000)\n")
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_check_samples_below_one_exits_2(sar_files, capsys, samples):
     """The SAR spec's nonlinear pairs would otherwise pass unsampled."""

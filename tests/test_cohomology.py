@@ -17,15 +17,22 @@ from oracles import (
     lift_mass_matrix,
     reference_build_complex,
     reference_leray_check,
+    reference_lift_sheaf,
     reference_sub_topology,
     reference_topology_betti,
 )
 from sheaffuse import (
     BinGrid,
     Cover,
+    EntityUniverse,
+    Projection,
+    RestrictionMap,
+    Sheaf,
     betti,
     build_complex,
+    euclidean,
     full_cover,
+    generate_topology,
     global_sections_via_h0,
     leray_check,
     stochastic_lift,
@@ -34,8 +41,11 @@ from sheaffuse import (
 from sheaffuse.cohomology import (
     DD_TOL,
     LIFT_CHUNK_POINTS,
+    LIFT_SUBDIVISIONS,
     _betti_table,
+    _kept_axes,
     _minimal_open_poset,
+    _projection_lift,
     lift_sheaf,
     restrict_sheaf,
     topology_betti,
@@ -526,10 +536,20 @@ def test_composed_lifts_equal_lift_of_composition():
 def test_unmapped_bin_raises():
     with pytest.raises(UnmappedBin):
         stochastic_lift(lambda i: 5, 2, 3)
+    with pytest.raises(UnmappedBin,
+                       match="bin 0 maps outside the codomain: True"):
+        stochastic_lift(lambda i: True, 2, 2)
     grid_in = uniform_grid([0.0], [1.0], 4)
     grid_out = uniform_grid([0.0], [0.5], 4)
     with pytest.raises(UnmappedBin):
         stochastic_lift(lambda p: (p[0],), grid_in, grid_out)
+
+
+@pytest.mark.parametrize("subdivisions", [2.0, "3", True])
+def test_grid_lift_rejects_subdivisions_not_an_integer(subdivisions):
+    grid = uniform_grid([0.0], [1.0], 2)
+    with pytest.raises(ValueError, match="subdivisions must be an integer"):
+        stochastic_lift(lambda p: p, grid, grid, subdivisions)
 
 
 def test_grid_lift_is_column_stochastic_and_preserves_mass():
@@ -766,3 +786,169 @@ def test_sar_batch_forms_match_point_calls_on_lift_samples():
         assert np.array_equal(got, want)
         builtins.add(getattr(rm.body, "name", None))
     assert builtins >= bearings | {"dead_reckon_state"}
+
+
+# ---------------------------------------------------------------------------
+# lift_sheaf against the per-edge loop
+
+def assert_same_lift(got, want):
+    """The same stalks and the same matrices, bit for bit, in the same
+    edge order."""
+    assert list(got.edges) == list(want.edges)
+    assert {oid: s.dim for oid, s in got.stalks.items()} == \
+        {oid: s.dim for oid, s in want.stalks.items()}
+    for key, rm in want.edges.items():
+        mat = got.edges[key].body.mat
+        assert mat.dtype == rm.body.mat.dtype
+        assert np.array_equal(mat, rm.body.mat), key
+
+
+@pytest.mark.parametrize("bins", [1, 2, 3])
+def test_sar_lift_sheaf_matches_the_per_edge_loop(bins):
+    sh = build_sar_sheaf()
+    grids = sar_lift_grids(sh, bins)
+    assert_same_lift(lift_sheaf(sh, grids), reference_lift_sheaf(sh, grids))
+
+
+def as_projections(sh):
+    """The same sheaf with each coordinate-selection matrix given as a
+    Projection."""
+    edges = [RestrictionMap(rm.source, rm.target,
+                            Projection(np.argmax(rm.body.mat, axis=1)))
+             for rm in sh.edges.values()]
+    return Sheaf(sh.topology, sh.stalks, edges)
+
+
+def test_lift_sheaf_matches_the_per_edge_loop_on_random_sheaves():
+    """Random linear sheaves whose restrictions select coordinates, as
+    Linear bodies and as Projections, on random bin edges shared by
+    every axis: each image lands in the codomain grid."""
+    rng = random.Random(113)
+    projections = 0
+    for _ in range(12):
+        linear = random_linear_sheaf(rng, conjugate=False)
+        edge = tuple(v / 8.0 for v in
+                     sorted(rng.sample(range(-20, 20), rng.randint(2, 3))))
+        for sh in (linear, as_projections(linear)):
+            grids = {oid: BinGrid((edge,) * sh.stalk(oid).dim)
+                     for oid in sh.native_ids()}
+            assert_same_lift(lift_sheaf(sh, grids),
+                             reference_lift_sheaf(sh, grids))
+            projections += sum(isinstance(rm.body, Projection)
+                               for rm in sh.edges.values())
+    assert projections > 0
+
+
+def test_projection_lift_from_kept_axes_matches_the_full_lift():
+    """400 random grids and projections with repeated, reordered and
+    dropped indices; codomain edges equal to the kept axis's, other
+    edges around it, or edges that miss some samples, where both raise
+    the same error, naming the same sample."""
+    rng = random.Random(127)
+    failures = 0
+    for _ in range(400):
+        grid_in = random_grid(rng, rng.randint(1, 4))
+        dim = len(grid_in.edges)
+        body = Projection([rng.randrange(dim)
+                           for _ in range(rng.randint(1, 4))])
+        out = []
+        for i in body.indices:
+            lo, hi = grid_in.edges[i][0], grid_in.edges[i][-1]
+            kind = rng.random()
+            if kind < 0.4:
+                out.append(grid_in.edges[i])
+            elif kind < 0.9:
+                lo -= rng.randint(0, 8) / 8.0
+                hi += rng.randint(0, 8) / 8.0
+                inner = rng.sample(range(1, 16), rng.randint(0, 3))
+                out.append((lo, *(lo + (hi - lo) * k / 16.0
+                                  for k in sorted(inner)), hi))
+            else:
+                out.append((lo, (lo + hi) / 2.0))
+        grid_out = BinGrid(tuple(out))
+        results = []
+        for lift in (
+            lambda: stochastic_lift(body, grid_in, grid_out,
+                                    LIFT_SUBDIVISIONS),
+            lambda: _projection_lift(body, _kept_axes(body, grid_in),
+                                     grid_in, grid_out),
+        ):
+            try:
+                results.append(lift())
+            except UnmappedBin as exc:
+                results.append(str(exc))
+        want, got = results
+        if isinstance(want, str):
+            failures += 1
+            assert got == want
+        else:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (grid_in, body.indices)
+    assert failures > 0
+
+
+@pytest.mark.parametrize("x_first", [True, False])
+def test_lift_sheaf_raises_the_first_failing_edge(x_first):
+    """Both sources fail, X -> V on a NaN image and W -> V outside its
+    grid.  X is sampled first, as its first edge comes first, but the
+    error raised is that of the failing edge that comes first in
+    ``sh.edges``, as the per-edge loop raises it."""
+    t = generate_topology(EntityUniverse(["a", "b", "c"]),
+                          [("a", "b", "c"), ("a", "b"), ("a",)])
+    x, w, v = (t.open_for(names) for names in
+               (["a", "b", "c"], ["a", "b"], ["a"]))
+    stalks = {x: euclidean(2), w: euclidean(2), v: euclidean(1)}
+    x_to_v = RestrictionMap(x, v, lambda p: (
+        float("nan") if p[1] > 0.5 else p[0],))
+    w_to_v = RestrictionMap(w, v, lambda p: (
+        p[0] + 2.0 if p[0] > 0.5 else p[0],))
+    tail = [x_to_v, w_to_v] if x_first else [w_to_v, x_to_v]
+    sh = Sheaf(t, stalks, [RestrictionMap(x, w, lambda p: p)] + tail)
+    grids = {oid: uniform_grid([0.0] * stalks[t.opens[oid]].dim,
+                               [1.0] * stalks[t.opens[oid]].dim, 4)
+             for oid in sh.native_ids()}
+    with pytest.raises(UnmappedBin) as want:
+        reference_lift_sheaf(sh, grids)
+    with pytest.raises(UnmappedBin) as got:
+        lift_sheaf(sh, grids)
+    assert str(got.value) == str(want.value)
+    assert ("is not finite" if x_first else "outside the codomain grid") \
+        in str(got.value)
+
+
+def test_lift_sheaf_samples_each_source_grid_once(monkeypatch):
+    """On SAR at 2 bins, the grid of each source with an edge other than
+    a projection yields its chunks once for all those edges, the other
+    source grids yield none, and projections see only their kept axes."""
+    sh = build_sar_sheaf()
+    grids = sar_lift_grids(sh, 2)
+    chunks, shapes = {}, []
+    cell_samples, batch = BinGrid.cell_samples, Projection.batch
+
+    def counted(grid, subdivisions, per_chunk):
+        for chunk in cell_samples(grid, subdivisions, per_chunk):
+            chunks[id(grid)] = chunks.get(id(grid), 0) + 1
+            yield chunk
+
+    def spied(body, points):
+        shapes.append(points.shape)
+        return batch(body, points)
+
+    monkeypatch.setattr(BinGrid, "cell_samples", counted)
+    monkeypatch.setattr(Projection, "batch", spied)
+    lift_sheaf(sh, grids)
+    projected = {src for (src, _), rm in sh.edges.items()
+                 if isinstance(rm.body, Projection)}
+    mapped = {src for (src, _), rm in sh.edges.items()
+              if not isinstance(rm.body, Projection)}
+    for oid, grid in grids.items():
+        per_chunk = max(1, LIFT_CHUNK_POINTS
+                        // LIFT_SUBDIVISIONS ** len(grid.edges))
+        want = -(-grid.size // per_chunk) if oid in mapped else 0
+        assert chunks.get(id(grid), 0) == want, sh.topology.opens[oid]
+    assert projected - mapped  # sources with projections alone
+    kept = [len(set(rm.body.indices)) for rm in sh.edges.values()
+            if isinstance(rm.body, Projection)]
+    # the projections' sub-grids: 2 bins and 3 samples on each kept axis
+    assert sum(rows for rows, _ in shapes) == sum(6 ** k for k in kept)
+    assert max(width for _, width in shapes) == max(kept) == 5
