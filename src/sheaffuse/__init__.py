@@ -76,5 +76,6 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
-# the geometry kernels are plain Python; kept for callers that record it
+# the geometry kernels are plain Python; kept only for the benchmark
+# harness, which records it, and goes when it stops
 KERNEL_BACKEND = "pure"

@@ -16,7 +16,11 @@ EPS_SLACK = 1e-12
 
 
 class Assignment:
-    """Partial mapping from open sets to observations in their stalks."""
+    """Partial mapping from open sets to observations in their stalks.
+
+    A value on the empty open is checked and dropped: its stalk R^0 has
+    the single point (), so it carries nothing and restricts from
+    nothing."""
 
     def __init__(self, sheaf: Sheaf, values: dict | None = None):
         self.sheaf = sheaf
@@ -32,7 +36,8 @@ class Assignment:
                 f"value for {self.sheaf.topology.opens[oid]} lies in "
                 f"{point.space.describe()}, stalk is {space.describe()}"
             )
-        self.values[oid] = point
+        if self.sheaf.topology.opens[oid].mask:
+            self.values[oid] = point
 
     def get(self, u) -> sp.Point | None:
         oid = u.id if isinstance(u, OpenSet) else int(u)
@@ -90,11 +95,10 @@ def nan_error(small: OpenSet, large: OpenSet,
 def consistency_radius(a: Assignment) -> RadiusResult:
     """Largest discrepancy d_V(a(V), a(U)|_V) over defined pairs V < U.
 
-    The sup runs over every pair of defined nonempty opens with V
-    strictly inside U, using composed restrictions.  Edges come back
-    sorted by decreasing error; a NaN error, or an infinite one from a
-    reading whose distance overflows, raises SpaceMismatch naming the
-    pair.
+    The sup runs over every pair of defined opens with V strictly
+    inside U, using composed restrictions.  Edges come back sorted by
+    decreasing error; a NaN error, or an infinite one from a reading
+    whose distance overflows, raises SpaceMismatch naming the pair.
     """
     sh = a.sheaf
     defined = [sh.topology.opens[oid] for oid in a.defined_ids()]
@@ -102,8 +106,7 @@ def consistency_radius(a: Assignment) -> RadiusResult:
     for large in defined:
         pu = a.values[large.id]
         for small in defined:
-            if small.id == large.id or not small.mask or \
-                    small.mask & large.mask != small.mask:
+            if small.id == large.id or small.mask & large.mask != small.mask:
                 continue
             pv = a.values[small.id]
             restricted = sh.restrict_coords(large.id, small.id, pu.coords)

@@ -88,7 +88,8 @@ class FusionOptions:
 
     max_iterations: int = 2000
     f_tolerance: float = 1e-8
-    # ignored (no route is random); the benchmark's workloads pass it
+    # ignored (no route is random); only the benchmark's workloads
+    # still pass it, and it goes when they stop
     seed: int = 0
 
     def __post_init__(self):
@@ -232,13 +233,15 @@ class _Groups:
         return np.divide(grad, r[:, None], out=np.zeros_like(grad),
                          where=r[:, None] > 0.0)
 
-    def hessian(self, x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    def hessian(self, x: np.ndarray, lam: np.ndarray,
+                jac: np.ndarray) -> np.ndarray:
         """The Hessian of lam . r over the Euclidean groups with r_g > 0,
         sum_g lam_g (rows_g^T rows_g - grad r_g grad r_g^T) / r_g, plus
         CURVATURE_FLOOR times its first term's largest diagonal entry on
         the diagonal: a group of one row adds nothing, and
-        ``_minimax_step`` needs B definite."""
-        r, jac = self.residuals(x), self.jacobian(x)
+        ``_minimax_step`` needs B definite.  ``jac`` is
+        ``jacobian(x)``."""
+        r = self.residuals(x)
         w = np.divide(lam, r, out=np.zeros(self.count), where=r > 0.0)
         gauss = self.rows.T @ (self.rows * w[self.group][:, None])
         ridge = CURVATURE_FLOOR * (float(np.diag(gauss).max(initial=0.0))
@@ -772,9 +775,8 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
     if groups and groups.bounded and np.any(
             groups.floor_rows @ x0 + groups.floor_offset < -sp.SIMPLEX_TOL):
         x0 = groups.start  # off the simplexes, as an inconsistent fit may be
-    section_point(x0)  # a start off the top stalk's simplexes raises
     dual_bound = None
-    start = objective(x0)
+    start = objective(x0)  # a start off the top stalk's simplexes raises
     if start <= opts.f_tolerance:
         x, iterations, evaluations, converged = x0, 0, 0, True
         route = "already_global"
@@ -805,8 +807,8 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
         lam = np.where(lam >= BARRIER_WEIGHT * lam.max(), lam, 0.0)
         x, iterations, evaluations, converged, dual_bound = _sqp(
             groups.residuals, lambda x, d, score: groups.jacobian(x),
-            lambda x, jac, lam, last: groups.hessian(x, lam), x_c, opts,
-            groups.bound, lam)
+            lambda x, jac, lam, last: groups.hessian(x, lam, jac), x_c,
+            opts, groups.bound, lam)
         route = "sqp"
     section = section_point(x)
     residual = objective(x)

@@ -127,24 +127,29 @@ SAR_SUBBASE = {
     "X": SAR_ENTITIES,
 }
 
-# lift envelopes per entity, used when linearizing the scenario
+# each open of the SAR sheaf with a stalk of its own: its entities, the
+# case row that observes it (None for none) and that row's fields in
+# stalk coordinate order; a detection is a position
+SAR_OPENS = {
+    "U1": (SAR_SUBBASE["U1"], "flight_plan", ("x", "y", "z")),
+    "U2": (SAR_SUBBASE["U2"], "atc", ("x", "y", "z", "vx", "vy")),
+    "U3": (SAR_SUBBASE["U3"], "rdf1", ("theta1", "t")),
+    "U4": (SAR_SUBBASE["U4"], "rdf2", ("theta2", "t")),
+    "U5": (SAR_SUBBASE["U5"], "sat", ("sx", "sy")),
+    "X": (SAR_ENTITIES, "field", ("x", "y", "z", "vx", "vy", "t")),
+    "t": (("t",), None, ("t",)),
+    "theta1": (("theta1",), None, ("theta1",)),
+    "theta2": (("theta2",), None, ("theta2",)),
+}
+
+# lift envelopes per field, used when linearizing the scenario; the
+# detection's must cover the whole dead-reckoning image: the position
+# envelope plus max |v| * max t of drift on each axis
 SAR_LIFT_RANGES = {
     "x": (55.0, 80.0), "y": (38.0, 50.0), "z": (0.0, 15000.0),
     "vx": (-600.0, 600.0), "vy": (-600.0, 600.0), "t": (0.0, 2.0),
     "theta1": (0.0, 360.0), "theta2": (0.0, 360.0),
-}
-
-# stalk coordinate meanings per basis open (coordinate order, not key order)
-SAR_STALK_COORDS = {
-    "U1": ("x", "y", "z"),
-    "U2": ("x", "y", "z", "vx", "vy"),
-    "U3": ("theta1", "t"),
-    "U4": ("theta2", "t"),
-    "U5": ("x", "y"),          # a detection is a position
-    "X": ("x", "y", "z", "vx", "vy", "t"),
-    "t": ("t",),
-    "theta1": ("theta1",),
-    "theta2": ("theta2",),
+    "sx": (40.0, 95.0), "sy": (27.0, 61.0),
 }
 
 
@@ -152,21 +157,9 @@ def sar_lift_ranges() -> dict:
     """Per-open coordinate envelopes for stochastic linearization,
     keyed by open-set key."""
     t = build_sar_topology()
-    named = {
-        "U1": t.open_for(SAR_SUBBASE["U1"]), "U2": t.open_for(SAR_SUBBASE["U2"]),
-        "U3": t.open_for(SAR_SUBBASE["U3"]), "U4": t.open_for(SAR_SUBBASE["U4"]),
-        "U5": t.open_for(SAR_SUBBASE["U5"]), "X": t.full,
-        "t": t.open_for(("t",)), "theta1": t.open_for(("theta1",)),
-        "theta2": t.open_for(("theta2",)),
-    }
-    ranges = {
-        named[name].key(): [list(SAR_LIFT_RANGES[e]) for e in coords]
-        for name, coords in SAR_STALK_COORDS.items()
-    }
-    # the detection stalk must cover the whole dead-reckoning image:
-    # position envelope plus max |v| * max t of drift on each axis
-    ranges[named["U5"].key()] = [[40.0, 95.0], [27.0, 61.0]]
-    return ranges
+    return {t.open_for(entities).key(): [list(SAR_LIFT_RANGES[f])
+                                         for f in fields]
+            for entities, _, fields in SAR_OPENS.values()}
 
 
 def _bearing_time_factory(p):
@@ -304,34 +297,13 @@ def build_sar_sheaf(params: SarParameters | None = None) -> Sheaf:
 
 def sar_case_assignment(sh: Sheaf, case: int) -> Assignment:
     """Observations of one reference case as a partial assignment."""
-    obs = SAR_CASES[case]
-    t = sh.topology
-
-    def o(*names):
-        return t.open_for(names)
-
     a = Assignment(sh)
-    fp, atc, field_row = obs["flight_plan"], obs["atc"], obs["field"]
-    a.set(o("x", "y", "z"),
-          sp.make_point(sh.stalk(o("x", "y", "z").id),
-                        (fp["x"], fp["y"], fp["z"])))
-    a.set(o("x", "y", "z", "vx", "vy"),
-          sp.make_point(sh.stalk(o("x", "y", "z", "vx", "vy").id),
-                        (atc["x"], atc["y"], atc["z"], atc["vx"],
-                         atc["vy"])))
-    a.set(o("theta1", "t"),
-          sp.make_point(sh.stalk(o("theta1", "t").id),
-                        (obs["rdf1"]["theta1"], obs["rdf1"]["t"])))
-    a.set(o("theta2", "t"),
-          sp.make_point(sh.stalk(o("theta2", "t").id),
-                        (obs["rdf2"]["theta2"], obs["rdf2"]["t"])))
-    a.set(o("theta1", "theta2", "s"),
-          sp.make_point(sh.stalk(o("theta1", "theta2", "s").id),
-                        (obs["sat"]["sx"], obs["sat"]["sy"])))
-    a.set(t.full,
-          sp.make_point(sh.stalk(t.full.id),
-                        (field_row["x"], field_row["y"], field_row["z"],
-                         field_row["vx"], field_row["vy"], field_row["t"])))
+    for entities, row, fields in SAR_OPENS.values():
+        if row is not None:
+            u = sh.topology.open_for(entities)
+            obs = SAR_CASES[case][row]
+            a.set(u, sp.make_point(sh.stalk(u.id),
+                                   tuple(obs[f] for f in fields)))
     return a
 
 

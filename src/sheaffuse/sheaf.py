@@ -289,10 +289,32 @@ class Sheaf:
                         f"restriction {rm.source}->{rm.target}: {end} has "
                         f"no stalk of its own")
             self.edges[(rm.source.id, rm.target.id)] = rm
+        # the composite restriction from each open with a stalk of its
+        # own to every open its edges reach: one breadth-first pass per
+        # source, edges in the order given, so each chain is the shortest
+        # edge path and ties go to the edge given first
+        out: dict[int, list[int]] = {}
+        for a, b in self.edges:
+            out.setdefault(a, []).append(b)
+        self._chains: dict[tuple[int, int], Chain] = {}
+        for src in self.stalks:
+            paths = {src: (src,)}
+            frontier = [src]
+            while frontier:
+                reached = []
+                for a in frontier:
+                    for b in out.get(a, ()):
+                        if b not in paths:
+                            paths[b] = paths[a] + (b,)
+                            reached.append(b)
+                frontier = reached
+            for dst, path in paths.items():
+                self._chains[(src, dst)] = Chain(
+                    (self.edges[step].body for step in zip(path, path[1:])),
+                    path)
         # given stalks plus the product stalk of every pullback built
         self._all_stalks: dict[int, sp.ValueSpace] = dict(self.stalks)
         self._pullback_cache: dict[int, Pullback] = {}
-        self._basis_chain_cache: dict[tuple[int, int], Chain] = {}
         self._blocks_cache: dict[tuple[int, int], tuple] = {}
         self._kernel_cache: dict[int, np.ndarray] = {}
         self._ambient_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -345,39 +367,15 @@ class Sheaf:
     # -- composition through the basis poset --------------------------------
 
     def _basis_chain(self, src: int, dst: int) -> Chain:
-        """Composite restriction between comparable native opens along the
-        shortest path of restriction edges; breadth-first search, so ties
-        go to the edge given first."""
-        if src == dst:
-            return Chain((), (src,))
-        key = (src, dst)
-        cached = self._basis_chain_cache.get(key)
-        if cached is not None:
-            return cached
-        dst_mask = self.topology.opens[dst].mask
-        frontier = [(src,)]
-        seen = {src}
-        while frontier:
-            nxt = []
-            for path in frontier:
-                for a, b in self.edges:
-                    if a != path[-1] or b in seen:
-                        continue
-                    if b == dst:
-                        path += (b,)
-                        result = Chain((self.edges[step].body
-                                        for step in zip(path, path[1:])), path)
-                        self._basis_chain_cache[key] = result
-                        return result
-                    # only continue through opens that still contain dst
-                    if dst_mask & self.topology.opens[b].mask == dst_mask:
-                        seen.add(b)
-                        nxt.append(path + (b,))
-            frontier = nxt
-        raise NotComparable(
-            f"no restriction path from {self.topology.opens[src]} to "
-            f"{self.topology.opens[dst]}; check the sheaf specification"
-        )
+        """Composite restriction between comparable native opens, read
+        from the chains built with the sheaf."""
+        try:
+            return self._chains[(src, dst)]
+        except KeyError:
+            raise NotComparable(
+                f"no restriction path from {self.topology.opens[src]} to "
+                f"{self.topology.opens[dst]}; check the sheaf specification"
+            ) from None
 
     # -- pullback layout -----------------------------------------------------
 
@@ -529,9 +527,10 @@ def complete_unions(sh: Sheaf) -> Sheaf:
     its own the pullback of its maximal native parts when first asked
     for (``Sheaf.pullback``): single-part unions reuse the part's stalk,
     disjoint parts yield a plain product, and overlapping parts record
-    agreement constraints on their pairwise intersections.  Kept for
-    callers that still wrap their sheaves in it; completing a completed
-    sheaf changes nothing.
+    agreement constraints on their pairwise intersections.  Kept only
+    for the benchmark's workloads, which still wrap their sheaves in it,
+    and goes when they stop; completing a completed sheaf changes
+    nothing.
     """
     return Sheaf(sh.topology, sh.stalks, sh.edges.values())
 
@@ -598,16 +597,11 @@ def verify_functoriality(sh: Sheaf, samples: int = 64) -> FunctorialityReport:
     checked = 0
     witnesses = []
     for (a, b), rm in sh.edges.items():
-        b_mask = t.opens[b].mask
         for d in native:
-            d_mask = t.opens[d].mask
-            if d == b or d_mask & b_mask != d_mask:
+            rest = sh._chains.get((b, d))
+            if rest is None:  # no edge path from b reaches d
                 continue
-            try:
-                rest = sh._basis_chain(b, d)
-            except NotComparable:
-                continue  # no edge path from b reaches d
-            canonical = sh._basis_chain(a, d)
+            canonical = sh._chains[(a, d)]
             if canonical.path[1] == b:
                 continue
             checked += 1

@@ -17,7 +17,6 @@ from sheaffuse import (
     RestrictionMap,
     Sheaf,
     circle,
-    complete_unions,
     euclidean,
     generate_topology,
     product,
@@ -103,7 +102,7 @@ def random_linear_sheaf(rng, n_entities=3, dims_per_entity=(1, 2),
                     transforms[big.id]
                 )
                 restrictions.append(RestrictionMap(big, small, Linear(mat)))
-    return complete_unions(Sheaf(t, stalks, restrictions))
+    return Sheaf(t, stalks, restrictions)
 
 
 def random_product_sheaf(rng, n_entities=4):
@@ -167,7 +166,7 @@ def camera_chain_sheaf(cameras=5, camera_dim=2, seed=2016):
         for cam in (cams[i], cams[i + 1]):
             row = [rng.uniform(0.5, 1.5) for _ in range(camera_dim)]
             maps.append(RestrictionMap(cam, v, Linear([row])))
-    return complete_unions(Sheaf(t, stalks, maps))
+    return Sheaf(t, stalks, maps)
 
 
 def noisy_sar_snapshots(sh, count, seed):
@@ -241,7 +240,7 @@ def with_corrupted_edge(sh, rng):
     else:
         m[:, 1:] = 0.0
     edges[key] = RestrictionMap(rm.source, rm.target, Linear(m))
-    return complete_unions(Sheaf(sh.topology, sh.stalks, edges.values()))
+    return Sheaf(sh.topology, sh.stalks, edges.values())
 
 
 def with_native_union(sh, oid):
@@ -261,7 +260,7 @@ def with_native_union(sh, oid):
         if big.mask != w.mask and w.mask & big.mask == w.mask:
             edges.append(RestrictionMap(
                 big, w, Linear(sh.restriction_matrix(n, oid))))
-    return complete_unions(Sheaf(t, stalks, edges))
+    return Sheaf(t, stalks, edges)
 
 
 def constant_circle_sheaf():
@@ -276,7 +275,7 @@ def constant_circle_sheaf():
         for big in t.basis for small in t.basis
         if small.mask != big.mask and small.mask & big.mask == small.mask
     ]
-    sh = complete_unions(Sheaf(t, stalks, restrictions))
+    sh = Sheaf(t, stalks, restrictions)
     cover_sets = tuple(t.open_for(a) for a in arcs)
     return sh, cover_sets
 
@@ -302,8 +301,8 @@ def nan_sheaf(calls):
         calls.append(coords)
         return (math.nan,)
 
-    return complete_unions(Sheaf(
+    return Sheaf(
         t, {t.full: euclidean(1), a: euclidean(1), b: euclidean(1)},
         [RestrictionMap(t.full, a, Builtin("nan", nan)),
          RestrictionMap(t.full, b, Identity())],
-    ))
+    )

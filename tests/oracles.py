@@ -6,8 +6,10 @@ agreement spaces by stacked-constraint nullspaces, functoriality by
 applying every restriction-edge path.  The exceptions are the library's
 former routines, kept as references for the ones that replaced them:
 ``all_pairs_gluing``, the gluing check over every pair of opens, for
-the native-union check; ``all_pairs_radius``, the consistency-radius
-loop over every comparable pair, for the defined-pair loop;
+the native-union check; ``reference_basis_chain``, a breadth-first
+search per pair of native opens, for the chains a sheaf builds once;
+``all_pairs_radius``, the consistency-radius loop over every comparable
+pair, for the defined-pair loop;
 ``pullback_every_open``, the restriction of a global section to every
 open in turn, for the pullback that restricts it once per native open;
 the ``reference_*`` cohomology routines, for the one cochain-complex
@@ -43,8 +45,13 @@ from sheaffuse.cohomology import (
     stochastic_lift,
 )
 from sheaffuse.consistency import Assignment, EdgeError
-from sheaffuse.errors import IntersectionNotOpen, SpaceMismatch, UnmappedBin
-from sheaffuse.sheaf import GluingReport, Linear, RestrictionMap, Sheaf
+from sheaffuse.errors import (
+    IntersectionNotOpen,
+    NotComparable,
+    SpaceMismatch,
+    UnmappedBin,
+)
+from sheaffuse.sheaf import Chain, GluingReport, Linear, RestrictionMap, Sheaf
 from sheaffuse.topology import EntityUniverse, Topology, comparable_pairs
 
 
@@ -256,6 +263,38 @@ def all_pairs_gluing(sh: Sheaf) -> GluingReport:
                     f"{w} has kernel of dimension {dw - rank_joint}"
                 )
     return GluingReport(not failures, failures, checked)
+
+
+def reference_basis_chain(sh: Sheaf, src: int, dst: int) -> Chain:
+    """Composite restriction between comparable native opens along the
+    shortest path of restriction edges: a breadth-first search from
+    ``src`` through the opens that still contain ``dst``, so ties go to
+    the edge given first.  Raises NotComparable when no edge path
+    reaches ``dst``."""
+    if src == dst:
+        return Chain((), (src,))
+    t = sh.topology
+    dst_mask = t.opens[dst].mask
+    frontier = [(src,)]
+    seen = {src}
+    while frontier:
+        nxt = []
+        for path in frontier:
+            for a, b in sh.edges:
+                if a != path[-1] or b in seen:
+                    continue
+                if b == dst:
+                    path += (b,)
+                    return Chain((sh.edges[step].body
+                                  for step in zip(path, path[1:])), path)
+                if dst_mask & t.opens[b].mask == dst_mask:
+                    seen.add(b)
+                    nxt.append(path + (b,))
+        frontier = nxt
+    raise NotComparable(
+        f"no restriction path from {t.opens[src]} to {t.opens[dst]}; "
+        f"check the sheaf specification"
+    )
 
 
 def edge_path_functoriality(sh, samples=16, rng=None, tol=1e-9):

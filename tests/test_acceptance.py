@@ -65,7 +65,7 @@ def sar():
 def fusion_results(sar):
     sheaf, assignments = sar
     t0 = time.perf_counter()
-    results = {c: fuse(assignments[c], FusionOptions(seed=0))
+    results = {c: fuse(assignments[c], FusionOptions())
                for c in (1, 2, 3)}
     elapsed = time.perf_counter() - t0
     return results, elapsed
@@ -204,7 +204,7 @@ def test_c3_improvement_factors(fusion_results, sar, case, factor):
 def test_c3_deterministic_and_within_budget(fusion_results, sar):
     sheaf, assignments = sar
     results, elapsed = fusion_results
-    again = fuse(assignments[1], FusionOptions(seed=0))
+    again = fuse(assignments[1], FusionOptions())
     ok_det = again.section_at_top.coords == \
         results[1].section_at_top.coords
     ok_time = elapsed < 30.0
@@ -327,7 +327,7 @@ def test_c5e_betti0_equals_brute_force():
 
 def test_c5f_lipschitz_lower_bound():
     rng = random.Random(6)
-    opts = FusionOptions(max_iterations=300, seed=1)
+    opts = FusionOptions(max_iterations=300)
     for _ in range(100):
         sh = random_linear_sheaf(rng, n_entities=2)
         a = Assignment(sh)

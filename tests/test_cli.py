@@ -14,7 +14,6 @@ from sheaffuse import (
     Sheaf,
     betti,
     circle,
-    complete_unions,
     consistency_radius,
     discrete,
     euclidean,
@@ -51,7 +50,7 @@ def counterexample_spec(tmp_path):
                               ("e1", "e2", "e3")])
     u1, u2 = t.open_for(["e1", "e2"]), t.open_for(["e2", "e3"])
     mid, top = t.open_for(["e2"]), t.full
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t,
         {top: euclidean(1), u1: euclidean(2), u2: euclidean(1),
          mid: euclidean(1)},
@@ -59,7 +58,7 @@ def counterexample_spec(tmp_path):
          RestrictionMap(top, u2, Identity()),
          RestrictionMap(u1, mid, Linear([[1.0, 1.0]])),
          RestrictionMap(u2, mid, Identity())],
-    ))
+    )
     path = tmp_path / "merge_spec.json"
     save_sheaf(path, sh)
     return path
@@ -144,10 +143,10 @@ def test_radius_mis_sized_projection_exits_2(tmp_path, capsys):
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t, {top: euclidean(2), mid: euclidean(2)},
         [RestrictionMap(top, mid, Projection([0, 1, 1]))],
-    ))
+    )
     spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
     save_sheaf(spec, sh)
     save_assignment(values, Assignment(sh, {
@@ -215,8 +214,8 @@ def test_fuse_refuses_a_discrete_stalk_with_one_error_line(tmp_path, capsys):
     t = generate_topology(u, [("a",)])
     mid = t.open_for(["a"])
     labels = discrete(["red", "green"])
-    sh = complete_unions(Sheaf(t, {mid: labels, t.full: labels},
-                               [RestrictionMap(t.full, mid, Identity())]))
+    sh = Sheaf(t, {mid: labels, t.full: labels},
+               [RestrictionMap(t.full, mid, Identity())])
     spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
     save_sheaf(spec, sh)
     save_assignment(values, Assignment(sh, {
@@ -234,10 +233,10 @@ def test_fuse_prints_certificate_on_linear_sheaf(tmp_path, capsys):
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t, {mid: euclidean(1), top: euclidean(1)},
         [RestrictionMap(top, mid, Identity())],
-    ))
+    )
     spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
     save_sheaf(spec, sh)
     save_assignment(values, Assignment(sh, {
@@ -268,7 +267,7 @@ def test_cohomology_json_on_probability_sheaf(tmp_path, capsys):
 def test_cohomology_single_open_cover(tmp_path, capsys):
     u = EntityUniverse(["a"])
     t = generate_topology(u, [("a",)])
-    sh = complete_unions(Sheaf(t, {t.full: euclidean(4)}, []))
+    sh = Sheaf(t, {t.full: euclidean(4)}, [])
     path = tmp_path / "one.json"
     save_sheaf(path, sh)
     assert main(["cohomology", str(path), "--cover", "a", "--json"]) == 0
@@ -289,10 +288,10 @@ def test_cohomology_rejects_nonlinear_union_stalk(tmp_path, capsys):
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     a = t.open_for(["a"])
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t, {a: euclidean(1), t.full: circle()},
         [RestrictionMap(t.full, a, Identity())],
-    ))
+    )
     assert not sh.is_linear()
     path = tmp_path / "circle.json"
     save_sheaf(path, sh)

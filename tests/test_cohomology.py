@@ -252,17 +252,11 @@ def test_betti_invariant_under_matrix_scaling():
     base = betti(sh, cover, 2).betti
     from sheaffuse.sheaf import Linear, RestrictionMap
 
-    scaled_edges = {
-        key: RestrictionMap(rm.source, rm.target,
-                            Linear(rm.body.mat * 1e6))
-        for key, rm in sh.edges.items()
-    }
-    sh.edges = scaled_edges
-    sh._basis_chain_cache.clear()
-    sh._ambient_cache.clear()
-    sh._matrix_cache.clear()
-    sh._kernel_cache.clear()
-    assert betti(sh, cover, 2).betti == base
+    scaled = Sheaf(sh.topology, sh.stalks, [
+        RestrictionMap(rm.source, rm.target, Linear(rm.body.mat * 1e6))
+        for rm in sh.edges.values()
+    ])
+    assert betti(scaled, cover, 2).betti == base
 
 
 def test_nonlinear_sheaf_rejected():

@@ -22,7 +22,6 @@ from sheaffuse import (
     RestrictionMap,
     Sheaf,
     assignment_distance,
-    complete_unions,
     consistency_radius,
     distance,
     euclidean,
@@ -36,6 +35,7 @@ from sheaffuse import (
     simplex,
 )
 from sheaffuse.errors import SheafMismatch, SpaceMismatch
+from sheaffuse.specio import load_assignment, save_assignment
 from sheaffuse.scenarios import (
     SarParameters,
     build_coin_sheaf,
@@ -50,10 +50,10 @@ def chain_sheaf(values_dim=1):
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t, {mid: euclidean(values_dim), top: euclidean(values_dim)},
         [RestrictionMap(top, mid, Identity())],
-    ))
+    )
     return sh, mid, top
 
 
@@ -122,10 +122,10 @@ def test_radius_rejects_restriction_leaving_the_stalk(stalk, body):
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t, {top: simplex(2), mid: stalk},
         [RestrictionMap(top, mid, body)],
-    ))
+    )
     a = Assignment(sh, {
         top: make_point(sh.stalk(top.id), [0.5, 0.5]),
         mid: make_point(stalk, [0.5, 0.5]),
@@ -363,6 +363,25 @@ def test_lipschitz_bound_nonnegative_and_covers_norms():
             assert float(np.linalg.norm(m, 2)) <= k + 1e-9
 
 
+def test_lipschitz_bound_needs_more_than_the_native_pairs():
+    """R on the whole space of {a,b,c} and on {a} and {b}, with identity
+    edges: the restriction to the union {a,b} stacks both identities and
+    has norm sqrt(2), while every restriction between native opens has
+    norm 1, so the bound cannot be read off the native pairs alone."""
+    t = generate_topology(EntityUniverse(["a", "b", "c"]), [("a",), ("b",)])
+    a, b = t.open_for(["a"]), t.open_for(["b"])
+    sh = Sheaf(t, {t.full: euclidean(1), a: euclidean(1), b: euclidean(1)},
+               [RestrictionMap(t.full, a, Identity()),
+                RestrictionMap(t.full, b, Identity())])
+    native = sh.native_ids()
+    opens = t.opens
+    assert max(float(np.linalg.norm(sh.restriction_matrix(big, small), 2))
+               for big in native for small in native
+               if opens[small].mask & opens[big].mask == opens[small].mask
+               ) == 1.0
+    assert lipschitz_bound(sh) == pytest.approx(2 ** 0.5, abs=1e-12)
+
+
 def chain_snapshots(n, seed):
     """Random global sections of the camera chain plus noise on every
     basis open, drawn like the benchmark's chain snapshots."""
@@ -424,6 +443,29 @@ def test_radius_raises_on_an_overflowing_edge():
     with pytest.raises(SpaceMismatch, match=r"on \{a\} to the restriction "
                                             r"from \{a,b\} is infinite"):
         consistency_radius(a)
+
+
+def test_value_on_the_empty_open_changes_nothing(tmp_path):
+    """The empty open's single point () is checked and dropped: the
+    radius and the fuse of SAR case 1 and of a chain snapshot come out
+    the same with it, and the CSV round trip keeps every other value."""
+    for a in (sar_case_assignment(build_sar_sheaf(), 1),
+              next(chain_snapshots(1, 1))):
+        sh, empty = a.sheaf, a.sheaf.topology.empty
+        with_empty = Assignment(sh, a.values)
+        with_empty.set(empty, make_point(sh.stalk(empty.id), ()))
+        assert with_empty.values == a.values
+        assert consistency_radius(with_empty) == consistency_radius(a)
+        got, want = fuse(with_empty), fuse(a)
+        assert ((got.section_at_top.coords, got.residual, got.iterations,
+                 got.evaluations, got.dual_bound) ==
+                (want.section_at_top.coords, want.residual, want.iterations,
+                 want.evaluations, want.dual_bound))
+        path = tmp_path / "values.csv"
+        save_assignment(path, with_empty)
+        again = load_assignment(path, sh)
+        assert {oid: p.coords for oid, p in again.values.items()} == \
+            {oid: p.coords for oid, p in a.values.items()}
 
 
 def test_radius_edges_match_all_pairs_oracle():

@@ -7,10 +7,16 @@ from conftest import (
     camera_chain_sheaf,
     nested_native_union,
     random_linear_sheaf,
+    random_product_sheaf,
     with_corrupted_edge,
     with_native_union,
 )
-from oracles import agreement_dim, all_pairs_gluing, edge_path_functoriality
+from oracles import (
+    agreement_dim,
+    all_pairs_gluing,
+    edge_path_functoriality,
+    reference_basis_chain,
+)
 from sheaffuse import (
     Affine,
     Builtin,
@@ -125,24 +131,62 @@ def test_functoriality_catches_corrupted_projection():
     u3 = t.open_for(["theta1", "t"])
     time_open = t.open_for(["t"])
     # swap the time projection for the bearing coordinate
-    sh.edges[(u3.id, time_open.id)] = RestrictionMap(
+    edges = dict(sh.edges)
+    edges[(u3.id, time_open.id)] = RestrictionMap(
         u3, time_open, Projection([0])
     )
-    sh._basis_chain_cache.clear()
-    sh._blocks_cache.clear()
-    report = verify_functoriality(sh, samples=32)
+    report = verify_functoriality(Sheaf(t, sh.stalks, edges.values()),
+                                  samples=32)
     assert not report.ok
     assert report.witnesses
+
+
+def test_chains_built_with_the_sheaf_match_the_per_pair_search():
+    """Between every ordered pair of opens with a stalk, the empty open
+    included, the sheaf's chain is the path a breadth-first search per
+    pair finds, and NotComparable with the same text where it finds
+    none.  A random sheaf has an edge for every comparable pair of
+    basis opens, so each is also checked on its covering edges alone,
+    given in reverse order: there chains pass through several edges and
+    equal lengths tie."""
+    rng = random.Random(23)
+    sheaves = [build_sar_sheaf(), *build_obstacle_sheaves(),
+               *(build_coin_sheaf(v) for v in ("mosaic", "counts", "value")),
+               camera_chain_sheaf()]
+    for _ in range(400):
+        sh = random_linear_sheaf(rng)
+        opens = sh.topology.opens
+
+        def inside(x, y):
+            return x != y and opens[x].mask & opens[y].mask == opens[x].mask
+
+        covering = [rm for (a, b), rm in sh.edges.items()
+                    if not any(inside(c, a) and inside(b, c)
+                               for c in sh.stalks)]
+        sheaves += [sh, Sheaf(sh.topology, sh.stalks, covering[::-1])]
+    sheaves += [random_product_sheaf(rng) for _ in range(100)]
+    for sh in sheaves:
+        for src in sh.stalks:
+            for dst in sh.stalks:
+                try:
+                    want = reference_basis_chain(sh, src, dst)
+                except NotComparable as exc:
+                    with pytest.raises(NotComparable) as got:
+                        sh._basis_chain(src, dst)
+                    assert str(got.value) == str(exc)
+                    continue
+                got = sh._basis_chain(src, dst)
+                assert (got.path, got.bodies) == (want.path, want.bodies)
 
 
 def test_functoriality_vacuous_on_single_chain():
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t, {top: euclidean(2), mid: euclidean(1)},
         [RestrictionMap(top, mid, Projection([0]))],
-    ))
+    )
     report = verify_functoriality(sh, samples=8)
     assert report.ok
     assert report.checked_pairs == 0
@@ -157,14 +201,14 @@ def shortcut_sheaf():
                               ("e0", "e1", "e2")])
     top, e0 = t.full, t.open_for(["e0"])
     u1, u2 = t.open_for(["e0", "e1"]), t.open_for(["e0", "e2"])
-    return complete_unions(Sheaf(
+    return Sheaf(
         t, {b: euclidean(1) for b in t.basis},
         [RestrictionMap(top, u1, Identity()),
          RestrictionMap(top, u2, Identity()),
          RestrictionMap(top, e0, Linear([[2.0]])),
          RestrictionMap(u1, e0, Identity()),
          RestrictionMap(u2, e0, Identity())],
-    ))
+    )
 
 
 def test_functoriality_checks_shortcut_edges():
@@ -221,14 +265,14 @@ def uniqueness_counterexample():
                               ("e1", "e2", "e3")])
     u1, u2 = t.open_for(["e1", "e2"]), t.open_for(["e2", "e3"])
     mid, top = t.open_for(["e2"]), t.full
-    return complete_unions(Sheaf(
+    return Sheaf(
         t, {top: euclidean(2), u1: euclidean(1), u2: euclidean(1),
             mid: euclidean(1)},
         [RestrictionMap(top, u1, Linear([[1.0, 0.0]])),
          RestrictionMap(top, u2, Linear([[1.0, 0.0]])),
          RestrictionMap(u1, mid, Identity()),
          RestrictionMap(u2, mid, Identity())],
-    ))
+    )
 
 
 def test_gluing_counterexample_uniqueness_failure():
@@ -300,7 +344,7 @@ def build_pair_sheaf(stalk_u1, stalk_u2, stalk_inter, body1, body2,
     stalks = {u1: stalk_u1, u2: stalk_u2, inter: stalk_inter}
     restrictions = [RestrictionMap(u1, inter, body1),
                     RestrictionMap(u2, inter, body2)]
-    return complete_unions(Sheaf(t, stalks, restrictions)), t
+    return Sheaf(t, stalks, restrictions), t
 
 
 def test_union_with_nested_parts_reuses_larger_stalk():
@@ -308,20 +352,20 @@ def test_union_with_nested_parts_reuses_larger_stalk():
     u = EntityUniverse(["x", "y"])
     t = generate_topology(u, [("x",), ("x", "y")])
     u1, u2 = t.open_for(["x"]), t.full
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t, {u1: euclidean(1), u2: euclidean(3)},
         [RestrictionMap(u2, u1, Projection([0]))],
-    ))
+    )
     assert sh.stalk(u2.id).dim == 3
 
 
 def test_union_of_disjoint_parts_is_plain_product():
     u = EntityUniverse(["a", "b", "c"])
     t = generate_topology(u, [("a",), ("b",)])
-    sh = complete_unions(Sheaf(
+    sh = Sheaf(
         t, {t.open_for(["a"]): euclidean(3),
             t.open_for(["b"]): euclidean(2)}, [],
-    ))
+    )
     ab = t.open_for(["a", "b"])
     assert sh.stalk(ab.id).dim == 5
     assert not sh.pullback(ab.id).constraints
@@ -346,10 +390,10 @@ def test_missing_intersection_stalk_raises():
     u = EntityUniverse(["p", "q", "r"])
     t = generate_topology(u, [("p", "q"), ("q", "r")])
     with pytest.raises(MissingIntersectionStalk):
-        complete_unions(Sheaf(
+        Sheaf(
             t, {t.open_for(["p", "q"]): euclidean(2),
                 t.open_for(["q", "r"]): euclidean(2)}, [],
-        ))
+        )
 
 
 def test_missing_basis_stalk_raises_at_construction():
@@ -430,7 +474,7 @@ def existence_counterexample():
                               ("e1", "e2", "e3")])
     u1, u2 = t.open_for(["e1", "e2"]), t.open_for(["e2", "e3"])
     mid, top = t.open_for(["e2"]), t.full
-    return complete_unions(Sheaf(
+    return Sheaf(
         t,
         {top: euclidean(1), u1: euclidean(2), u2: euclidean(1),
          mid: euclidean(1)},
@@ -438,7 +482,7 @@ def existence_counterexample():
          RestrictionMap(top, u2, Identity()),
          RestrictionMap(u1, mid, Linear([[1.0, 1.0]])),
          RestrictionMap(u2, mid, Identity())],
-    ))
+    )
 
 
 def test_gluing_counterexample_existence_failure():
