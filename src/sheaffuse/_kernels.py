@@ -61,7 +61,9 @@ def equirect_bearings_deg(sensor_lon_w: float, sensor_lat: float,
     two ulps of its value in degrees."""
     east = (sensor_lon_w - lon_w) * cos(radians(sensor_lat))
     north = lat - sensor_lat
-    a = np.fmod(np.degrees(np.arctan2(east, north)), 360.0)
+    # degrees(arctan2) lies in [-180, 180], so adding 360 to a negative
+    # bearing wraps it; a tiny negative one rounds to 360, which is 0
+    a = np.degrees(np.arctan2(east, north))
     a = np.where(a < 0.0, a + 360.0, a)
     return np.where(a == 360.0, 0.0, a)
 

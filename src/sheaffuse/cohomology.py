@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -349,11 +350,11 @@ class BinGrid:
                 raise ValueError(f"bin edges {tuple(edge)} must be at least "
                                  f"two finite, strictly increasing numbers")
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(e) - 1 for e in self.edges)
 
-    @property
+    @cached_property
     def size(self) -> int:
         n = 1
         for s in self.shape:
@@ -386,6 +387,20 @@ class BinGrid:
                 out[..., ax] = mids[ax][c].reshape(view)
             yield cells, out.reshape(-1, d)
 
+    @cached_property
+    def _inner(self) -> tuple[np.ndarray, ...]:
+        """Each axis's interior edges, ``edge[1:-1]``, as an array."""
+        return tuple(np.array(edge[1:-1], dtype=float) for edge in self.edges)
+
+    def _axis_bins(self, points: np.ndarray):
+        """Yield, axis by axis, the bin of each row of an (n, d) array
+        and whether it lies in the axis's closed range.  The bin counts
+        the interior edges at or below the value, which is right only
+        for values in range."""
+        for edge, inner, col in zip(self.edges, self._inner, points.T):
+            yield (inner.searchsorted(col, side="right"),
+                   (col >= edge[0]) & (col <= edge[-1]))
+
     def cells(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Bin the rows of an (n, d) array: per-axis cell indices, shape
         (n, d), and a mask of the rows that lie in the grid.  The
@@ -395,11 +410,9 @@ class BinGrid:
                              f"a {len(self.edges)}-d grid")
         idx = np.empty(points.shape, dtype=np.intp)
         inside = np.ones(len(points), dtype=bool)
-        for ax, edge in enumerate(self.edges):
-            col = points[:, ax]
-            inside &= (col >= edge[0]) & (col <= edge[-1])
-            idx[:, ax] = np.clip(np.searchsorted(edge, col, side="right") - 1,
-                                 0, len(edge) - 2)
+        for ax, (bins, within) in enumerate(self._axis_bins(points)):
+            idx[:, ax] = bins
+            inside &= within
         return idx, inside
 
     def locate(self, point) -> tuple[int, ...] | None:
@@ -458,16 +471,21 @@ def _lift_chunk(f, cells: range, points: np.ndarray, grid_in: BinGrid,
         images = None
     if images is None or images.shape != (len(points), len(grid_out.edges)):
         raise _bad_image(f, points, cells, grid_in, grid_out)
-    idx, inside = grid_out.cells(images)
+    # the flat index codomain cell * len(cells) + domain cell, folded
+    # axis by axis
+    flat = np.zeros(len(points), dtype=np.intp)
+    inside = np.ones(len(points), dtype=bool)
+    for s, (bins, within) in zip(grid_out.shape, grid_out._axis_bins(images)):
+        flat *= s
+        flat += bins
+        inside &= within
     if not inside.all():
         raise _bad_image(f, points, cells, grid_in, grid_out)
-    flat = np.zeros(len(points), dtype=np.intp)
-    for ax, s in enumerate(grid_out.shape):
-        flat = flat * s + idx[:, ax]
-    dom = np.repeat(np.arange(len(cells)), len(points) // len(cells))
+    flat *= len(cells)
+    flat += np.repeat(np.arange(len(cells)), len(points) // len(cells))
     n_cod = grid_out.size
     counts[:, cells.start:cells.stop] = np.bincount(
-        flat * len(cells) + dom, minlength=n_cod * len(cells)
+        flat, minlength=n_cod * len(cells)
     ).reshape(n_cod, len(cells))
 
 

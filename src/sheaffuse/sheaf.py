@@ -390,7 +390,8 @@ class Sheaf:
         """The restriction from ``src`` to ``dst`` as one block per part of
         ``dst``: ``(src_lo, src_hi, dst_lo, dst_hi, chain)``, where the
         source slice holds the first part of ``src`` that carries it.
-        Every native open inside ``src`` lies in one of its parts."""
+        Every native open inside ``src`` lies in one of its parts.  The
+        empty open takes no block: the image in R^0 is ``()``."""
         key = (src, dst)
         blocks = self._blocks_cache.get(key)
         if blocks is not None:
@@ -403,6 +404,8 @@ class Sheaf:
         blocks = []
         for b_id, (dst_lo, dst_hi) in self._layout(dst).items():
             b_mask = t.opens[b_id].mask
+            if not b_mask:
+                continue
             for part_id, (lo, hi) in src_slices.items():
                 if b_mask & t.opens[part_id].mask == b_mask:
                     blocks.append((lo, hi, dst_lo, dst_hi,

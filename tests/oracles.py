@@ -8,8 +8,9 @@ former routines, kept as references for the ones that replaced them:
 ``all_pairs_gluing``, the gluing check over every pair of opens, for
 the native-union check; ``reference_basis_chain``, a breadth-first
 search per pair of native opens, for the chains a sheaf builds once;
-``all_pairs_radius``, the consistency-radius loop over every comparable
-pair, for the defined-pair loop;
+``reference_cells``, a search over every edge then a clip, for the
+binning by interior edges; ``all_pairs_radius``, the consistency-radius
+loop over every comparable pair, for the defined-pair loop;
 ``pullback_every_open``, the restriction of a global section to every
 open in turn, for the pullback that restricts it once per native open;
 the ``reference_*`` cohomology routines, for the one cochain-complex
@@ -177,6 +178,20 @@ def lift_mass_matrix(f, n_dom, n_cod):
         mass = {f(i): 1.0}
         cols.append([mass.get(j, 0.0) for j in range(n_cod)])
     return np.array(cols).T
+
+
+def reference_cells(grid, points):
+    """The library's former ``BinGrid.cells``: per axis, a search over
+    every edge, less one and clipped to the bins, and the mask of the
+    rows inside every axis's closed range."""
+    idx = np.empty(points.shape, dtype=np.intp)
+    inside = np.ones(len(points), dtype=bool)
+    for ax, edge in enumerate(grid.edges):
+        col = points[:, ax]
+        inside &= (col >= edge[0]) & (col <= edge[-1])
+        idx[:, ax] = np.clip(np.searchsorted(edge, col, side="right") - 1,
+                             0, len(edge) - 2)
+    return idx, inside
 
 
 def grid_lift_reference(f, grid_in, grid_out, subdivisions=3):

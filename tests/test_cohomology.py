@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 import re
 
@@ -16,6 +18,7 @@ from oracles import (
     grid_lift_reference,
     lift_mass_matrix,
     reference_build_complex,
+    reference_cells,
     reference_leray_check,
     reference_lift_sheaf,
     reference_sub_topology,
@@ -43,7 +46,9 @@ from sheaffuse.cohomology import (
     LIFT_CHUNK_POINTS,
     LIFT_SUBDIVISIONS,
     _betti_table,
+    _chunk_cells,
     _kept_axes,
+    _lift_chunk,
     _minimal_open_poset,
     _projection_lift,
     lift_sheaf,
@@ -597,6 +602,102 @@ def test_grid_locate_rejects_non_finite():
     grid = uniform_grid([0.0], [1.0], 2)
     assert grid.locate((float("nan"),)) is None
     assert grid.locate((float("inf"),)) is None
+
+
+def probe_values(edge):
+    """Each edge, exactly and one float to either side, then NaN, both
+    infinities and both zeros."""
+    values = [float(np.nextafter(v, direction)) for v in edge
+              for direction in (-np.inf, v, np.inf)]
+    return values + [np.nan, np.inf, -np.inf, -0.0, 0.0]
+
+
+BINNING_GRIDS = [
+    uniform_grid([0.0], [1.0], 1),
+    uniform_grid([-1.0, 0.0], [1.0, 3.0], 2),
+    BinGrid(((-1.0, -0.0, 1.0),)),
+    BinGrid(((-0.0, 0.5), (-1e-300, 0.0, 1e-300))),
+    BinGrid(((-3.0, -2.9, 0.0, 0.25, 7.0, 7.5), (0.1, 0.2, 0.7),
+             (-5.0, 4.0))),
+]
+
+
+def probe_points(grid, rng):
+    """Every combination of the axes' probe values, or 3,000 of them."""
+    axes = [probe_values(edge) for edge in grid.edges]
+    rows = list(itertools.product(*axes))
+    if len(rows) > 3000:
+        rows = rng.sample(rows, 3000)
+    return np.array(rows, dtype=float)
+
+
+@pytest.mark.parametrize("grid", BINNING_GRIDS)
+def test_grid_cells_match_the_search_and_clip_rule(grid):
+    """On every edge, one float to either side of it, the closed last
+    edge, NaN, the infinities and both zeros: the same mask and, inside
+    the grid, the same cells as a search over every edge then a clip;
+    ``locate`` agrees row by row."""
+    points = probe_points(grid, random.Random(131))
+    idx, inside = grid.cells(points)
+    want_idx, want_inside = reference_cells(grid, points)
+    assert np.array_equal(inside, want_inside)
+    assert np.array_equal(idx[inside], want_idx[inside])
+    assert 0 < inside.sum() < len(points)
+    for row, ok, cell in zip(points, want_inside, want_idx):
+        assert grid.locate(row) == (tuple(map(int, cell)) if ok else None)
+
+
+class FixedImages:
+    """A body that maps the k-th of a chunk's samples to ``images[k]``."""
+
+    def __init__(self, images):
+        self.images = images
+
+    def batch(self, points):
+        return self.images
+
+    def __call__(self, point):
+        raise AssertionError("the point call is not expected")
+
+
+@pytest.mark.parametrize("grid", BINNING_GRIDS)
+def test_lift_chunk_bins_like_the_search_and_clip_rule(grid):
+    """Each probe row inside the grid, two samples to a domain cell and
+    the cells at an offset: every sample counts in the flat cell the
+    reference gives, codomain cell times the chunk's cells plus domain
+    cell."""
+    points = probe_points(grid, random.Random(137))
+    want_idx, inside = reference_cells(grid, points)
+    images, want_idx = points[inside], want_idx[inside]
+    if len(images) % 2:
+        images, want_idx = images[:-1], want_idx[:-1]
+    n_cells = len(images) // 2
+    cells = range(3, 3 + n_cells)
+    counts = np.zeros((grid.size, 3 + n_cells))
+    _lift_chunk(FixedImages(images), cells, np.zeros((len(images), 1)),
+                uniform_grid([0.0], [1.0], 3 + n_cells), grid, counts)
+    want = np.zeros_like(counts)
+    cod = np.ravel_multi_index(want_idx.T, grid.shape)
+    np.add.at(want, (cod, 3 + np.arange(len(images)) // 2), 1.0)
+    assert np.array_equal(counts, want)
+
+
+def test_grid_lift_at_4096_bins_matches_per_point_reference():
+    """One axis of 4,096 bins in both grids, over several chunks: images
+    inside cells, on interior edges and on the closed last edge."""
+    grid = uniform_grid([0.0], [1.0], 4096)
+
+    def f(p):
+        x = p[0]
+        if x > 0.9999:
+            return (1.0,)
+        if int(x * 12288) % 3 == 1:
+            return (math.floor(x * 4096.0) / 4096.0,)  # an edge, exactly
+        return (x * x,)
+
+    assert _chunk_cells(grid, 3) < grid.size
+    m = stochastic_lift(f, grid, grid, 3)
+    assert np.array_equal(m, grid_lift_reference(f, grid, grid, 3))
 
 
 def random_grid(rng, dim):

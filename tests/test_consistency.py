@@ -468,6 +468,21 @@ def test_value_on_the_empty_open_changes_nothing(tmp_path):
             {oid: p.coords for oid, p in a.values.items()}
 
 
+def test_value_written_on_the_empty_open_keeps_the_radius():
+    """A value on the empty open written straight into ``values``, past
+    ``Assignment.set``: SAR case 1 keeps its radius, and the only edges
+    added end at the empty open with error 0."""
+    a = sar_case_assignment(build_sar_sheaf(), 1)
+    sh, empty = a.sheaf, a.sheaf.topology.empty
+    with_empty = Assignment(sh, a.values)
+    with_empty.values[empty.id] = make_point(sh.stalk(empty.id), ())
+    got, want = consistency_radius(with_empty), consistency_radius(a)
+    assert got.radius == want.radius
+    added = [e for e in got.edges if e not in want.edges]
+    assert added and len(got.edges) == len(want.edges) + len(added)
+    assert all(e.smaller == empty and e.error == 0.0 for e in added)
+
+
 def test_radius_edges_match_all_pairs_oracle():
     """Pairs of defined opens give the same edges, in the same order and
     with the same floats, as the walk over every comparable pair."""

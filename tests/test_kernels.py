@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from oracles import great_circle_km
@@ -36,6 +37,27 @@ def test_bearing_points_east_scaled_by_latitude():
     # east displacement shrinks with cos(sensor latitude)
     b = K.equirect_bearing_deg(70.0, 60.0, 69.0, 61.0)
     assert b == pytest.approx(math.degrees(math.atan2(0.5, 1.0)), abs=1e-9)
+
+
+@pytest.mark.parametrize("sensor_lon_w, sensor_lat, lon_w, lat, bearing", [
+    pytest.param(70.0, 40.0, 70.0, 41.0, 0.0, id="north-0"),
+    pytest.param(70.0, 0.0, 69.0, 0.0, 90.0, id="east-90"),
+    pytest.param(70.0, 40.0, 70.0, 39.0, 180.0, id="south-180"),
+    pytest.param(-0.0, 40.0, 0.0, 39.0, 180.0, id="atan2(-0.0,-1)"),
+    pytest.param(0.0, 0.0, 1e-20, 1.0, 0.0, id="tiny-west-wraps-to-0"),
+])
+def test_bearings_wrap_like_the_point_call(sensor_lon_w, sensor_lat, lon_w,
+                                           lat, bearing):
+    """The array form at the wrap's corners: within two ulps of the point
+    call and inside [0, 360).  East -0.0 with north -1 gives -180 before
+    the wrap; a tiny westward offset gives -x with x + 360 rounding to
+    360, which must become 0."""
+    want = K.equirect_bearing_deg(sensor_lon_w, sensor_lat, lon_w, lat)
+    assert want == bearing
+    (got,) = K.equirect_bearings_deg(sensor_lon_w, sensor_lat,
+                                     np.array([lon_w]), np.array([lat]))
+    assert 0.0 <= got < 360.0
+    assert abs(got - want) <= 2.0 * np.spacing(want)
 
 
 def test_dead_reckon_scales():

@@ -76,6 +76,23 @@ def test_restrict_requires_inclusion_and_matching_space():
         sh.restrict(t.full, u3, p)
 
 
+def test_restrict_to_the_empty_open_gives_its_single_point():
+    """From the top of SAR, and from every native open, the image in
+    the empty open's R^0 is its one point ()."""
+    sh = build_sar_sheaf()
+    t = sh.topology
+    empty = sh.stalk(t.empty.id)
+    top = make_point(sh.stalk(t.full.id),
+                     (70.0, 43.0, 11000.0, -495.0, 164.0, 0.9))
+    got = sh.restrict(t.full, t.empty, top)
+    assert got.space == empty and got.coords == ()
+    assert sh.ambient_matrix(t.full.id, t.empty.id).shape == (0, 6)
+    rng = random.Random(139)
+    for oid in sh.native_ids():
+        p = sample_point(sh.stalk(oid), rng)
+        assert sh.restrict(oid, t.empty, p).coords == ()
+
+
 def test_dead_reckoning_restriction_reproduces_reference_estimates():
     """The kinematic map applied to the recorded field values lands on the
     recorded crash estimates for all three cases, within 0.02 deg."""
