@@ -42,7 +42,7 @@ from . import spaces as sp
 from ._linalg import nullspace, rowspace
 from .consistency import Assignment, nan_error, pullback_global
 from .errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
-from .sheaf import Sheaf
+from .sheaf import Identity, Projection, Sheaf
 
 # The sqp route on a linear sheaf starts BARRIER_STAGES stages along the
 # log-barrier path, each multiplying the barrier parameter by
@@ -716,6 +716,84 @@ def _working_set_solve(hess, rows, work, top, bottom):
     return sol[:n1], sol[n1:]
 
 
+class _Plan:
+    """The distance vector of one fuse, compiled once: for each defined
+    open, in id order, the restriction from the whole space as ``(lo,
+    hi, bodies)`` blocks, the bodies of the chain from the part of the
+    whole space that carries each block as ``Sheaf.restrict_coords``
+    applies them (None on the whole space itself), the open's stalk, its
+    reading (validated when it was set) and the stalk's metrics.  A
+    chain's leading identities, and its leading projections onto a run
+    of coordinates inside the slice, only select: they narrow the slice
+    instead of running."""
+
+    def __init__(self, sh: Sheaf, a: Assignment, top, space, origin, basis):
+        self.top, self.top_space = top, space
+        self.origin, self.basis = origin, basis
+        self.opens = []
+        for oid in a.defined_ids():
+            blocks = None if oid == top.id else tuple(
+                _narrow(lo, hi, chain.bodies)
+                for lo, hi, _, _, chain in sh._blocks(top.id, oid))
+            stalk = sh.stalk(oid)
+            self.opens.append((sh.topology.opens[oid], blocks, stalk,
+                               a.values[oid].coords, stalk.metrics))
+
+    def section(self, x) -> tuple[float, ...]:
+        """The whole space's coordinates at search coordinates x,
+        normalized as a point of its stalk."""
+        x = np.asarray(x, dtype=float)
+        if self.basis is not None:
+            x = self.origin + self.basis @ x
+        return sp.normalize_coords(self.top_space, x.tolist())
+
+    def distances(self, x) -> list[float]:
+        """The distance on each factor of each defined stalk between the
+        reading and the restriction of the section at x; a NaN raises,
+        naming the open."""
+        coords = self.section(x)
+        out = []
+        for u, blocks, stalk, reading, metrics in self.opens:
+            image = coords
+            if blocks is not None:
+                image = []
+                for lo, hi, bodies in blocks:
+                    part = coords[lo:hi]
+                    for body in bodies:
+                        part = body(part)
+                    image.extend(part)
+                # the shape checks of restrict_coords
+                if len(image) != stalk.dim or stalk.has_simplex:
+                    sp.check_coords(stalk, image)
+            for fn, lo in metrics:
+                d = fn(reading, image, lo)
+                if d != d:
+                    raise nan_error(u, self.top)
+                out.append(d)
+        return out
+
+    def objective(self, x) -> float:
+        return max(self.distances(x), default=0.0)
+
+
+def _narrow(lo, hi, bodies):
+    """``(lo, hi, bodies)`` with the leading bodies that keep a run of
+    coordinates of the slice folded into it."""
+    bodies = list(bodies)
+    while bodies:
+        if isinstance(bodies[0], Projection):
+            keep = bodies[0].indices
+            first = keep[0] if keep else 0
+            if not (keep == tuple(range(first, first + len(keep)))
+                    and 0 <= first and lo + first + len(keep) <= hi):
+                break
+            lo, hi = lo + first, lo + first + len(keep)
+        elif not isinstance(bodies[0], Identity):
+            break
+        del bodies[0]
+    return lo, hi, tuple(bodies)
+
+
 def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
     """Solve the fusion problem: the global section nearest to ``a``.
 
@@ -734,32 +812,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
     sh = a.sheaf
     top, top_space, origin, basis = _search_coordinates(sh)
     defined = a.defined_ids()
-    # (open, stalk, observed coordinates): the assignment's points were
-    # validated when they were set
-    targets = [(oid, sh.stalk(oid), a.values[oid].coords) for oid in defined]
-
-    def section_point(x):
-        if basis is None:
-            coords = tuple(x)
-        else:
-            coords = tuple(origin + basis @ np.asarray(x, dtype=float))
-        return sp.make_point(top_space, coords)
-
-    def distances(coords):
-        """The distance on each factor of each defined stalk between the
-        reading and the restriction of the section at ``coords``."""
-        out = []
-        for oid, space, observed in targets:
-            restricted = sh.restrict_coords(top.id, oid, coords)
-            for d in sp.factor_distances(space, observed, restricted):
-                if d != d:
-                    raise nan_error(sh.topology.opens[oid], top)
-                out.append(d)
-        return out
-
-    def objective(x):
-        return max(distances(section_point(x).coords), default=0.0)
-
+    plan = _Plan(sh, a, top, top_space, origin, basis)
     groups = fit = None
     if sh.is_linear():
         groups = _Groups(sh, a, top, origin, basis)
@@ -776,7 +829,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
             groups.floor_rows @ x0 + groups.floor_offset < -sp.SIMPLEX_TOL):
         x0 = groups.start  # off the simplexes, as an inconsistent fit may be
     dual_bound = None
-    start = objective(x0)  # a start off the top stalk's simplexes raises
+    start = plan.objective(x0)  # a start off the top stalk's simplexes raises
     if start <= opts.f_tolerance:
         x, iterations, evaluations, converged = x0, 0, 0, True
         route = "already_global"
@@ -791,8 +844,7 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
                         f"{c.kind} factor; fusing a nonlinear sheaf needs "
                         f"Euclidean, time, circle and geographic ones")
         x, iterations, evaluations, converged, dual_bound = _sqp(
-            lambda x: distances(section_point(x).coords), _differences,
-            _bfgs, x0, opts)
+            plan.distances, _differences, _bfgs, x0, opts)
         route = "sqp"
     elif groups.bounded:  # from nearest the uniform shares, else from x0
         found = (_central_point(groups, groups.start, opts)
@@ -810,11 +862,12 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
             lambda x, jac, lam, last: groups.hessian(x, lam, jac), x_c,
             opts, groups.bound, lam)
         route = "sqp"
-    section = section_point(x)
-    residual = objective(x)
+    section_at_top = sp.Point(plan.section(x), top_space)
+    residual = plan.objective(x)
     if dual_bound is not None:
         # at an exact optimum the two sides differ only by rounding
         dual_bound = min(dual_bound, residual)
-    return FusionResult(section, pullback_global(sh, section), residual,
+    return FusionResult(section_at_top,
+                        pullback_global(sh, section_at_top), residual,
                         iterations, converged, route, evaluations,
                         dual_bound)

@@ -163,13 +163,16 @@ class Chain:
         return points
 
     def matrix(self, in_dim):
-        m = np.eye(in_dim)
+        """The product of the bodies' matrices, the first not multiplied
+        by an identity (so it may be that body's own array: read it
+        only); the identity when there are no bodies."""
+        m = None
         for b in self.bodies:
-            step = b.matrix(m.shape[0])
+            step = b.matrix(in_dim if m is None else m.shape[0])
             if step is None:
                 return None
-            m = step @ m
-        return m
+            m = step if m is None else step @ m
+        return np.eye(in_dim) if m is None else m
 
 
 BUILTIN_CATALOG: dict = {}
@@ -490,12 +493,16 @@ class Sheaf:
 
     def restriction_matrix(self, src: int, dst: int) -> np.ndarray:
         """Restriction in subspace coordinates (kernel bases on both ends);
-        exactly the identity from an open to itself."""
+        exactly the identity from an open to itself, and the read-only
+        ambient matrix between two opens with stalks of their own, whose
+        kernel bases are identities."""
         key = (src, dst)
         cached = self._matrix_cache.get(key)
         if cached is None:
             if src == dst:
                 cached = np.eye(self.dim(src))
+            elif src in self.stalks and dst in self.stalks:
+                cached = self.ambient_matrix(src, dst)
             else:
                 amb = self.ambient_matrix(src, dst)
                 cached = (self.kernel_basis(dst).T @ amb

@@ -11,6 +11,7 @@ form of the assignment pseudometric.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -57,9 +58,21 @@ class ValueSpace:
                      for _ in range(lo, hi))
 
     @cached_property
+    def has_circle(self) -> bool:
+        """Whether the space or one of its factors is a circle."""
+        return any(self.circular_mask)
+
+    @cached_property
     def has_simplex(self) -> bool:
         """Whether the space or one of its factors is a simplex."""
         return any(c.kind == SIMPLEX for c, _, _ in self.factors)
+
+    @cached_property
+    def metrics(self) -> tuple[tuple[Callable, int], ...]:
+        """Each factor's weighted distance as ``(fn, lo)``, compiled once:
+        ``fn(a, b, lo)`` on bare coordinate tuples whose factor starts at
+        ``lo``."""
+        return tuple((_metric(c), lo) for c, lo, _ in self.factors)
 
     @property
     def is_linear(self) -> bool:
@@ -139,11 +152,17 @@ class Point:
 
 
 def make_point(space: ValueSpace, coords) -> Point:
-    """Validate and normalize coordinates for a space.
+    """Validate and normalize coordinates for a space, as
+    ``normalize_coords`` does."""
+    return Point(normalize_coords(space, coords), space)
 
-    Coordinates must be finite.  Circular coordinates are wrapped to
-    [0, 360); simplex coordinates must be nonnegative and sum to 1
-    within tolerance.
+
+def normalize_coords(space: ValueSpace, coords) -> tuple[float, ...]:
+    """Coordinates for a space as a tuple of floats.
+
+    There must be ``space.dim`` of them, all finite.  Circular
+    coordinates are wrapped to [0, 360); simplex coordinates must be
+    nonnegative and sum to 1 within tolerance.
     """
     vals = [float(c) for c in coords]
     _check_dim(space, vals)
@@ -152,10 +171,12 @@ def make_point(space: ValueSpace, coords) -> Point:
             f"coordinates for {space.describe()} must be finite, got "
             f"{tuple(vals)}"
         )
-    mask = space.circular_mask
-    vals = [K.wrap_deg(v) if m else v for v, m in zip(vals, mask)]
-    _check_simplexes(space, vals)
-    return Point(tuple(vals), space)
+    if space.has_circle:
+        vals = [K.wrap_deg(v) if m else v
+                for v, m in zip(vals, space.circular_mask)]
+    if space.has_simplex:
+        _check_simplexes(space, vals)
+    return tuple(vals)
 
 
 def check_coords(space: ValueSpace, coords) -> None:
@@ -204,37 +225,48 @@ def coord_distance(space: ValueSpace, a, b) -> float:
 def factor_distances(space: ValueSpace, a, b) -> list[float]:
     """The weighted distance on each factor of ``space`` between bare
     coordinate tuples; ``coord_distance`` is their largest."""
-    return [_dist(c, a, b, lo) for c, lo, _ in space.factors]
+    return [fn(a, b, lo) for fn, lo in space.metrics]
 
 
-def _dist(space: ValueSpace, a, b, off: int) -> float:
-    """The distance on one factor whose coordinates start at ``off``."""
-    kind = space.kind
+def _metric(space: ValueSpace) -> Callable:
+    """The weighted distance on one factor as ``fn(a, b, off)``, its
+    coordinates starting at ``off``; for an unknown kind, one that
+    raises ``SpaceMismatch``."""
+    kind, dim, w = space.kind, space.dim, space.weight
     if kind == EUCLIDEAN:
-        s = 0.0
-        for i in range(off, off + space.dim):
-            diff = a[i] - b[i]
-            s += diff * diff
-        return space.weight * math.sqrt(s)
-    if kind == CIRCLE:
-        return space.weight * K.circle_dist_deg(a[off], b[off])
-    if kind == TIME:
-        return space.weight * abs(a[off] - b[off])
-    if kind == GEO2D:
-        return space.weight * K.haversine_km(a[off], a[off + 1],
-                                             b[off], b[off + 1])
-    if kind == GEO3D:
-        ground = K.haversine_km(a[off], a[off + 1], b[off], b[off + 1])
-        dalt = (a[off + 2] - b[off + 2]) / 1000.0
-        return space.weight * math.hypot(ground, dalt)
-    if kind == DISCRETE:
-        return 0.0 if a[off] == b[off] else space.weight
-    if kind == SIMPLEX:
-        s = 0.0
-        for i in range(off, off + space.dim):
-            s += abs(a[i] - b[i])
-        return space.weight * 0.5 * s
-    raise SpaceMismatch(f"unknown space kind {kind!r}")
+        def fn(a, b, off):
+            s = 0.0
+            for i in range(off, off + dim):
+                diff = a[i] - b[i]
+                s += diff * diff
+            return w * math.sqrt(s)
+    elif kind == CIRCLE:
+        def fn(a, b, off):
+            return w * K.circle_dist_deg(a[off], b[off])
+    elif kind == TIME:
+        def fn(a, b, off):
+            return w * abs(a[off] - b[off])
+    elif kind == GEO2D:
+        def fn(a, b, off):
+            return w * K.haversine_km(a[off], a[off + 1], b[off], b[off + 1])
+    elif kind == GEO3D:
+        def fn(a, b, off):
+            ground = K.haversine_km(a[off], a[off + 1], b[off], b[off + 1])
+            dalt = (a[off + 2] - b[off + 2]) / 1000.0
+            return w * math.hypot(ground, dalt)
+    elif kind == DISCRETE:
+        def fn(a, b, off):
+            return 0.0 if a[off] == b[off] else w
+    elif kind == SIMPLEX:
+        def fn(a, b, off):
+            s = 0.0
+            for i in range(off, off + dim):
+                s += abs(a[i] - b[i])
+            return w * 0.5 * s
+    else:
+        def fn(a, b, off):
+            raise SpaceMismatch(f"unknown space kind {kind!r}")
+    return fn
 
 
 def sample_point(space: ValueSpace, rng) -> Point:

@@ -9,7 +9,11 @@ former routines, kept as references for the ones that replaced them:
 the native-union check; ``reference_basis_chain``, a breadth-first
 search per pair of native opens, for the chains a sheaf builds once;
 ``reference_cells``, a search over every edge then a clip, for the
-binning by interior edges; ``all_pairs_radius``, the consistency-radius
+binning by interior edges; ``reference_dist``, each factor's distance
+found by its kind on every call, for the metrics a space compiles
+once, and ``layered_distances``, the distance vector through
+``make_point``, ``restrict_coords`` and it, for fusion's compiled
+plan; ``all_pairs_radius``, the consistency-radius
 loop over every comparable pair, for the defined-pair loop;
 ``pullback_every_open``, the restriction of a global section to every
 open in turn, for the pullback that restricts it once per native open;
@@ -31,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
+from sheaffuse import _kernels as K
 from sheaffuse import spaces as sp
 from sheaffuse._linalg import numeric_rank
 from sheaffuse.cohomology import (
@@ -45,7 +50,7 @@ from sheaffuse.cohomology import (
     restrict_sheaf,
     stochastic_lift,
 )
-from sheaffuse.consistency import Assignment, EdgeError
+from sheaffuse.consistency import Assignment, EdgeError, nan_error
 from sheaffuse.errors import (
     IntersectionNotOpen,
     NotComparable,
@@ -115,6 +120,58 @@ def great_circle_km(lon_w1, lat1, lon_w2, lat2, radius=6371.0):
     den = (math.sin(phi1) * math.sin(phi2)
            + math.cos(phi1) * math.cos(phi2) * math.cos(dlam))
     return radius * math.atan2(num, den)
+
+
+def reference_dist(space, a, b, off):
+    """The distance on one factor whose coordinates start at ``off``,
+    by a chain of kind comparisons: the routine that ``ValueSpace.metrics``
+    compiles once per space."""
+    kind = space.kind
+    if kind == sp.EUCLIDEAN:
+        s = 0.0
+        for i in range(off, off + space.dim):
+            diff = a[i] - b[i]
+            s += diff * diff
+        return space.weight * math.sqrt(s)
+    if kind == sp.CIRCLE:
+        return space.weight * K.circle_dist_deg(a[off], b[off])
+    if kind == sp.TIME:
+        return space.weight * abs(a[off] - b[off])
+    if kind == sp.GEO2D:
+        return space.weight * K.haversine_km(a[off], a[off + 1],
+                                             b[off], b[off + 1])
+    if kind == sp.GEO3D:
+        ground = K.haversine_km(a[off], a[off + 1], b[off], b[off + 1])
+        dalt = (a[off + 2] - b[off + 2]) / 1000.0
+        return space.weight * math.hypot(ground, dalt)
+    if kind == sp.DISCRETE:
+        return 0.0 if a[off] == b[off] else space.weight
+    if kind == sp.SIMPLEX:
+        s = 0.0
+        for i in range(off, off + space.dim):
+            s += abs(a[i] - b[i])
+        return space.weight * 0.5 * s
+    raise SpaceMismatch(f"unknown space kind {kind!r}")
+
+
+def layered_distances(a, coords):
+    """The fusion distance vector at whole-space coordinates ``coords``
+    through the layers that fusion once called one evaluation at a time:
+    ``make_point`` on the whole space, ``Sheaf.restrict_coords`` to each
+    defined open in id order and ``reference_dist`` on each factor; a
+    NaN raises, naming the open."""
+    sh = a.sheaf
+    top = sh.topology.full
+    section = sp.make_point(sh.stalk(top.id), coords).coords
+    out = []
+    for oid in a.defined_ids():
+        restricted = sh.restrict_coords(top.id, oid, section)
+        for c, lo, _ in sh.stalk(oid).factors:
+            d = reference_dist(c, a.values[oid].coords, restricted, lo)
+            if d != d:
+                raise nan_error(sh.topology.opens[oid], top)
+            out.append(d)
+    return out
 
 
 def max_common_distance(a_vals, b_vals, metric):

@@ -16,6 +16,7 @@ from oracles import (
     NelderMeadOptions,
     all_pairs_gluing,
     factor_distances,
+    layered_distances,
     lp_fusion_optimum,
     minimax_optimum,
     nelder_mead,
@@ -27,6 +28,7 @@ from sheaffuse import (
     EntityUniverse,
     Identity,
     Linear,
+    Projection,
     RestrictionMap,
     Sheaf,
     assignment_distance,
@@ -826,3 +828,104 @@ def test_sqp_on_a_whole_space_without_coordinates():
                [RestrictionMap(top, mid, Builtin("five", lambda c: (5.0,)))])
     res = fuse(Assignment(sh, {mid: make_point(euclidean(1), [1.0])}))
     assert (res.route, res.converged, res.residual) == ("sqp", True, 4.0)
+
+
+def compiled_plan(a):
+    """The distance vector ``fuse`` compiles for ``a``."""
+    return fusion._Plan(a.sheaf, a, *fusion._search_coordinates(a.sheaf))
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def test_compiled_distance_vector_is_the_layered_one_on_sar():
+    """At random whole-space points near and far from the readings of
+    the recorded cases and of noisy snapshots, fuse's compiled distance
+    vector equals make_point, restrict_coords and the reference metrics
+    bit for bit."""
+    rng = np.random.default_rng(25)
+    scale = np.array([1.0, 1.0, 2000.0, 100.0, 100.0, 0.2])
+    assignments = [sar_case_assignment(SAR, c) for c in (1, 2, 3)]
+    assignments += noisy_sar_snapshots(SAR, 6, 25)
+    for a in assignments:
+        plan = compiled_plan(a)
+        reading = np.asarray(a.values[SAR_TOP].coords)
+        points = [reading + rng.normal(0.0, scale) for _ in range(20)]
+        points += [np.array([rng.uniform(0.0, 359.0), rng.uniform(-85, 85),
+                             rng.uniform(0.0, 2e4), *rng.normal(0.0, 500, 2),
+                             rng.uniform(-5.0, 5.0)]) for _ in range(20)]
+        for x in points:
+            assert hexes(plan.distances(x)) == \
+                hexes(layered_distances(a, x)), x
+
+
+def test_compiled_distance_vector_maps_kernel_coordinates():
+    """On a linear chain the plan scores kernel coordinates y at the
+    whole-space point origin + basis y, as the layered path does there."""
+    sh = camera_chain_sheaf()
+    rng = np.random.default_rng(3)
+    a = chain_snapshot(sh, rng)
+    plan = compiled_plan(a)
+    for _ in range(20):
+        y = rng.normal(0.0, 20.0, plan.basis.shape[1])
+        assert hexes(plan.distances(y)) == \
+            hexes(layered_distances(a, plan.origin + plan.basis @ y))
+
+
+def test_compiled_distance_vector_wraps_whole_space_circles():
+    """A whole-space angle past 360 is wrapped before it is restricted:
+    a map that reads the angle as a number sees 10, not 370."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",), ("b",)])
+    mid, side = t.open_for(["a"]), t.open_for(["b"])
+    sh = Sheaf(t, {t.full: product([circle(), euclidean(1)]),
+                   mid: euclidean(1), side: euclidean(1)},
+               [RestrictionMap(t.full, mid,
+                               Builtin("angle", lambda c: (c[0],))),
+                RestrictionMap(t.full, side, Projection([1]))])
+    a = Assignment(sh, {mid: make_point(euclidean(1), [4.0]),
+                        side: make_point(euclidean(1), [2.0])})
+    plan = compiled_plan(a)
+    d = plan.distances([370.0, -1.0])
+    assert d == [6.0, 3.0]
+    assert hexes(d) == hexes(plan.distances([10.0, -1.0])) == \
+        hexes(layered_distances(a, [370.0, -1.0]))
+
+
+def test_compiled_distance_vector_keeps_the_layered_errors():
+    """A builtin that gives the wrong number of coordinates and a NaN
+    distance raise the layered path's SpaceMismatch, naming the same
+    stalk or open, from the plan and from fuse."""
+    u = EntityUniverse(["a", "b"])
+    t = generate_topology(u, [("a",)])
+    mid = t.open_for(["a"])
+    sh = Sheaf(t, {t.full: euclidean(1), mid: euclidean(1)},
+               [RestrictionMap(t.full, mid,
+                               Builtin("pair", lambda c: (c[0], c[0])))])
+    a = Assignment(sh, {mid: make_point(euclidean(1), [1.0])})
+    wrong = r"expected 1 coordinates for R\^1, got 2"
+    for run in (lambda: compiled_plan(a).distances([0.0]),
+                lambda: layered_distances(a, [0.0]), lambda: fuse(a)):
+        with pytest.raises(SpaceMismatch, match=wrong):
+            run()
+
+    sh = nan_sheaf([])
+    a = Assignment(sh, {o: make_point(sh.stalk(o.id), [1.0])
+                        for o in sh.topology.opens if o.mask})
+    named = r"on \{a\} to the restriction from \{a,b\} is NaN"
+    for run in (lambda: compiled_plan(a).distances([1.0]),
+                lambda: layered_distances(a, [1.0])):
+        with pytest.raises(SpaceMismatch, match=named):
+            run()
+
+
+@pytest.mark.parametrize("case,iterations,evaluations",
+                         [(1, 10, 74), (2, 7, 50), (3, 9, 65)])
+def test_sqp_work_on_the_recorded_sar_cases_is_pinned(case, iterations,
+                                                      evaluations):
+    """The search's path on the recorded cases: any drift in the
+    arithmetic of the distances moves these counts."""
+    res = fuse(sar_case_assignment(SAR, case))
+    assert (res.route, res.converged) == ("sqp", True)
+    assert (res.iterations, res.evaluations) == (iterations, evaluations)

@@ -574,6 +574,29 @@ def test_restriction_matrix_to_itself_is_exact_identity():
             assert sh.restriction_matrix(o.id, o.id) is m
 
 
+def test_restriction_matrix_between_native_opens_is_the_ambient_one():
+    """Opens with stalks of their own have identity kernel bases, so
+    the restriction matrix between two of them is the ambient matrix
+    itself, equal to the product through their kernel bases; any other
+    pair still goes through the kernel bases."""
+    native = through_bases = 0
+    for seed in range(20, 40):
+        sh = random_linear_sheaf(random.Random(seed), n_entities=4,
+                                 include_full=bool(seed % 2))
+        for small, large in comparable_pairs(sh.topology):
+            m = sh.restriction_matrix(large.id, small.id)
+            amb = sh.ambient_matrix(large.id, small.id)
+            product = (sh.kernel_basis(small.id).T @ amb
+                       @ sh.kernel_basis(large.id))
+            if large.id in sh.stalks and small.id in sh.stalks:
+                native += 1
+                assert m is amb
+            else:
+                through_bases += 1
+            assert np.array_equal(m, product), (seed, str(large), str(small))
+    assert native and through_bases
+
+
 def test_ambient_matrix_is_built_once_and_read_only():
     sh = random_linear_sheaf(random.Random(49))
     for small, large in comparable_pairs(sh.topology):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oracles import great_circle_km
+from oracles import great_circle_km, reference_dist
 from sheaffuse import (
     circle,
     discrete,
@@ -18,6 +18,7 @@ from sheaffuse import (
     time_line,
 )
 from sheaffuse.errors import SpaceMismatch
+from sheaffuse.spaces import ValueSpace, factor_distances
 
 ALL_KINDS = [
     euclidean(3),
@@ -172,3 +173,58 @@ def test_pseudometric_axioms(space):
         assert dxy >= 0.0
         assert abs(dxy - distance(space, y, x)) <= 1e-9
         assert distance(space, x, z) <= dxy + distance(space, y, z) + 1e-9
+
+
+# every kind, each also weighted 0 and -0.0, and a product of them all
+METRIC_SPACES = ALL_KINDS + [
+    make(weight=w) for w in (0.0, -0.0)
+    for make in (lambda weight: euclidean(2, weight), circle, geo2d, geo3d,
+                 time_line, lambda weight: discrete("ab", weight),
+                 lambda weight: simplex(3, weight))
+] + [product([euclidean(1), circle(2.0), geo2d(), geo3d(0.5), time_line(),
+              discrete("xyz"), simplex(2)])]
+
+
+def metric_pairs(space, rng):
+    """Random coordinate pairs for a space: sampled points; raw angles
+    either side of 0/360 and outside [0, 360), as restriction maps may
+    give; altitudes far apart; equal and NaN coordinates."""
+    pairs = []
+    for _ in range(40):
+        a, b = (list(sample_point(space, rng).coords) for _ in range(2))
+        pairs.append((a, b))
+        for i, circular in enumerate(space.circular_mask):
+            if circular:
+                a[i], b[i] = rng.uniform(355.0, 365.0), rng.uniform(-5.0, 5.0)
+        pairs.append((a, list(b)))
+        pairs.append((a, list(a)))
+        b = list(a)
+        for c, lo, _ in space.factors:
+            if c.kind == "geo3d":
+                b[lo + 2] = rng.uniform(-5e4, 5e4)
+        pairs.append((a, b))
+        b = list(b)
+        b[rng.randrange(space.dim)] = math.nan
+        pairs.append((a, b))
+    return pairs
+
+
+@pytest.mark.parametrize("space", METRIC_SPACES,
+                         ids=[f"{s.describe()}|{s.weight!r}"
+                              for s in METRIC_SPACES])
+def test_compiled_metrics_are_the_reference_bit_for_bit(space):
+    rng = random.Random(space.describe())
+    for a, b in metric_pairs(space, rng):
+        got = [d.hex() for d in factor_distances(space, a, b)]
+        want = [reference_dist(c, a, b, lo).hex()
+                for c, lo, _ in space.factors]
+        assert got == want, (a, b)
+
+
+def test_compiled_metric_of_an_unknown_kind_raises():
+    space = ValueSpace("warp", 1)
+    assert len(space.metrics) == 1
+    for run in (lambda: factor_distances(space, (0.0,), (1.0,)),
+                lambda: reference_dist(space, (0.0,), (1.0,), 0)):
+        with pytest.raises(SpaceMismatch, match="unknown space kind 'warp'"):
+            run()
