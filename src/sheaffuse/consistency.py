@@ -96,7 +96,7 @@ def consistency_radius(a: Assignment) -> RadiusResult:
     """Largest discrepancy d_V(a(V), a(U)|_V) over defined pairs V < U.
 
     The sup runs over every pair of defined opens with V strictly
-    inside U, using composed restrictions.  Edges come back sorted by
+    inside U, through ``Sheaf.restriction``.  Edges come back sorted by
     decreasing error; a NaN error, or an infinite one from a reading
     whose distance overflows, raises SpaceMismatch naming the pair.
     """
@@ -109,7 +109,7 @@ def consistency_radius(a: Assignment) -> RadiusResult:
             if small.id == large.id or small.mask & large.mask != small.mask:
                 continue
             pv = a.values[small.id]
-            restricted = sh.restrict_coords(large.id, small.id, pu.coords)
+            restricted = sh.restriction(large.id, small.id)(pu.coords)
             err = sp.coord_distance(sh.stalk(small.id), pv.coords, restricted)
             if not err < math.inf:
                 raise nan_error(small, large,
@@ -131,7 +131,7 @@ def pullback_global(sh: Sheaf, s_top: sp.Point) -> Assignment:
 
     The section is restricted once to each native open.  Every other
     union takes its parts' values side by side, which is what a
-    restriction to it computes: ``Sheaf._blocks`` restricts to each part
+    restriction to it computes: ``Sheaf.restriction`` takes each part
     along the same chain, and the union's stalk is the product of the
     parts' stalks, so the parts' ``make_point`` checks already cover it.
     Opens sort by size, so each part is reached before its unions and the

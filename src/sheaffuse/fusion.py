@@ -42,7 +42,7 @@ from . import spaces as sp
 from ._linalg import nullspace, rowspace
 from .consistency import Assignment, nan_error, pullback_global
 from .errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
-from .sheaf import Identity, Projection, Sheaf
+from .sheaf import Sheaf
 
 # The sqp route on a linear sheaf starts BARRIER_STAGES stages along the
 # log-barrier path, each multiplying the barrier parameter by
@@ -718,26 +718,17 @@ def _working_set_solve(hess, rows, work, top, bottom):
 
 class _Plan:
     """The distance vector of one fuse, compiled once: for each defined
-    open, in id order, the restriction from the whole space as ``(lo,
-    hi, bodies)`` blocks, the bodies of the chain from the part of the
-    whole space that carries each block as ``Sheaf.restrict_coords``
-    applies them (None on the whole space itself), the open's stalk, its
-    reading (validated when it was set) and the stalk's metrics.  A
-    chain's leading identities, and its leading projections onto a run
-    of coordinates inside the slice, only select: they narrow the slice
-    instead of running."""
+    open, in id order, the open, its restriction from the whole space
+    (``Sheaf.restriction``; None on the whole space itself), its reading
+    (validated when it was set) and its stalk's metrics."""
 
     def __init__(self, sh: Sheaf, a: Assignment, top, space, origin, basis):
         self.top, self.top_space = top, space
         self.origin, self.basis = origin, basis
-        self.opens = []
-        for oid in a.defined_ids():
-            blocks = None if oid == top.id else tuple(
-                _narrow(lo, hi, chain.bodies)
-                for lo, hi, _, _, chain in sh._blocks(top.id, oid))
-            stalk = sh.stalk(oid)
-            self.opens.append((sh.topology.opens[oid], blocks, stalk,
-                               a.values[oid].coords, stalk.metrics))
+        self.opens = [(sh.topology.opens[oid],
+                       None if oid == top.id else sh.restriction(top.id, oid),
+                       a.values[oid].coords, sh.stalk(oid).metrics)
+                      for oid in a.defined_ids()]
 
     def section(self, x) -> tuple[float, ...]:
         """The whole space's coordinates at search coordinates x,
@@ -753,18 +744,8 @@ class _Plan:
         naming the open."""
         coords = self.section(x)
         out = []
-        for u, blocks, stalk, reading, metrics in self.opens:
-            image = coords
-            if blocks is not None:
-                image = []
-                for lo, hi, bodies in blocks:
-                    part = coords[lo:hi]
-                    for body in bodies:
-                        part = body(part)
-                    image.extend(part)
-                # the shape checks of restrict_coords
-                if len(image) != stalk.dim or stalk.has_simplex:
-                    sp.check_coords(stalk, image)
+        for u, restriction, reading, metrics in self.opens:
+            image = coords if restriction is None else restriction(coords)
             for fn, lo in metrics:
                 d = fn(reading, image, lo)
                 if d != d:
@@ -774,24 +755,6 @@ class _Plan:
 
     def objective(self, x) -> float:
         return max(self.distances(x), default=0.0)
-
-
-def _narrow(lo, hi, bodies):
-    """``(lo, hi, bodies)`` with the leading bodies that keep a run of
-    coordinates of the slice folded into it."""
-    bodies = list(bodies)
-    while bodies:
-        if isinstance(bodies[0], Projection):
-            keep = bodies[0].indices
-            first = keep[0] if keep else 0
-            if not (keep == tuple(range(first, first + len(keep)))
-                    and 0 <= first and lo + first + len(keep) <= hi):
-                break
-            lo, hi = lo + first, lo + first + len(keep)
-        elif not isinstance(bodies[0], Identity):
-            break
-        del bodies[0]
-    return lo, hi, tuple(bodies)
 
 
 def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:

@@ -222,6 +222,49 @@ class Pullback:
                 for p, off, dim in zip(self.parts, self.offsets, self.dims)}
 
 
+@dataclass(frozen=True, slots=True)
+class Restriction:
+    """A restriction compiled by ``Sheaf.restriction``: one ``(lo, hi,
+    dst_lo, dst_hi, bodies)`` block per nonempty part of the target, the
+    bodies applied in turn to the source's ``lo:hi``.  A call returns the
+    image as a list, checked against the target's ``stalk`` where its
+    length or a simplex factor could be wrong."""
+
+    blocks: tuple
+    stalk: sp.ValueSpace
+
+    def __call__(self, coords) -> list:
+        out = []
+        for lo, hi, _, _, bodies in self.blocks:
+            part = coords[lo:hi]
+            for body in bodies:
+                part = body(part)
+            out.extend(part)
+        stalk = self.stalk
+        if len(out) != stalk.dim or stalk.has_simplex:
+            sp.check_coords(stalk, out)
+        return out
+
+
+def _narrow(lo, hi, bodies):
+    """``(lo, hi, bodies)`` with the leading identities, and leading
+    projections onto a run of coordinates inside the slice, folded into
+    the slice instead of run."""
+    bodies = list(bodies)
+    while bodies:
+        if isinstance(bodies[0], Projection):
+            keep = bodies[0].indices
+            first = keep[0] if keep else 0
+            if not (keep == tuple(range(first, first + len(keep)))
+                    and 0 <= first and lo + first + len(keep) <= hi):
+                break
+            lo, hi = lo + first, lo + first + len(keep)
+        elif not isinstance(bodies[0], Identity):
+            break
+        del bodies[0]
+    return lo, hi, tuple(bodies)
+
+
 def _pullback(sh: Sheaf, mask: int) -> Pullback:
     """The maximal native opens strictly inside ``mask``, laid side by
     side, with an agreement constraint on each overlapping pair; the
@@ -318,7 +361,7 @@ class Sheaf:
         # given stalks plus the product stalk of every pullback built
         self._all_stalks: dict[int, sp.ValueSpace] = dict(self.stalks)
         self._pullback_cache: dict[int, Pullback] = {}
-        self._blocks_cache: dict[tuple[int, int], tuple] = {}
+        self._restrictions: dict[tuple[int, int], Restriction] = {}
         self._kernel_cache: dict[int, np.ndarray] = {}
         self._ambient_cache: dict[tuple[int, int], np.ndarray] = {}
         self._matrix_cache: dict[tuple[int, int], np.ndarray] = {}
@@ -380,7 +423,7 @@ class Sheaf:
                 f"{self.topology.opens[dst]}; check the sheaf specification"
             ) from None
 
-    # -- pullback layout -----------------------------------------------------
+    # -- restriction ---------------------------------------------------------
 
     def _layout(self, oid: int) -> dict[int, tuple[int, int]]:
         """Coordinate slice (lo, hi) of each part of an open, in order."""
@@ -389,16 +432,13 @@ class Sheaf:
             return {oid: (0, self.stalks[oid].dim)}
         return pb.slices()
 
-    def _blocks(self, src: int, dst: int):
-        """The restriction from ``src`` to ``dst`` as one block per part of
-        ``dst``: ``(src_lo, src_hi, dst_lo, dst_hi, chain)``, where the
-        source slice holds the first part of ``src`` that carries it.
-        Every native open inside ``src`` lies in one of its parts.  The
-        empty open takes no block: the image in R^0 is ``()``."""
-        key = (src, dst)
-        blocks = self._blocks_cache.get(key)
-        if blocks is not None:
-            return blocks
+    def restriction(self, src: int, dst: int) -> Restriction:
+        """The restriction from ``src`` to ``dst``, compiled once: each
+        nonempty part of ``dst`` takes the chain from the first part of
+        ``src`` that contains it.  Raises NotComparable unless ``dst``
+        lies inside ``src``."""
+        if (compiled := self._restrictions.get((src, dst))) is not None:
+            return compiled
         t = self.topology
         small, big = t.opens[dst], t.opens[src]
         if small.mask & big.mask != small.mask:
@@ -411,26 +451,20 @@ class Sheaf:
                 continue
             for part_id, (lo, hi) in src_slices.items():
                 if b_mask & t.opens[part_id].mask == b_mask:
-                    blocks.append((lo, hi, dst_lo, dst_hi,
-                                   self._basis_chain(part_id, b_id)))
+                    lo, hi, bodies = _narrow(
+                        lo, hi, self._basis_chain(part_id, b_id).bodies)
+                    blocks.append((lo, hi, dst_lo, dst_hi, bodies))
                     break
-        blocks = tuple(blocks)
-        self._blocks_cache[key] = blocks
-        return blocks
-
-    # -- point-level restriction ---------------------------------------------
+        compiled = Restriction(tuple(blocks), self.stalk(dst))
+        self._restrictions[src, dst] = compiled
+        return compiled
 
     def restrict_coords(self, src: int, dst: int, coords):
-        """Restrict bare coordinates on ``src`` to ``dst``; the result is
-        checked against the stalk over ``dst``."""
+        """Restrict bare coordinates on ``src`` to ``dst`` by
+        ``restriction``, checked against the stalk over ``dst``."""
         if src == dst:
             return tuple(coords)
-        out = []
-        for lo, hi, _, _, chain in self._blocks(src, dst):
-            out.extend(chain(coords[lo:hi]))
-        # _blocks built the layout of dst, so its stalk is cached
-        sp.check_coords(self._all_stalks[dst], out)
-        return tuple(out)
+        return tuple(self.restriction(src, dst)(coords))
 
     def restrict(self, u, v, value: sp.Point) -> sp.Point:
         """Restrict an observation on U to the open subset V."""
@@ -481,9 +515,10 @@ class Sheaf:
         m = self._ambient_cache.get(key)
         if m is not None:
             return m
-        m = np.zeros((self.stalk(dst).dim, self.stalk(src).dim))
-        for lo, hi, dst_lo, dst_hi, chain in self._blocks(src, dst):
-            block = chain.matrix(hi - lo)
+        restriction = self.restriction(src, dst)
+        m = np.zeros((restriction.stalk.dim, self.stalk(src).dim))
+        for lo, hi, dst_lo, dst_hi, bodies in restriction.blocks:
+            block = Chain(bodies, ()).matrix(hi - lo)
             if block is None:
                 raise NonlinearSheaf("matrix restriction requires linear maps")
             m[dst_lo:dst_hi, lo:hi] = block

@@ -12,8 +12,11 @@ search per pair of native opens, for the chains a sheaf builds once;
 binning by interior edges; ``reference_dist``, each factor's distance
 found by its kind on every call, for the metrics a space compiles
 once, and ``layered_distances``, the distance vector through
-``make_point``, ``restrict_coords`` and it, for fusion's compiled
-plan; ``all_pairs_radius``, the consistency-radius
+``make_point``, ``reference_restrict_coords`` and it, for fusion's
+compiled plan; ``reference_restrict_coords`` and
+``reference_ambient_matrix``, every chain run whole from the first part
+of the source that carries it, for the restrictions a sheaf compiles
+once; ``all_pairs_radius``, the consistency-radius
 loop over every comparable pair, for the defined-pair loop;
 ``pullback_every_open``, the restriction of a global section to every
 open in turn, for the pullback that restricts it once per native open;
@@ -157,15 +160,15 @@ def reference_dist(space, a, b, off):
 def layered_distances(a, coords):
     """The fusion distance vector at whole-space coordinates ``coords``
     through the layers that fusion once called one evaluation at a time:
-    ``make_point`` on the whole space, ``Sheaf.restrict_coords`` to each
-    defined open in id order and ``reference_dist`` on each factor; a
-    NaN raises, naming the open."""
+    ``make_point`` on the whole space, ``reference_restrict_coords`` to
+    each defined open in id order and ``reference_dist`` on each factor;
+    a NaN raises, naming the open."""
     sh = a.sheaf
     top = sh.topology.full
     section = sp.make_point(sh.stalk(top.id), coords).coords
     out = []
     for oid in a.defined_ids():
-        restricted = sh.restrict_coords(top.id, oid, section)
+        restricted = reference_restrict_coords(sh, top.id, oid, section)
         for c, lo, _ in sh.stalk(oid).factors:
             d = reference_dist(c, a.values[oid].coords, restricted, lo)
             if d != d:
@@ -369,6 +372,63 @@ def reference_basis_chain(sh: Sheaf, src: int, dst: int) -> Chain:
     )
 
 
+def _reference_blocks(sh: Sheaf, src: int, dst: int):
+    """The restriction from ``src`` to ``dst`` as ``(lo, hi, dst_lo,
+    dst_hi, chain)`` blocks, unnarrowed: for each nonempty part of
+    ``dst``, the whole ``reference_basis_chain`` from the first part of
+    ``src`` that contains it, on that part's slice ``lo:hi``."""
+    t = sh.topology
+    if t.opens[dst].mask & t.opens[src].mask != t.opens[dst].mask:
+        raise NotComparable(f"{t.opens[dst]} is not contained in "
+                            f"{t.opens[src]}")
+
+    def layout(oid):
+        pb = sh.pullback(oid)
+        if pb is None:
+            return [(oid, 0, sh.stalk(oid).dim)]
+        return [(p, off, off + dim)
+                for p, off, dim in zip(pb.parts, pb.offsets, pb.dims)]
+
+    blocks = []
+    for part, dst_lo, dst_hi in layout(dst):
+        mask = t.opens[part].mask
+        if not mask:
+            continue
+        for carrier, lo, hi in layout(src):
+            if mask & t.opens[carrier].mask == mask:
+                blocks.append((lo, hi, dst_lo, dst_hi,
+                               reference_basis_chain(sh, carrier, part)))
+                break
+    return blocks
+
+
+def reference_restrict_coords(sh: Sheaf, src: int, dst: int, coords):
+    """Bare coordinates on ``src`` restricted to ``dst`` by the walk the
+    sheaf once ran on every call: each block's whole chain on its source
+    slice, every body run, the image checked by ``check_coords``."""
+    out = []
+    for lo, hi, _, _, chain in _reference_blocks(sh, src, dst):
+        part = coords[lo:hi]
+        for body in chain.bodies:
+            part = body(part)
+        out.extend(part)
+    sp.check_coords(sh.stalk(dst), out)
+    return tuple(out)
+
+
+def reference_ambient_matrix(sh: Sheaf, src: int, dst: int) -> np.ndarray:
+    """The restriction from ``src`` to ``dst`` as a matrix on ambient
+    coordinates: each block the product of its whole chain's body
+    matrices, from the identity."""
+    m = np.zeros((sh.stalk(dst).dim, sh.stalk(src).dim))
+    for lo, hi, dst_lo, dst_hi, chain in _reference_blocks(sh, src, dst):
+        block = np.eye(hi - lo)
+        for body in chain.bodies:
+            block = body.matrix(block.shape[0]) @ block
+        m[dst_lo:dst_hi, lo:hi] = block
+    return m
+
+
 def edge_path_functoriality(sh, samples=16, rng=None, tol=1e-9):
     """Path independence by brute force: between every pair of
     comparable native opens, apply every path of explicit restriction
@@ -440,7 +500,8 @@ def all_pairs_radius(a):
         pu = a.values.get(large.id)
         if pv is None or pu is None:
             continue
-        restricted = sh.restrict_coords(large.id, small.id, pu.coords)
+        restricted = reference_restrict_coords(sh, large.id, small.id,
+                                               pu.coords)
         err = sp.coord_distance(sh.stalk(small.id), pv.coords, restricted)
         edges.append(EdgeError(small, large, err))
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
@@ -459,7 +520,7 @@ def pullback_every_open(sh: Sheaf, s_top: sp.Point) -> Assignment:
         if u.id == top.id:
             a.values[u.id] = s_top
         else:
-            coords = sh.restrict_coords(top.id, u.id, s_top.coords)
+            coords = reference_restrict_coords(sh, top.id, u.id, s_top.coords)
             a.values[u.id] = sp.make_point(sh.stalk(u.id), coords)
     return a
 

@@ -11,6 +11,7 @@ from conftest import (
     random_product_sheaf,
     with_native_union,
 )
+import oracles
 from oracles import all_pairs_radius, max_common_distance, pullback_every_open
 from sheaffuse import (
     Assignment,
@@ -253,12 +254,19 @@ def test_pullback_matches_every_open_on_an_eight_camera_chain():
 def test_pullback_restricts_once_per_native_open(monkeypatch):
     calls = []
     original = Sheaf.restrict_coords
+    reference = oracles.reference_restrict_coords
 
     def spy(self, src, dst, coords):
         calls.append((src, dst))
         return original(self, src, dst, coords)
 
+    def reference_spy(sh, src, dst, coords):
+        calls.append((src, dst))
+        return reference(sh, src, dst, coords)
+
     monkeypatch.setattr(Sheaf, "restrict_coords", spy)
+    # the oracle restricts by its own walk, not by the method
+    monkeypatch.setattr(oracles, "reference_restrict_coords", reference_spy)
     rng = random.Random(73)
     nested, _ = nested_native_union()
     for sh in (camera_chain_sheaf(), nested):

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import numpy as np
@@ -15,7 +16,9 @@ from oracles import (
     agreement_dim,
     all_pairs_gluing,
     edge_path_functoriality,
+    reference_ambient_matrix,
     reference_basis_chain,
+    reference_restrict_coords,
 )
 from sheaffuse import (
     Affine,
@@ -158,19 +161,41 @@ def test_functoriality_catches_corrupted_projection():
     assert report.witnesses
 
 
-def test_chains_built_with_the_sheaf_match_the_per_pair_search():
-    """Between every ordered pair of opens with a stalk, the empty open
-    included, the sheaf's chain is the path a breadth-first search per
-    pair finds, and NotComparable with the same text where it finds
-    none.  A random sheaf has an edge for every comparable pair of
-    basis opens, so each is also checked on its covering edges alone,
-    given in reverse order: there chains pass through several edges and
-    equal lengths tie."""
-    rng = random.Random(23)
+def projection_sheaf(past_end=False):
+    """R^6 on the whole space of {a,b,c,d}, projected onto runs to R^3 on
+    {a,b} and {c,d}; from there a reordered projection to {a}, a linear
+    map to {b}, a projection with a negative index to {c} and the
+    identity to {d}.  With ``past_end`` the projection to {a} reads one
+    coordinate past the end of {a,b}'s stalk."""
+    u = EntityUniverse(["a", "b", "c", "d"])
+    t = generate_topology(u, [("a", "b"), ("c", "d"), ("a",), ("b",),
+                              ("c",), ("d",)])
+    ab, cd = t.open_for(["a", "b"]), t.open_for(["c", "d"])
+    a, b, c, d = (t.open_for([n]) for n in "abcd")
+    stalks = {t.full: euclidean(6), ab: euclidean(3), cd: euclidean(3),
+              a: euclidean(2), b: euclidean(1), c: euclidean(2),
+              d: euclidean(3)}
+    return Sheaf(t, stalks, [
+        RestrictionMap(t.full, ab, Projection([1, 2, 3])),
+        RestrictionMap(t.full, cd, Projection([3, 4, 5])),
+        RestrictionMap(ab, a, Projection([2, 3] if past_end else [1, 0])),
+        RestrictionMap(ab, b, Linear([[1.0, -2.0, 0.5]])),
+        RestrictionMap(cd, c, Projection([-1, 0])),
+        RestrictionMap(cd, d, Identity()),
+    ])
+
+
+def restriction_fixtures(rng, linear, products):
+    """The six packaged sheaves, the camera chain, ``projection_sheaf``,
+    ``linear`` random linear sheaves each also rebuilt on its covering
+    edges alone, given in reverse order, and ``products`` random product
+    sheaves.  A random sheaf has an edge for every comparable pair of
+    basis opens, so only the rebuilt ones have chains through several
+    edges, where equal lengths tie."""
     sheaves = [build_sar_sheaf(), *build_obstacle_sheaves(),
                *(build_coin_sheaf(v) for v in ("mosaic", "counts", "value")),
-               camera_chain_sheaf()]
-    for _ in range(400):
+               camera_chain_sheaf(), projection_sheaf()]
+    for _ in range(linear):
         sh = random_linear_sheaf(rng)
         opens = sh.topology.opens
 
@@ -181,8 +206,15 @@ def test_chains_built_with_the_sheaf_match_the_per_pair_search():
                     if not any(inside(c, a) and inside(b, c)
                                for c in sh.stalks)]
         sheaves += [sh, Sheaf(sh.topology, sh.stalks, covering[::-1])]
-    sheaves += [random_product_sheaf(rng) for _ in range(100)]
-    for sh in sheaves:
+    return sheaves + [random_product_sheaf(rng) for _ in range(products)]
+
+
+def test_chains_built_with_the_sheaf_match_the_per_pair_search():
+    """Between every ordered pair of opens with a stalk, the empty open
+    included, the sheaf's chain is the path a breadth-first search per
+    pair finds, and NotComparable with the same text where it finds
+    none."""
+    for sh in restriction_fixtures(random.Random(23), 400, 100):
         for src in sh.stalks:
             for dst in sh.stalks:
                 try:
@@ -560,6 +592,58 @@ def test_ambient_matrix_agrees_with_restrict_coords():
             m = sh.ambient_matrix(large.id, small.id)
             assert np.allclose(m @ x, sh.restrict_coords(large.id, small.id, x),
                                rtol=1e-12, atol=1e-9)
+
+
+def test_compiled_restrictions_are_the_whole_chains():
+    """Between every comparable pair of opens, unions without a stalk
+    of their own included, ``restrict_coords`` equals the walk that runs
+    each block's whole chain from the first part of the source that
+    carries it, bit for bit at sampled points, or raises its error:
+    leading identities and projections onto a run only narrow the
+    slice."""
+    rng = random.Random(26)
+    for sh in restriction_fixtures(rng, 400, 100):
+        for small, large in comparable_pairs(sh.topology):
+            for _ in range(2):
+                x = sample_point(sh.stalk(large.id), rng).coords
+                try:
+                    want = reference_restrict_coords(sh, large.id, small.id,
+                                                     x)
+                except SpaceMismatch as exc:
+                    with pytest.raises(SpaceMismatch) as got:
+                        sh.restrict_coords(large.id, small.id, x)
+                    assert str(got.value) == str(exc)
+                    continue
+                got = sh.restrict_coords(large.id, small.id, x)
+                assert [float(v).hex() for v in got] == \
+                    [float(v).hex() for v in want], (str(large), str(small))
+
+
+def test_a_projection_past_its_stalk_is_not_narrowed():
+    """Narrowed to a slice, it would read the next part's coordinates;
+    run, it raises IndexError as the whole chain does."""
+    sh = projection_sheaf(past_end=True)
+    t = sh.topology
+    x = tuple(float(i) for i in range(6))
+    for restrict in (sh.restrict_coords, functools.partial(
+            reference_restrict_coords, sh)):
+        with pytest.raises(IndexError):
+            restrict(t.full.id, t.open_for(["a"]).id, x)
+
+
+def test_ambient_matrix_is_the_product_of_the_whole_chains():
+    """On every linear fixture, the obstacle mosaic's projections
+    included, each ambient matrix equals the product of the whole
+    chains' body matrices exactly."""
+    rng = random.Random(27)
+    for sh in restriction_fixtures(rng, 400, 0):
+        if not sh.is_linear():
+            continue
+        for small, large in comparable_pairs(sh.topology):
+            assert np.array_equal(
+                sh.ambient_matrix(large.id, small.id),
+                reference_ambient_matrix(sh, large.id, small.id)), \
+                (str(large), str(small))
 
 
 def test_restriction_matrix_to_itself_is_exact_identity():
