@@ -223,15 +223,25 @@ def sheaf_from_spec(spec: dict) -> Sheaf:
     if not isinstance(entries, list) or \
             not all(isinstance(e, dict) for e in entries):
         raise SpecError("restrictions must be a list of objects")
-    stalks = {}
+    stalks, keys = {}, {}
     for key, descr in descriptors.items():
-        stalks[resolve(key)] = space_from_json(descr)
-    restrictions = []
-    for entry in entries:
+        u = resolve(key)
+        if u in keys:
+            raise SpecError(f"stalks {keys[u]!r} and {key!r} both name "
+                            f"the open {u.key()!r}")
+        keys[u] = key
+        stalks[u] = space_from_json(descr)
+    restrictions, given = [], {}
+    for i, entry in enumerate(entries):
         try:
             src, dst = resolve(entry["from"]), resolve(entry["to"])
         except KeyError:
             raise SpecError(f"restriction entry missing from/to: {entry!r}")
+        if (src, dst) in given:
+            raise SpecError(f"restrictions[{given[src, dst]}] and "
+                            f"restrictions[{i}] both map {src.key()} -> "
+                            f"{dst.key()}")
+        given[src, dst] = i
         restrictions.append(RestrictionMap(src, dst, body_from_json(entry)))
     try:
         sh = Sheaf(topology, stalks, restrictions)
@@ -245,10 +255,22 @@ def sheaf_from_spec(spec: dict) -> Sheaf:
     return sh
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; ValueError on a repeated key,
+    of which ``json.loads`` alone would keep the last value."""
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        keys = [key for key, _ in pairs]
+        twice = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"key {twice!r} appears twice in one object")
+    return out
+
+
 def load_sheaf(path) -> tuple[Sheaf, dict]:
     try:
-        spec = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        spec = json.loads(Path(path).read_text(),
+                          object_pairs_hook=_unique_keys)
+    except (OSError, ValueError) as exc:
         raise SpecError(f"cannot read sheaf spec {path}: {exc}") from None
     return sheaf_from_spec(spec), spec
 
@@ -283,6 +305,7 @@ def load_assignment(path, sh: Sheaf) -> Assignment:
                 raise SpecError(
                     f"{path}: first column of the header must be 'open_set'"
                 )
+            lines = {}  # open id -> the file line of its row
             for row in reader:
                 if not row or not row[0]:
                     continue
@@ -294,6 +317,11 @@ def load_assignment(path, sh: Sheaf) -> Assignment:
                     raise SpecError(f"{path}: {exc.args[0]}") from None
                 except SheafFuseError as exc:
                     raise SpecError(f"{path}: open {key!r}: {exc}") from None
+                if u.id in lines:
+                    raise SpecError(
+                        f"{path}: the rows on lines {lines[u.id]} and "
+                        f"{reader.line_num} both give open {u.key()!r}")
+                lines[u.id] = reader.line_num
                 coords = [float(v) for v in row[1:] if v != ""]
                 space = sh.stalk(u.id)
                 if len(coords) != space.dim:

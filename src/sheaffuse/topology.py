@@ -1,9 +1,10 @@
 """Finite topologies on named entity sets.
 
 Open sets are bitsets over a fixed entity universe.  A topology is
-built from its basis by closing under arbitrary union, with an explicit
-cap on the number of opens; ``generate_topology`` finds the basis of a
-subbase by closing it under pairwise intersection.
+built from its basis by closing under arbitrary union;
+``generate_topology`` finds the basis of a subbase by closing it under
+pairwise intersection.  Each closure takes one pass per set, and each
+stops with TopologyTooLarge once it holds more than ``OPEN_CAP`` masks.
 """
 
 from __future__ import annotations
@@ -94,18 +95,8 @@ class Topology:
         full = (1 << len(universe)) - 1
         basis = set(basis_masks) - {0}
         masks = {0, full}
-        frontier = [0]
-        while frontier:
-            m = frontier.pop()
-            for b in basis:
-                u = m | b
-                if u not in masks:
-                    if len(masks) >= OPEN_CAP:
-                        raise TopologyTooLarge(
-                            f"open-set count exceeded cap of {OPEN_CAP}"
-                        )
-                    masks.add(u)
-                    frontier.append(u)
+        for b in basis:  # the unions of the basis opens passed so far
+            masks = _capped(masks | {m | b for m in masks})
         ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
         self.opens = tuple(
             OpenSet(m, i, universe) for i, m in enumerate(ordered)
@@ -140,27 +131,22 @@ class UnknownOpenSet(KeyError):
         )
 
 
-def _intersection_closure(masks: set[int]) -> set[int]:
-    closed = set(masks)
-    frontier = list(closed)
-    while frontier:
-        new = set()
-        for m in frontier:
-            for other in closed:
-                inter = m & other
-                if inter not in closed and inter not in new:
-                    new.add(inter)
-        closed |= new
-        frontier = list(new)
-    return closed
+def _capped(masks: set[int]) -> set[int]:
+    if len(masks) > OPEN_CAP:
+        raise TopologyTooLarge(f"open-set count exceeded cap of {OPEN_CAP}")
+    return masks
 
 
 def generate_topology(universe: EntityUniverse,
                       subbase: Iterable[Iterable[str]]) -> Topology:
     """Smallest topology containing the subbase, whose basis is the
-    closure of the subbase under pairwise intersection."""
-    return Topology(universe, _intersection_closure(
-        {universe.mask_of(s) for s in subbase}))
+    closure of the subbase under pairwise intersection.  Every basis
+    mask is an open, so a closure past ``OPEN_CAP`` raises at once."""
+    closed: set[int] = set()
+    for m in {universe.mask_of(names) for names in subbase}:
+        # the intersections of the subbase sets passed so far
+        closed = _capped(closed | {m & c for c in closed} | {m})
+    return Topology(universe, closed)
 
 
 def comparable_pairs(t: Topology) -> list[tuple[OpenSet, OpenSet]]:

@@ -99,6 +99,15 @@ def test_check_malformed_json_exits_2(tmp_path, capsys):
     assert main(["check", str(bad)]) == 2
 
 
+def test_check_spec_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    assert main(["check", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot read sheaf spec {bad}: ") \
+        and err.count("\n") == 1
+
+
 def test_radius_command_reports_and_writes_csv(sar_files, tmp_path, capsys):
     spec, case1 = sar_files
     out_csv = tmp_path / "edges.csv"
@@ -438,6 +447,82 @@ def test_malformed_spec_exits_2(obstacle_spec, tmp_path, capsys, mutation,
     assert main([command, str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and err.count("\n") == 1
+
+
+# entries that resolve to one already given, which the second would
+# silently replace: each with the error line that names both
+DUPLICATE_ENTRIES = {
+    "stalk_key": (
+        lambda d: d["stalks"].update(
+            {"V2+V1": dict(d["stalks"]["V1+V2"], weight=5.0)}),
+        "stalks 'V1+V2' and 'V2+V1' both name the open 'V1+V2'"),
+    "restriction": (
+        lambda d: d["restrictions"].append(
+            {"from": "V1+V2", "to": "V1", "kind": "projection",
+             "indices": [1]}),
+        "restrictions[0] and restrictions[4] both map V1+V2 -> V1"),
+}
+
+
+@pytest.mark.parametrize("duplicate", DUPLICATE_ENTRIES)
+def test_duplicate_spec_entry_exits_2(obstacle_spec, tmp_path, capsys,
+                                      duplicate):
+    mutate, message = DUPLICATE_ENTRIES[duplicate]
+    data = json.loads(obstacle_spec)
+    mutate(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["check", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {message}\n"
+
+
+def test_repeated_json_key_exits_2(obstacle_spec, tmp_path, capsys):
+    """``json.loads`` alone keeps the last of two equal keys."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(obstacle_spec.replace(
+        '"stalks": {', '"stalks": {"V1": {"kind": "euclidean", "dim": 3}, ',
+        1))
+    assert main(["check", str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"input error: cannot read sheaf spec {bad}: key 'V1' appears "
+        f"twice in one object\n")
+
+
+def test_repeated_assignment_row_exits_2(sar_files, tmp_path, capsys):
+    """A second row for t+theta1, written theta1+t, would replace the
+    first and move the radius from 14.4 to 531.6."""
+    spec, case1 = sar_files
+    text = case1.read_text()
+    assert text.splitlines()[1].startswith("t+theta1,")
+    path = tmp_path / "repeated.csv"
+    path.write_text(text + "theta1+t,10.0,0.943\n")
+    assert main(["radius", str(spec), str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"input error: {path}: the rows on lines 2 and "
+        f"{len(text.splitlines()) + 1} both give open 't+theta1'\n")
+
+
+@pytest.mark.parametrize("command", ["check", "radius", "fuse"])
+def test_cosingleton_subbase_exits_2_at_the_cap(sar_files, tmp_path, capsys,
+                                                command):
+    """24 sets that each miss one of 24 entities have 2^24 intersections;
+    the load stops once the closure passes the cap."""
+    names = [f"e{i}" for i in range(24)]
+    path = tmp_path / "cosingletons.json"
+    path.write_text(json.dumps({
+        "entities": names,
+        "subbase": [[n for n in names if n != m] for m in names],
+        "stalks": {}, "restrictions": []}))
+    argv = [command, str(path)]
+    if command != "check":
+        argv.append(str(sar_files[1]))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("input error: bad topology spec: open-set "
+                                 "count exceeded cap of 4096\n")
 
 
 @pytest.mark.parametrize("command, degree", [

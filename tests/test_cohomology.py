@@ -982,12 +982,22 @@ def test_projection_lift_from_kept_axes_matches_the_full_lift():
     assert failures > 0
 
 
-@pytest.mark.parametrize("x_first", [True, False])
-def test_lift_sheaf_raises_the_first_failing_edge(x_first):
+@pytest.mark.parametrize("x_first, w_body, bins", [
+    pytest.param(True, "map", 4, id="True"),
+    pytest.param(False, "map", 4, id="False"),
+    pytest.param(True, "projection", 4, id="True-projection"),
+    pytest.param(False, "projection", 4, id="False-projection"),
+    pytest.param(True, "map", 24, id="True-chunks"),
+    pytest.param(False, "map", 24, id="False-chunks"),
+])
+def test_lift_sheaf_raises_the_first_failing_edge(x_first, w_body, bins):
     """Both sources fail, X -> V on a NaN image and W -> V outside its
     grid.  X is sampled first, as its first edge comes first, but the
     error raised is that of the failing edge that comes first in
-    ``sh.edges``, as the per-edge loop raises it."""
+    ``sh.edges``, as the per-edge loop raises it.  As a projection,
+    W -> V fails from W's grid on [0, 2], lifted without sampling.  At
+    24 bins an axis, a grid of X or W comes in two chunks, and each
+    edge fails on the first, so the second skips it."""
     t = generate_topology(EntityUniverse(["a", "b", "c"]),
                           [("a", "b", "c"), ("a", "b"), ("a",)])
     x, w, v = (t.open_for(names) for names in
@@ -995,13 +1005,18 @@ def test_lift_sheaf_raises_the_first_failing_edge(x_first):
     stalks = {x: euclidean(2), w: euclidean(2), v: euclidean(1)}
     x_to_v = RestrictionMap(x, v, lambda p: (
         float("nan") if p[1] > 0.5 else p[0],))
-    w_to_v = RestrictionMap(w, v, lambda p: (
-        p[0] + 2.0 if p[0] > 0.5 else p[0],))
+    w_to_v = RestrictionMap(w, v, Projection([0]) if w_body == "projection"
+                            else lambda p: (
+                                p[0] + 2.0 if p[0] > 0.5 else p[0],))
     tail = [x_to_v, w_to_v] if x_first else [w_to_v, x_to_v]
     sh = Sheaf(t, stalks, [RestrictionMap(x, w, lambda p: p)] + tail)
     grids = {oid: uniform_grid([0.0] * stalks[t.opens[oid]].dim,
-                               [1.0] * stalks[t.opens[oid]].dim, 4)
+                               [1.0] * stalks[t.opens[oid]].dim, bins)
              for oid in sh.native_ids()}
+    if w_body == "projection":
+        grids[w.id] = uniform_grid([0.0, 0.0], [2.0, 2.0], bins)
+    assert -(-grids[x.id].size // _chunk_cells(
+        grids[x.id], LIFT_SUBDIVISIONS)) == (2 if bins == 24 else 1)
     with pytest.raises(UnmappedBin) as want:
         reference_lift_sheaf(sh, grids)
     with pytest.raises(UnmappedBin) as got:

@@ -52,7 +52,7 @@ from sheaffuse import (
     verify_gluing,
 )
 from sheaffuse._kernels import circle_dist_deg
-from sheaffuse.errors import DegenerateAssignment, SpaceMismatch
+from sheaffuse.errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
 from sheaffuse.fusion import FusionOptions
 from sheaffuse.scenarios import build_sar_sheaf, sar_case_assignment
 
@@ -817,6 +817,76 @@ def test_sqp_backtracks_from_steps_where_a_distance_overflows():
                                         fusion._bfgs, [3.0], FusionOptions())
     assert converged and rejected[0] == pytest.approx(-22.0)
     assert x[0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_sqp_restarts_its_curvature_when_a_step_fails(monkeypatch):
+    """When the model finds no step after a kept one, the curvature
+    restarts afresh at the same point and the search goes on; it ends
+    unconverged only when a model just restarted fails too."""
+    log, fails = [], {2}
+    step = fusion._minimax_step
+
+    def failing(d, jac, b, guess=()):
+        log.append("step")
+        return None if log.count("step") in fails else \
+            step(d, jac, b, guess)
+
+    def curvature(x, jac, lam, last):
+        log.append("fresh" if last is None else "update")
+        return fusion._bfgs(x, jac, lam, last)
+
+    def distances(x):
+        u, v = x
+        return [(u - 1.0) ** 2 + v * v, (u + 1.0) ** 2 + v * v]
+
+    monkeypatch.setattr(fusion, "_minimax_step", failing)
+    x, _, _, converged, _ = fusion._sqp(distances, fusion._differences,
+                                        curvature, [3.0, 2.0],
+                                        FusionOptions())
+    assert log[:6] == ["fresh", "step", "update", "step", "fresh", "step"]
+    assert converged and np.allclose(x, [0.0, 0.0], atol=1e-4)
+    log.clear()
+    fails = {2, 3}
+    x, iterations, _, converged, _ = fusion._sqp(
+        distances, fusion._differences, curvature, [3.0, 2.0],
+        FusionOptions())
+    assert log == ["fresh", "step", "update", "step", "fresh", "step"]
+    assert (iterations, converged) == (3, False)
+
+
+def test_sqp_ends_at_a_start_whose_jacobian_is_not_finite():
+    """The distance is finite at the start alone, so its differences
+    are not, and the search ends there before any iteration."""
+    def distances(x):
+        return [1.0 if x[0] == 2.0 else math.inf]
+
+    x, iterations, evaluations, converged, lower = fusion._sqp(
+        distances, fusion._differences, fusion._bfgs, [2.0],
+        FusionOptions())
+    assert list(x) == [2.0]
+    assert (iterations, evaluations, converged, lower) == (0, 2, False,
+                                                          None)
+
+
+def test_fuse_refuses_a_nonlinear_whole_space_of_overlapping_parts():
+    """The whole space has no stalk of its own, and its parts overlap on
+    c, one of them through a builtin, so its stalk is a constrained
+    pullback of a nonlinear sheaf: the agreement set has no coordinates,
+    to search or to sample."""
+    u = EntityUniverse(["a", "b", "c"])
+    t = generate_topology(u, [("a", "c"), ("b", "c")])
+    left, right, mid = (t.open_for(n) for n in (["a", "c"], ["b", "c"],
+                                                ["c"]))
+    sh = Sheaf(t, {left: euclidean(2), right: euclidean(2),
+                   mid: euclidean(1)},
+               [RestrictionMap(left, mid,
+                               Builtin("shift", lambda c: (c[1] + 1.0,))),
+                RestrictionMap(right, mid, Projection([0]))])
+    assert not sh.is_linear() and sh.pullback(t.full.id).constraints
+    assert sh.sample_stalk(t.full.id, random.Random(0)) is None
+    a = Assignment(sh, {mid: make_point(euclidean(1), [1.0])})
+    with pytest.raises(NoTopStalk, match="constrained pullback"):
+        fuse(a)
 
 
 def test_sqp_on_a_whole_space_without_coordinates():

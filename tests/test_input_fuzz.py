@@ -60,10 +60,27 @@ def _paths(node, path=()):
         yield from _paths(child, path + (key,))
 
 
+def _cosingletons(data, k):
+    """The spec with its subbase replaced by k sets that each miss one
+    entity, its entity list padded with fresh names to at least k: 2^k
+    intersections, past the open-set cap from k = 13 on."""
+    names = data.get("entities")
+    names = list(names) if isinstance(names, list) else []
+    names += [f"pad{i}" for i in range(k - len(names))]
+    return dict(data, entities=names,
+                subbase=[[n for n in names if n != names[i]]
+                         for i in range(k)])
+
+
 def _mutate(data, mutations):
     """Apply (path number, op, value) mutations in turn; a path number
-    picks one node of the current tree, counted in ``_paths`` order."""
+    picks one node of the current tree, counted in ``_paths`` order,
+    except for "cosingletons", where it picks k in 0-30."""
     for number, op, value in mutations:
+        if op == "cosingletons":
+            if isinstance(data, dict):
+                data = _cosingletons(data, number % 31)
+            continue
         paths = list(_paths(data))
         path = paths[number % len(paths)]
         if not path:
@@ -118,7 +135,8 @@ json_values = st.recursive(
     max_leaves=6)
 spec_mutations = st.lists(
     st.tuples(st.integers(0, 10**6),
-              st.sampled_from(["replace", "delete", "duplicate"]),
+              st.sampled_from(["replace", "delete", "duplicate",
+                               "cosingletons"]),
               json_values),
     min_size=1, max_size=3)
 

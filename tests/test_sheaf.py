@@ -132,6 +132,25 @@ def test_two_paths_agree_on_shared_time():
         assert t_a[0] == pytest.approx(t_b[0], abs=1e-9)
 
 
+def test_sample_stalk_on_a_constrained_union_of_a_nonlinear_sheaf():
+    """s+t+theta1+theta2 is the pullback of parts that overlap on theta1,
+    which bearing_of_detection reaches, so the agreement subspace has no
+    kernel basis: a sample is a sample of the whole space, which has a
+    stalk of its own, restricted to the union."""
+    sh = build_sar_sheaf()
+    t = sh.topology
+    union = t.open_for(["s", "t", "theta1", "theta2"])
+    assert sh.pullback(union.id).constraints
+    with pytest.raises(NonlinearSheaf):
+        sh.kernel_basis(union.id)
+    for seed in range(5):
+        got = sh.sample_stalk(union.id, random.Random(seed))
+        whole = sample_point(sh.stalk(t.full.id), random.Random(seed))
+        assert got.space == sh.stalk(union.id)
+        assert got.coords == tuple(
+            sh.restrict_coords(t.full.id, union.id, whole.coords))
+
+
 def test_functoriality_passes_on_reference_sheaf():
     report = verify_functoriality(build_sar_sheaf(), samples=32)
     assert report.ok

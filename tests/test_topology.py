@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 
 import pytest
@@ -8,10 +10,11 @@ from sheaffuse import (
     EntityUniverse,
     comparable_pairs,
     generate_topology,
+    topology,
     verify_topology,
 )
 from sheaffuse.errors import TopologyTooLarge, UnknownEntity
-from sheaffuse.topology import OPEN_CAP
+from sheaffuse.topology import OPEN_CAP, Topology
 
 
 def masks(t):
@@ -32,15 +35,31 @@ def test_duplicate_or_unknown_entities_rejected():
         generate_topology(u, [("a", "zz")])
 
 
+def cosingletons(names, k):
+    """The first k sets that each hold every name but one."""
+    return [[n for n in names if n != names[i]] for i in range(k)]
+
+
 def test_cap_raises_instead_of_truncating():
     """n singletons generate all 2^n subsets: 12 reach the cap exactly,
-    13 pass it."""
+    13 pass it.  k co-singletons of 13 entities intersect to every set
+    missing some of the first k: 2^k - 1 basis opens, plus the whole
+    and the empty set.  At k = 12 that is 4,097 opens, one past the
+    cap, so the union pass raises; at k = 13 the intersections alone,
+    8,191 masks, pass the cap, so the intersection pass raises."""
     names = [f"e{i}" for i in range(13)]
     singletons = [(n,) for n in names]
     t = generate_topology(EntityUniverse(names[:12]), singletons[:12])
     assert len(t) == OPEN_CAP == 2 ** 12
     with pytest.raises(TopologyTooLarge):
         generate_topology(EntityUniverse(names), singletons)
+    universe = EntityUniverse(names)
+    t = generate_topology(universe, cosingletons(names, 11))
+    assert len(t) == 2 ** 11 + 1 and len(t.basis) == 2 ** 11 - 1
+    for k in (12, 13):
+        with pytest.raises(TopologyTooLarge,
+                           match=f"exceeded cap of {OPEN_CAP}$"):
+            generate_topology(universe, cosingletons(names, k))
 
 
 def test_sensor_style_generation_produces_intersections_and_unions():
@@ -54,17 +73,74 @@ def test_sensor_style_generation_produces_intersections_and_unions():
         assert u.mask_of(expect) in masks(t)
 
 
+def by_size(masks):
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+def intersections(opens, sets):
+    """The opens that are the intersection of every given set containing
+    them: the closure of ``sets`` under intersection, whose nonempty
+    members are the basis."""
+    out = set()
+    for m in opens:
+        above = [s for s in sets if s & m == m]
+        if above and m == functools.reduce(operator.and_, above):
+            out.add(m)
+    return out
+
+
 def test_generation_matches_fixpoint_closure_oracle():
+    """Opens, their ids and the basis, on random subbases of up to 9
+    entities and 7 sets."""
     rng = random.Random(7)
-    for _ in range(100):
-        universe, subbase = random_subbase(rng, rng.randint(1, 5),
-                                           rng.randint(0, 4))
+    for _ in range(300):
+        universe, subbase = random_subbase(rng, rng.randint(1, 9),
+                                           rng.randint(0, 7))
         t = generate_topology(universe, subbase)
         full = (1 << len(universe)) - 1
-        expected = fixpoint_closure(
-            {universe.mask_of(s) for s in subbase}, full
-        )
-        assert masks(t) == expected
+        sets = {universe.mask_of(s) for s in subbase}
+        expected = fixpoint_closure(sets, full)
+        assert [(o.mask, o.id) for o in t.opens] == \
+            list(zip(by_size(expected), range(len(expected))))
+        assert [b.mask for b in t.basis] == \
+            by_size(intersections(expected, sets) - {0})
+        assert all(t.opens[b.id] is b for b in t.basis)
+
+
+def test_cap_raises_exactly_when_the_closure_passes_it(monkeypatch):
+    """With the cap lowered to 16, a random subbase raises exactly when
+    its oracle closure has more than 16 opens.  One whose closure under
+    intersection alone has more raises in that pass, before any
+    ``Topology`` is built; the others that raise do so in the union
+    pass."""
+    monkeypatch.setattr(topology, "OPEN_CAP", 16)
+    built = []
+
+    def counted(universe, basis):
+        built.append(basis)
+        return Topology(universe, basis)
+
+    monkeypatch.setattr(topology, "Topology", counted)
+    rng = random.Random(29)
+    outcomes = set()
+    for _ in range(300):
+        universe, subbase = random_subbase(rng, rng.randint(4, 9),
+                                           rng.randint(2, 8))
+        full = (1 << len(universe)) - 1
+        sets = {universe.mask_of(s) for s in subbase}
+        expected = fixpoint_closure(sets, full)
+        outcome = (len(expected) > 16,
+                   len(intersections(expected, sets)) > 16)
+        outcomes.add(outcome)
+        built.clear()
+        if outcome[0]:
+            with pytest.raises(TopologyTooLarge,
+                               match="exceeded cap of 16$"):
+                generate_topology(universe, subbase)
+        else:
+            assert masks(generate_topology(universe, subbase)) == expected
+        assert len(built) == (not outcome[1])
+    assert outcomes == {(False, False), (True, False), (True, True)}
 
 
 def test_generation_is_idempotent():
