@@ -189,14 +189,9 @@ def _minimal_open_poset(sh: Sheaf) -> list[int]:
         for b in t.basis:
             if b.mask >> i & 1:
                 mask &= b.mask
-        u = t.find(mask)
-        if u is None:
-            raise IntersectionNotOpen(
-                "minimal neighborhoods must be open; the topology is not "
-                "intersection-closed"
-            )
-        if u.id not in nodes:
-            nodes.append(u.id)
+        oid = t.find(mask).id
+        if oid not in nodes:
+            nodes.append(oid)
     nodes.sort(key=lambda oid: (-t.opens[oid].size, oid))
     return nodes
 

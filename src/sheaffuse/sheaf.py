@@ -21,7 +21,6 @@ import numpy as np
 from . import spaces as sp
 from ._linalg import nullspace, numeric_rank
 from .errors import (
-    IntersectionNotOpen,
     MissingIntersectionStalk,
     NonlinearSheaf,
     NotComparable,
@@ -284,13 +283,7 @@ def _pullback(sh: Sheaf, mask: int) -> Pullback:
         for b in parts[i + 1:]:
             inter_mask = t.opens[a].mask & t.opens[b].mask
             if inter_mask:
-                inter = t.find(inter_mask)
-                if inter is None:
-                    raise IntersectionNotOpen(
-                        f"intersection of {t.opens[a]} and {t.opens[b]} "
-                        f"is not an open set"
-                    )
-                constraints.append((a, b, inter.id))
+                constraints.append((a, b, t.find(inter_mask).id))
     return Pullback(tuple(parts), offsets, dims, tuple(constraints))
 
 
@@ -310,7 +303,9 @@ class Sheaf:
         unless given.  `restrictions` is an iterable of RestrictionMap
         between comparable such opens (at least the covering pairs of
         the basis poset).  Raises MissingIntersectionStalk when a basis
-        open or the end of a restriction has no stalk."""
+        open or the end of a restriction has no stalk, and NotComparable
+        when no path of restrictions leads from a nonempty open with a
+        stalk to one inside it."""
         self.topology = topology
         self.stalks: dict[int, sp.ValueSpace] = {}
         for key, space in stalks.items():
@@ -319,8 +314,10 @@ class Sheaf:
         self.stalks.setdefault(topology.empty.id, sp.euclidean(0))
         missing = [b for b in topology.basis if b.id not in self.stalks]
         if missing:
+            rest = f" and {len(missing) - 8} more" if len(missing) > 8 else ""
             raise MissingIntersectionStalk(
-                "no stalk on basis opens: " + ", ".join(map(str, missing))
+                "no stalk on basis opens: "
+                + ", ".join(map(str, missing[:8])) + rest
             )
         self.edges: dict[tuple[int, int], RestrictionMap] = {}
         for rm in restrictions:
@@ -338,12 +335,14 @@ class Sheaf:
         # the composite restriction from each open with a stalk of its
         # own to every open its edges reach: one breadth-first pass per
         # source, edges in the order given, so each chain is the shortest
-        # edge path and ties go to the edge given first
+        # edge path and ties go to the edge given first; every native
+        # open inside the source must be reached
         out: dict[int, list[int]] = {}
         for a, b in self.edges:
             out.setdefault(a, []).append(b)
         self._chains: dict[tuple[int, int], Chain] = {}
-        for src in self.stalks:
+        native = [(oid, topology.opens[oid].mask) for oid in self.native_ids()]
+        for src in sorted(self.stalks):
             paths = {src: (src,)}
             frontier = [src]
             while frontier:
@@ -354,6 +353,13 @@ class Sheaf:
                             paths[b] = paths[a] + (b,)
                             reached.append(b)
                 frontier = reached
+            src_mask = topology.opens[src].mask
+            for dst, dst_mask in native:
+                if dst_mask & src_mask == dst_mask and dst not in paths:
+                    raise NotComparable(
+                        f"no restriction path from {topology.opens[src]} "
+                        f"to {topology.opens[dst]}; check the sheaf "
+                        f"specification")
             for dst, path in paths.items():
                 self._chains[(src, dst)] = Chain(
                     (self.edges[step].body for step in zip(path, path[1:])),
@@ -410,19 +416,6 @@ class Sheaf:
         if not self.is_linear():
             raise NonlinearSheaf(f"{what} requires a linear sheaf")
 
-    # -- composition through the basis poset --------------------------------
-
-    def _basis_chain(self, src: int, dst: int) -> Chain:
-        """Composite restriction between comparable native opens, read
-        from the chains built with the sheaf."""
-        try:
-            return self._chains[(src, dst)]
-        except KeyError:
-            raise NotComparable(
-                f"no restriction path from {self.topology.opens[src]} to "
-                f"{self.topology.opens[dst]}; check the sheaf specification"
-            ) from None
-
     # -- restriction ---------------------------------------------------------
 
     def _layout(self, oid: int) -> dict[int, tuple[int, int]]:
@@ -452,7 +445,7 @@ class Sheaf:
             for part_id, (lo, hi) in src_slices.items():
                 if b_mask & t.opens[part_id].mask == b_mask:
                     lo, hi, bodies = _narrow(
-                        lo, hi, self._basis_chain(part_id, b_id).bodies)
+                        lo, hi, self._chains[part_id, b_id].bodies)
                     blocks.append((lo, hi, dst_lo, dst_hi, bodies))
                     break
         compiled = Restriction(tuple(blocks), self.stalk(dst))

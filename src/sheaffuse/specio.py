@@ -315,8 +315,6 @@ def load_assignment(path, sh: Sheaf) -> Assignment:
                     u = t.open_for(names)
                 except KeyError as exc:
                     raise SpecError(f"{path}: {exc.args[0]}") from None
-                except SheafFuseError as exc:
-                    raise SpecError(f"{path}: open {key!r}: {exc}") from None
                 if u.id in lines:
                     raise SpecError(
                         f"{path}: the rows on lines {lines[u.id]} and "

@@ -1,10 +1,10 @@
 """Finite topologies on named entity sets.
 
 Open sets are bitsets over a fixed entity universe.  A topology is
-built from its basis by closing under arbitrary union;
-``generate_topology`` finds the basis of a subbase by closing it under
-pairwise intersection.  Each closure takes one pass per set, and each
-stops with TopologyTooLarge once it holds more than ``OPEN_CAP`` masks.
+built from any family of sets: its basis is the family closed under
+pairwise intersection, and its opens the basis closed under arbitrary
+union.  Each closure takes one pass per set, and each stops with
+TopologyTooLarge once it holds more than ``OPEN_CAP`` masks.
 """
 
 from __future__ import annotations
@@ -82,21 +82,27 @@ class OpenSet:
 
 
 class Topology:
-    """A finite topology: canonical opens, basis, and the inclusion order.
+    """The smallest topology in which the given sets are open.
 
-    The opens are every union of the basis sets, plus the empty set and
-    the whole universe, sorted by size and then bit pattern so that ids
-    are reproducible.  Raises TopologyTooLarge instead of truncating
-    when there would be more than ``OPEN_CAP`` of them.
+    Its basis is their closure under pairwise intersection, without the
+    empty set; its opens are every union of basis sets, plus the empty
+    set and the whole universe, sorted by size and then bit pattern so
+    that ids are reproducible.  Raises TopologyTooLarge instead of
+    truncating when either closure would hold more than ``OPEN_CAP``
+    masks.
     """
 
-    def __init__(self, universe: EntityUniverse, basis_masks: Iterable[int]):
+    def __init__(self, universe: EntityUniverse, sets: Iterable[int]):
         self.universe = universe
         full = (1 << len(universe)) - 1
-        basis = set(basis_masks) - {0}
+        closed: set[int] = set()
+        for s in set(sets):  # the intersections of the sets passed so far
+            closed = _capped(closed | {s & c for c in closed} | {s})
+        basis = sorted(closed - {0}, key=lambda m: (m.bit_count(), m))
         masks = {0, full}
         for b in basis:  # the unions of the basis opens passed so far
-            masks = _capped(masks | {m | b for m in masks})
+            if b not in masks:  # one in masks is a union already
+                masks = _capped(masks | {m | b for m in masks})
         ordered = sorted(masks, key=lambda m: (m.bit_count(), m))
         self.opens = tuple(
             OpenSet(m, i, universe) for i, m in enumerate(ordered)
@@ -104,17 +110,19 @@ class Topology:
         self._by_mask = {o.mask: o for o in self.opens}
         self.empty = self._by_mask[0]
         self.full = self._by_mask[full]
-        self.basis = tuple(
-            self._by_mask[m]
-            for m in sorted(basis, key=lambda m: (m.bit_count(), m))
-        )
+        self.basis = tuple(self._by_mask[m] for m in basis)
 
     def __len__(self) -> int:
         return len(self.opens)
 
     def open_for(self, entities: Iterable[str]) -> OpenSet:
-        """Look up the open set with exactly these members."""
-        mask = self.universe.mask_of(entities)
+        """Look up the open set with exactly these members; KeyError
+        naming the first unknown entity, or the set when it is not
+        open."""
+        try:
+            mask = self.universe.mask_of(entities)
+        except UnknownEntity as exc:
+            raise KeyError(str(exc)) from None
         try:
             return self._by_mask[mask]
         except KeyError:
@@ -139,14 +147,9 @@ def _capped(masks: set[int]) -> set[int]:
 
 def generate_topology(universe: EntityUniverse,
                       subbase: Iterable[Iterable[str]]) -> Topology:
-    """Smallest topology containing the subbase, whose basis is the
-    closure of the subbase under pairwise intersection.  Every basis
-    mask is an open, so a closure past ``OPEN_CAP`` raises at once."""
-    closed: set[int] = set()
-    for m in {universe.mask_of(names) for names in subbase}:
-        # the intersections of the subbase sets passed so far
-        closed = _capped(closed | {m & c for c in closed} | {m})
-    return Topology(universe, closed)
+    """Smallest topology containing the subbase, given as sets of
+    entity names."""
+    return Topology(universe, [universe.mask_of(names) for names in subbase])
 
 
 def comparable_pairs(t: Topology) -> list[tuple[OpenSet, OpenSet]]:

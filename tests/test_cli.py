@@ -148,6 +148,17 @@ def test_radius_unknown_open_exits_2(sar_files, tmp_path, capsys):
     assert "nope" in err
 
 
+def test_radius_row_for_a_set_that_is_not_open_exits_2(sar_files, tmp_path,
+                                                      capsys):
+    spec, _ = sar_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text("open_set,v0\nx,1.0\n")
+    assert main(["radius", str(spec), str(bad)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and \
+        err == f"input error: {bad}: {{x}} is not an open set\n"
+
+
 def test_radius_mis_sized_projection_exits_2(tmp_path, capsys):
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
@@ -192,6 +203,20 @@ def test_fuse_deterministic_reports(sar_files, capsys):
     assert "fused section" in first
     assert re.search(r"route: sqp  converged: True  evaluations: \d+\n",
                      first)
+
+
+def test_fuse_csv_reads_back_as_a_global_section(sar_files, tmp_path,
+                                                capsys):
+    """The fused assignment that ``fuse --csv`` writes for SAR case 1
+    reads back through ``radius`` as consistent up to rounding."""
+    spec, case1 = sar_files
+    fused = tmp_path / "fused.csv"
+    assert main(["fuse", str(spec), str(case1), "--csv", str(fused)]) == 0
+    assert capsys.readouterr().out.endswith(
+        f"fused assignment written to {fused}\n")
+    assert main(["radius", str(spec), str(fused)]) == 0
+    out = capsys.readouterr().out
+    assert float(re.search(r"consistency radius: (\S+)\n", out)[1]) <= 1e-6
 
 
 def test_fuse_strict_exit_on_iteration_cap(sar_files, capsys):
@@ -408,6 +433,16 @@ def obstacle_spec(tmp_path_factory):
     return (tmp / "obstacle_probability.json").read_text()
 
 
+@pytest.fixture(scope="module")
+def mosaic_spec(tmp_path_factory):
+    """The exported obstacle mosaic spec: subbase V1, V2, V1+V2, L+V1+V2
+    and R+V1+V2, a stalk on each, and restrictions V1+V2 -> V1, V1+V2 ->
+    V2, L+V1+V2 -> V1+V2 and R+V1+V2 -> V1+V2, in that order."""
+    tmp = tmp_path_factory.mktemp("mosaic")
+    assert main(["scenario", "obstacle", "--export", str(tmp)]) == 0
+    return tmp / "obstacle_mosaic.json"
+
+
 # restrictions 0-1 project V1+V2 onto V1 and V2; restriction 2 is a
 # 2x2 linear map from L+V1+V2 to V1+V2; stalk V1 is R^1; the whole
 # space L+R+V1+V2 has no stalk of its own
@@ -525,6 +560,73 @@ def test_cosingleton_subbase_exits_2_at_the_cap(sar_files, tmp_path, capsys,
                                  "count exceeded cap of 4096\n")
 
 
+# a spec entry or a cover naming an entity outside the spec's entities,
+# each with its error line; each exited 1 with "error: unknown entity"
+UNKNOWN_ENTITY = {
+    "stalk_key": (
+        ["check"], lambda d: d["stalks"].update(Q=d["stalks"].pop("V1")),
+        "open-set key 'Q' does not resolve in the generated topology"),
+    "restriction_to": (
+        ["check"], lambda d: d["restrictions"][0].update(to="0"),
+        "open-set key '0' does not resolve in the generated topology"),
+    "cover": (["cohomology", "--cover", "Q"], None, "unknown entity 'Q'"),
+    "cover_part": (["leray", "--cover", "L+Q"], None, "unknown entity 'Q'"),
+}
+
+
+@pytest.mark.parametrize("case", UNKNOWN_ENTITY)
+def test_unknown_entity_exits_2(mosaic_spec, tmp_path, capsys, case):
+    (command, *options), mutate, message = UNKNOWN_ENTITY[case]
+    data = json.loads(mosaic_spec.read_text())
+    if mutate:
+        mutate(data)
+    path = tmp_path / "mosaic.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path), *options]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"input error: {message}\n"
+
+
+def test_cover_set_that_is_not_open_exits_2(mosaic_spec, capsys):
+    assert main(["cohomology", str(mosaic_spec), "--cover", "L"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "input error: {L} is not an open set\n"
+
+
+@pytest.mark.parametrize("command", ["check", "cohomology", "leray"])
+def test_missing_restriction_path_exits_2_at_load(mosaic_spec, tmp_path,
+                                                  capsys, command):
+    """Without V1+V2 -> V1 no restriction path leads from {V1,V2} to
+    {V1}; ``check`` passed functoriality over 0 edge pairs and then
+    exited 1."""
+    data = json.loads(mosaic_spec.read_text())
+    data["restrictions"] = [r for r in data["restrictions"]
+                            if (r["from"], r["to"]) != ("V1+V2", "V1")]
+    path = tmp_path / "mosaic.json"
+    path.write_text(json.dumps(data))
+    assert main([command, str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("input error: no restriction path from "
+                                 "{V1,V2} to {V1}; check the sheaf "
+                                 "specification\n")
+
+
+def test_missing_basis_stalks_fit_one_short_line(tmp_path, capsys):
+    """12 sets that each miss one of 12 entities, and no stalks: 4,094
+    basis opens have none, and the line names the first 8."""
+    names = [f"e{i}" for i in range(12)]
+    path = tmp_path / "cosingletons.json"
+    path.write_text(json.dumps({
+        "entities": names,
+        "subbase": [[n for n in names if n != m] for m in names],
+        "stalks": {}, "restrictions": []}))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    first = ", ".join(f"{{e{i}}}" for i in range(8))
+    assert out == "" and err == \
+        f"input error: no stalk on basis opens: {first} and 4086 more\n"
+
+
 @pytest.mark.parametrize("command, degree", [
     ("cohomology", "-1"), ("cohomology", "-3"), ("leray", "-2"),
 ])
@@ -571,6 +673,17 @@ def test_leray_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] is True
     assert payload["tables_equal"] is True
+
+
+def test_leray_text_on_the_two_camera_cover(mosaic_spec, capsys):
+    assert main(["leray", str(mosaic_spec), "--cover", "L+V1+V2",
+                 "R+V1+V2"]) == 0
+    assert capsys.readouterr().out == (
+        "  {L,V1,V2}: acyclic\n"
+        "  {R,V1,V2}: acyclic\n"
+        "  {V1,V2}: acyclic\n"
+        "verdict: pass\n"
+        "cover betti [12, 0, 0] == topology betti [12, 0, 0]: True\n")
 
 
 def test_scenario_obstacle_and_coins_pass(capsys):

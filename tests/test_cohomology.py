@@ -271,22 +271,23 @@ def test_nonlinear_sheaf_rejected():
 
 
 def test_intersection_not_open_detected():
+    """A cover holding an open of another topology on the same entities:
+    {b} is open there but not in the sheaf's topology."""
     from sheaffuse import EntityUniverse, Identity, RestrictionMap, Sheaf
     from sheaffuse import euclidean as euc
     from sheaffuse.errors import IntersectionNotOpen
-    from sheaffuse.topology import Topology
 
     u = EntityUniverse(["a", "b", "c"])
-    # hand-built family that is not intersection-closed: {a,b} ^ {b,c}
-    # = {b} is missing
-    ab, bc = u.mask_of(["a", "b"]), u.mask_of(["b", "c"])
-    t = Topology(u, [ab, bc])
-    sh = Sheaf(t, {t.find(ab): euc(1), t.find(bc): euc(1),
-                   t.full: euc(1), t.empty: euc(0)},
-               [RestrictionMap(t.full, t.find(ab), Identity()),
-                RestrictionMap(t.full, t.find(bc), Identity())])
-    with pytest.raises(IntersectionNotOpen):
-        build_complex(sh, Cover((t.find(ab), t.find(bc))), 1)
+    t = generate_topology(u, [("a", "b"), ("a", "c")])
+    ab, ac, a = (t.open_for(names) for names in (["a", "b"], ["a", "c"],
+                                                 ["a"]))
+    sh = Sheaf(t, {ab: euc(1), ac: euc(1), a: euc(1)},
+               [RestrictionMap(ab, a, Identity()),
+                RestrictionMap(ac, a, Identity())])
+    other = generate_topology(u, [("b",)])
+    with pytest.raises(IntersectionNotOpen,
+                       match=r"intersection of \{b\} is not an open set"):
+        build_complex(sh, Cover((ab, other.open_for(["b"]))), 1)
 
 
 def test_h0_equals_brute_force_sections():

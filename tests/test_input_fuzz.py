@@ -1,7 +1,8 @@
 """Fuzzing of the input boundary: mutated sheaf specs and assignment
 CSVs run through ``sheafctl``.  Whatever the input, a run ends with an
 exit code in 0-3, never a traceback, and a failing run says why on one
-``input error:`` (exit 2) or ``error:`` (exit 1) line."""
+``input error:`` (exit 2) or ``error:`` (exit 1) line.  A spec whose
+last mutation renamed an entry to a name outside its entities exits 2."""
 
 import contextlib
 import csv
@@ -72,14 +73,48 @@ def _cosingletons(data, k):
                          for i in range(k)])
 
 
+def _rename(data, number):
+    """Rename one stalk key, or one restriction's "from" or "to", picked
+    by ``number``, to a name outside the entities; False when the spec
+    has no such entry to rename."""
+    if not isinstance(data, dict):
+        return False
+    entities = data.get("entities")
+    name = "outside"
+    while isinstance(entities, list) and name in entities:
+        name += "_"
+    stalks = data.get("stalks")
+    keys = list(stalks) if isinstance(stalks, dict) else []
+    entries = data.get("restrictions")
+    ends = [(entry, end) for entry in
+            (entries if isinstance(entries, list) else [])
+            if isinstance(entry, dict) for end in ("from", "to")]
+    if not keys + ends:
+        return False
+    number %= len(keys) + len(ends)
+    if number < len(keys):
+        stalks[name] = stalks.pop(keys[number])
+    else:
+        entry, end = ends[number - len(keys)]
+        entry[end] = name
+    return True
+
+
 def _mutate(data, mutations):
     """Apply (path number, op, value) mutations in turn; a path number
     picks one node of the current tree, counted in ``_paths`` order,
-    except for "cosingletons", where it picks k in 0-30."""
+    except for "cosingletons", where it picks k in 0-30, and "rename",
+    where it picks the entry to rename.  Returns the spec and whether
+    the last mutation renamed an entry."""
+    renamed = False
     for number, op, value in mutations:
+        renamed = False
         if op == "cosingletons":
             if isinstance(data, dict):
                 data = _cosingletons(data, number % 31)
+            continue
+        if op == "rename":
+            renamed = _rename(data, number)
             continue
         paths = list(_paths(data))
         path = paths[number % len(paths)]
@@ -96,7 +131,7 @@ def _mutate(data, mutations):
             parent[key] = value
         elif isinstance(parent, list):  # "duplicate"
             parent.insert(key, parent[key])
-    return data
+    return data, renamed
 
 
 def _run(argv):
@@ -136,7 +171,7 @@ json_values = st.recursive(
 spec_mutations = st.lists(
     st.tuples(st.integers(0, 10**6),
               st.sampled_from(["replace", "delete", "duplicate",
-                               "cosingletons"]),
+                               "cosingletons", "rename"]),
               json_values),
     min_size=1, max_size=3)
 
@@ -203,7 +238,7 @@ SPEC_COMMANDS = [
        command=st.sampled_from(SPEC_COMMANDS))
 def test_mutated_spec_never_raises(files, name, mutations, command):
     tmp, _ = files
-    data = _mutate(json.loads(SPECS[name]), mutations)
+    data, renamed = _mutate(json.loads(SPECS[name]), mutations)
     spec = tmp / "spec.json"
     spec.write_text(json.dumps(data))
     verb, *options = command
@@ -212,7 +247,8 @@ def test_mutated_spec_never_raises(files, name, mutations, command):
             options.insert(0, str(tmp / "sar_case1.csv"))
         else:
             verb, *options = SPEC_COMMANDS[0]
-    _run([verb, str(spec), *options])
+    code, _ = _run([verb, str(spec), *options])
+    assert code == 2 or not renamed
 
 
 cells = st.one_of(

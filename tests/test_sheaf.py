@@ -1,5 +1,6 @@
 import functools
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -40,7 +41,6 @@ from sheaffuse import (
     verify_gluing,
 )
 from sheaffuse.errors import (
-    IntersectionNotOpen,
     MissingIntersectionStalk,
     NonlinearSheaf,
     NotComparable,
@@ -228,23 +228,58 @@ def restriction_fixtures(rng, linear, products):
     return sheaves + [random_product_sheaf(rng) for _ in range(products)]
 
 
+def first_unjoined(sh):
+    """The per-pair search's NotComparable text for the first pair, by
+    source id and then target id, of nonempty opens with a stalk, the
+    target inside the source, that no edge path joins; None when every
+    such pair is joined."""
+    t = sh.topology
+    native = [oid for oid in sorted(sh.stalks) if t.opens[oid].mask]
+    for src in native:
+        for dst in native:
+            if t.opens[dst].mask & t.opens[src].mask == t.opens[dst].mask:
+                try:
+                    reference_basis_chain(sh, src, dst)
+                except NotComparable as exc:
+                    return str(exc)
+    return None
+
+
 def test_chains_built_with_the_sheaf_match_the_per_pair_search():
     """Between every ordered pair of opens with a stalk, the empty open
     included, the sheaf's chain is the path a breadth-first search per
-    pair finds, and NotComparable with the same text where it finds
-    none."""
+    pair finds, and there is none where it finds none.  With one edge
+    dropped, a sheaf is built exactly when the search still joins every
+    such pair of nonempty opens, the target inside the source, and
+    otherwise raises the search's NotComparable for the first pair."""
+    rng = random.Random(41)
+    outcomes = set()
     for sh in restriction_fixtures(random.Random(23), 400, 100):
         for src in sh.stalks:
             for dst in sh.stalks:
                 try:
                     want = reference_basis_chain(sh, src, dst)
-                except NotComparable as exc:
-                    with pytest.raises(NotComparable) as got:
-                        sh._basis_chain(src, dst)
-                    assert str(got.value) == str(exc)
+                except NotComparable:
+                    assert (src, dst) not in sh._chains
                     continue
-                got = sh._basis_chain(src, dst)
+                got = sh._chains[src, dst]
                 assert (got.path, got.bodies) == (want.path, want.bodies)
+        kept = list(sh.edges.values())
+        if not kept:
+            continue
+        del kept[rng.randrange(len(kept))]
+        pruned = SimpleNamespace(
+            topology=sh.topology, stalks=sh.stalks,
+            edges={(rm.source.id, rm.target.id): rm for rm in kept})
+        want = first_unjoined(pruned)
+        outcomes.add(want is None)
+        if want is None:
+            Sheaf(sh.topology, sh.stalks, kept)
+            continue
+        with pytest.raises(NotComparable) as got:
+            Sheaf(sh.topology, sh.stalks, kept)
+        assert str(got.value) == want
+    assert outcomes == {True, False}
 
 
 def test_functoriality_vacuous_on_single_chain():
@@ -473,15 +508,17 @@ def test_missing_basis_stalk_raises_at_construction():
                   t.open_for(["q", "r"]): euclidean(2)}, [])
 
 
-def test_pullback_over_intersection_that_is_not_open_raises():
+def test_sheaf_on_a_family_missing_an_intersection_needs_its_stalk():
     """A hand-built family that is not intersection-closed: {a,b} ^
-    {b,c} = {b} is missing, so the whole space has no pullback."""
+    {b,c} = {b} becomes a basis open of its topology, so a sheaf with
+    no stalk there is refused when it is built."""
     u = EntityUniverse(["a", "b", "c"])
     ab, bc = u.mask_of(["a", "b"]), u.mask_of(["b", "c"])
     t = Topology(u, [ab, bc])
-    sh = Sheaf(t, {t.find(ab): euclidean(1), t.find(bc): euclidean(1)}, [])
-    with pytest.raises(IntersectionNotOpen, match=r"\{a,b\} and \{b,c\}"):
-        sh.pullback(t.full.id)
+    assert [b.mask for b in t.basis] == [u.mask_of(["b"]), ab, bc]
+    with pytest.raises(MissingIntersectionStalk,
+                       match=r"no stalk on basis opens: \{b\}$"):
+        Sheaf(t, {t.find(ab): euclidean(1), t.find(bc): euclidean(1)}, [])
 
 
 def test_pullback_open_containing_native_union_lists_it_as_part():

@@ -107,20 +107,42 @@ def test_generation_matches_fixpoint_closure_oracle():
         assert all(t.opens[b.id] is b for b in t.basis)
 
 
+def test_topology_closes_a_family_that_is_not_intersection_closed():
+    """``Topology`` given masks builds the smallest topology holding
+    them: random families of up to 9 entities, over a hundred of them
+    missing some intersection, gain it as a basis open."""
+    rng = random.Random(31)
+    not_closed = 0
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        universe = EntityUniverse([f"e{i}" for i in range(n)])
+        sets = {rng.randrange(1 << n) for _ in range(rng.randint(0, 7))}
+        full = (1 << n) - 1
+        expected = fixpoint_closure(sets, full)
+        t = Topology(universe, sets)
+        assert [(o.mask, o.id) for o in t.opens] == \
+            list(zip(by_size(expected), range(len(expected))))
+        assert [b.mask for b in t.basis] == \
+            by_size(intersections(expected, sets) - {0})
+        not_closed += not intersections(expected, sets) - {0} <= sets
+    assert not_closed > 100
+
+
 def test_cap_raises_exactly_when_the_closure_passes_it(monkeypatch):
     """With the cap lowered to 16, a random subbase raises exactly when
     its oracle closure has more than 16 opens.  One whose closure under
-    intersection alone has more raises in that pass, before any
-    ``Topology`` is built; the others that raise do so in the union
-    pass."""
+    intersection alone has more raises in that closure's passes, one a
+    distinct subbase set; the others that raise do so in a union pass,
+    after all of those."""
     monkeypatch.setattr(topology, "OPEN_CAP", 16)
-    built = []
+    passes = []
+    capped = topology._capped
 
-    def counted(universe, basis):
-        built.append(basis)
-        return Topology(universe, basis)
+    def counted(masks):
+        passes.append(len(masks))
+        return capped(masks)
 
-    monkeypatch.setattr(topology, "Topology", counted)
+    monkeypatch.setattr(topology, "_capped", counted)
     rng = random.Random(29)
     outcomes = set()
     for _ in range(300):
@@ -132,14 +154,15 @@ def test_cap_raises_exactly_when_the_closure_passes_it(monkeypatch):
         outcome = (len(expected) > 16,
                    len(intersections(expected, sets)) > 16)
         outcomes.add(outcome)
-        built.clear()
+        passes.clear()
         if outcome[0]:
             with pytest.raises(TopologyTooLarge,
                                match="exceeded cap of 16$"):
                 generate_topology(universe, subbase)
+            assert passes[-1] > 16
+            assert (len(passes) <= len(sets)) == outcome[1]
         else:
             assert masks(generate_topology(universe, subbase)) == expected
-        assert len(built) == (not outcome[1])
     assert outcomes == {(False, False), (True, False), (True, True)}
 
 
