@@ -38,7 +38,7 @@ from .specio import (
     save_edge_report,
     save_sheaf,
 )
-from .topology import verify_topology
+from .topology import verify_basis
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -62,9 +62,7 @@ def _at_least(flag: str, value: int, least: int):
 def cmd_check(args) -> int:
     _at_least("--samples", args.samples, 1)
     sh, spec = load_sheaf(args.spec)
-    t = sh.topology
-    topo_report = verify_topology(t.universe,
-                                  [o.members for o in t.opens])
+    topo_report = verify_basis(sh.topology)
     print(topo_report)
     func_report = verify_functoriality(sh, samples=args.samples)
     print(func_report)

@@ -13,7 +13,14 @@ import numpy as np
 from . import spaces as sp
 from ._linalg import numeric_rank, nullspace
 from .errors import IntersectionNotOpen, UnmappedBin
-from .sheaf import Linear, Projection, RestrictionMap, Sheaf, batch_call
+from .sheaf import (
+    Builtin,
+    Linear,
+    Projection,
+    RestrictionMap,
+    Sheaf,
+    batch_call,
+)
 from .topology import EntityUniverse, OpenSet, Topology
 
 DD_TOL = 1e-10
@@ -356,13 +363,19 @@ class BinGrid:
             n *= s
         return n
 
-    def cell_samples(self, subdivisions: int, per_chunk: int):
+    def cell_samples(self, subdivisions: int, per_chunk: int, axes=None):
         """The midpoints of a regular subdivision of every cell, cells in
         row-major order and ``per_chunk`` whole cells at a time: yields
         (cells, points), where ``cells`` is a range of flat cell indices
         and ``points`` holds their samples as rows, cell by cell, and
-        within a cell in row-major order of the subdivision."""
-        d, shape = len(self.edges), self.shape
+        within a cell in row-major order of the subdivision.  With
+        ``axes``, distinct and increasing, the cells are those of the
+        grid of those axes alone, and the points hold NaN on the other
+        axes."""
+        d = len(self.edges)
+        axes = range(d) if axes is None else axes
+        shape = [self.shape[ax] for ax in axes]
+        size = math.prod(shape)
         mids = []
         for edge in self.edges:
             per_bin = []
@@ -371,14 +384,15 @@ class BinGrid:
                 per_bin.append([lo + (j + 0.5) * step
                                 for j in range(subdivisions)])
             mids.append(np.array(per_bin))
-        for start in range(0, self.size, per_chunk):
-            cells = range(start, min(start + per_chunk, self.size))
+        for start in range(0, size, per_chunk):
+            cells = range(start, min(start + per_chunk, size))
             cell = np.arange(cells.start, cells.stop)
-            out = np.empty((len(cells),) + (subdivisions,) * d + (d,))
-            for ax in range(d):
-                view = [len(cells)] + [1] * d
-                view[1 + ax] = subdivisions
-                c = cell // math.prod(shape[ax + 1:]) % shape[ax]
+            out = np.full((len(cells),) + (subdivisions,) * len(axes) + (d,),
+                          np.nan)
+            for pos, ax in enumerate(axes):
+                view = [len(cells)] + [1] * len(axes)
+                view[1 + pos] = subdivisions
+                c = cell // math.prod(shape[pos + 1:]) % shape[pos]
                 out[..., ax] = mids[ax][c].reshape(view)
             yield cells, out.reshape(-1, d)
 
@@ -526,38 +540,20 @@ def stochastic_lift(f, bins_domain, bins_codomain,
     return m / subdivisions ** len(bins_domain.edges)
 
 
-def _kept_axes(body, grid: BinGrid) -> list[int] | None:
-    """The distinct axes of ``grid`` that a Projection keeps, in domain
-    order; None for any other body, or for a projection that keeps no
-    axis or names one the grid lacks."""
-    if not isinstance(body, Projection):
+def _read_axes(body, grid: BinGrid) -> tuple[int, ...] | None:
+    """The distinct axes of ``grid`` that ``body`` reads, in domain
+    order: a Projection's kept indices, a Builtin's declared ``reads``;
+    None for any other body, or for one that reads no axis or names one
+    the grid lacks."""
+    if isinstance(body, Projection):
+        axes = body.indices
+    elif isinstance(body, Builtin) and body.reads is not None:
+        axes = body.reads
+    else:
         return None
-    kept = sorted(set(body.indices))
-    return kept if kept and 0 <= kept[0] and kept[-1] < len(grid.edges) \
+    axes = tuple(sorted(set(axes)))
+    return axes if axes and 0 <= axes[0] and axes[-1] < len(grid.edges) \
         else None
-
-
-def _projection_lift(body: Projection, kept: list[int], grid_in: BinGrid,
-                     grid_out: BinGrid) -> np.ndarray:
-    """``stochastic_lift`` of a projection at LIFT_SUBDIVISIONS, from
-    the sub-grid of its ``kept`` axes alone, bit for bit.
-
-    A domain cell's samples repeat each sample of its cell in the kept
-    axes a = LIFT_SUBDIVISIONS ** (dropped axes) times, so its column
-    holds c a / (a b) where the sub-grid's holds c / b: quotients of
-    the same rational, which round alike.  Each domain cell takes the
-    column of its cell in the kept axes.  A failure is found again on
-    the full grid, so that its error names the same sample.
-    """
-    sub = BinGrid(tuple(grid_in.edges[ax] for ax in kept))
-    position = {ax: k for k, ax in enumerate(kept)}
-    try:
-        m = stochastic_lift(Projection([position[i] for i in body.indices]),
-                            sub, grid_out, LIFT_SUBDIVISIONS)
-    except UnmappedBin:
-        return stochastic_lift(body, grid_in, grid_out, LIFT_SUBDIVISIONS)
-    cell = np.unravel_index(np.arange(grid_in.size), grid_in.shape)
-    return m[:, np.ravel_multi_index([cell[ax] for ax in kept], sub.shape)]
 
 
 def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
@@ -568,9 +564,21 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
     ``grids`` maps the ids in ``sh.native_ids()`` to BinGrid instances
     matching the stalk dimensions.  Each edge's matrix equals
     ``stochastic_lift(body, grids[src], grids[dst], LIFT_SUBDIVISIONS)``
-    bit for bit, but each source grid is sampled once for all its
-    edges, and a projection only on the axes it keeps.  When edges
-    fail, the first failing one in ``sh.edges`` raises its error.
+    bit for bit, but each body is lifted from the sub-grid of the axes
+    it reads (``_read_axes``; all of them when it declares none), and
+    each sub-grid is sampled once for all the edges that read it.  When
+    edges fail, the first failing one in ``sh.edges`` raises its error.
+
+    A sub-grid's samples go to the body embedded in the source
+    dimension, NaN on the axes it does not read.  A domain cell's
+    samples repeat each sample of its cell in the read axes a =
+    LIFT_SUBDIVISIONS ** (unread axes) times, so its column holds
+    c a / (a b) where the sub-grid's holds c / b: quotients of the same
+    rational, which round alike.  Each domain cell takes the column of
+    its cell in the read axes.  An edge whose sub-lift fails is lifted
+    again on the full grid, so that its error names the same sample,
+    and a body that computes with an axis it did not declare, whose
+    images the NaN leaves not finite, gets the full lift.
     """
     t = sh.topology
     stalks = {}
@@ -589,34 +597,49 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
                 f"(cap {MAX_STALK_BINS}); use fewer bins per axis"
             )
         stalks[oid] = sp.simplex(grid.size)
+    by_reads = {}
+    for (src, dst), rm in sh.edges.items():
+        axes = _read_axes(rm.body, grids[src]) or \
+            tuple(range(len(grids[src].edges)))
+        by_reads.setdefault((src, axes), []).append((src, dst))
     # any error a body raises is held and raised in edge order, as a
     # loop over the edges one at a time would raise it
-    matrices, failed, by_source = {}, {}, {}
-    for (src, dst), rm in sh.edges.items():
-        kept = _kept_axes(rm.body, grids[src])
-        if kept is None:
-            by_source.setdefault(src, []).append((src, dst))
-            matrices[src, dst] = np.zeros((grids[dst].size, grids[src].size))
-            continue
-        try:
-            matrices[src, dst] = _projection_lift(rm.body, kept,
-                                                  grids[src], grids[dst])
-        except Exception as exc:
-            failed[src, dst] = exc
-    for src, keys in by_source.items():
+    matrices, failed = {}, {}
+    for (src, axes), keys in by_reads.items():
         grid = grids[src]
+        whole = len(axes) == len(grid.edges)
+        sub = grid if whole else BinGrid(tuple(grid.edges[ax]
+                                               for ax in axes))
+        for key in keys:
+            matrices[key] = np.zeros((grids[key[1]].size, sub.size))
         for cells, points in grid.cell_samples(
-                LIFT_SUBDIVISIONS, _chunk_cells(grid, LIFT_SUBDIVISIONS)):
+                LIFT_SUBDIVISIONS, _chunk_cells(sub, LIFT_SUBDIVISIONS),
+                axes):
             for key in keys:
                 if key in failed:
                     continue
                 try:
-                    _lift_chunk(sh.edges[key].body, cells, points, grid,
+                    _lift_chunk(sh.edges[key].body, cells, points, sub,
                                 grids[key[1]], matrices[key])
                 except Exception as exc:
                     failed[key] = exc
+        if not whole:  # each cell's column in the read axes
+            cell = np.unravel_index(np.arange(grid.size), grid.shape)
+            column = np.ravel_multi_index([cell[ax] for ax in axes],
+                                          sub.shape)
         for key in keys:
-            matrices[key] /= LIFT_SUBDIVISIONS ** len(grid.edges)
+            if key not in failed:
+                matrices[key] /= LIFT_SUBDIVISIONS ** len(axes)
+                if not whole:
+                    matrices[key] = matrices[key][:, column]
+            elif not whole:
+                del failed[key]
+                try:
+                    matrices[key] = stochastic_lift(
+                        sh.edges[key].body, grid, grids[key[1]],
+                        LIFT_SUBDIVISIONS)
+                except Exception as exc:
+                    failed[key] = exc
     for key in sh.edges:
         if key in failed:
             raise failed[key]

@@ -54,6 +54,9 @@ BARRIER_STEPS = 2
 BARRIER_GROWTH = 10.0
 # the barrier route centres each stage until lam^2 / 2 <= CENTRED
 CENTRED = 5e-3
+# the sqp route's start skips backtracking trials past the first
+# group's closed-form crossing of s times 1 + STEP_MARGIN
+STEP_MARGIN = 1e-8
 # The sqp route takes forward differences with steps of FD_STEP times
 # each coordinate's size (at least 1), keeps a step when the largest
 # distance falls by at least ARMIJO times the decrease the linear model
@@ -380,6 +383,21 @@ def _central_point(groups: _Groups, x: np.ndarray,
         grad_y = grad[:n] + l1.T @ (low - high) - floor.T @ above
         return step[:n + 1], du, grad_y @ dy + grad[n] * ds + grad_u @ du
 
+    def largest_step(e, q, s, step):
+        """The step size at which the first group's q_g meets s along
+        ``step``, less a relative margin for rounding: q_g - s is the
+        quadratic a2 size^2 + a1 size - (s - q_g), negative at 0, and
+        the root is taken in the form without cancellation."""
+        rd = rows @ step[:n]
+        a2 = member.T @ (rd * rd)
+        a1 = 2.0 * (member.T @ (e * rd)) - step[n]
+        gap = s - q
+        disc = np.sqrt(a1 * a1 + 4.0 * a2 * gap)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            root = np.where(a1 >= 0.0, 2.0 * gap / (a1 + disc),
+                            (disc - a1) / (2.0 * a2))
+        return float(root.min()) * (1.0 + STEP_MARGIN)
+
     y, u = np.zeros(n), np.abs(l1_offset) if bounded else np.zeros(0)
     u += u.mean() if u.any() else 1.0
     e, f, l, q = at(y, u)
@@ -388,6 +406,7 @@ def _central_point(groups: _Groups, x: np.ndarray,
     s = 1.25 * q.max()
     tau = float(np.sum(1.0 / (s - q)))
     hess, grad, du = np.empty((n + 1, n + 1)), np.empty(n + 1), 0.0 * u
+    limit = math.inf  # the bounded step's trials are all evaluated
     steps, evaluations, bound = 0, 0, 0.0
     for _ in range(BARRIER_STAGES if opts is None
                    else opts.max_iterations + 1):
@@ -412,6 +431,7 @@ def _central_point(groups: _Groups, x: np.ndarray,
                 if not np.all(np.isfinite(step)):
                     return None
                 slope = grad @ step
+                limit = largest_step(e, q, s, step)
             else:
                 found = bounded_step(w, dq)
                 if found is None:
@@ -422,6 +442,9 @@ def _central_point(groups: _Groups, x: np.ndarray,
                     break
             size = 1.0
             while size >= 1e-12:
+                if size >= limit:  # outside the domain: no need to look
+                    size *= 0.5
+                    continue
                 y_n, s_n = y + size * step[:n], s + size * step[n]
                 u_n = u + size * du if bounded else u
                 e_n, f_n, l_n, q_n = at(y_n, u_n)

@@ -224,12 +224,14 @@ def _dead_reckon_batch(p):
     return lambda states: np.column_stack(point(states.T))
 
 
+# the state maps never read the altitude z, axis 2 of the state
+_STATE_READS = (0, 1, 3, 4, 5)
 register_builtin("bearing_and_time_of_state", _bearing_time_factory,
-                 _bearing_time_batch)
+                 _bearing_time_batch, reads=_STATE_READS)
 register_builtin("bearing_of_detection", _bearing_of_detection_factory,
                  _bearing_of_detection_batch)
 register_builtin("dead_reckon_state", _dead_reckon_factory,
-                 _dead_reckon_batch)
+                 _dead_reckon_batch, reads=_STATE_READS)
 
 
 def build_sar_topology() -> Topology:

@@ -123,13 +123,16 @@ class Affine:
 class Builtin:
     """Named map from the registered catalog (e.g. scenario geometry).
     ``batch_fn``, when given, maps an (n, d) array to an (n, k) array;
-    without it ``batch`` calls ``fn`` once per row."""
+    without it ``batch`` calls ``fn`` once per row.  ``reads``, when
+    given, names the input coordinates the map reads; None means every
+    one."""
 
-    def __init__(self, name, fn, params=None, batch_fn=None):
+    def __init__(self, name, fn, params=None, batch_fn=None, reads=None):
         self.name = name
         self.fn = fn
         self.params = dict(params or {})
         self.batch_fn = batch_fn
+        self.reads = None if reads is None else tuple(reads)
 
     def __call__(self, coords):
         return tuple(self.fn(coords))
@@ -177,7 +180,7 @@ class Chain:
 BUILTIN_CATALOG: dict = {}
 
 
-def register_builtin(name, factory, batch=None):
+def register_builtin(name, factory, batch=None, reads=None):
     """Register a factory(params) -> callable for JSON-spec restrictions.
 
     The callable maps one point, a tuple of Python floats, to a tuple.
@@ -185,18 +188,25 @@ def register_builtin(name, factory, batch=None):
     the rows of an (n, d) float array to an (n, k) array and agrees
     with the point callable row by row; stochastic lifts push whole
     sample arrays through it.  Without it a lift calls the point
-    callable once per sample point."""
-    BUILTIN_CATALOG[name] = (factory, batch)
+    callable once per sample point.
+
+    ``reads``, when given, lists the input coordinates the callable
+    reads: its output must not change, in any bit, when another
+    coordinate does.  A lift then samples only those axes.  None means
+    it reads every coordinate.  Loading a spec checks both halves: each
+    index lies in the source stalk, and the output on a sample point is
+    the same with every other coordinate replaced."""
+    BUILTIN_CATALOG[name] = (factory, batch, reads)
 
 
 def resolve_builtin(name, params=None) -> Builtin:
     try:
-        factory, batch = BUILTIN_CATALOG[name]
+        factory, batch, reads = BUILTIN_CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown builtin restriction {name!r}") from None
     params = dict(params or {})
     return Builtin(name, factory(dict(params)), params,
-                   None if batch is None else batch(dict(params)))
+                   None if batch is None else batch(dict(params)), reads)
 
 
 @dataclass(frozen=True)

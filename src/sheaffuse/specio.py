@@ -159,16 +159,34 @@ def _check_builtin(body: Builtin, src: sp.ValueSpace, dst_dim: int,
     """Reject a builtin that cannot map a sample of the source stalk,
     drawn from a fixed seed, to ``dst_dim`` numbers: its params or the
     stalks do not fit the code it names, which would otherwise fail only
-    when something first restricts along it."""
-    point = sp.sample_point(src, random.Random(0))
-    try:
-        out = [float(v) for v in body(point.coords)]
-    except Exception as exc:  # the builtin is arbitrary registered code
-        raise SpecError(f"{where}: builtin {body.name!r} fails on a point "
-                        f"of the source stalk: {exc!r}") from None
-    if len(out) != dst_dim:
-        raise SpecError(f"{where}: builtin {body.name!r} gives {len(out)} "
-                        f"coordinates, the target stalk has {dst_dim}")
+    when something first restricts along it.  Reject too a ``reads``
+    index outside the source, and a builtin whose output changes when
+    the coordinates it does not declare in ``reads`` take those of a
+    second sample, since a lift reads no more than ``reads``."""
+    points = [sp.sample_point(src, random.Random(0)).coords]
+    if body.reads is not None:
+        if not all(0 <= i < src.dim for i in body.reads):
+            raise SpecError(f"{where}: builtin {body.name!r} reads "
+                            f"coordinates {list(body.reads)}, which must "
+                            f"lie in [0, {src.dim})")
+        other = sp.sample_point(src, random.Random(1)).coords
+        points.append(tuple(v if i in body.reads else other[i]
+                            for i, v in enumerate(points[0])))
+    outs = []
+    for p in points:
+        try:
+            outs.append([float(v) for v in body(p)])
+        except Exception as exc:  # the builtin is arbitrary registered code
+            raise SpecError(f"{where}: builtin {body.name!r} fails on a "
+                            f"point of the source stalk: {exc!r}") from None
+    if len(outs[0]) != dst_dim:
+        raise SpecError(f"{where}: builtin {body.name!r} gives "
+                        f"{len(outs[0])} coordinates, the target stalk has "
+                        f"{dst_dim}")
+    if [v.hex() for v in outs[0]] != [v.hex() for v in outs[-1]]:
+        raise SpecError(f"{where}: builtin {body.name!r} declares it reads "
+                        f"coordinates {list(body.reads)}, but its output "
+                        f"changes with the others")
 
 
 # -- sheaf specs --------------------------------------------------------------

@@ -23,6 +23,7 @@ from sheaffuse import (
 from sheaffuse.cli import main
 from sheaffuse.cohomology import Cover
 from sheaffuse.scenarios import build_sar_sheaf, sar_case_assignment
+from sheaffuse.sheaf import BUILTIN_CATALOG, register_builtin
 from sheaffuse.specio import (
     SpecError,
     load_assignment,
@@ -363,6 +364,44 @@ def test_cohomology_lift_at_three_bins(sar_files, capsys):
     assert payload["betti"] == [725, -4, 0]
     assert payload["dd_residual"] == pytest.approx(0.7572016460905349,
                                                    rel=1e-12)
+
+
+# builtins in place of SAR's dead_reckon_state, (x, y, z, vx, vy, t) ->
+# 2 coordinates, whose ``reads`` a spec load rejects, with its message
+BAD_READS = {
+    "undeclared": ((0, 1, 3, 4, 5), "declares it reads coordinates "
+                   "[0, 1, 3, 4, 5], but its output changes with the "
+                   "others"),
+    "outside": ((0, 1, 6), "reads coordinates [0, 1, 6], which must lie "
+                "in [0, 6)"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "radius", "fuse"])
+@pytest.mark.parametrize("case", BAD_READS)
+def test_builtin_reads_are_checked_at_load(sar_files, tmp_path, capsys,
+                                           case, command):
+    """The builtin reads the altitude, coordinate 2, as well."""
+    reads, message = BAD_READS[case]
+    register_builtin("test_peek", lambda params: (
+        lambda s: (s[0] + 0.5 * s[2], s[1])), reads=reads)
+    try:
+        spec, case1 = sar_files
+        data = json.loads(spec.read_text())
+        (entry,) = [r for r in data["restrictions"]
+                    if r.get("name") == "dead_reckon_state"]
+        entry.update(name="test_peek", params={})
+        path = tmp_path / "peek.json"
+        path.write_text(json.dumps(data))
+        argv = [command, str(path)] + ([] if command == "check"
+                                       else [str(case1)])
+        assert main(argv) == 2
+    finally:
+        del BUILTIN_CATALOG["test_peek"]
+    out, err = capsys.readouterr()
+    assert out == "" and err == (
+        f"input error: restriction s+t+theta1+theta2+vx+vy+x+y+z -> "
+        f"s+theta1+theta2: builtin 'test_peek' {message}\n")
 
 
 @pytest.mark.parametrize("bins", ["-1", "0"])

@@ -47,10 +47,8 @@ from sheaffuse.cohomology import (
     LIFT_SUBDIVISIONS,
     _betti_table,
     _chunk_cells,
-    _kept_axes,
     _lift_chunk,
     _minimal_open_poset,
-    _projection_lift,
     lift_sheaf,
     restrict_sheaf,
     topology_betti,
@@ -935,6 +933,78 @@ def test_lift_sheaf_matches_the_per_edge_loop_on_random_sheaves():
     assert projections > 0
 
 
+def test_cell_samples_of_some_axes_embed_the_sub_grid_samples():
+    """The samples of a grid's cells in some axes are those of the grid
+    of those axes alone, with NaN on every other axis, chunk by chunk."""
+    rng = random.Random(137)
+    for _ in range(100):
+        grid = random_grid(rng, rng.randint(1, 4))
+        d = len(grid.edges)
+        axes = sorted(rng.sample(range(d), rng.randint(1, d)))
+        sub = BinGrid(tuple(grid.edges[ax] for ax in axes))
+        subdivisions, per_chunk = rng.randint(1, 3), rng.randint(1, 5)
+        got = list(grid.cell_samples(subdivisions, per_chunk, axes))
+        want = list(sub.cell_samples(subdivisions, per_chunk))
+        assert [cells for cells, _ in got] == [cells for cells, _ in want]
+        for (_, points), (_, sub_points) in zip(got, want):
+            assert points.shape == (len(sub_points), d)
+            assert np.array_equal(points[:, axes], sub_points)
+            others = [ax for ax in range(d) if ax not in axes]
+            assert np.isnan(points[:, others]).all()
+
+
+def lift_one(body, grid_in, grid_out):
+    """``lift_sheaf``'s matrix for the one edge of a sheaf whose source
+    stalk is binned by ``grid_in`` and whose target by ``grid_out``."""
+    t = generate_topology(EntityUniverse(["a", "b"]), [("a", "b"), ("a",)])
+    x, v = t.full, t.open_for(["a"])
+    sh = Sheaf(t, {x: euclidean(len(grid_in.edges)),
+                   v: euclidean(len(grid_out.edges))},
+               [RestrictionMap(x, v, body)])
+    return lift_sheaf(sh, {x.id: grid_in, v.id: grid_out}) \
+        .edges[x.id, v.id].body.mat
+
+
+def assert_lifts_alike(body, grid_in, grid_out):
+    """``lift_sheaf`` gives ``stochastic_lift``'s matrix on the full
+    grid bit for bit, or raises the same error; True when it raised."""
+    results = []
+    for lift in (lambda: stochastic_lift(body, grid_in, grid_out,
+                                         LIFT_SUBDIVISIONS),
+                 lambda: lift_one(body, grid_in, grid_out)):
+        try:
+            results.append(lift())
+        except UnmappedBin as exc:
+            results.append(str(exc))
+    want, got = results
+    if isinstance(want, str):
+        assert got == want
+        return True
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want), grid_in
+    return False
+
+
+def codomain_around(rng, edges):
+    """A grid over per-axis image edges: the edges themselves, edges
+    around their range, or edges that miss some images."""
+    out = []
+    for edge in edges:
+        lo, hi = edge[0], edge[-1]
+        kind = rng.random()
+        if kind < 0.4:
+            out.append(tuple(edge))
+        elif kind < 0.9:
+            lo -= rng.randint(0, 8) / 8.0
+            hi += rng.randint(0, 8) / 8.0
+            inner = rng.sample(range(1, 16), rng.randint(0, 3))
+            out.append((lo, *(lo + (hi - lo) * k / 16.0
+                              for k in sorted(inner)), hi))
+        else:
+            out.append((lo, (lo + hi) / 2.0))
+    return BinGrid(tuple(out))
+
+
 def test_projection_lift_from_kept_axes_matches_the_full_lift():
     """400 random grids and projections with repeated, reordered and
     dropped indices; codomain edges equal to the kept axis's, other
@@ -947,40 +1017,64 @@ def test_projection_lift_from_kept_axes_matches_the_full_lift():
         dim = len(grid_in.edges)
         body = Projection([rng.randrange(dim)
                            for _ in range(rng.randint(1, 4))])
-        out = []
-        for i in body.indices:
-            lo, hi = grid_in.edges[i][0], grid_in.edges[i][-1]
-            kind = rng.random()
-            if kind < 0.4:
-                out.append(grid_in.edges[i])
-            elif kind < 0.9:
-                lo -= rng.randint(0, 8) / 8.0
-                hi += rng.randint(0, 8) / 8.0
-                inner = rng.sample(range(1, 16), rng.randint(0, 3))
-                out.append((lo, *(lo + (hi - lo) * k / 16.0
-                                  for k in sorted(inner)), hi))
-            else:
-                out.append((lo, (lo + hi) / 2.0))
-        grid_out = BinGrid(tuple(out))
-        results = []
-        for lift in (
-            lambda: stochastic_lift(body, grid_in, grid_out,
-                                    LIFT_SUBDIVISIONS),
-            lambda: _projection_lift(body, _kept_axes(body, grid_in),
-                                     grid_in, grid_out),
-        ):
-            try:
-                results.append(lift())
-            except UnmappedBin as exc:
-                results.append(str(exc))
-        want, got = results
-        if isinstance(want, str):
-            failures += 1
-            assert got == want
-        else:
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want), (grid_in, body.indices)
+        grid_out = codomain_around(rng, [grid_in.edges[i]
+                                         for i in body.indices])
+        failures += assert_lifts_alike(body, grid_in, grid_out)
     assert failures > 0
+
+
+def reading_builtin(rng, reads, declared):
+    """A Builtin of 1-3 smooth outputs of the coordinates ``reads`` of
+    a point, declaring ``declared`` as its reads."""
+    coef = np.array([[rng.randint(-4, 4) / 4.0 for _ in reads]
+                     for _ in range(rng.randint(1, 3))])
+    cols = list(reads)
+
+    def batch(points):
+        x = points[:, cols]
+        return x @ coef.T + 0.125 * np.sin(x[:, :1])
+
+    return Builtin("reads", lambda p: tuple(batch(np.array([p]))[0]),
+                   batch_fn=batch, reads=declared)
+
+
+def test_builtin_lift_from_read_axes_matches_the_full_lift():
+    """300 random grids and builtins that read some axes and declare
+    them, in any order and repeated; codomains around the images, or
+    missing some, where both raise the same error."""
+    rng = random.Random(131)
+    failures, partial = 0, 0
+    for _ in range(300):
+        grid_in = random_grid(rng, rng.randint(1, 4))
+        dim = len(grid_in.edges)
+        reads = sorted(rng.sample(range(dim), rng.randint(1, dim)))
+        declared = reads + rng.sample(reads, rng.randint(0, len(reads)))
+        rng.shuffle(declared)
+        body = reading_builtin(rng, reads, declared)
+        ((_, points),) = grid_in.cell_samples(LIFT_SUBDIVISIONS,
+                                              grid_in.size)
+        images = body.batch(points)
+        grid_out = codomain_around(rng, zip(images.min(axis=0),
+                                            images.max(axis=0) + 1.0))
+        failures += assert_lifts_alike(body, grid_in, grid_out)
+        partial += len(reads) < dim
+    assert failures > 0 and partial > 100
+
+
+def test_builtin_reading_an_undeclared_axis_gets_the_full_lift():
+    """A body that computes with an axis it omits from ``reads`` sees
+    NaN there on the sub-grid, so its sub-lift fails and the full grid
+    lifts it: the matrix still equals the full lift, and an image off
+    the codomain is named as the full lift names it."""
+    grid_in = uniform_grid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2)
+    body = Builtin("liar", lambda p: (p[0] + 0.5 * p[2],),
+                   batch_fn=lambda q: (q[:, 0] + 0.5 * q[:, 2])[:, None],
+                   reads=(0,))
+    assert not assert_lifts_alike(body, grid_in,
+                                  uniform_grid([0.0], [1.5], 3))
+    assert assert_lifts_alike(body, grid_in, uniform_grid([0.0], [1.0], 3))
+    with pytest.raises(UnmappedBin, match="outside the codomain grid"):
+        lift_one(body, grid_in, uniform_grid([0.0], [1.0], 3))
 
 
 @pytest.mark.parametrize("x_first, w_body, bins", [
@@ -1028,38 +1122,38 @@ def test_lift_sheaf_raises_the_first_failing_edge(x_first, w_body, bins):
 
 
 def test_lift_sheaf_samples_each_source_grid_once(monkeypatch):
-    """On SAR at 2 bins, the grid of each source with an edge other than
-    a projection yields its chunks once for all those edges, the other
-    source grids yield none, and projections see only their kept axes."""
+    """On SAR at 2 bins, the sub-grid of each source and the axes its
+    edges read yields its chunks once for all those edges.  The 6-d
+    whole-space grid yields none: its projection reads 5 axes, and its
+    three state maps the 5 other than the altitude."""
     sh = build_sar_sheaf()
     grids = sar_lift_grids(sh, 2)
-    chunks, shapes = {}, []
-    cell_samples, batch = BinGrid.cell_samples, Projection.batch
+    sampled = []
+    cell_samples = BinGrid.cell_samples
 
-    def counted(grid, subdivisions, per_chunk):
-        for chunk in cell_samples(grid, subdivisions, per_chunk):
-            chunks[id(grid)] = chunks.get(id(grid), 0) + 1
+    def counted(grid, subdivisions, per_chunk, axes=None):
+        chunks = 0
+        for chunk in cell_samples(grid, subdivisions, per_chunk, axes):
+            chunks += 1
             yield chunk
-
-    def spied(body, points):
-        shapes.append(points.shape)
-        return batch(body, points)
+        axes = range(len(grid.edges)) if axes is None else axes
+        sampled.append((tuple(grid.edges[ax] for ax in axes), chunks))
 
     monkeypatch.setattr(BinGrid, "cell_samples", counted)
-    monkeypatch.setattr(Projection, "batch", spied)
     lift_sheaf(sh, grids)
-    projected = {src for (src, _), rm in sh.edges.items()
-                 if isinstance(rm.body, Projection)}
-    mapped = {src for (src, _), rm in sh.edges.items()
-              if not isinstance(rm.body, Projection)}
-    for oid, grid in grids.items():
+    reads = {}
+    for (src, _), rm in sh.edges.items():
+        axes = getattr(rm.body, "indices", None) or \
+            getattr(rm.body, "reads", None) or range(len(grids[src].edges))
+        reads.setdefault((src, tuple(sorted(set(axes)))), []).append(rm)
+    want = []
+    for (src, axes), _ in reads.items():
+        sub = BinGrid(tuple(grids[src].edges[ax] for ax in axes))
         per_chunk = max(1, LIFT_CHUNK_POINTS
-                        // LIFT_SUBDIVISIONS ** len(grid.edges))
-        want = -(-grid.size // per_chunk) if oid in mapped else 0
-        assert chunks.get(id(grid), 0) == want, sh.topology.opens[oid]
-    assert projected - mapped  # sources with projections alone
-    kept = [len(set(rm.body.indices)) for rm in sh.edges.values()
-            if isinstance(rm.body, Projection)]
-    # the projections' sub-grids: 2 bins and 3 samples on each kept axis
-    assert sum(rows for rows, _ in shapes) == sum(6 ** k for k in kept)
-    assert max(width for _, width in shapes) == max(kept) == 5
+                        // LIFT_SUBDIVISIONS ** len(sub.edges))
+        want.append((sub.edges, -(-sub.size // per_chunk)))
+    assert sampled == want
+    top = sh.topology.full.id
+    assert [len(axes) for src, axes in reads if src == top] == [5, 5]
+    assert max(len(edges) for edges, _ in sampled) == 5
+    assert sum(len(rms) for rms in reads.values()) > len(reads)

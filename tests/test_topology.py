@@ -14,7 +14,7 @@ from sheaffuse import (
     verify_topology,
 )
 from sheaffuse.errors import TopologyTooLarge, UnknownEntity
-from sheaffuse.topology import OPEN_CAP, Topology
+from sheaffuse.topology import OPEN_CAP, Topology, verify_basis
 
 
 def masks(t):
@@ -245,3 +245,43 @@ def test_verify_topology_agrees_with_direct_axiom_check():
         )
         expected = axiom_violations(set(fam), (1 << len(universe)) - 1)
         assert report.ok == (expected == 0)
+
+
+def union_closure(masks, full):
+    """Every union of the given masks, with the empty and the full set."""
+    family = {0, full}
+    for m in masks:
+        family |= {f | m for f in family}
+    return family
+
+
+def test_verify_basis_agrees_with_the_axioms_on_the_unions():
+    """On a topology the basis passes.  On any family put in place of
+    the basis, the check passes exactly when the family's unions form
+    a topology, as ``verify_topology`` finds them."""
+    rng = random.Random(29)
+    broken = 0
+    for _ in range(200):
+        universe, subbase = random_subbase(rng, 5, rng.randint(1, 5))
+        t = generate_topology(universe, subbase)
+        assert verify_basis(t).ok
+        full = (1 << len(universe)) - 1
+        family = [universe.mask_of(s) for s in subbase]
+        t.basis = tuple(t.find(m) for m in family)
+        report = verify_basis(t)
+        opens = union_closure(family, full)
+        assert report.ok == verify_topology(
+            universe, [universe.names_of(m) for m in opens]).ok
+        assert report.ok == (axiom_violations(opens, full) == 0)
+        broken += not report.ok
+    assert broken > 20
+
+
+def test_verify_basis_names_the_intersection():
+    u = EntityUniverse(["a", "b", "c"])
+    t = generate_topology(u, [("a", "b"), ("b", "c")])
+    t.basis = (t.open_for(["a", "b"]), t.open_for(["b", "c"]))
+    report = verify_basis(t)
+    assert str(report) == ("topology axioms violated:\n  - intersection "
+                           "{b} = {a,b} ∩ {b,c} is not a union of basis "
+                           "opens")
