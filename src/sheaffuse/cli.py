@@ -434,10 +434,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuse", help="nearest global section to an assignment")
     p.add_argument("spec")
     p.add_argument("assignment")
-    p.add_argument("--max-iter", type=int, default=2000,
+    p.add_argument("--max-iter", type=int,
+                   default=FusionOptions.max_iterations,
                    help="cap on iterations of the sqp route and on "
                         "Newton steps of the barrier route")
-    p.add_argument("--tol", type=float, default=1e-8,
+    p.add_argument("--tol", type=float, default=FusionOptions.f_tolerance,
                    help="largest gap between the residual and its proven "
                         "lower bound (linear sheaves), or decrease of "
                         "the residual a linearized step still predicts, "

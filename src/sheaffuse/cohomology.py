@@ -540,20 +540,17 @@ def stochastic_lift(f, bins_domain, bins_codomain,
     return m / subdivisions ** len(bins_domain.edges)
 
 
-def _read_axes(body, grid: BinGrid) -> tuple[int, ...] | None:
-    """The distinct axes of ``grid`` that ``body`` reads, in domain
-    order: a Projection's kept indices, a Builtin's declared ``reads``;
-    None for any other body, or for one that reads no axis or names one
-    the grid lacks."""
+def _read_axes(body) -> tuple[int, ...] | None:
+    """The distinct source axes ``body`` reads, in order: a Projection's
+    kept indices, a Builtin's declared ``reads``; None for any other
+    body, or for one that reads no axis."""
     if isinstance(body, Projection):
         axes = body.indices
     elif isinstance(body, Builtin) and body.reads is not None:
         axes = body.reads
     else:
         return None
-    axes = tuple(sorted(set(axes)))
-    return axes if axes and 0 <= axes[0] and axes[-1] < len(grid.edges) \
-        else None
+    return tuple(sorted(set(axes))) or None
 
 
 def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
@@ -576,9 +573,10 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
     c a / (a b) where the sub-grid's holds c / b: quotients of the same
     rational, which round alike.  Each domain cell takes the column of
     its cell in the read axes.  An edge whose sub-lift fails is lifted
-    again on the full grid, so that its error names the same sample,
-    and a body that computes with an axis it did not declare, whose
-    images the NaN leaves not finite, gets the full lift.
+    again on the full grid, so that its error names the same sample.
+    A builtin seen to compute with an axis it did not declare is refused
+    when its sheaf is built (``sheaf._check_builtin``); one the probe
+    missed, whose images the NaN leaves not finite, gets the full lift.
     """
     t = sh.topology
     stalks = {}
@@ -599,17 +597,14 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
         stalks[oid] = sp.simplex(grid.size)
     by_reads = {}
     for (src, dst), rm in sh.edges.items():
-        axes = _read_axes(rm.body, grids[src]) or \
-            tuple(range(len(grids[src].edges)))
+        axes = _read_axes(rm.body) or tuple(range(len(grids[src].edges)))
         by_reads.setdefault((src, axes), []).append((src, dst))
     # any error a body raises is held and raised in edge order, as a
     # loop over the edges one at a time would raise it
     matrices, failed = {}, {}
     for (src, axes), keys in by_reads.items():
         grid = grids[src]
-        whole = len(axes) == len(grid.edges)
-        sub = grid if whole else BinGrid(tuple(grid.edges[ax]
-                                               for ax in axes))
+        sub = BinGrid(tuple(grid.edges[ax] for ax in axes))
         for key in keys:
             matrices[key] = np.zeros((grids[key[1]].size, sub.size))
         for cells, points in grid.cell_samples(
@@ -623,23 +618,21 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
                                 grids[key[1]], matrices[key])
                 except Exception as exc:
                     failed[key] = exc
-        if not whole:  # each cell's column in the read axes
-            cell = np.unravel_index(np.arange(grid.size), grid.shape)
-            column = np.ravel_multi_index([cell[ax] for ax in axes],
-                                          sub.shape)
+        # each cell's column in the read axes
+        cell = np.unravel_index(np.arange(grid.size), grid.shape)
+        column = np.ravel_multi_index([cell[ax] for ax in axes], sub.shape)
         for key in keys:
             if key not in failed:
-                matrices[key] /= LIFT_SUBDIVISIONS ** len(axes)
-                if not whole:
-                    matrices[key] = matrices[key][:, column]
-            elif not whole:
+                matrices[key] = matrices[key][:, column] / \
+                    LIFT_SUBDIVISIONS ** len(axes)
+                continue
+            try:
+                matrices[key] = stochastic_lift(
+                    sh.edges[key].body, grid, grids[key[1]],
+                    LIFT_SUBDIVISIONS)
                 del failed[key]
-                try:
-                    matrices[key] = stochastic_lift(
-                        sh.edges[key].body, grid, grids[key[1]],
-                        LIFT_SUBDIVISIONS)
-                except Exception as exc:
-                    failed[key] = exc
+            except Exception as exc:
+                failed[key] = exc
     for key in sh.edges:
         if key in failed:
             raise failed[key]

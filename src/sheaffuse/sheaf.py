@@ -96,10 +96,6 @@ class Linear:
         return points @ self.mat.T
 
     def matrix(self, in_dim):
-        if self.mat.shape[1] != in_dim:
-            raise SpaceMismatch(
-                f"matrix expects dim {self.mat.shape[1]}, stalk has {in_dim}"
-            )
         return self.mat
 
 
@@ -125,7 +121,7 @@ class Builtin:
     ``batch_fn``, when given, maps an (n, d) array to an (n, k) array;
     without it ``batch`` calls ``fn`` once per row.  ``reads``, when
     given, names the input coordinates the map reads; None means every
-    one."""
+    one.  A ``Sheaf`` built on it probes both (``_check_builtin``)."""
 
     def __init__(self, name, fn, params=None, batch_fn=None, reads=None):
         self.name = name
@@ -193,9 +189,10 @@ def register_builtin(name, factory, batch=None, reads=None):
     ``reads``, when given, lists the input coordinates the callable
     reads: its output must not change, in any bit, when another
     coordinate does.  A lift then samples only those axes.  None means
-    it reads every coordinate.  Loading a spec checks both halves: each
-    index lies in the source stalk, and the output on a sample point is
-    the same with every other coordinate replaced."""
+    it reads every coordinate.  Building a ``Sheaf`` on the builtin
+    checks both halves: each index lies in the source stalk, and the
+    output on a sample point, by the point call and by the batch call,
+    is the same with every other coordinate replaced."""
     BUILTIN_CATALOG[name] = (factory, batch, reads)
 
 
@@ -207,6 +204,67 @@ def resolve_builtin(name, params=None) -> Builtin:
     params = dict(params or {})
     return Builtin(name, factory(dict(params)), params,
                    None if batch is None else batch(dict(params)), reads)
+
+
+def _check_body(body, src: sp.ValueSpace, dst_dim: int):
+    """Reject a body that cannot map the source stalk into the target:
+    a matrix not shaped (target dim, source dim), an offset not of the
+    target's length, projection indices that leave the source or do not
+    number the target dim, an identity between stalks of different
+    dims, a builtin that fails ``_check_builtin``."""
+    if isinstance(body, Builtin):
+        _check_builtin(body, src, dst_dim)
+    if isinstance(body, (Linear, Affine)) and \
+            body.mat.shape != (dst_dim, src.dim):
+        raise SpaceMismatch(f"matrix of shape {body.mat.shape}, the stalks "
+                            f"need {(dst_dim, src.dim)}")
+    if isinstance(body, Affine) and body.offset.shape != (dst_dim,):
+        raise SpaceMismatch(f"offset of shape {body.offset.shape}, the "
+                            f"target stalk needs ({dst_dim},)")
+    if isinstance(body, Projection) and \
+            not all(0 <= i < src.dim for i in body.indices):
+        raise SpaceMismatch(f"projection indices {list(body.indices)} must "
+                            f"lie in [0, {src.dim})")
+    if isinstance(body, Projection) and len(body.indices) != dst_dim:
+        raise SpaceMismatch(f"projection keeps {len(body.indices)} "
+                            f"coordinates, the target stalk has {dst_dim}")
+    if isinstance(body, Identity) and src.dim != dst_dim:
+        raise SpaceMismatch(f"identity from a {src.dim}-d stalk to a "
+                            f"{dst_dim}-d one")
+
+
+def _check_builtin(body: Builtin, src: sp.ValueSpace, dst_dim: int):
+    """Reject a builtin that cannot map a sample of the source stalk,
+    drawn from a fixed seed, to ``dst_dim`` numbers: its params or the
+    stalks do not fit the code it names, which would otherwise fail only
+    when something first restricts along it.  Reject too a ``reads``
+    index outside the source, and a builtin whose output, by the point
+    call or by the batch call, changes when the coordinates it does not
+    declare in ``reads`` take those of a second sample, since a lift
+    reads no more than ``reads``."""
+    points = [sp.sample_point(src, random.Random(0)).coords]
+    if body.reads is not None:
+        if not all(0 <= i < src.dim for i in body.reads):
+            raise SpaceMismatch(f"builtin {body.name!r} reads coordinates "
+                                f"{list(body.reads)}, which must lie in "
+                                f"[0, {src.dim})")
+        other = sp.sample_point(src, random.Random(1)).coords
+        points.append(tuple(v if i in body.reads else other[i]
+                            for i, v in enumerate(points[0])))
+    try:
+        outs = [[float(v).hex() for v in body(p)] for p in points]
+        rows = [] if body.reads is None or len(outs[0]) != dst_dim else [
+            row.tobytes() for row in batch_call(body, np.array(points))]
+    except Exception as exc:  # the builtin is arbitrary registered code
+        raise SpaceMismatch(f"builtin {body.name!r} fails on a point of "
+                            f"the source stalk: {exc!r}") from None
+    if len(outs[0]) != dst_dim:
+        raise SpaceMismatch(f"builtin {body.name!r} gives {len(outs[0])} "
+                            f"coordinates, the target stalk has {dst_dim}")
+    if outs[0] != outs[-1] or rows[:1] != rows[-1:]:
+        raise SpaceMismatch(f"builtin {body.name!r} declares it reads "
+                            f"coordinates {list(body.reads)}, but its output "
+                            f"changes with the others")
 
 
 @dataclass(frozen=True)
@@ -257,15 +315,15 @@ class Restriction:
 
 def _narrow(lo, hi, bodies):
     """``(lo, hi, bodies)`` with the leading identities, and leading
-    projections onto a run of coordinates inside the slice, folded into
-    the slice instead of run."""
+    projections onto a run of coordinates, folded into the slice instead
+    of run.  A built sheaf's projections keep indices of their source,
+    so the run lies inside the slice."""
     bodies = list(bodies)
     while bodies:
         if isinstance(bodies[0], Projection):
             keep = bodies[0].indices
             first = keep[0] if keep else 0
-            if not (keep == tuple(range(first, first + len(keep)))
-                    and 0 <= first and lo + first + len(keep) <= hi):
+            if keep != tuple(range(first, first + len(keep))):
                 break
             lo, hi = lo + first, lo + first + len(keep)
         elif not isinstance(bodies[0], Identity):
@@ -313,9 +371,11 @@ class Sheaf:
         unless given.  `restrictions` is an iterable of RestrictionMap
         between comparable such opens (at least the covering pairs of
         the basis poset).  Raises MissingIntersectionStalk when a basis
-        open or the end of a restriction has no stalk, and NotComparable
+        open or the end of a restriction has no stalk, NotComparable
         when no path of restrictions leads from a nonempty open with a
-        stalk to one inside it."""
+        stalk to one inside it, and then, edge by edge, SpaceMismatch
+        naming the first edge whose body does not fit its stalks
+        (``_check_body``)."""
         self.topology = topology
         self.stalks: dict[int, sp.ValueSpace] = {}
         for key, space in stalks.items():
@@ -374,6 +434,17 @@ class Sheaf:
                 self._chains[(src, dst)] = Chain(
                     (self.edges[step].body for step in zip(path, path[1:])),
                     path)
+        for (src, dst), rm in self.edges.items():
+            try:
+                _check_body(rm.body, self.stalks[src], self.stalks[dst].dim)
+            except SpaceMismatch as exc:
+                raise SpaceMismatch(f"restriction {rm.source.key()} -> "
+                                    f"{rm.target.key()}: {exc}") from None
+        self._linear = all(
+            space.is_linear for space in self.stalks.values()) and all(
+            hasattr(rm.body, "matrix")
+            and rm.body.matrix(self.stalks[src].dim) is not None
+            for (src, _), rm in self.edges.items())
         # given stalks plus the product stalk of every pullback built
         self._all_stalks: dict[int, sp.ValueSpace] = dict(self.stalks)
         self._pullback_cache: dict[int, Pullback] = {}
@@ -414,13 +485,9 @@ class Sheaf:
 
     def is_linear(self) -> bool:
         """All given stalks vector-space valued and all restrictions
-        linear maps; pullback stalks are products of given ones."""
-        if not all(space.is_linear for space in self.stalks.values()):
-            return False
-        for (src, _), rm in self.edges.items():
-            if rm.body.matrix(self.stalks[src].dim) is None:
-                return False
-        return True
+        linear maps, decided when the sheaf is built; pullback stalks
+        are products of given ones."""
+        return self._linear
 
     def require_linear(self, what: str):
         if not self.is_linear():

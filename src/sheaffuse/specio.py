@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import random
 from pathlib import Path
 
 from . import spaces as sp
@@ -18,7 +17,6 @@ from .consistency import Assignment, RadiusResult
 from .errors import SheafFuseError, SpaceMismatch
 from .sheaf import (
     Affine,
-    Builtin,
     Identity,
     Linear,
     Projection,
@@ -129,66 +127,6 @@ def body_from_json(data: dict):
     raise SpecError(f"unknown restriction kind {kind!r}")
 
 
-def _check_body(body, src_dim: int, dst_dim: int, where: str):
-    """Reject a body that cannot map the source stalk into the target:
-    a matrix not shaped (target dim, source dim), an offset not of the
-    target's length, projection indices that leave the source or do not
-    number the target dim, an identity between stalks of different
-    dims."""
-    if isinstance(body, (Linear, Affine)) and \
-            body.mat.shape != (dst_dim, src_dim):
-        raise SpecError(f"{where}: matrix of shape {body.mat.shape}, the "
-                        f"stalks need {(dst_dim, src_dim)}")
-    if isinstance(body, Affine) and body.offset.shape != (dst_dim,):
-        raise SpecError(f"{where}: offset of shape {body.offset.shape}, "
-                        f"the target stalk needs ({dst_dim},)")
-    if isinstance(body, Projection) and \
-            not all(0 <= i < src_dim for i in body.indices):
-        raise SpecError(f"{where}: projection indices "
-                        f"{list(body.indices)} must lie in [0, {src_dim})")
-    if isinstance(body, Projection) and len(body.indices) != dst_dim:
-        raise SpecError(f"{where}: projection keeps {len(body.indices)} "
-                        f"coordinates, the target stalk has {dst_dim}")
-    if isinstance(body, Identity) and src_dim != dst_dim:
-        raise SpecError(f"{where}: identity from a {src_dim}-d stalk to a "
-                        f"{dst_dim}-d one")
-
-
-def _check_builtin(body: Builtin, src: sp.ValueSpace, dst_dim: int,
-                   where: str):
-    """Reject a builtin that cannot map a sample of the source stalk,
-    drawn from a fixed seed, to ``dst_dim`` numbers: its params or the
-    stalks do not fit the code it names, which would otherwise fail only
-    when something first restricts along it.  Reject too a ``reads``
-    index outside the source, and a builtin whose output changes when
-    the coordinates it does not declare in ``reads`` take those of a
-    second sample, since a lift reads no more than ``reads``."""
-    points = [sp.sample_point(src, random.Random(0)).coords]
-    if body.reads is not None:
-        if not all(0 <= i < src.dim for i in body.reads):
-            raise SpecError(f"{where}: builtin {body.name!r} reads "
-                            f"coordinates {list(body.reads)}, which must "
-                            f"lie in [0, {src.dim})")
-        other = sp.sample_point(src, random.Random(1)).coords
-        points.append(tuple(v if i in body.reads else other[i]
-                            for i, v in enumerate(points[0])))
-    outs = []
-    for p in points:
-        try:
-            outs.append([float(v) for v in body(p)])
-        except Exception as exc:  # the builtin is arbitrary registered code
-            raise SpecError(f"{where}: builtin {body.name!r} fails on a "
-                            f"point of the source stalk: {exc!r}") from None
-    if len(outs[0]) != dst_dim:
-        raise SpecError(f"{where}: builtin {body.name!r} gives "
-                        f"{len(outs[0])} coordinates, the target stalk has "
-                        f"{dst_dim}")
-    if [v.hex() for v in outs[0]] != [v.hex() for v in outs[-1]]:
-        raise SpecError(f"{where}: builtin {body.name!r} declares it reads "
-                        f"coordinates {list(body.reads)}, but its output "
-                        f"changes with the others")
-
-
 # -- sheaf specs --------------------------------------------------------------
 
 def sheaf_to_spec(sh: Sheaf, subbase_keys=None, weights: dict | None = None,
@@ -262,15 +200,9 @@ def sheaf_from_spec(spec: dict) -> Sheaf:
         given[src, dst] = i
         restrictions.append(RestrictionMap(src, dst, body_from_json(entry)))
     try:
-        sh = Sheaf(topology, stalks, restrictions)
+        return Sheaf(topology, stalks, restrictions)
     except SheafFuseError as exc:
         raise SpecError(str(exc)) from None
-    for (src, dst), rm in sh.edges.items():
-        where = f"restriction {rm.source.key()} -> {rm.target.key()}"
-        _check_body(rm.body, sh.stalk(src).dim, sh.stalk(dst).dim, where)
-        if isinstance(rm.body, Builtin):
-            _check_builtin(rm.body, sh.stalk(src), sh.stalk(dst).dim, where)
-    return sh
 
 
 def _unique_keys(pairs: list) -> dict:

@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from sheaffuse import (
     Affine,
+    Assignment,
     Builtin,
     EntityUniverse,
     Identity,
@@ -19,6 +20,7 @@ from sheaffuse import (
     circle,
     euclidean,
     generate_topology,
+    make_point,
     product,
     simplex,
 )
@@ -306,3 +308,19 @@ def nan_sheaf(calls):
         [RestrictionMap(t.full, a, Builtin("nan", nan)),
          RestrictionMap(t.full, b, Identity())],
     )
+
+
+def boundary_start_assignment():
+    """simplex(3) on the whole space of {a, b}, read at (0.5, 0.5, 0) on
+    its boundary, and simplex(2) on {a}, read at (1, 0) through rows
+    (1, 0, -2) and (0, 1, 3).  The uniform shares restrict to (-1/3,
+    4/3) on {a}, off its simplex, and the reading has a zero share, so
+    neither barrier start lies strictly inside, though (0.7, 0.25, 0.05)
+    does."""
+    t = generate_topology(EntityUniverse(["a", "b"]), [("a",)])
+    mid = t.open_for(["a"])
+    sh = Sheaf(t, {t.full: simplex(3), mid: simplex(2)},
+               [RestrictionMap(t.full, mid, Linear([[1.0, 0.0, -2.0],
+                                                    [0.0, 1.0, 3.0]]))])
+    return Assignment(sh, {t.full: make_point(simplex(3), (0.5, 0.5, 0.0)),
+                           mid: make_point(simplex(2), (1.0, 0.0))})

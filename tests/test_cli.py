@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from conftest import boundary_start_assignment
 from sheaffuse import (
     Assignment,
     EntityUniverse,
@@ -161,15 +162,20 @@ def test_radius_row_for_a_set_that_is_not_open_exits_2(sar_files, tmp_path,
 
 
 def test_radius_mis_sized_projection_exits_2(tmp_path, capsys):
+    """``Sheaf`` refuses the projection, so the spec is written with one
+    that fits and then given a third index."""
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid, top = t.open_for(["a"]), t.full
     sh = Sheaf(
         t, {top: euclidean(2), mid: euclidean(2)},
-        [RestrictionMap(top, mid, Projection([0, 1, 1]))],
+        [RestrictionMap(top, mid, Projection([0, 1]))],
     )
     spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
     save_sheaf(spec, sh)
+    data = json.loads(spec.read_text())
+    data["restrictions"][0]["indices"] = [0, 1, 1]
+    spec.write_text(json.dumps(data))
     save_assignment(values, Assignment(sh, {
         top: make_point(sh.stalk(top.id), [1.0, 2.0]),
         mid: make_point(sh.stalk(mid.id), [1.0, 2.0]),
@@ -261,6 +267,17 @@ def test_fuse_refuses_a_discrete_stalk_with_one_error_line(tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "on {a,b} has a discrete factor" in lines[0]
     assert "Traceback" not in captured.err + captured.out
+
+def test_fuse_with_no_start_inside_the_simplexes_exits_1(tmp_path, capsys):
+    a = boundary_start_assignment()
+    spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
+    save_sheaf(spec, a.sheaf)
+    save_assignment(values, a)
+    assert main(["fuse", str(spec), str(values)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and \
+        err == "error: no start lies strictly inside the simplexes\n"
+
 
 def test_fuse_prints_certificate_on_linear_sheaf(tmp_path, capsys):
     """The sqp route on a linear sheaf reports its proven lower bound
@@ -648,6 +665,23 @@ def test_missing_restriction_path_exits_2_at_load(mosaic_spec, tmp_path,
     assert out == "" and err == ("input error: no restriction path from "
                                  "{V1,V2} to {V1}; check the sheaf "
                                  "specification\n")
+
+
+def test_restriction_to_a_larger_open_exits_2(mosaic_spec, tmp_path,
+                                              capsys):
+    """V1 -> V1+V2 runs from an open to one that contains it; its body,
+    V1's six coordinates twice, fits the stalks, so only the direction
+    is at fault."""
+    data = json.loads(mosaic_spec.read_text())
+    data["restrictions"].append({"from": "V1", "to": "V1+V2",
+                                 "kind": "projection",
+                                 "indices": list(range(6)) * 2})
+    path = tmp_path / "mosaic.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == ("input error: restriction {V1}->{V1,V2}: "
+                                 "target is not a subset of source\n")
 
 
 def test_missing_basis_stalks_fit_one_short_line(tmp_path, capsys):

@@ -53,7 +53,7 @@ from sheaffuse.cohomology import (
     restrict_sheaf,
     topology_betti,
 )
-from sheaffuse.errors import NonlinearSheaf, UnmappedBin
+from sheaffuse.errors import NonlinearSheaf, SpaceMismatch, UnmappedBin
 from sheaffuse.sheaf import (
     BUILTIN_CATALOG,
     Builtin,
@@ -1062,19 +1062,28 @@ def test_builtin_lift_from_read_axes_matches_the_full_lift():
 
 
 def test_builtin_reading_an_undeclared_axis_gets_the_full_lift():
-    """A body that computes with an axis it omits from ``reads`` sees
-    NaN there on the sub-grid, so its sub-lift fails and the full grid
-    lifts it: the matrix still equals the full lift, and an image off
-    the codomain is named as the full lift names it."""
+    """A body that computes with an axis it omits from ``reads`` is
+    refused when its sheaf is built, as the probe's two points give it
+    two outputs.  One that only multiplies that axis by zero passes the
+    probe, but sees NaN there on the sub-grid, so its sub-lift fails
+    and the full grid lifts it: the matrix still equals the full lift,
+    and an image off the codomain is named as the full lift names it."""
     grid_in = uniform_grid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2)
-    body = Builtin("liar", lambda p: (p[0] + 0.5 * p[2],),
+    liar = Builtin("liar", lambda p: (p[0] + 0.5 * p[2],),
                    batch_fn=lambda q: (q[:, 0] + 0.5 * q[:, 2])[:, None],
                    reads=(0,))
+    with pytest.raises(SpaceMismatch, match=re.escape(
+            "builtin 'liar' declares it reads coordinates [0], but its "
+            "output changes with the others")):
+        lift_one(liar, grid_in, uniform_grid([0.0], [1.5], 3))
+    body = Builtin("zero", lambda p: (p[0] + 0.0 * p[2],),
+                   batch_fn=lambda q: (q[:, 0] + 0.0 * q[:, 2])[:, None],
+                   reads=(0,))
     assert not assert_lifts_alike(body, grid_in,
-                                  uniform_grid([0.0], [1.5], 3))
-    assert assert_lifts_alike(body, grid_in, uniform_grid([0.0], [1.0], 3))
+                                  uniform_grid([0.0], [1.0], 3))
+    assert assert_lifts_alike(body, grid_in, uniform_grid([0.0], [0.5], 3))
     with pytest.raises(UnmappedBin, match="outside the codomain grid"):
-        lift_one(body, grid_in, uniform_grid([0.0], [1.0], 3))
+        lift_one(body, grid_in, uniform_grid([0.0], [0.5], 3))
 
 
 @pytest.mark.parametrize("x_first, w_body, bins", [

@@ -19,7 +19,6 @@ from sheaffuse import (
     EntityUniverse,
     Identity,
     Linear,
-    Projection,
     RestrictionMap,
     Sheaf,
     assignment_distance,
@@ -114,9 +113,17 @@ def test_two_open_chain_radius_by_hand():
     assert result.edges[0].smaller.members == ("a",)
 
 
+def sized_at_half(size):
+    """A builtin that gives ``size`` coordinates at (0.5, 0.5) and two
+    elsewhere, as at the point that probes it when its sheaf is built:
+    a projection of the wrong size is refused then."""
+    return Builtin("sized", lambda c: tuple(c[:1]) * size
+                   if tuple(c) == (0.5, 0.5) else tuple(c))
+
+
 @pytest.mark.parametrize("stalk, body", [
-    (euclidean(2), Projection([0, 1, 1])),
-    (euclidean(2), Projection([0])),
+    (euclidean(2), sized_at_half(3)),
+    (euclidean(2), sized_at_half(1)),
     (simplex(2), Linear([[1.0, 1.0], [1.0, 1.0]])),
 ], ids=["too-long", "too-short", "off-simplex"])
 def test_radius_rejects_restriction_leaving_the_stalk(stalk, body):

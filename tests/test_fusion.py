@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    boundary_start_assignment,
     camera_chain_sheaf,
     lifted_sar_cases,
     nan_sheaf,
@@ -570,6 +571,59 @@ def test_barrier_keeps_every_stalks_simplex_nonnegative():
     assert res.dual_bound <= lp_fusion_optimum(a) <= res.residual <= \
         res.dual_bound + FusionOptions().f_tolerance
 
+def test_barrier_starts_from_the_fit_off_the_uniform_shares(monkeypatch):
+    """Two cameras, simplex(4) on {a,v} and simplex(3, 2.0) on {b,v},
+    read a simplex(2) overlap {v} through column-stochastic maps; the
+    whole space is their constrained pullback.  The point nearest the
+    uniform shares lies off the floor, so the route starts from the
+    least-squares fit, which lies inside, and closes its certificate on
+    the linear program's optimum.  (The 42nd sheaf, of 3,000 drawn from
+    this family with random.Random(11), each native open read with
+    probability 0.8, where 29 took this start.)"""
+    t = generate_topology(EntityUniverse(["a", "b", "v"]),
+                          [("a", "v"), ("b", "v")])
+    cam_a, cam_b, v = (t.open_for(names) for names in
+                       (["a", "v"], ["b", "v"], ["v"]))
+    stalks = {cam_a: simplex(4), cam_b: simplex(3, 2.0), v: simplex(2)}
+    sh = Sheaf(t, stalks, [
+        RestrictionMap(cam_a, v, Linear([
+            [0.6330420929734799, 0.34200480794584615, 0.4550583309713101,
+             0.9783175754961774],
+            [0.3669579070265201, 0.6579951920541539, 0.5449416690286899,
+             0.02168242450382259]])),
+        RestrictionMap(cam_b, v, Linear([
+            [0.34055365574456253, 0.4510894020283599, 0.4515249423492178],
+            [0.6594463442554375, 0.5489105979716402, 0.5484750576507822]]))])
+    a = Assignment(sh, {o: make_point(stalks[o], coords) for o, coords in [
+        (cam_a, (0.1188362651899, 0.3259228368518387, 0.1567136478477579,
+                 0.39852725011050333)),
+        (cam_b, (0.24868099387581702, 0.03497704629542514,
+                 0.7163419598287578)),
+        (v, (0.5449265524035152, 0.4550734475964849))]})
+    central_point, found = fusion._central_point, []
+
+    def spy(groups, x, opts=None):
+        out = central_point(groups, x, opts)
+        found.append(out is not None)
+        return out
+
+    monkeypatch.setattr(fusion, "_central_point", spy)
+    res = fuse(a)
+    assert found == [False, True]
+    assert res.route == "barrier" and res.converged
+    assert res.dual_bound <= lp_fusion_optimum(a) <= res.residual <= \
+        res.dual_bound + FusionOptions().f_tolerance
+
+
+def test_barrier_with_no_start_strictly_inside_raises():
+    """Neither the uniform shares nor the reading lie strictly inside
+    the simplexes (``boundary_start_assignment``): SpaceMismatch, though
+    a point strictly inside exists."""
+    with pytest.raises(SpaceMismatch, match="^no start lies strictly "
+                       "inside the simplexes$"):
+        fuse(boundary_start_assignment())
+
+
 def test_barrier_iteration_cap_leaves_the_certificate_open():
     """Stopped by max_iterations, the route reports converged False and
     a lower bound that is still a bound."""
@@ -630,6 +684,7 @@ def test_nan_distance_stops_fusion_at_once():
     any simplex run."""
     calls = []
     sh = nan_sheaf(calls)
+    calls.clear()  # the call that probed the builtin when it was built
     a = Assignment(sh, {o: make_point(sh.stalk(o.id), [1.0])
                         for o in sh.topology.opens if o.mask})
     with pytest.raises(SpaceMismatch,
@@ -964,15 +1019,21 @@ def test_compiled_distance_vector_wraps_whole_space_circles():
 
 
 def test_compiled_distance_vector_keeps_the_layered_errors():
-    """A builtin that gives the wrong number of coordinates and a NaN
-    distance raise the layered path's SpaceMismatch, naming the same
-    stalk or open, from the plan and from fuse."""
+    """A builtin that gives the wrong number of coordinates everywhere
+    is refused when its sheaf is built; one that gives them only at 0,
+    away from the point that probes it then, and a NaN distance raise
+    the layered path's SpaceMismatch, naming the same stalk or open,
+    from the plan and from fuse."""
     u = EntityUniverse(["a", "b"])
     t = generate_topology(u, [("a",)])
     mid = t.open_for(["a"])
-    sh = Sheaf(t, {t.full: euclidean(1), mid: euclidean(1)},
-               [RestrictionMap(t.full, mid,
-                               Builtin("pair", lambda c: (c[0], c[0])))])
+    stalks = {t.full: euclidean(1), mid: euclidean(1)}
+    with pytest.raises(SpaceMismatch, match="builtin 'pair' gives 2 "
+                       "coordinates, the target stalk has 1"):
+        Sheaf(t, stalks, [RestrictionMap(
+            t.full, mid, Builtin("pair", lambda c: (c[0], c[0])))])
+    sh = Sheaf(t, stalks, [RestrictionMap(t.full, mid, Builtin(
+        "pair_at_0", lambda c: (c[0], c[0]) if c[0] == 0.0 else (c[0],)))])
     a = Assignment(sh, {mid: make_point(euclidean(1), [1.0])})
     wrong = r"expected 1 coordinates for R\^1, got 2"
     for run in (lambda: compiled_plan(a).distances([0.0]),

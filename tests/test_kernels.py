@@ -27,6 +27,24 @@ def test_haversine_against_independent_formula():
         )
 
 
+# a pair of antipodes where h, the haversine of the central angle,
+# rounds to 1.0000000000000002
+ANTIPODES = (104.34510193420907, 80.05814743531747,
+             284.3451019342091, -80.05814743531747)
+
+
+@pytest.mark.parametrize("sin_ulps", [0, 1], ids=["libm", "sin-one-ulp-out"])
+def test_haversine_clamps_h_rounded_past_one(monkeypatch, sin_ulps):
+    """The square root of 1.0000000000000002 rounds to 1, but with a
+    sine one ulp further from zero, which a libm may return, h rounds
+    far enough past 1 that asin of its root raises ValueError without
+    the clamp.  Either way the distance is half the circumference."""
+    if sin_ulps:
+        monkeypatch.setattr(K, "sin", lambda x: math.nextafter(
+            math.sin(x), math.copysign(math.inf, math.sin(x))))
+    assert K.haversine_km(*ANTIPODES) == math.pi * K.EARTH_RADIUS_KM
+
+
 def test_bearing_points_east_scaled_by_latitude():
     # target due north
     assert K.equirect_bearing_deg(70.0, 40.0, 70.0, 41.0) == \

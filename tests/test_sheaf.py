@@ -1,5 +1,6 @@
-import functools
+import json
 import random
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -54,7 +55,13 @@ from sheaffuse.scenarios import (
     build_sar_sheaf,
     sar_lift_ranges,
 )
-from sheaffuse.sheaf import batch_call
+from sheaffuse.sheaf import BUILTIN_CATALOG, batch_call, register_builtin
+from sheaffuse.specio import (
+    SpecError,
+    body_from_json,
+    load_sheaf,
+    save_sheaf,
+)
 from sheaffuse.topology import Topology
 
 
@@ -183,9 +190,10 @@ def test_functoriality_catches_corrupted_projection():
 def projection_sheaf(past_end=False):
     """R^6 on the whole space of {a,b,c,d}, projected onto runs to R^3 on
     {a,b} and {c,d}; from there a reordered projection to {a}, a linear
-    map to {b}, a projection with a negative index to {c} and the
-    identity to {d}.  With ``past_end`` the projection to {a} reads one
-    coordinate past the end of {a,b}'s stalk."""
+    map to {b}, a reordered projection from the last coordinate to {c}
+    and the identity to {d}.  With ``past_end`` the projection to {a}
+    reads one coordinate past the end of {a,b}'s stalk, which ``Sheaf``
+    refuses."""
     u = EntityUniverse(["a", "b", "c", "d"])
     t = generate_topology(u, [("a", "b"), ("c", "d"), ("a",), ("b",),
                               ("c",), ("d",)])
@@ -199,7 +207,7 @@ def projection_sheaf(past_end=False):
         RestrictionMap(t.full, cd, Projection([3, 4, 5])),
         RestrictionMap(ab, a, Projection([2, 3] if past_end else [1, 0])),
         RestrictionMap(ab, b, Linear([[1.0, -2.0, 0.5]])),
-        RestrictionMap(cd, c, Projection([-1, 0])),
+        RestrictionMap(cd, c, Projection([2, 0])),
         RestrictionMap(cd, d, Identity()),
     ])
 
@@ -677,14 +685,75 @@ def test_compiled_restrictions_are_the_whole_chains():
 
 def test_a_projection_past_its_stalk_is_not_narrowed():
     """Narrowed to a slice, it would read the next part's coordinates;
-    run, it raises IndexError as the whole chain does."""
-    sh = projection_sheaf(past_end=True)
-    t = sh.topology
-    x = tuple(float(i) for i in range(6))
-    for restrict in (sh.restrict_coords, functools.partial(
-            reference_restrict_coords, sh)):
-        with pytest.raises(IndexError):
-            restrict(t.full.id, t.open_for(["a"]).id, x)
+    the sheaf is refused when it is built, so no restriction runs it."""
+    with pytest.raises(SpaceMismatch, match=re.escape(
+            "restriction a+b -> a: projection indices [2, 3] must lie in "
+            "[0, 3)")):
+        projection_sheaf(past_end=True)
+
+
+# bodies from R^2 on {a,b} to R^1 on {a} that do not fit, each as a
+# spec entry and with the error a spec load and ``Sheaf`` both raise;
+# ``cmp`` is a builtin that declares it reads coordinate 0 but branches
+# on coordinate 1, in both calls or in its batch call alone
+UNFIT_BODIES = {
+    "linear_shape": ({"kind": "linear", "matrix": [[1.0, 0.0, 0.0]]},
+                     "matrix of shape (1, 3), the stalks need (1, 2)"),
+    "negative_index": ({"kind": "projection", "indices": [-1]},
+                       "projection indices [-1] must lie in [0, 2)"),
+    "outside_index": ({"kind": "projection", "indices": [2]},
+                      "projection indices [2] must lie in [0, 2)"),
+    "builtin_length": ({"kind": "builtin", "name": "test_pair"},
+                       "builtin 'test_pair' gives 2 coordinates, the "
+                       "target stalk has 1"),
+    "cmp": ({"kind": "builtin", "name": "test_cmp"},
+            "builtin 'test_cmp' declares it reads coordinates [0], but its "
+            "output changes with the others"),
+    "cmp_batch": ({"kind": "builtin", "name": "test_cmp_batch"},
+                  "builtin 'test_cmp_batch' declares it reads coordinates "
+                  "[0], but its output changes with the others"),
+}
+
+
+def branch(q):
+    return (q[:, 0] + np.where(q[:, 1] > 0.5, 1.0, 0.0))[:, None]
+
+
+@pytest.mark.parametrize("case", UNFIT_BODIES)
+def test_a_sheaf_built_in_python_refuses_a_body_that_does_not_fit(
+        tmp_path, case):
+    """The same body in a spec and in ``Sheaf(...)`` raises the same
+    message: ``SpecError`` from the load, ``SpaceMismatch`` from the
+    constructor.  Unchecked, the ``cmp`` builtins see NaN on coordinate
+    1 in a lift from coordinate 0 and lift to a wrong matrix."""
+    entry, message = UNFIT_BODIES[case]
+    register_builtin("test_pair", lambda params: lambda c: (c[0], c[0]))
+    register_builtin("test_cmp", lambda params: lambda c: (
+        c[0] + (1.0 if c[1] > 0.5 else 0.0),),
+        batch=lambda params: branch, reads=(0,))
+    register_builtin("test_cmp_batch", lambda params: lambda c: (c[0],),
+                     batch=lambda params: branch, reads=(0,))
+    try:
+        t = generate_topology(EntityUniverse(["a", "b"]), [("a",)])
+        mid = t.open_for(["a"])
+        stalks = {t.full: euclidean(2), mid: euclidean(1)}
+        path = tmp_path / "spec.json"
+        save_sheaf(path, Sheaf(t, stalks, [
+            RestrictionMap(t.full, mid, Projection([0]))]))
+        data = json.loads(path.read_text())
+        data["restrictions"][0] = {"from": "a+b", "to": "a", **entry}
+        path.write_text(json.dumps(data))
+        where = "restriction a+b -> a: "
+        with pytest.raises(SpecError) as loaded:
+            load_sheaf(path)
+        assert str(loaded.value) == where + message
+        body = body_from_json(entry)
+        with pytest.raises(SpaceMismatch) as built:
+            Sheaf(t, stalks, [RestrictionMap(t.full, mid, body)])
+        assert str(built.value) == where + message
+    finally:
+        for name in ("test_pair", "test_cmp", "test_cmp_batch"):
+            del BUILTIN_CATALOG[name]
 
 
 def test_ambient_matrix_is_the_product_of_the_whole_chains():
