@@ -23,7 +23,6 @@ from .cohomology import (
     betti,
     build_complex,
     full_cover,
-    global_sections_via_h0,
     leray_check,
     lift_sheaf,
     restrict_sheaf,

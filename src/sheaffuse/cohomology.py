@@ -3,17 +3,17 @@ and stochastic lifting of nonlinear maps into column-stochastic ones."""
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
 from . import spaces as sp
-from ._linalg import numeric_rank, nullspace
+from ._linalg import numeric_rank
 from .errors import IntersectionNotOpen, UnmappedBin
 from .sheaf import (
+    FUNCTORIALITY_TOL,
     Builtin,
     Linear,
     Projection,
@@ -93,19 +93,34 @@ def _betti_table(dims: list[int], coboundaries: list) -> BettiTable:
     return BettiTable(dims, ranks, out, residual)
 
 
-def _intersection_open(sh: Sheaf, cover: Cover, idx: tuple[int, ...]):
-    mask = cover.sets[idx[0]].mask
-    for i in idx[1:]:
-        mask &= cover.sets[i].mask
-    if mask == 0:
-        return None
-    u = sh.topology.find(mask)
-    if u is None:
-        names = ", ".join(str(cover.sets[i]) for i in idx)
-        raise IntersectionNotOpen(
-            f"intersection of {names} is not an open set"
-        )
-    return u
+def _nerve(sh: Sheaf, cover: Cover, sizes: int) -> list[list]:
+    """The nonempty intersections of 1 to ``sizes`` cover sets, one
+    layer per size: (index tuple, open) pairs in the order of
+    ``itertools.combinations``.  Only a nonempty intersection is
+    extended, by each later cover set, so the walk never visits an
+    index set whose prefix is already empty.  Raises IntersectionNotOpen
+    on the first intersection, in that order, that is not open."""
+    t = sh.topology
+    masks = [s.mask for s in cover.sets]
+    layers = []
+    prev = [((), -1)]   # -1 has every bit set
+    for _ in range(sizes):
+        layer = []
+        for idx, mask in prev:
+            for j in range(idx[-1] + 1 if idx else 0, len(masks)):
+                meet = mask & masks[j]
+                if not meet:
+                    continue
+                u = t.find(meet)
+                if u is None:
+                    names = ", ".join(str(cover.sets[i]) for i in idx + (j,))
+                    raise IntersectionNotOpen(
+                        f"intersection of {names} is not an open set"
+                    )
+                layer.append((idx + (j,), u))
+        layers.append(layer)
+        prev = [(idx, u.mask) for idx, u in layer]
+    return layers
 
 
 def _complex(sh: Sheaf, layers: list, open_of) -> CochainComplex:
@@ -146,39 +161,32 @@ def _check_degree(max_degree: int):
         raise ValueError(f"max_degree must be nonnegative, got {max_degree}")
 
 
+def _nerve_complex(sh: Sheaf, layers: list) -> CochainComplex:
+    """The cochain complex over the intersections of ``_nerve`` layers."""
+    opens = {idx: u.id for layer in layers for idx, u in layer}
+    return _complex(sh, [[idx for idx, _ in layer] for layer in layers],
+                    opens.__getitem__)
+
+
 def build_complex(sh: Sheaf, cover: Cover, max_degree: int) -> CochainComplex:
     """Cochain spaces over (k+1)-fold cover intersections and the signed
     block coboundary matrices between them.  Raises ValueError when
     ``max_degree`` is negative."""
     _check_degree(max_degree)
     sh.require_linear("build_complex")
-    opens = {}
-    layers = []
-    for k in range(max_degree + 2):
-        layer = []
-        for idx in itertools.combinations(range(len(cover.sets)), k + 1):
-            u = _intersection_open(sh, cover, idx)
-            if u is not None:
-                opens[idx] = u.id
-                layer.append(idx)
-        layers.append(layer)
-    return _complex(sh, layers, opens.__getitem__)
+    return _nerve_complex(sh, _nerve(sh, cover, max_degree + 2))
+
+
+def _table(cx: CochainComplex) -> BettiTable:
+    """The Betti table of ``cx`` in every degree its coboundaries leave."""
+    return _betti_table([cx.dim(k) for k in range(len(cx.coboundaries))],
+                        cx.coboundaries)
 
 
 def betti(sh: Sheaf, cover: Cover, max_degree: int) -> BettiTable:
     """Betti numbers dim ker d^k - rank d^(k-1) up to max_degree, and
     the d.d residual of the complex that gave them."""
-    cx = build_complex(sh, cover, max_degree)
-    dims = [cx.dim(k) for k in range(max_degree + 1)]
-    return _betti_table(dims, cx.coboundaries)
-
-
-def global_sections_via_h0(sh: Sheaf) -> np.ndarray:
-    """Basis of the space of global sections as kernel of d^0 over the
-    full-topology cover; columns are cochain coordinate vectors."""
-    sh.require_linear("global_sections_via_h0")
-    cx = build_complex(sh, full_cover(sh.topology), 0)
-    return nullspace(cx.coboundaries[0])
+    return _table(build_complex(sh, cover, max_degree))
 
 
 def _minimal_open_poset(sh: Sheaf) -> list[int]:
@@ -212,18 +220,18 @@ def _poset_betti(sh: Sheaf, nodes: list[int], max_degree: int) -> BettiTable:
     in by ``restriction_matrix(n, n)``, which is exactly the identity.
     """
     _check_degree(max_degree)
-    t = sh.topology
-    below = {
-        n: [m for m in nodes
-            if m != n and t.opens[m].mask & t.opens[n].mask == t.opens[m].mask]
-        for n in nodes
-    }
+    below = _below(sh.topology, nodes)
     chains = [[(n,) for n in nodes]]
     for _ in range(max_degree + 1):
         chains.append([ch + (m,) for ch in chains[-1] for m in below[ch[-1]]])
-    cx = _complex(sh, chains, lambda ch: ch[-1])
-    dims = [cx.dim(k) for k in range(max_degree + 1)]
-    return _betti_table(dims, cx.coboundaries)
+    return _table(_complex(sh, chains, lambda ch: ch[-1]))
+
+
+def _below(t: Topology, nodes: list[int]) -> dict[int, list[int]]:
+    """The nodes strictly inside each node, in the order of ``nodes``."""
+    return {n: [m for m in nodes if m != n and
+                t.opens[m].mask & t.opens[n].mask == t.opens[m].mask]
+            for n in nodes}
 
 
 def topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
@@ -290,45 +298,65 @@ def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
     return Sheaf(sub, stalks, edges)
 
 
+def _commutes_below(sh: Sheaf, a: int, below: dict) -> bool:
+    """Whether every 2-chain a > b > c of nodes from ``a`` commutes:
+    the restriction matrix from b to c after the one from a to b lies
+    within FUNCTORIALITY_TOL of the one from a to c."""
+    r = sh.restriction_matrix
+    return all(np.max(np.abs(r(b, c) @ r(a, b) - r(a, c)), initial=0.0)
+               <= FUNCTORIALITY_TOL for b in below[a] for c in below[b])
+
+
 def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
     """Check the acyclicity hypothesis on every nonempty intersection of
     cover elements; when it holds, certify that cover-level and
-    topology-level Betti tables agree.
+    topology-level Betti tables agree.  Raises ValueError when
+    ``max_degree`` is negative.
 
-    The sheaf on an open U is the stalk diagram over the nodes of the
-    specialization poset inside U, with the same stalks and maps, so
-    each intersection is checked on a part of this sheaf's own poset.
+    One nerve walk (``_nerve``) gives the intersections: it visits only
+    the nonempty ones, and its layers up to ``max_degree + 2`` sets are
+    also the cover complex.  The sheaf on an open
+    U is the stalk diagram over the nodes of the specialization poset
+    inside U, with the same stalks and maps, so each intersection is
+    checked on a part of this sheaf's own poset.
+
+    An intersection that is itself a node is the greatest node of its
+    part, a cone.  When every 2-chain of its nodes commutes
+    (``_commutes_below``), prepending U to a chain is a contracting
+    homotopy of the part's complex, so every Betti number above degree
+    0 is 0 and the part's complex is not built.  Where a 2-chain does
+    not commute, d.d is not 0 and the table, negative numbers included,
+    is whatever the ranks say, so it is computed as for any
+    intersection that is not a node.
     """
     sh.require_linear("leray_check")
+    _check_degree(max_degree)
     t = sh.topology
     nodes = _minimal_open_poset(sh)
+    below = _below(t, nodes)
+    commutes = cache(lambda a: _commutes_below(sh, a, below))
+    layers = _nerve(sh, cover, max(len(cover.sets), max_degree + 2))
     report = LerayReport()
-    n = len(cover.sets)
     seen = set()
-    all_ok = True
-    for r in range(1, n + 1):
-        for idx in itertools.combinations(range(n), r):
-            u = _intersection_open(sh, cover, idx)
-            if u is None or u.id in seen:
-                continue
-            seen.add(u.id)
-            inside = [m for m in nodes
-                      if t.opens[m].mask & u.mask == t.opens[m].mask]
-            table = _poset_betti(sh, inside, max_degree)
-            ok = all(b == 0 for b in table.betti[1:])
-            key = str(u)
-            report.acyclic[key] = ok
-            if not ok:
-                all_ok = False
-                bad = [k for k in range(1, len(table.betti))
-                       if table.betti[k] != 0]
-                report.witnesses.append(
-                    f"{key} has nonzero betti at degrees {bad}: "
-                    f"{table.betti}"
-                )
-    report.verdict = all_ok
-    if all_ok:
-        report.cover_betti = betti(sh, cover, max_degree)
+    for u in (u for layer in layers for _, u in layer):
+        if u.id in seen:
+            continue
+        seen.add(u.id)
+        inside = [m for m in nodes
+                  if t.opens[m].mask & u.mask == t.opens[m].mask]
+        if u.id in below and all(map(commutes, inside)):
+            report.acyclic[str(u)] = True
+            continue
+        table = _poset_betti(sh, inside, max_degree)
+        bad = [k for k in range(1, len(table.betti)) if table.betti[k] != 0]
+        report.acyclic[str(u)] = not bad
+        if bad:
+            report.witnesses.append(f"{u} has nonzero betti at degrees "
+                                    f"{bad}: {table.betti}")
+    report.verdict = not report.witnesses
+    if report.verdict:
+        report.cover_betti = _table(_nerve_complex(sh,
+                                                   layers[:max_degree + 2]))
         report.topology_betti = _poset_betti(sh, nodes, max_degree)
         report.tables_equal = (
             report.cover_betti.betti == report.topology_betti.betti

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cache, partial
 
 import numpy as np
 
@@ -206,14 +207,14 @@ def resolve_builtin(name, params=None) -> Builtin:
                    None if batch is None else batch(dict(params)), reads)
 
 
-def _check_body(body, src: sp.ValueSpace, dst_dim: int):
+def _check_body(body, src: sp.ValueSpace, dst_dim: int, probe):
     """Reject a body that cannot map the source stalk into the target:
     a matrix not shaped (target dim, source dim), an offset not of the
     target's length, projection indices that leave the source or do not
     number the target dim, an identity between stalks of different
-    dims, a builtin that fails ``_check_builtin``."""
+    dims, a builtin that fails ``_check_builtin`` on ``probe``."""
     if isinstance(body, Builtin):
-        _check_builtin(body, src, dst_dim)
+        _check_builtin(body, src, dst_dim, probe)
     if isinstance(body, (Linear, Affine)) and \
             body.mat.shape != (dst_dim, src.dim):
         raise SpaceMismatch(f"matrix of shape {body.mat.shape}, the stalks "
@@ -233,22 +234,22 @@ def _check_body(body, src: sp.ValueSpace, dst_dim: int):
                             f"{dst_dim}-d one")
 
 
-def _check_builtin(body: Builtin, src: sp.ValueSpace, dst_dim: int):
-    """Reject a builtin that cannot map a sample of the source stalk,
-    drawn from a fixed seed, to ``dst_dim`` numbers: its params or the
-    stalks do not fit the code it names, which would otherwise fail only
-    when something first restricts along it.  Reject too a ``reads``
-    index outside the source, and a builtin whose output, by the point
-    call or by the batch call, changes when the coordinates it does not
-    declare in ``reads`` take those of a second sample, since a lift
-    reads no more than ``reads``."""
-    points = [sp.sample_point(src, random.Random(0)).coords]
+def _check_builtin(body: Builtin, src: sp.ValueSpace, dst_dim: int, probe):
+    """Reject a builtin that cannot map ``probe(0)``, a sample of the
+    source stalk, to ``dst_dim`` numbers: its params or the stalks do
+    not fit the code it names, which would otherwise fail only when
+    something first restricts along it.  Reject too a ``reads`` index
+    outside the source, and a builtin whose output, by the point call or
+    by the batch call, changes when the coordinates it does not declare
+    in ``reads`` take those of a second sample, ``probe(1)``, since a
+    lift reads no more than ``reads``."""
+    points = [probe(0)]
     if body.reads is not None:
         if not all(0 <= i < src.dim for i in body.reads):
             raise SpaceMismatch(f"builtin {body.name!r} reads coordinates "
                                 f"{list(body.reads)}, which must lie in "
                                 f"[0, {src.dim})")
-        other = sp.sample_point(src, random.Random(1)).coords
+        other = probe(1)
         points.append(tuple(v if i in body.reads else other[i]
                             for i, v in enumerate(points[0])))
     try:
@@ -434,9 +435,14 @@ class Sheaf:
                 self._chains[(src, dst)] = Chain(
                     (self.edges[step].body for step in zip(path, path[1:])),
                     path)
+        # the builtins' probe points: the sample of each source stalk
+        # from each fixed seed, drawn once per source for this build
+        sample = cache(lambda src, seed: sp.sample_point(
+            self.stalks[src], random.Random(seed)).coords)
         for (src, dst), rm in self.edges.items():
             try:
-                _check_body(rm.body, self.stalks[src], self.stalks[dst].dim)
+                _check_body(rm.body, self.stalks[src], self.stalks[dst].dim,
+                            partial(sample, src))
             except SpaceMismatch as exc:
                 raise SpaceMismatch(f"restriction {rm.source.key()} -> "
                                     f"{rm.target.key()}: {exc}") from None

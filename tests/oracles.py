@@ -21,9 +21,11 @@ loop over every comparable pair, for the defined-pair loop;
 ``pullback_every_open``, the restriction of a global section to every
 open in turn, for the pullback that restricts it once per native open;
 the ``reference_*`` cohomology routines, for the one cochain-complex
-routine and the Leray check on sub-posets; ``reference_sub_topology``,
-built from every open inside a mask, for ``restrict_sheaf``'s topology
-built from the basis opens inside it; ``reference_lift_sheaf``, one
+routine over a nerve walk and the Leray check on sub-posets and cones;
+``global_sections_via_h0``, the kernel of d^0 over the full cover,
+which the library does not need; ``reference_sub_topology``, built
+from every open inside a mask, for ``restrict_sheaf``'s topology built
+from the basis opens inside it; ``reference_lift_sheaf``, one
 ``stochastic_lift`` per edge on the whole source grid, for the lift
 that samples each source grid once; and ``nelder_mead``, the
 derivative-free simplex search that fused simplex, discrete and
@@ -40,7 +42,7 @@ from scipy.optimize import linprog, minimize
 
 from sheaffuse import _kernels as K
 from sheaffuse import spaces as sp
-from sheaffuse._linalg import numeric_rank
+from sheaffuse._linalg import nullspace, numeric_rank
 from sheaffuse.cohomology import (
     LIFT_SUBDIVISIONS,
     MAX_STALK_BINS,
@@ -49,7 +51,7 @@ from sheaffuse.cohomology import (
     Cover,
     LerayReport,
     _betti_table,
-    _intersection_open,
+    full_cover,
     restrict_sheaf,
     stochastic_lift,
 )
@@ -818,8 +820,24 @@ def nelder_mead(objective, x0, opts: NelderMeadOptions = NelderMeadOptions()
 
 
 # The library's former cohomology routines, kept as written: a cover
-# nerve and a poset order complex assembled by separate loops, and a
-# Leray check that rebuilds each intersection as a sheaf of its own.
+# nerve over every index set and a poset order complex assembled by
+# separate loops, and a Leray check that rebuilds each intersection as a
+# sheaf of its own and computes its table.
+
+def _intersection_open(sh: Sheaf, cover: Cover, idx: tuple[int, ...]):
+    mask = cover.sets[idx[0]].mask
+    for i in idx[1:]:
+        mask &= cover.sets[i].mask
+    if mask == 0:
+        return None
+    u = sh.topology.find(mask)
+    if u is None:
+        names = ", ".join(str(cover.sets[i]) for i in idx)
+        raise IntersectionNotOpen(
+            f"intersection of {names} is not an open set"
+        )
+    return u
+
 
 def reference_build_complex(sh: Sheaf, cover: Cover,
                             max_degree: int) -> CochainComplex:
@@ -863,6 +881,14 @@ def reference_build_complex(sh: Sheaf, cover: Cover,
                     sign * block
         coboundaries.append(d)
     return CochainComplex(degrees[:max_degree + 2], coboundaries)
+
+
+def global_sections_via_h0(sh: Sheaf) -> np.ndarray:
+    """Basis of the space of global sections as kernel of d^0 over the
+    full-topology cover; columns are cochain coordinate vectors."""
+    sh.require_linear("global_sections_via_h0")
+    cx = reference_build_complex(sh, full_cover(sh.topology), 0)
+    return nullspace(cx.coboundaries[0])
 
 
 def reference_minimal_open_poset(sh: Sheaf):

@@ -14,7 +14,12 @@ import numpy as np
 import pytest
 
 from conftest import constant_circle_sheaf, random_linear_sheaf
-from oracles import fixpoint_closure, great_circle_km, lift_mass_matrix
+from oracles import (
+    fixpoint_closure,
+    global_sections_via_h0,
+    great_circle_km,
+    lift_mass_matrix,
+)
 from sheaffuse import (
     Assignment,
     Cover,
@@ -25,7 +30,6 @@ from sheaffuse import (
     full_cover,
     fuse,
     generate_topology,
-    global_sections_via_h0,
     leray_check,
     lipschitz_bound,
     pullback_global,

@@ -11,16 +11,19 @@ from conftest import (
     constant_circle_sheaf,
     nested_native_union,
     random_linear_sheaf,
+    with_corrupted_edge,
 )
 from oracles import (
     agreement_dim,
     circle_cover_betti,
+    global_sections_via_h0,
     grid_lift_reference,
     lift_mass_matrix,
     reference_build_complex,
     reference_cells,
     reference_leray_check,
     reference_lift_sheaf,
+    reference_minimal_open_poset,
     reference_sub_topology,
     reference_topology_betti,
 )
@@ -36,7 +39,6 @@ from sheaffuse import (
     euclidean,
     full_cover,
     generate_topology,
-    global_sections_via_h0,
     leray_check,
     stochastic_lift,
     uniform_grid,
@@ -53,9 +55,16 @@ from sheaffuse.cohomology import (
     restrict_sheaf,
     topology_betti,
 )
-from sheaffuse.errors import NonlinearSheaf, SpaceMismatch, UnmappedBin
+from sheaffuse import cohomology
+from sheaffuse.errors import (
+    IntersectionNotOpen,
+    NonlinearSheaf,
+    SpaceMismatch,
+    UnmappedBin,
+)
 from sheaffuse.sheaf import (
     BUILTIN_CATALOG,
+    FUNCTORIALITY_TOL,
     Builtin,
     register_builtin,
     resolve_builtin,
@@ -66,6 +75,7 @@ from sheaffuse.scenarios import (
     build_sar_sheaf,
     sar_lift_ranges,
 )
+from sheaffuse.topology import OPEN_CAP, OpenSet, Topology
 
 
 def random_cover(rng, t):
@@ -487,6 +497,187 @@ def test_leray_builds_no_sheaf_or_topology(monkeypatch):
     report = leray_check(mosaic, cover, 2)
     assert report.verdict and report.tables_equal
     assert built == []
+
+
+def commuting_cones(sh, cover):
+    """The distinct cover intersections that are nodes of the
+    specialization poset and in which every 2-chain a > b > c of nodes
+    commutes, found over every index set and every triple of nodes."""
+    t = sh.topology
+    nodes = reference_minimal_open_poset(sh)
+    r = sh.restriction_matrix
+
+    def within(m, mask):
+        return t.opens[m].mask & mask == t.opens[m].mask
+
+    out = []
+    for k in range(1, len(cover.sets) + 1):
+        for idx in itertools.combinations(range(len(cover.sets)), k):
+            mask = t.full.mask
+            for i in idx:
+                mask &= cover.sets[i].mask
+            u = t.find(mask)
+            if not mask or u.id not in nodes or u in out:
+                continue
+            inside = [m for m in nodes if within(m, mask)]
+            if all(np.max(np.abs(r(b, c) @ r(a, b) - r(a, c)), initial=0.0)
+                   <= FUNCTORIALITY_TOL
+                   for a, b, c in itertools.permutations(inside, 3)
+                   if within(b, t.opens[a].mask)
+                   and within(c, t.opens[b].mask)):
+                out.append(u)
+    return out
+
+
+def test_commuting_cone_intersections_are_acyclic(reference_fixtures):
+    """Every intersection the cone rule certifies has no cohomology
+    above degree 0 by the former sub-sheaf table, and the reports list
+    the intersections in the same order as the former check."""
+    cones = 0
+    for name, sh, covers in reference_fixtures:
+        for cover in covers:
+            for u in commuting_cones(sh, cover):
+                table = reference_topology_betti(restrict_sheaf(sh, u.mask),
+                                                 2)
+                assert table.betti[1:] == [0, 0], (name, u)
+                cones += 1
+            assert list(leray_check(sh, cover, 2).acyclic.items()) == list(
+                reference_leray_check(sh, cover, 2).acyclic.items()), name
+    assert cones > 100
+
+
+def test_leray_on_the_camera_chain_builds_only_the_topology_table(
+        monkeypatch):
+    """The five views, the four overlaps between neighbours and no
+    triple intersection: nine nodes without a 2-chain, so the one poset
+    complex built is the whole space's."""
+    sh = camera_chain_sheaf()
+    cover = maximal_basis_cover(sh.topology)
+    assert len(cover.sets) == 5
+    built = []
+    poset_betti = cohomology._poset_betti
+
+    def counting(sh, nodes, max_degree):
+        built.append(nodes)
+        return poset_betti(sh, nodes, max_degree)
+
+    monkeypatch.setattr(cohomology, "_poset_betti", counting)
+    report = leray_check(sh, cover, 2)
+    assert built == [_minimal_open_poset(sh)]
+    assert len(report.acyclic) == 9 and all(report.acyclic.values())
+    assert report.verdict and report.tables_equal
+
+
+def assert_same_report(got, want, name):
+    assert list(got.acyclic.items()) == list(want.acyclic.items()), name
+    assert (got.verdict, got.tables_equal, got.witnesses) == \
+        (want.verdict, want.tables_equal, want.witnesses), name
+    for a, b in ((got.cover_betti, want.cover_betti),
+                 (got.topology_betti, want.topology_betti)):
+        assert (a and a.as_dict()) == (b and b.as_dict()), name
+
+
+def test_cones_that_do_not_commute_are_computed():
+    """On diamond sheaves, clean and with one corrupted edge, the Leray
+    report equals the former check on the full cover and on random
+    covers.  A corrupted edge leaves some node's sub-poset with a 2-chain
+    that does not commute, where the former table reads a negative Betti
+    number: the cone rule would call such a node acyclic, and the guard
+    keeps its computed table."""
+    rng = random.Random(7)
+    negative = 0
+    for i in range(40):
+        clean = random_linear_sheaf(rng, n_entities=rng.choice([3, 4]),
+                                    ensure_diamond=True)
+        for sh in (clean, with_corrupted_edge(clean, rng)):
+            t = sh.topology
+            for cover in [full_cover(t)] + [random_cover(rng, t)
+                                            for _ in range(2)]:
+                assert_same_report(leray_check(sh, cover, 2),
+                                   reference_leray_check(sh, cover, 2), i)
+            for n in reference_minimal_open_poset(sh):
+                table = reference_topology_betti(
+                    restrict_sheaf(sh, t.opens[n].mask), 2)
+                negative += min(table.betti) < 0
+    assert negative > 0
+
+
+class CountedOpen(OpenSet):
+    """An open that counts the reads of its mask."""
+
+    reads = 0
+
+    def __getattribute__(self, name):
+        if name == "mask":
+            type(self).reads += 1
+        return object.__getattribute__(self, name)
+
+
+def test_nerve_walk_visits_only_nonempty_intersections(monkeypatch):
+    """Twelve disjoint singleton opens: 4,096 opens and 4,095 index
+    sets, of which only the twelve singletons meet.  ``build_complex``
+    looks up those twelve alone, and reads fewer cover masks than there
+    are index sets; ``leray_check`` looks each up once for its checks
+    and its complex, besides the twelve minimal neighbourhoods.  Both
+    equal the former routines, which visit every index set."""
+    names = [f"s{i}" for i in range(12)]
+    t = generate_topology(EntityUniverse(names), [(n,) for n in names])
+    assert len(t) == 4096 <= OPEN_CAP
+    sh = Sheaf(t, {b: euclidean(1) for b in t.basis}, [])
+    cover = Cover(tuple(CountedOpen(b.mask, b.id, b.universe)
+                        for b in t.basis))
+    singletons = sorted(b.mask for b in t.basis)
+    found = []
+    find = Topology.find
+
+    def counting(self, mask):
+        found.append(mask)
+        return find(self, mask)
+
+    monkeypatch.setattr(Topology, "find", counting)
+    CountedOpen.reads = 0
+    cx = build_complex(sh, cover, 11)
+    assert sorted(found) == singletons
+    assert CountedOpen.reads < 4095
+    found.clear()
+    CountedOpen.reads = 0
+    report = leray_check(sh, cover, 2)
+    assert sorted(found) == sorted(singletons * 2)
+    assert CountedOpen.reads < 4095
+    monkeypatch.undo()
+    ref = reference_build_complex(sh, cover, 11)
+    assert cx.degrees == ref.degrees
+    assert all(np.array_equal(a, b)
+               for a, b in zip(cx.coboundaries, ref.coboundaries, strict=True))
+    assert_same_report(report, reference_leray_check(sh, cover, 2), "12")
+    assert report.cover_betti.betti == [12, 0, 0]
+
+
+def test_first_intersection_not_open_is_the_former_one():
+    """Covers mixing the opens of two topologies on one universe: the
+    walk raises on the same intersection as the former loops over every
+    index set, or on none."""
+    rng = random.Random(31)
+
+    def outcome(run, *args):
+        try:
+            run(*args)
+        except IntersectionNotOpen as exc:
+            return str(exc)
+        return None
+
+    raised = 0
+    for _ in range(60):
+        sh = random_linear_sheaf(rng, n_entities=4)
+        other = random_linear_sheaf(rng, n_entities=4).topology
+        opens = [o for o in sh.topology.opens + other.opens if o.mask]
+        cover = Cover(tuple(rng.sample(opens, rng.randint(2, 4))))
+        want = outcome(reference_leray_check, sh, cover, 1)
+        assert outcome(leray_check, sh, cover, 1) == want
+        assert outcome(build_complex, sh, cover, 1) == outcome(
+            reference_build_complex, sh, cover, 1)
+        raised += want is not None
+    assert raised > 10
 
 
 # ---------------------------------------------------------------------------

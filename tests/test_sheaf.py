@@ -756,6 +756,26 @@ def test_a_sheaf_built_in_python_refuses_a_body_that_does_not_fit(
             del BUILTIN_CATALOG[name]
 
 
+def test_a_build_draws_each_sources_probe_points_once(monkeypatch):
+    """SAR's whole space feeds three builtins that declare ``reads`` and
+    {theta1,theta2,s} two that do not: one build seeds the probe's
+    sampler once per source and seed, three times in all, where a draw
+    per builtin seeded it eight times."""
+    from sheaffuse import sheaf as sheaf_module
+
+    seeds = []
+
+    class Seeded(random.Random):
+        def __init__(self, seed):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(sheaf_module, "random",
+                        SimpleNamespace(Random=Seeded))
+    build_sar_sheaf()
+    assert sorted(seeds) == [0, 0, 1]
+
+
 def test_ambient_matrix_is_the_product_of_the_whole_chains():
     """On every linear fixture, the obstacle mosaic's projections
     included, each ambient matrix equals the product of the whole
