@@ -9,9 +9,7 @@ system through Cech cohomology.
 from .consistency import (
     Assignment,
     EdgeError,
-    assignment_distance,
     consistency_radius,
-    is_epsilon_approximate,
     lipschitz_bound,
     pullback_global,
 )

@@ -228,6 +228,9 @@ def cmd_leray(args) -> int:
         if report.cover_betti:
             payload["cover_betti"] = report.cover_betti.betti
             payload["topology_betti"] = report.topology_betti.betti
+        if report.does_not_commute:
+            payload["does_not_commute"] = [
+                [str(u) for u in chain] for chain in report.does_not_commute]
         print(json.dumps(payload))
     else:
         print(report)

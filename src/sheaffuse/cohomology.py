@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
@@ -15,6 +15,7 @@ from .errors import IntersectionNotOpen, UnmappedBin
 from .sheaf import (
     FUNCTORIALITY_TOL,
     Builtin,
+    Identity,
     Linear,
     Projection,
     RestrictionMap,
@@ -254,6 +255,9 @@ class LerayReport:
     topology_betti: BettiTable | None = None
     tables_equal: bool | None = None
     witnesses: list = field(default_factory=list)
+    # 2-chains a > b > c of opens whose composed restriction misses
+    # FUNCTORIALITY_TOL, one per node found
+    does_not_commute: list = field(default_factory=list)
 
     def __str__(self):
         lines = []
@@ -268,6 +272,8 @@ class LerayReport:
             )
         for w in self.witnesses[:6]:
             lines.append(f"  witness: {w}")
+        for a, b, c in self.does_not_commute:
+            lines.append(f"  does not commute: {a} > {b} > {c}")
         return "\n".join(lines)
 
 
@@ -298,13 +304,18 @@ def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
     return Sheaf(sub, stalks, edges)
 
 
-def _commutes_below(sh: Sheaf, a: int, below: dict) -> bool:
-    """Whether every 2-chain a > b > c of nodes from ``a`` commutes:
-    the restriction matrix from b to c after the one from a to b lies
-    within FUNCTORIALITY_TOL of the one from a to c."""
+def _commutes_below(sh: Sheaf, a: int, below: dict) -> tuple | None:
+    """The first 2-chain a > b > c of nodes from ``a`` that does not
+    commute, as node ids: the restriction matrix from b to c after the
+    one from a to b misses the one from a to c by more than
+    FUNCTORIALITY_TOL.  None when every such chain commutes."""
     r = sh.restriction_matrix
-    return all(np.max(np.abs(r(b, c) @ r(a, b) - r(a, c)), initial=0.0)
-               <= FUNCTORIALITY_TOL for b in below[a] for c in below[b])
+    for b in below[a]:
+        for c in below[b]:
+            if np.max(np.abs(r(b, c) @ r(a, b) - r(a, c)), initial=0.0) \
+                    > FUNCTORIALITY_TOL:
+                return a, b, c
+    return None
 
 
 def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
@@ -327,14 +338,23 @@ def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
     0 is 0 and the part's complex is not built.  Where a 2-chain does
     not commute, d.d is not 0 and the table, negative numbers included,
     is whatever the ranks say, so it is computed as for any
-    intersection that is not a node.
+    intersection that is not a node.  ``LerayReport.does_not_commute``
+    names, for each node checked, its first 2-chain that does not
+    commute.  The nodes of a cone are checked up to the first with such
+    a chain, and so are those of an intersection with a witness.
     """
     sh.require_linear("leray_check")
     _check_degree(max_degree)
     t = sh.topology
     nodes = _minimal_open_poset(sh)
     below = _below(t, nodes)
-    commutes = cache(lambda a: _commutes_below(sh, a, below))
+    chains = {}
+
+    def commutes(a):
+        if a not in chains:
+            chains[a] = _commutes_below(sh, a, below)
+        return chains[a] is None
+
     layers = _nerve(sh, cover, max(len(cover.sets), max_degree + 2))
     report = LerayReport()
     seen = set()
@@ -353,6 +373,11 @@ def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
         if bad:
             report.witnesses.append(f"{u} has nonzero betti at degrees "
                                     f"{bad}: {table.betti}")
+            for m in inside:
+                if not commutes(m):
+                    break
+    report.does_not_commute = [tuple(t.opens[n] for n in chain)
+                               for chain in chains.values() if chain]
     report.verdict = not report.witnesses
     if report.verdict:
         report.cover_betti = _table(_nerve_complex(sh,
@@ -404,14 +429,7 @@ class BinGrid:
         axes = range(d) if axes is None else axes
         shape = [self.shape[ax] for ax in axes]
         size = math.prod(shape)
-        mids = []
-        for edge in self.edges:
-            per_bin = []
-            for lo, hi in zip(edge, edge[1:]):
-                step = (hi - lo) / subdivisions
-                per_bin.append([lo + (j + 0.5) * step
-                                for j in range(subdivisions)])
-            mids.append(np.array(per_bin))
+        mids = [_midpoints(edge, subdivisions) for edge in self.edges]
         for start in range(0, size, per_chunk):
             cells = range(start, min(start + per_chunk, size))
             cell = np.arange(cells.start, cells.stop)
@@ -456,6 +474,16 @@ class BinGrid:
         """Cell index of one point; None outside the grid or for NaN."""
         idx, inside = self.cells(np.asarray([point], dtype=float))
         return tuple(int(c) for c in idx[0]) if inside[0] else None
+
+
+def _midpoints(edge, subdivisions: int) -> np.ndarray:
+    """The midpoints of a regular subdivision of each bin of one axis's
+    ``edge``, shape (bins, subdivisions)."""
+    per_bin = []
+    for lo, hi in zip(edge, edge[1:]):
+        step = (hi - lo) / subdivisions
+        per_bin.append([lo + (j + 0.5) * step for j in range(subdivisions)])
+    return np.array(per_bin)
 
 
 def uniform_grid(lows, highs, bins: int) -> BinGrid:
@@ -569,16 +597,72 @@ def stochastic_lift(f, bins_domain, bins_codomain,
 
 
 def _read_axes(body) -> tuple[int, ...] | None:
-    """The distinct source axes ``body`` reads, in order: a Projection's
-    kept indices, a Builtin's declared ``reads``; None for any other
-    body, or for one that reads no axis."""
+    """The distinct source axes a Builtin declares it reads, in order;
+    None for any other body, or for one that declares no axis."""
+    if isinstance(body, Builtin) and body.reads:
+        return tuple(sorted(set(body.reads)))
+    return None
+
+
+def _copied_axes(body, dim: int) -> tuple[int, ...] | None:
+    """The source axis each output of a Projection or an Identity on
+    ``dim`` axes copies, in output order; None for any other body."""
+    if isinstance(body, Identity):
+        return tuple(range(dim))
     if isinstance(body, Projection):
-        axes = body.indices
-    elif isinstance(body, Builtin) and body.reads is not None:
-        axes = body.reads
-    else:
-        return None
-    return tuple(sorted(set(axes))) or None
+        return body.indices
+    return None
+
+
+def _axis_counts(edge, out_edges: tuple) -> np.ndarray | None:
+    """How many of the midpoints of each bin of one source axis's
+    ``edge`` land in each cell of the grid of ``out_edges``, every axis
+    of which copies the midpoint: an array of that grid's shape, then
+    the bins of ``edge``; None when a midpoint lies outside the grid.
+    Each axis bins as ``BinGrid._axis_bins`` does."""
+    mids = _midpoints(edge, LIFT_SUBDIVISIONS)
+    bins, low, high = len(mids), mids.min(), mids.max()
+    mids = mids.ravel()
+    flat = 0
+    for out in out_edges:
+        if not out[0] <= low or not high <= out[-1]:
+            return None
+        inner = np.array(out[1:-1], dtype=float)
+        flat = flat * (len(out) - 1) + inner.searchsorted(mids, side="right")
+    shape = tuple(len(out) - 1 for out in out_edges) + (bins,)
+    return np.bincount(flat * bins + np.arange(bins).repeat(LIFT_SUBDIVISIONS),
+                       minlength=math.prod(shape)).reshape(shape)
+
+
+def _count_projection(kept, grid: BinGrid, axes, grid_out: BinGrid):
+    """The counts ``_lift_chunk`` writes for a body whose output o copies
+    source axis ``kept[o]``, from the cells of ``grid`` in ``axes``
+    (each axis of ``kept`` among them), found without a sample: a
+    (codomain cells, cells in ``axes``) integer matrix, or None when a
+    midpoint lies outside the range of an output that copies it.
+
+    A sample is a product of per-axis midpoints, and each output copies
+    one of them, so a cell's count in a codomain cell is the product
+    over ``axes`` of ``_axis_counts``, each taken jointly over the
+    outputs that copy its axis.  The Kronecker product of the tables
+    holds them all, its rows grouped by axis; a row gather puts them in
+    output order."""
+    counts, order = np.ones((1, 1), dtype=np.intp), []
+    for pos in reversed(range(len(axes))):
+        outs = [o for o, k in enumerate(kept) if k == axes[pos]]
+        table = _axis_counts(grid.edges[axes[pos]],
+                             tuple(grid_out.edges[o] for o in outs))
+        if table is None:
+            return None
+        table = table.reshape(-1, table.shape[-1])
+        counts = (table[:, None, :, None] * counts[None, :, None, :]) \
+            .reshape(len(table) * len(counts), -1)
+        order = outs + order
+    if order != sorted(order):
+        cells = np.arange(grid_out.size).reshape(
+            [grid_out.shape[o] for o in order])
+        counts = counts[cells.transpose(np.argsort(order)).ravel()]
+    return counts
 
 
 def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
@@ -590,21 +674,26 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
     matching the stalk dimensions.  Each edge's matrix equals
     ``stochastic_lift(body, grids[src], grids[dst], LIFT_SUBDIVISIONS)``
     bit for bit, but each body is lifted from the sub-grid of the axes
-    it reads (``_read_axes``; all of them when it declares none), and
-    each sub-grid is sampled once for all the edges that read it.  When
-    edges fail, the first failing one in ``sh.edges`` raises its error.
+    it reads, and no Projection or Identity is sampled.  When edges
+    fail, the first failing one in ``sh.edges`` raises its error.
 
-    A sub-grid's samples go to the body embedded in the source
-    dimension, NaN on the axes it does not read.  A domain cell's
-    samples repeat each sample of its cell in the read axes a =
+    A Projection or an Identity is counted on the sub-grid of the axes
+    it copies (``_count_projection``).  Every other body is sampled on
+    the sub-grid of its declared ``reads`` (``_read_axes``; all axes
+    when it declares none), once for all the edges from one source that
+    read the same axes.  Its samples go to the body embedded in the
+    source dimension, NaN on the axes it does not read.  A domain
+    cell's samples repeat each sample of its cell in the read axes a =
     LIFT_SUBDIVISIONS ** (unread axes) times, so its column holds
     c a / (a b) where the sub-grid's holds c / b: quotients of the same
-    rational, which round alike.  Each domain cell takes the column of
-    its cell in the read axes.  An edge whose sub-lift fails is lifted
-    again on the full grid, so that its error names the same sample.
-    A builtin seen to compute with an axis it did not declare is refused
-    when its sheaf is built (``sheaf._check_builtin``); one the probe
-    missed, whose images the NaN leaves not finite, gets the full lift.
+    rational, which round alike.  A projection's counts are those c.
+    Each domain cell takes the column of its cell in the read axes.  An
+    edge whose sub-lift fails, or with a midpoint outside its codomain,
+    is lifted again on the full grid, so that its error names the same
+    sample.  A builtin seen to compute with an axis it did not declare
+    is refused when its sheaf is built (``sheaf._check_builtin``); one
+    the probe missed, whose images the NaN leaves not finite, gets the
+    full lift.
     """
     t = sh.topology
     stalks = {}
@@ -625,31 +714,46 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
         stalks[oid] = sp.simplex(grid.size)
     by_reads = {}
     for (src, dst), rm in sh.edges.items():
-        axes = _read_axes(rm.body) or tuple(range(len(grids[src].edges)))
-        by_reads.setdefault((src, axes), []).append((src, dst))
+        dim = len(grids[src].edges)
+        kept = _copied_axes(rm.body, dim)
+        axes = _read_axes(rm.body) if kept is None else \
+            tuple(sorted(set(kept)))
+        by_reads.setdefault((src, axes or tuple(range(dim))), []) \
+            .append(((src, dst), kept))
     # any error a body raises is held and raised in edge order, as a
-    # loop over the edges one at a time would raise it
+    # loop over the edges one at a time would raise it; a counted edge
+    # whose midpoints leave its codomain holds None until its full lift
     matrices, failed = {}, {}
-    for (src, axes), keys in by_reads.items():
+    for (src, axes), group in by_reads.items():
         grid = grids[src]
-        sub = BinGrid(tuple(grid.edges[ax] for ax in axes))
-        for key in keys:
-            matrices[key] = np.zeros((grids[key[1]].size, sub.size))
-        for cells, points in grid.cell_samples(
-                LIFT_SUBDIVISIONS, _chunk_cells(sub, LIFT_SUBDIVISIONS),
-                axes):
-            for key in keys:
-                if key in failed:
-                    continue
-                try:
-                    _lift_chunk(sh.edges[key].body, cells, points, sub,
-                                grids[key[1]], matrices[key])
-                except Exception as exc:
-                    failed[key] = exc
+        sampled = []
+        for key, kept in group:
+            if kept is None:
+                sampled.append(key)
+                continue
+            matrices[key] = _count_projection(kept, grid, axes, grids[key[1]])
+            if matrices[key] is None:
+                failed[key] = None
+        if sampled:
+            sub = BinGrid(tuple(grid.edges[ax] for ax in axes))
+            for key in sampled:
+                matrices[key] = np.zeros((grids[key[1]].size, sub.size))
+            for cells, points in grid.cell_samples(
+                    LIFT_SUBDIVISIONS, _chunk_cells(sub, LIFT_SUBDIVISIONS),
+                    axes):
+                for key in sampled:
+                    if key in failed:
+                        continue
+                    try:
+                        _lift_chunk(sh.edges[key].body, cells, points, sub,
+                                    grids[key[1]], matrices[key])
+                    except Exception as exc:
+                        failed[key] = exc
         # each cell's column in the read axes
         cell = np.unravel_index(np.arange(grid.size), grid.shape)
-        column = np.ravel_multi_index([cell[ax] for ax in axes], sub.shape)
-        for key in keys:
+        column = np.ravel_multi_index([cell[ax] for ax in axes],
+                                      [grid.shape[ax] for ax in axes])
+        for key, _ in group:
             if key not in failed:
                 matrices[key] = matrices[key][:, column] / \
                     LIFT_SUBDIVISIONS ** len(axes)

@@ -8,12 +8,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spaces as sp
-from .errors import SheafMismatch, SpaceMismatch
+from .errors import SpaceMismatch
 from .sheaf import Sheaf
 from .topology import OpenSet, comparable_pairs
-
-EPS_SLACK = 1e-12
-
 
 class Assignment:
     """Partial mapping from open sets to observations in their stalks.
@@ -68,21 +65,6 @@ class RadiusResult:
     edges: list[EdgeError] = field(default_factory=list)
 
 
-def assignment_distance(a: Assignment, b: Assignment) -> float:
-    """Sup over commonly defined opens of the stalk distance; 0 if none."""
-    if a.sheaf is not b.sheaf:
-        raise SheafMismatch("assignments belong to different sheaves")
-    best = 0.0
-    for oid, pa in a.values.items():
-        pb = b.values.get(oid)
-        if pb is None:
-            continue
-        d = sp.distance(a.sheaf.stalk(oid), pa, pb)
-        if d > best:
-            best = d
-    return best
-
-
 def nan_error(small: OpenSet, large: OpenSet,
               what: str = "NaN") -> SpaceMismatch:
     """The error for a NaN distance, or another that is ``what``,
@@ -118,12 +100,6 @@ def consistency_radius(a: Assignment) -> RadiusResult:
     edges.sort(key=lambda e: (-e.error, e.larger.id, e.smaller.id))
     radius = edges[0].error if edges else 0.0
     return RadiusResult(radius, edges)
-
-
-def is_epsilon_approximate(a: Assignment, eps: float) -> bool:
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
-    return consistency_radius(a).radius <= eps + EPS_SLACK
 
 
 def pullback_global(sh: Sheaf, s_top: sp.Point) -> Assignment:

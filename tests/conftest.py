@@ -22,6 +22,7 @@ from sheaffuse import (
     generate_topology,
     make_point,
     product,
+    sample_point,
     simplex,
 )
 
@@ -324,3 +325,31 @@ def boundary_start_assignment():
                                                     [0.0, 1.0, 3.0]]))])
     return Assignment(sh, {t.full: make_point(simplex(3), (0.5, 0.5, 0.0)),
                            mid: make_point(simplex(2), (1.0, 0.0))})
+
+
+def two_camera_simplex_assignments(count, seed=11):
+    """The first ``count`` draws of a seeded family of linear sheaves on
+    simplexes.  Two cameras, simplex(4) on {a, b} and simplex(3, 2.0) on
+    {b, c}, read a simplex(2) overlap on {b} through random
+    column-stochastic 2 x 4 and 2 x 3 matrices, each column (p, 1 - p)
+    with p uniform on [0, 1).  Each of the 3 native opens is then read
+    with probability 0.8, at a ``sample_point`` of its simplex.  One
+    ``random.Random(seed)`` draws everything, in that order: the left
+    camera's columns, the right camera's, then for each open its coin
+    and, when it is read, its point."""
+    rng = random.Random(seed)
+    t = generate_topology(EntityUniverse(["a", "b", "c"]),
+                          [("a", "b"), ("b", "c")])
+    left, right, overlap = (t.open_for(names)
+                            for names in (["a", "b"], ["b", "c"], ["b"]))
+    stalks = {left: simplex(4), right: simplex(3, 2.0), overlap: simplex(2)}
+    for _ in range(count):
+        edges = []
+        for camera in (left, right):
+            p = [rng.random() for _ in range(stalks[camera].dim)]
+            edges.append(RestrictionMap(camera, overlap,
+                                        Linear([p, [1.0 - q for q in p]])))
+        sh = Sheaf(t, stalks, edges)
+        yield Assignment(sh, {u: sample_point(space, rng)
+                              for u, space in stalks.items()
+                              if rng.random() < 0.8})

@@ -23,7 +23,8 @@ open in turn, for the pullback that restricts it once per native open;
 the ``reference_*`` cohomology routines, for the one cochain-complex
 routine over a nerve walk and the Leray check on sub-posets and cones;
 ``global_sections_via_h0``, the kernel of d^0 over the full cover,
-which the library does not need; ``reference_sub_topology``, built
+and ``assignment_distance`` and ``is_epsilon_approximate``, which the
+library does not need; ``reference_sub_topology``, built
 from every open inside a mask, for ``restrict_sheaf``'s topology built
 from the basis opens inside it; ``reference_lift_sheaf``, one
 ``stochastic_lift`` per edge on the whole source grid, for the lift
@@ -55,10 +56,16 @@ from sheaffuse.cohomology import (
     restrict_sheaf,
     stochastic_lift,
 )
-from sheaffuse.consistency import Assignment, EdgeError, nan_error
+from sheaffuse.consistency import (
+    Assignment,
+    EdgeError,
+    consistency_radius,
+    nan_error,
+)
 from sheaffuse.errors import (
     IntersectionNotOpen,
     NotComparable,
+    SheafMismatch,
     SpaceMismatch,
     UnmappedBin,
 )
@@ -490,6 +497,29 @@ def edge_path_functoriality(sh, samples=16, rng=None, tol=1e-9):
                     worst = max(worst, sp.coord_distance(sh.stalk(d),
                                                          images[0], y))
     return worst <= tol, worst
+
+
+def assignment_distance(a: Assignment, b: Assignment) -> float:
+    """Sup over commonly defined opens of the stalk distance; 0 if none."""
+    if a.sheaf is not b.sheaf:
+        raise SheafMismatch("assignments belong to different sheaves")
+    best = 0.0
+    for oid, pa in a.values.items():
+        pb = b.values.get(oid)
+        if pb is None:
+            continue
+        d = sp.distance(a.sheaf.stalk(oid), pa, pb)
+        if d > best:
+            best = d
+    return best
+
+
+def is_epsilon_approximate(a: Assignment, eps: float) -> bool:
+    """Whether the consistency radius of ``a`` is at most ``eps``, with
+    a slack of 1e-12."""
+    if eps < 0:
+        raise ValueError("epsilon must be nonnegative")
+    return consistency_radius(a).radius <= eps + 1e-12
 
 
 def all_pairs_radius(a):

@@ -4,7 +4,11 @@ import re
 
 import pytest
 
-from conftest import boundary_start_assignment
+from conftest import (
+    boundary_start_assignment,
+    random_linear_sheaf,
+    with_corrupted_edge,
+)
 from sheaffuse import (
     Assignment,
     EntityUniverse,
@@ -22,7 +26,7 @@ from sheaffuse import (
     make_point,
 )
 from sheaffuse.cli import main
-from sheaffuse.cohomology import Cover
+from sheaffuse.cohomology import Cover, leray_check
 from sheaffuse.scenarios import build_sar_sheaf, sar_case_assignment
 from sheaffuse.sheaf import BUILTIN_CATALOG, register_builtin
 from sheaffuse.specio import (
@@ -746,6 +750,36 @@ def test_leray_command(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["verdict"] is True
     assert payload["tables_equal"] is True
+
+
+def test_leray_json_names_the_chains_that_do_not_commute(tmp_path, capsys):
+    """The first diamond sheaf of a seeded draw whose corrupted edge
+    leaves its subbase cover with a 2-chain that does not commute:
+    ``leray --json`` lists the chains as ``does_not_commute`` and the
+    text prints one line per chain.  The clean sheaf's JSON has no such
+    key."""
+    rng = random.Random(7)
+    path, clean_path = tmp_path / "diamond.json", tmp_path / "clean.json"
+    while True:
+        clean = random_linear_sheaf(rng, n_entities=rng.choice([3, 4]),
+                                    ensure_diamond=True)
+        save_sheaf(path, with_corrupted_edge(clean, rng))
+        sh, spec = load_sheaf(path)
+        t = sh.topology
+        cover = Cover(tuple(t.open_for(names) for names in spec["subbase"]))
+        chains = leray_check(sh, cover, 2).does_not_commute
+        if chains:
+            break
+    assert main(["leray", str(path), "--json"]) in (0, 1)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["does_not_commute"] == [[str(u) for u in chain]
+                                           for chain in chains]
+    main(["leray", str(path)])
+    assert capsys.readouterr().out.endswith("".join(
+        f"  does not commute: {a} > {b} > {c}\n" for a, b, c in chains))
+    save_sheaf(clean_path, clean)
+    main(["leray", str(clean_path), "--json"])
+    assert "does_not_commute" not in json.loads(capsys.readouterr().out)
 
 
 def test_leray_text_on_the_two_camera_cover(mosaic_spec, capsys):

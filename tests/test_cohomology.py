@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import re
@@ -31,6 +32,7 @@ from sheaffuse import (
     BinGrid,
     Cover,
     EntityUniverse,
+    Identity,
     Projection,
     RestrictionMap,
     Sheaf,
@@ -600,6 +602,52 @@ def test_cones_that_do_not_commute_are_computed():
                     restrict_sheaf(sh, t.opens[n].mask), 2)
                 negative += min(table.betti) < 0
     assert negative > 0
+
+
+def diamond_reports():
+    """The 40 diamond sheaves of ``test_cones_that_do_not_commute_are_
+    computed``, drawn the same way, each clean and corrupted: yields
+    (corrupted, sheaf, cover, report) on the full cover and two random
+    covers."""
+    rng = random.Random(7)
+    for i in range(40):
+        clean = random_linear_sheaf(rng, n_entities=rng.choice([3, 4]),
+                                    ensure_diamond=True)
+        for sh in (clean, with_corrupted_edge(clean, rng)):
+            t = sh.topology
+            for cover in [full_cover(t)] + [random_cover(rng, t)
+                                            for _ in range(2)]:
+                yield sh is not clean, sh, cover, leray_check(sh, cover, 2)
+
+
+def test_leray_names_the_chains_that_do_not_commute():
+    """On the diamond sheaves: every report of a corrupted sheaf that
+    holds a witness with a negative Betti number names at least one
+    2-chain a > b > c, every chain named is nested and fails the
+    composition check, and no clean sheaf names one.  The text prints
+    one line per chain, after the witnesses."""
+    negative = named = 0
+    for corrupted, sh, cover, report in diamond_reports():
+        chains = report.does_not_commute
+        if not corrupted:
+            assert chains == []
+            continue
+        tables = [json.loads(w.rsplit(": ", 1)[1]) for w in report.witnesses]
+        if any(min(table) < 0 for table in tables):
+            negative += 1
+            assert chains
+        r = sh.restriction_matrix
+        for a, b, c in chains:
+            assert a.mask & b.mask == b.mask != a.mask
+            assert b.mask & c.mask == c.mask != b.mask
+            assert np.max(np.abs(r(b.id, c.id) @ r(a.id, b.id)
+                                 - r(a.id, c.id))) > FUNCTORIALITY_TOL
+        if chains:
+            lines = [f"  does not commute: {a} > {b} > {c}"
+                     for a, b, c in chains]
+            assert str(report).split("\n")[-len(lines):] == lines
+            named += 1
+    assert negative > 0 and named >= negative
 
 
 class CountedOpen(OpenSet):
@@ -1322,10 +1370,11 @@ def test_lift_sheaf_raises_the_first_failing_edge(x_first, w_body, bins):
 
 
 def test_lift_sheaf_samples_each_source_grid_once(monkeypatch):
-    """On SAR at 2 bins, the sub-grid of each source and the axes its
-    edges read yields its chunks once for all those edges.  The 6-d
-    whole-space grid yields none: its projection reads 5 axes, and its
-    three state maps the 5 other than the altitude."""
+    """On SAR at 2 bins only the builtins are sampled, each (source, read
+    axes) sub-grid once for all its edges: the whole space's state maps
+    on the 5 axes other than the altitude, and {theta1,theta2,s}'s two
+    detection bearings on both of its axes.  The six projections are
+    counted."""
     sh = build_sar_sheaf()
     grids = sar_lift_grids(sh, 2)
     sampled = []
@@ -1341,19 +1390,112 @@ def test_lift_sheaf_samples_each_source_grid_once(monkeypatch):
 
     monkeypatch.setattr(BinGrid, "cell_samples", counted)
     lift_sheaf(sh, grids)
-    reads = {}
-    for (src, _), rm in sh.edges.items():
-        axes = getattr(rm.body, "indices", None) or \
-            getattr(rm.body, "reads", None) or range(len(grids[src].edges))
-        reads.setdefault((src, tuple(sorted(set(axes)))), []).append(rm)
+    t = sh.topology
+    top, u5 = t.full.id, t.open_for(["theta1", "theta2", "s"]).id
+    builtins = [src for (src, _), rm in sh.edges.items()
+                if isinstance(rm.body, Builtin)]
+    assert builtins == [top, top, top, u5, u5]
+    assert sum(isinstance(rm.body, Projection)
+               for rm in sh.edges.values()) == 6
     want = []
-    for (src, axes), _ in reads.items():
+    for src, axes in ((top, (0, 1, 3, 4, 5)), (u5, (0, 1))):
         sub = BinGrid(tuple(grids[src].edges[ax] for ax in axes))
         per_chunk = max(1, LIFT_CHUNK_POINTS
                         // LIFT_SUBDIVISIONS ** len(sub.edges))
         want.append((sub.edges, -(-sub.size // per_chunk)))
     assert sampled == want
-    top = sh.topology.full.id
-    assert [len(axes) for src, axes in reads if src == top] == [5, 5]
-    assert max(len(edges) for edges, _ in sampled) == 5
-    assert sum(len(rms) for rms in reads.values()) > len(reads)
+
+
+def test_lift_of_projections_alone_samples_nothing(monkeypatch):
+    """A sheaf whose restrictions are all projections or identities is
+    lifted without a call to ``BinGrid.cell_samples``, and its matrices
+    equal the per-edge loop's bit for bit."""
+    rng = random.Random(149)
+    cases = []
+    for _ in range(6):
+        sh = as_projections(random_linear_sheaf(rng, conjugate=False))
+        edge = tuple(v / 8.0 for v in
+                     sorted(rng.sample(range(-20, 20), rng.randint(2, 4))))
+        grids = {oid: BinGrid((edge,) * sh.stalk(oid).dim)
+                 for oid in sh.native_ids()}
+        cases.append((sh, grids, reference_lift_sheaf(sh, grids)))
+    t = generate_topology(EntityUniverse(["a", "b"]), [("a", "b"), ("a",)])
+    x, v = t.full, t.open_for(["a"])
+    sh = Sheaf(t, {x: euclidean(2), v: euclidean(2)},
+               [RestrictionMap(x, v, Identity())])
+    grids = {x.id: uniform_grid([0.0, 0.0], [1.0, 1.0], 3),
+             v.id: uniform_grid([0.0, -1.0], [1.0, 1.0], 2)}
+    cases.append((sh, grids, reference_lift_sheaf(sh, grids)))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a projection was sampled")
+
+    monkeypatch.setattr(BinGrid, "cell_samples", refused)
+    for sh, grids, want in cases:
+        assert all(isinstance(rm.body, (Projection, Identity))
+                   for rm in sh.edges.values())
+        assert_same_lift(lift_sheaf(sh, grids), want)
+
+
+def test_counted_lift_bins_a_midpoint_on_an_interior_edge_to_its_right():
+    """One bin on [0, 3] has the midpoints 0.5, 1.5 and 2.5.  A codomain
+    edge at 1.5 puts that midpoint in the bin on its right, as the
+    search over interior edges with side="right" does; midpoints on the
+    outer edges lie in the closed range, and one below it fails the
+    edge, which then raises as the full lift does."""
+    grid_in = BinGrid(((0.0, 3.0),))
+    for edges, want in [((0.0, 1.5, 3.0), [1, 2]),
+                        ((0.5, 1.5, 2.5), [1, 2]),
+                        ((0.0, 0.5, 2.5, 2.75), [0, 2, 1])]:
+        grid_out = BinGrid((edges,))
+        counts = cohomology._count_projection((0,), grid_in, (0,), grid_out)
+        assert counts.tolist() == [[c] for c in want]
+        assert not assert_lifts_alike(Projection([0]), grid_in, grid_out)
+        assert np.array_equal(lift_one(Projection([0]), grid_in, grid_out),
+                              np.array([[c / 3] for c in want]))
+    grid_out = BinGrid(((0.75, 1.5, 3.0),))
+    assert cohomology._count_projection((0,), grid_in, (0,),
+                                        grid_out) is None
+    assert assert_lifts_alike(Projection([0]), grid_in, grid_out)
+
+
+def test_identity_lift_is_counted_like_the_full_lift():
+    """Identity bodies on 100 random grids, to the same grid, where the
+    lift is the identity matrix, and to codomains around it or missing
+    some samples, where both lifts raise the same error."""
+    rng = random.Random(151)
+    failures = 0
+    for _ in range(100):
+        grid_in = random_grid(rng, rng.randint(1, 3))
+        assert np.array_equal(lift_one(Identity(), grid_in, grid_in),
+                              np.eye(grid_in.size))
+        grid_out = codomain_around(rng, grid_in.edges)
+        failures += assert_lifts_alike(Identity(), grid_in, grid_out)
+    assert 0 < failures < 100
+
+
+def test_repeated_indices_are_counted_jointly():
+    """Projection([0, 0]) copies one axis to two outputs binned by
+    different edges.  Of the midpoints 0.5, 1.5 and 2.5, one lands in
+    each of the cells (0, 0), (1, 0) and (1, 1), and none in (0, 1):
+    the count is taken jointly over both outputs, where a product of
+    each output's own counts would put mass in every cell.  Then 200
+    random grids and projections that repeat and reorder an index,
+    each copy binned by its own edges, as the full lift bins them."""
+    grid_in = BinGrid(((0.0, 3.0),))
+    grid_out = BinGrid(((0.0, 1.0, 3.0), (0.0, 2.0, 3.0)))
+    assert np.array_equal(lift_one(Projection([0, 0]), grid_in, grid_out),
+                          np.array([[1.0], [0.0], [1.0], [1.0]]) / 3)
+    assert not assert_lifts_alike(Projection([0, 0]), grid_in, grid_out)
+    rng = random.Random(157)
+    failures = 0
+    for _ in range(200):
+        grid_in = random_grid(rng, rng.randint(1, 3))
+        dim = len(grid_in.edges)
+        indices = [rng.randrange(dim) for _ in range(rng.randint(1, 3))]
+        indices.insert(rng.randint(0, len(indices)), rng.choice(indices))
+        grid_out = codomain_around(rng, [grid_in.edges[i] for i in indices])
+        failures += assert_lifts_alike(Projection(indices), grid_in,
+                                       grid_out)
+    assert 0 < failures < 200
+

@@ -12,7 +12,13 @@ from conftest import (
     with_native_union,
 )
 import oracles
-from oracles import all_pairs_radius, max_common_distance, pullback_every_open
+from oracles import (
+    all_pairs_radius,
+    assignment_distance,
+    is_epsilon_approximate,
+    max_common_distance,
+    pullback_every_open,
+)
 from sheaffuse import (
     Assignment,
     Builtin,
@@ -21,13 +27,11 @@ from sheaffuse import (
     Linear,
     RestrictionMap,
     Sheaf,
-    assignment_distance,
     consistency_radius,
     distance,
     euclidean,
     fuse,
     generate_topology,
-    is_epsilon_approximate,
     lipschitz_bound,
     make_point,
     pullback_global,

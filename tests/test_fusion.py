@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from conftest import (
     boundary_start_assignment,
+    two_camera_simplex_assignments,
     camera_chain_sheaf,
     lifted_sar_cases,
     nan_sheaf,
@@ -16,6 +18,7 @@ from conftest import (
 from oracles import (
     NelderMeadOptions,
     all_pairs_gluing,
+    assignment_distance,
     factor_distances,
     layered_distances,
     lp_fusion_optimum,
@@ -32,7 +35,6 @@ from sheaffuse import (
     Projection,
     RestrictionMap,
     Sheaf,
-    assignment_distance,
     betti,
     circle,
     consistency_radius,
@@ -1060,3 +1062,31 @@ def test_sqp_work_on_the_recorded_sar_cases_is_pinned(case, iterations,
     res = fuse(sar_case_assignment(SAR, case))
     assert (res.route, res.converged) == ("sqp", True)
     assert (res.iterations, res.evaluations) == (iterations, evaluations)
+
+
+def test_two_camera_simplex_family_ends_in_a_known_outcome():
+    """The first 300 draws of ``two_camera_simplex_assignments``: each is
+    already global, fuses on the barrier route with its certificate
+    closed within f_tolerance, raises DegenerateAssignment when nothing
+    is read, or raises SpaceMismatch, as a valid sheaf does today when
+    its start lies off the simplexes.  Nothing else is raised."""
+    tol = FusionOptions().f_tolerance
+    outcomes = collections.Counter()
+    for i, a in enumerate(two_camera_simplex_assignments(300)):
+        try:
+            res = fuse(a)
+        except DegenerateAssignment:
+            assert not a.values, i
+            outcomes["degenerate"] += 1
+            continue
+        except SpaceMismatch:
+            outcomes["space_mismatch"] += 1
+            continue
+        if res.route == "barrier":
+            assert res.residual - res.dual_bound <= tol, i
+        else:
+            assert res.route == "already_global", i
+        outcomes[res.route] += 1
+    assert sum(outcomes.values()) == 300
+    assert outcomes["barrier"] and outcomes["already_global"] and \
+        outcomes["space_mismatch"]
