@@ -10,7 +10,6 @@ from .consistency import (
     Assignment,
     EdgeError,
     consistency_radius,
-    lipschitz_bound,
     pullback_global,
 )
 from .cohomology import (
@@ -20,7 +19,6 @@ from .cohomology import (
     Cover,
     betti,
     build_complex,
-    full_cover,
     leray_check,
     lift_sheaf,
     restrict_sheaf,
@@ -31,7 +29,6 @@ from .fusion import (
     FusionOptions,
     FusionResult,
     fuse,
-    fusion_lower_bound,
 )
 from .sheaf import (
     Affine,
@@ -53,7 +50,6 @@ from .spaces import (
     ValueSpace,
     circle,
     discrete,
-    distance,
     euclidean,
     geo2d,
     geo3d,
@@ -67,9 +63,7 @@ from .topology import (
     EntityUniverse,
     OpenSet,
     Topology,
-    comparable_pairs,
     generate_topology,
-    verify_topology,
 )
 
 __version__ = "0.1.0"

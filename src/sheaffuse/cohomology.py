@@ -47,11 +47,6 @@ class Cover:
             raise ValueError("cover must be nonempty")
 
 
-def full_cover(t: Topology) -> Cover:
-    """Every nonempty open, the canonical cover of the whole topology."""
-    return Cover(tuple(o for o in t.opens if o.mask))
-
-
 @dataclass
 class CochainComplex:
     degrees: list[list[tuple[tuple[int, ...], int, int]]]
@@ -724,6 +719,10 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
     # loop over the edges one at a time would raise it; a counted edge
     # whose midpoints leave its codomain holds None until its full lift
     matrices, failed = {}, {}
+    # each source cell's index along every axis of its grid
+    cell_index = {src: np.unravel_index(np.arange(grids[src].size),
+                                        grids[src].shape)
+                  for src in {src for src, _ in by_reads}}
     for (src, axes), group in by_reads.items():
         grid = grids[src]
         sampled = []
@@ -750,7 +749,7 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
                     except Exception as exc:
                         failed[key] = exc
         # each cell's column in the read axes
-        cell = np.unravel_index(np.arange(grid.size), grid.shape)
+        cell = cell_index[src]
         column = np.ravel_multi_index([cell[ax] for ax in axes],
                                       [grid.shape[ax] for ax in axes])
         for key, _ in group:

@@ -5,12 +5,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import spaces as sp
 from .errors import SpaceMismatch
 from .sheaf import Sheaf
-from .topology import OpenSet, comparable_pairs
+from .topology import OpenSet
+
 
 class Assignment:
     """Partial mapping from open sets to observations in their stalks.
@@ -135,14 +134,3 @@ def pullback_global(sh: Sheaf, s_top: sp.Point) -> Assignment:
                 coords += values[p].coords
             values[u.id] = sp.Point(coords, sh.stalk(u.id))
     return a
-
-
-def lipschitz_bound(sh: Sheaf) -> float:
-    """Largest operator 2-norm over all composed linear restrictions."""
-    sh.require_linear("lipschitz_bound")
-    worst = 0.0
-    for small, large in comparable_pairs(sh.topology):
-        m = sh.restriction_matrix(large.id, small.id)
-        if m.size:
-            worst = max(worst, float(np.linalg.norm(m, 2)))
-    return worst

@@ -21,10 +21,6 @@ class NotComparable(SheafFuseError):
     """Restriction requested between opens without an inclusion."""
 
 
-class SheafMismatch(SheafFuseError):
-    """Two assignments refer to different sheaves."""
-
-
 class MissingIntersectionStalk(SheafFuseError):
     """A basis open, or the end of a restriction, carries no stalk."""
 

@@ -117,13 +117,6 @@ class FusionResult:
     dual_bound: float | None = None
 
 
-def fusion_lower_bound(radius: float, lipschitz: float) -> float:
-    """Distance floor radius / (1 + K) for K-Lipschitz restrictions."""
-    if radius < 0 or lipschitz < 0:
-        raise ValueError("radius and Lipschitz constant must be nonnegative")
-    return radius / (1.0 + lipschitz)
-
-
 def _search_coordinates(sh: Sheaf):
     """The whole space, its stalk, and the map ``origin + basis @ x``
     from search coordinates x to the stalk's coordinates; on a nonlinear

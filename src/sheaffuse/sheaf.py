@@ -621,25 +621,6 @@ class Sheaf:
             self._matrix_cache[key] = cached
         return cached
 
-    # -- sampling -------------------------------------------------------------
-
-    def sample_stalk(self, oid: int, rng) -> sp.Point | None:
-        """Random valid point of a stalk, or None when not supported."""
-        pb = self.pullback(oid)
-        if pb is None or not pb.constraints:
-            return sp.sample_point(self.stalk(oid), rng)
-        try:
-            k = self.kernel_basis(oid)
-        except NonlinearSheaf:
-            top = self.topology.full.id
-            if top != oid and self.pullback(top) is None:
-                p = sp.sample_point(self.stalk(top), rng)
-                coords = self.restrict_coords(top, oid, p.coords)
-                return sp.make_point(self.stalk(oid), coords)
-            return None
-        z = np.array([rng.gauss(0.0, 10.0) for _ in range(k.shape[1])])
-        return sp.make_point(self.stalk(oid), tuple(k @ z))
-
 
 def complete_unions(sh: Sheaf) -> Sheaf:
     """A fresh sheaf on the same given stalks and edges.

@@ -206,16 +206,10 @@ def _check_simplexes(space: ValueSpace, vals) -> None:
                 raise SpaceMismatch("simplex coordinates must sum to 1")
 
 
-def distance(space: ValueSpace, x: Point, y: Point) -> float:
-    """Weighted pseudometric distance between two points of a space."""
-    if x.space != space or y.space != space:
-        raise SpaceMismatch("points do not belong to the given space")
-    return coord_distance(space, x.coords, y.coords)
-
-
 def coord_distance(space: ValueSpace, a, b) -> float:
-    """``distance`` on bare coordinate tuples, which the caller vouches
-    lie in ``space``; the inner loops of the radius and fusion use it.
+    """The weighted pseudometric distance between bare coordinate
+    tuples, which the caller vouches lie in ``space``; the inner loops
+    of the radius and fusion use it.
     NaN when any factor's distance is, else the largest, at least 0.0
     (a factor weighted -0.0 gives 0.0)."""
     ds = factor_distances(space, a, b)

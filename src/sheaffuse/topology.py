@@ -150,86 +150,3 @@ def generate_topology(universe: EntityUniverse,
     """Smallest topology containing the subbase, given as sets of
     entity names."""
     return Topology(universe, [universe.mask_of(names) for names in subbase])
-
-
-def comparable_pairs(t: Topology) -> list[tuple[OpenSet, OpenSet]]:
-    """All ordered pairs (smaller, larger) of nonempty opens with V strictly
-    inside U, by the larger open's id and then the smaller's."""
-    nonempty = t.opens[1:]   # the empty open sorts first
-    return [(v, u) for u in nonempty for v in nonempty
-            if v.mask != u.mask and v.mask & u.mask == v.mask]
-
-
-@dataclass
-class TopologyReport:
-    """Outcome of the closure-axiom check: every violation with a witness."""
-
-    ok: bool
-    violations: list[str]
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "topology axioms: ok"
-        return "topology axioms violated:\n" + "\n".join(
-            f"  - {v}" for v in self.violations
-        )
-
-
-def _render(universe: EntityUniverse, mask: int) -> str:
-    return "{" + ",".join(universe.names_of(mask)) + "}"
-
-
-def verify_basis(t: Topology) -> TopologyReport:
-    """Check that ``t.basis`` is a basis of a topology: the intersection
-    of any two basis opens is a union of basis opens.  Then the unions
-    of basis opens, which ``t.opens`` holds, are closed under union and
-    intersection, so this is the axiom check of ``verify_topology`` at
-    a cost that grows with the basis, not with the opens."""
-    masks = [b.mask for b in t.basis]
-    violations = []
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            meet, union = a & b, 0
-            for c in masks:
-                if c & meet == c:
-                    union |= c
-            if union != meet:
-                violations.append(
-                    f"intersection {_render(t.universe, meet)} = "
-                    f"{_render(t.universe, a)} ∩ {_render(t.universe, b)} "
-                    f"is not a union of basis opens"
-                )
-    return TopologyReport(ok=not violations, violations=violations)
-
-
-def verify_topology(universe: EntityUniverse,
-                    opens: Iterable[Iterable[str]]) -> TopologyReport:
-    """Diagnostic check that a family of sets is a topology on the universe.
-
-    For finite families, closure under pairwise union/intersection is
-    equivalent to the arbitrary-union and finite-intersection axioms.
-    """
-    masks = [universe.mask_of(s) for s in opens]
-    family = set(masks)
-    full = (1 << len(universe)) - 1
-    violations = []
-
-    def render(mask: int) -> str:
-        return _render(universe, mask)
-
-    if full not in family:
-        violations.append(f"whole set {render(full)} missing")
-    if 0 not in family:
-        violations.append("empty set missing")
-    ordered = sorted(family)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if a | b not in family:
-                violations.append(
-                    f"union {render(a | b)} = {render(a)} ∪ {render(b)} missing"
-                )
-            if a & b not in family:
-                violations.append(
-                    f"intersection {render(a & b)} = {render(a)} ∩ {render(b)} missing"
-                )
-    return TopologyReport(ok=not violations, violations=violations)

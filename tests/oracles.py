@@ -22,8 +22,10 @@ loop over every comparable pair, for the defined-pair loop;
 open in turn, for the pullback that restricts it once per native open;
 the ``reference_*`` cohomology routines, for the one cochain-complex
 routine over a nerve walk and the Leray check on sub-posets and cones;
-``global_sections_via_h0``, the kernel of d^0 over the full cover,
-and ``assignment_distance`` and ``is_epsilon_approximate``, which the
+``global_sections_via_h0``, the kernel of d^0 over the full cover;
+``assignment_distance``, ``is_epsilon_approximate``,
+``comparable_pairs``, ``distance``, ``full_cover``,
+``lipschitz_bound``, ``sample_stalk`` and ``SheafMismatch``, which the
 library does not need; ``reference_sub_topology``, built
 from every open inside a mask, for ``restrict_sheaf``'s topology built
 from the basis opens inside it; ``reference_lift_sheaf``, one
@@ -52,7 +54,6 @@ from sheaffuse.cohomology import (
     Cover,
     LerayReport,
     _betti_table,
-    full_cover,
     restrict_sheaf,
     stochastic_lift,
 )
@@ -64,13 +65,14 @@ from sheaffuse.consistency import (
 )
 from sheaffuse.errors import (
     IntersectionNotOpen,
+    NonlinearSheaf,
     NotComparable,
-    SheafMismatch,
+    SheafFuseError,
     SpaceMismatch,
     UnmappedBin,
 )
 from sheaffuse.sheaf import Chain, GluingReport, Linear, RestrictionMap, Sheaf
-from sheaffuse.topology import EntityUniverse, Topology, comparable_pairs
+from sheaffuse.topology import EntityUniverse, OpenSet, Topology
 
 
 def fixpoint_closure(masks, full):
@@ -99,6 +101,14 @@ def subset_pairs(masks):
             if v and u and v != u and v & u == v:
                 out.append((v, u))
     return out
+
+
+def comparable_pairs(t: Topology) -> list[tuple[OpenSet, OpenSet]]:
+    """All ordered pairs (smaller, larger) of nonempty opens with V strictly
+    inside U, by the larger open's id and then the smaller's."""
+    nonempty = t.opens[1:]   # the empty open sorts first
+    return [(v, u) for u in nonempty for v in nonempty
+            if v.mask != u.mask and v.mask & u.mask == v.mask]
 
 
 def axiom_violations(masks, full):
@@ -164,6 +174,13 @@ def reference_dist(space, a, b, off):
             s += abs(a[i] - b[i])
         return space.weight * 0.5 * s
     raise SpaceMismatch(f"unknown space kind {kind!r}")
+
+
+def distance(space: sp.ValueSpace, x: sp.Point, y: sp.Point) -> float:
+    """Weighted pseudometric distance between two points of a space."""
+    if x.space != space or y.space != space:
+        raise SpaceMismatch("points do not belong to the given space")
+    return sp.coord_distance(space, x.coords, y.coords)
 
 
 def layered_distances(a, coords):
@@ -499,6 +516,10 @@ def edge_path_functoriality(sh, samples=16, rng=None, tol=1e-9):
     return worst <= tol, worst
 
 
+class SheafMismatch(SheafFuseError):
+    """Two assignments refer to different sheaves."""
+
+
 def assignment_distance(a: Assignment, b: Assignment) -> float:
     """Sup over commonly defined opens of the stalk distance; 0 if none."""
     if a.sheaf is not b.sheaf:
@@ -508,7 +529,7 @@ def assignment_distance(a: Assignment, b: Assignment) -> float:
         pb = b.values.get(oid)
         if pb is None:
             continue
-        d = sp.distance(a.sheaf.stalk(oid), pa, pb)
+        d = distance(a.sheaf.stalk(oid), pa, pb)
         if d > best:
             best = d
     return best
@@ -520,6 +541,17 @@ def is_epsilon_approximate(a: Assignment, eps: float) -> bool:
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
     return consistency_radius(a).radius <= eps + 1e-12
+
+
+def lipschitz_bound(sh: Sheaf) -> float:
+    """Largest operator 2-norm over all composed linear restrictions."""
+    sh.require_linear("lipschitz_bound")
+    worst = 0.0
+    for small, large in comparable_pairs(sh.topology):
+        m = sh.restriction_matrix(large.id, small.id)
+        if m.size:
+            worst = max(worst, float(np.linalg.norm(m, 2)))
+    return worst
 
 
 def all_pairs_radius(a):
@@ -555,6 +587,24 @@ def pullback_every_open(sh: Sheaf, s_top: sp.Point) -> Assignment:
             coords = reference_restrict_coords(sh, top.id, u.id, s_top.coords)
             a.values[u.id] = sp.make_point(sh.stalk(u.id), coords)
     return a
+
+
+def sample_stalk(sh: Sheaf, oid: int, rng) -> sp.Point | None:
+    """Random valid point of a stalk, or None when not supported."""
+    pb = sh.pullback(oid)
+    if pb is None or not pb.constraints:
+        return sp.sample_point(sh.stalk(oid), rng)
+    try:
+        k = sh.kernel_basis(oid)
+    except NonlinearSheaf:
+        top = sh.topology.full.id
+        if top != oid and sh.pullback(top) is None:
+            p = sp.sample_point(sh.stalk(top), rng)
+            coords = sh.restrict_coords(top, oid, p.coords)
+            return sp.make_point(sh.stalk(oid), coords)
+        return None
+    z = np.array([rng.gauss(0.0, 10.0) for _ in range(k.shape[1])])
+    return sp.make_point(sh.stalk(oid), tuple(k @ z))
 
 
 def minimax_optimum(a):
@@ -603,7 +653,7 @@ def minimax_optimum(a):
 def factor_distances(a, x):
     """Per factor of each defined stalk, the distance between the
     reading and the restriction of the whole-space section x, scored
-    point by point through ``Sheaf.restrict`` and ``spaces.distance``
+    point by point through ``Sheaf.restrict`` and ``distance``
     on each factor's own points."""
     sh = a.sheaf
     top = sh.topology.full
@@ -612,7 +662,7 @@ def factor_distances(a, x):
     for oid, reading in sorted(a.values.items()):
         restricted = sh.restrict(top, oid, section)
         for c, lo, hi in sh.stalk(oid).factors:
-            out.append(sp.distance(c, sp.make_point(c, reading.coords[lo:hi]),
+            out.append(distance(c, sp.make_point(c, reading.coords[lo:hi]),
                                    sp.make_point(c, restricted.coords[lo:hi])))
     return np.array(out)
 
@@ -853,6 +903,11 @@ def nelder_mead(objective, x0, opts: NelderMeadOptions = NelderMeadOptions()
 # nerve over every index set and a poset order complex assembled by
 # separate loops, and a Leray check that rebuilds each intersection as a
 # sheaf of its own and computes its table.
+
+def full_cover(t: Topology) -> Cover:
+    """Every nonempty open, the canonical cover of the whole topology."""
+    return Cover(tuple(o for o in t.opens if o.mask))
+
 
 def _intersection_open(sh: Sheaf, cover: Cover, idx: tuple[int, ...]):
     mask = cover.sets[idx[0]].mask

@@ -15,10 +15,14 @@ import pytest
 
 from conftest import constant_circle_sheaf, random_linear_sheaf
 from oracles import (
+    distance,
     fixpoint_closure,
+    full_cover,
     global_sections_via_h0,
     great_circle_km,
     lift_mass_matrix,
+    lipschitz_bound,
+    sample_stalk,
 )
 from sheaffuse import (
     Assignment,
@@ -26,12 +30,9 @@ from sheaffuse import (
     betti,
     build_complex,
     consistency_radius,
-    distance,
-    full_cover,
     fuse,
     generate_topology,
     leray_check,
-    lipschitz_bound,
     pullback_global,
     sample_point,
     stochastic_lift,
@@ -282,7 +283,7 @@ def test_c5c_pullback_radius_zero():
         else:
             sh = sar_sheaf
         top = sh.topology.full
-        point = (sh.sample_stalk(top.id, rng)
+        point = (sample_stalk(sh, top.id, rng)
                  if sh.pullback(top.id) is not None else
                  sample_point(sh.stalk(top.id), rng))
         radius = consistency_radius(pullback_global(sh, point)).radius

@@ -77,6 +77,20 @@ def test_check_passes_on_scenario_spec(sar_files, capsys):
     assert "functoriality: ok" in out
 
 
+def test_check_prints_the_two_sheaf_axioms(mosaic_spec, sar_files, capsys):
+    """One line per sheaf axiom, functoriality first; the nonlinear SAR
+    sheaf skips the gluing rank check."""
+    assert main(["check", str(mosaic_spec)]) == 0
+    assert capsys.readouterr().out == (
+        "functoriality: ok (max path discrepancy 0 over 0 edge pairs)\n"
+        "gluing: ok (1 native unions)\n")
+    spec, _ = sar_files
+    assert main(["check", str(spec)]) == 0
+    assert capsys.readouterr().out == (
+        "functoriality: ok (max path discrepancy 0 over 3 edge pairs)\n"
+        "gluing: skipped (the rank check needs linear restrictions)\n")
+
+
 def test_check_fails_on_gluing_counterexample(tmp_path, capsys):
     path = counterexample_spec(tmp_path)
     assert main(["check", str(path)]) == 1

@@ -17,6 +17,7 @@ from conftest import (
 from oracles import (
     agreement_dim,
     circle_cover_betti,
+    full_cover,
     global_sections_via_h0,
     grid_lift_reference,
     lift_mass_matrix,
@@ -39,7 +40,6 @@ from sheaffuse import (
     betti,
     build_complex,
     euclidean,
-    full_cover,
     generate_topology,
     leray_check,
     stochastic_lift,

@@ -13,11 +13,16 @@ from conftest import (
 )
 import oracles
 from oracles import (
+    SheafMismatch,
     all_pairs_radius,
     assignment_distance,
+    comparable_pairs,
+    distance,
     is_epsilon_approximate,
+    lipschitz_bound,
     max_common_distance,
     pullback_every_open,
+    sample_stalk,
 )
 from sheaffuse import (
     Assignment,
@@ -28,17 +33,15 @@ from sheaffuse import (
     RestrictionMap,
     Sheaf,
     consistency_radius,
-    distance,
     euclidean,
     fuse,
     generate_topology,
-    lipschitz_bound,
     make_point,
     pullback_global,
     sample_point,
     simplex,
 )
-from sheaffuse.errors import SheafMismatch, SpaceMismatch
+from sheaffuse.errors import SpaceMismatch
 from sheaffuse.specio import load_assignment, save_assignment
 from sheaffuse.scenarios import (
     SarParameters,
@@ -222,10 +225,10 @@ def test_pullback_matches_every_open_on_random_sheaves():
                                      include_full=include_full)
             top = sh.topology.full.id
             unions += assert_same_as_every_open(
-                sh, sh.sample_stalk(top, rng))
+                sh, sample_stalk(sh, top, rng))
     sh, _ = nested_native_union()
     unions += assert_same_as_every_open(
-        sh, sh.sample_stalk(sh.topology.full.id, rng))
+        sh, sample_stalk(sh, sh.topology.full.id, rng))
     assert unions > 0
 
 
@@ -249,7 +252,7 @@ def test_pullback_matches_every_open_on_scenario_sheaves():
         build_coin_sheaf(v) for v in ("mosaic", "counts", "value")]
     for sh in sheaves:
         assert_same_as_every_open(
-            sh, sh.sample_stalk(sh.topology.full.id, rng))
+            sh, sample_stalk(sh, sh.topology.full.id, rng))
 
 
 def test_pullback_matches_every_open_on_an_eight_camera_chain():
@@ -282,7 +285,7 @@ def test_pullback_restricts_once_per_native_open(monkeypatch):
     nested, _ = nested_native_union()
     for sh in (camera_chain_sheaf(), nested):
         top = sh.topology.full.id
-        s = sh.sample_stalk(top, rng)
+        s = sample_stalk(sh, top, rng)
         native = set(sh.native_ids())
         calls.clear()
         pullback_global(sh, s)
@@ -374,8 +377,6 @@ def test_lipschitz_bound_nonnegative_and_covers_norms():
     sh = random_linear_sheaf(rng)
     k = lipschitz_bound(sh)
     assert k >= 0.0
-    from sheaffuse.topology import comparable_pairs
-
     for small, large in comparable_pairs(sh.topology):
         m = sh.restriction_matrix(large.id, small.id)
         if m.size:

@@ -20,11 +20,14 @@ from oracles import (
     all_pairs_gluing,
     assignment_distance,
     factor_distances,
+    full_cover,
     layered_distances,
+    lipschitz_bound,
     lp_fusion_optimum,
     minimax_optimum,
     nelder_mead,
     nonlinear_minimax,
+    sample_stalk,
 )
 from sheaffuse import (
     Assignment,
@@ -40,12 +43,9 @@ from sheaffuse import (
     consistency_radius,
     discrete,
     euclidean,
-    full_cover,
     fuse,
     fusion,
-    fusion_lower_bound,
     generate_topology,
-    lipschitz_bound,
     make_point,
     product,
     pullback_global,
@@ -196,14 +196,6 @@ def test_optimizer_not_beaten_by_random_candidates():
         assert res.residual <= alt + 1e-9
 
 
-def test_fusion_lower_bound_values():
-    assert fusion_lower_bound(0.0, 123.0) == 0.0
-    assert fusion_lower_bound(15.7, 0.0) == pytest.approx(15.7)
-    assert fusion_lower_bound(10.0, 4.0) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        fusion_lower_bound(-1.0, 0.0)
-
-
 def test_lower_bound_holds_on_random_linear_sheaves():
     rng = random.Random(71)
     for _ in range(15):
@@ -215,9 +207,7 @@ def test_lower_bound_holds_on_random_linear_sheaves():
         k = lipschitz_bound(sh)
         res = fuse(a, FusionOptions())
         radius = consistency_radius(a).radius
-        lower = fusion_lower_bound(radius, k)
-        assert lower == pytest.approx(radius / (1.0 + k))
-        assert res.residual >= lower - 1e-9
+        assert res.residual >= radius / (1.0 + k) - 1e-9
 
 
 def test_fuse_over_constrained_pullback_top():
@@ -673,7 +663,7 @@ def test_global_assignment_without_top_value_is_already_global():
     sh = random_linear_sheaf(rng, include_full=False)
     top = sh.topology.full
     assert sh.pullback(top.id).constraints
-    a = pullback_global(sh, sh.sample_stalk(top.id, rng))
+    a = pullback_global(sh, sample_stalk(sh, top.id, rng))
     del a.values[top.id]
     res = fuse(a)
     assert res.route == "already_global"
@@ -940,7 +930,7 @@ def test_fuse_refuses_a_nonlinear_whole_space_of_overlapping_parts():
                                Builtin("shift", lambda c: (c[1] + 1.0,))),
                 RestrictionMap(right, mid, Projection([0]))])
     assert not sh.is_linear() and sh.pullback(t.full.id).constraints
-    assert sh.sample_stalk(t.full.id, random.Random(0)) is None
+    assert sample_stalk(sh, t.full.id, random.Random(0)) is None
     a = Assignment(sh, {mid: make_point(euclidean(1), [1.0])})
     with pytest.raises(NoTopStalk, match="constrained pullback"):
         fuse(a)

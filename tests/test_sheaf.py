@@ -17,10 +17,12 @@ from conftest import (
 from oracles import (
     agreement_dim,
     all_pairs_gluing,
+    comparable_pairs,
     edge_path_functoriality,
     reference_ambient_matrix,
     reference_basis_chain,
     reference_restrict_coords,
+    sample_stalk,
 )
 from sheaffuse import (
     Affine,
@@ -32,7 +34,6 @@ from sheaffuse import (
     Projection,
     RestrictionMap,
     Sheaf,
-    comparable_pairs,
     complete_unions,
     euclidean,
     generate_topology,
@@ -127,7 +128,7 @@ def test_two_paths_agree_on_shared_time():
     time_open = t.open_for(["t"])
     rng = random.Random(3)
     for _ in range(20):
-        p = sh.sample_stalk(u34.id, rng)
+        p = sample_stalk(sh, u34.id, rng)
         via_u3 = sh.restrict_coords(
             u34.id, t.open_for(["theta1", "t"]).id, p.coords)
         via_u4 = sh.restrict_coords(
@@ -151,7 +152,7 @@ def test_sample_stalk_on_a_constrained_union_of_a_nonlinear_sheaf():
     with pytest.raises(NonlinearSheaf):
         sh.kernel_basis(union.id)
     for seed in range(5):
-        got = sh.sample_stalk(union.id, random.Random(seed))
+        got = sample_stalk(sh, union.id, random.Random(seed))
         whole = sample_point(sh.stalk(t.full.id), random.Random(seed))
         assert got.space == sh.stalk(union.id)
         assert got.coords == tuple(
@@ -539,7 +540,7 @@ def test_pullback_open_containing_native_union_lists_it_as_part():
         pb = sh.pullback(big.id)
         assert w.id in pb.parts
         lo, hi = pb.slices()[w.id]
-        x = sh.sample_stalk(big.id, rng).coords
+        x = sample_stalk(sh, big.id, rng).coords
         assert sh.restrict_coords(big.id, w.id, x) == tuple(x[lo:hi])
 
 
@@ -639,7 +640,7 @@ def test_restriction_chain_consistency_on_samples():
     mid = t.open_for(["theta1", "t"])
     small = t.open_for(["t"])
     for _ in range(25):
-        p = sh.sample_stalk(u34.id, rng)
+        p = sample_stalk(sh, u34.id, rng)
         direct = sh.restrict_coords(u34.id, small.id, p.coords)
         stepped = sh.restrict_coords(
             mid.id, small.id, sh.restrict_coords(u34.id, mid.id, p.coords)

@@ -3,11 +3,10 @@ import random
 
 import pytest
 
-from oracles import great_circle_km, reference_dist
+from oracles import distance, great_circle_km, reference_dist
 from sheaffuse import (
     circle,
     discrete,
-    distance,
     euclidean,
     geo2d,
     geo3d,

@@ -5,16 +5,15 @@ import random
 import pytest
 
 from conftest import random_subbase
-from oracles import axiom_violations, fixpoint_closure, subset_pairs
-from sheaffuse import (
-    EntityUniverse,
+from oracles import (
+    axiom_violations,
     comparable_pairs,
-    generate_topology,
-    topology,
-    verify_topology,
+    fixpoint_closure,
+    subset_pairs,
 )
+from sheaffuse import EntityUniverse, generate_topology, topology
 from sheaffuse.errors import TopologyTooLarge, UnknownEntity
-from sheaffuse.topology import OPEN_CAP, Topology, verify_basis
+from sheaffuse.topology import OPEN_CAP, Topology
 
 
 def masks(t):
@@ -109,8 +108,9 @@ def test_generation_matches_fixpoint_closure_oracle():
 
 def test_topology_closes_a_family_that_is_not_intersection_closed():
     """``Topology`` given masks builds the smallest topology holding
-    them: random families of up to 9 entities, over a hundred of them
-    missing some intersection, gain it as a basis open."""
+    them, which passes the direct axiom check: random families of up to
+    9 entities, over a hundred of them missing some intersection, gain
+    it as a basis open."""
     rng = random.Random(31)
     not_closed = 0
     for _ in range(300):
@@ -124,6 +124,7 @@ def test_topology_closes_a_family_that_is_not_intersection_closed():
             list(zip(by_size(expected), range(len(expected))))
         assert [b.mask for b in t.basis] == \
             by_size(intersections(expected, sets) - {0})
+        assert axiom_violations(masks(t), full) == 0
         not_closed += not intersections(expected, sets) - {0} <= sets
     assert not_closed > 100
 
@@ -215,73 +216,3 @@ def test_comparable_pairs_matches_subset_scan():
         t = generate_topology(universe, subbase)
         got = {(v.mask, w.mask) for v, w in comparable_pairs(t)}
         assert got == set(subset_pairs([o.mask for o in t.opens]))
-
-
-def test_verify_topology_passes_discrete():
-    u = EntityUniverse(["a", "b"])
-    report = verify_topology(u, [(), ("a",), ("b",), ("a", "b")])
-    assert report.ok
-
-
-def test_verify_topology_finds_missing_intersection():
-    u = EntityUniverse(["x", "y", "z", "vx", "vy", "t", "th1", "th2", "s"])
-    report = verify_topology(u, [
-        ("x", "y", "z"), ("x", "y", "z", "vx", "vy"), ("th1", "t"),
-        ("th2", "t"), ("th1", "th2", "s"), tuple(u.names), (),
-    ])
-    assert not report.ok
-    assert any("intersection {t}" in v for v in report.violations)
-
-
-def test_verify_topology_agrees_with_direct_axiom_check():
-    rng = random.Random(23)
-    for _ in range(100):
-        universe, subbase = random_subbase(rng, 4, rng.randint(1, 4))
-        fam = [universe.mask_of(s) for s in subbase]
-        if rng.random() < 0.5:
-            fam += [0, (1 << len(universe)) - 1]
-        report = verify_topology(
-            universe, [universe.names_of(m) for m in fam]
-        )
-        expected = axiom_violations(set(fam), (1 << len(universe)) - 1)
-        assert report.ok == (expected == 0)
-
-
-def union_closure(masks, full):
-    """Every union of the given masks, with the empty and the full set."""
-    family = {0, full}
-    for m in masks:
-        family |= {f | m for f in family}
-    return family
-
-
-def test_verify_basis_agrees_with_the_axioms_on_the_unions():
-    """On a topology the basis passes.  On any family put in place of
-    the basis, the check passes exactly when the family's unions form
-    a topology, as ``verify_topology`` finds them."""
-    rng = random.Random(29)
-    broken = 0
-    for _ in range(200):
-        universe, subbase = random_subbase(rng, 5, rng.randint(1, 5))
-        t = generate_topology(universe, subbase)
-        assert verify_basis(t).ok
-        full = (1 << len(universe)) - 1
-        family = [universe.mask_of(s) for s in subbase]
-        t.basis = tuple(t.find(m) for m in family)
-        report = verify_basis(t)
-        opens = union_closure(family, full)
-        assert report.ok == verify_topology(
-            universe, [universe.names_of(m) for m in opens]).ok
-        assert report.ok == (axiom_violations(opens, full) == 0)
-        broken += not report.ok
-    assert broken > 20
-
-
-def test_verify_basis_names_the_intersection():
-    u = EntityUniverse(["a", "b", "c"])
-    t = generate_topology(u, [("a", "b"), ("b", "c")])
-    t.basis = (t.open_for(["a", "b"]), t.open_for(["b", "c"]))
-    report = verify_basis(t)
-    assert str(report) == ("topology axioms violated:\n  - intersection "
-                           "{b} = {a,b} ∩ {b,c} is not a union of basis "
-                           "opens")
