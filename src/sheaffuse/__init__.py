@@ -21,7 +21,6 @@ from .cohomology import (
     build_complex,
     leray_check,
     lift_sheaf,
-    restrict_sheaf,
     stochastic_lift,
     uniform_grid,
 )

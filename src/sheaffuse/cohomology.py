@@ -22,7 +22,7 @@ from .sheaf import (
     Sheaf,
     batch_call,
 )
-from .topology import EntityUniverse, OpenSet, Topology
+from .topology import OpenSet, Topology
 
 DD_TOL = 1e-10
 # lift_sheaf: sample points per domain cell and axis, and the most bins
@@ -223,23 +223,32 @@ def _poset_betti(sh: Sheaf, nodes: list[int], max_degree: int) -> BettiTable:
     return _table(_complex(sh, chains, lambda ch: ch[-1]))
 
 
+def _inside(t: Topology, nodes: list[int], mask: int) -> list[int]:
+    """The nodes inside the set ``mask``, in the order of ``nodes``."""
+    return [m for m in nodes if t.opens[m].mask & mask == t.opens[m].mask]
+
+
 def _below(t: Topology, nodes: list[int]) -> dict[int, list[int]]:
     """The nodes strictly inside each node, in the order of ``nodes``."""
-    return {n: [m for m in nodes if m != n and
-                t.opens[m].mask & t.opens[n].mask == t.opens[m].mask]
+    return {n: [m for m in _inside(t, nodes, t.opens[n].mask) if m != n]
             for n in nodes}
 
 
-def topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
-    """Betti numbers of the whole finite space.
+def topology_betti(sh: Sheaf, max_degree: int, u: OpenSet) -> BettiTable:
+    """Betti numbers of the open ``u`` (the whole finite space when it
+    is ``sh.topology.full``).
 
-    Computed as derived limits of the stalk diagram over the
-    specialization poset (chains of strictly nested minimal open
-    neighborhoods), which agrees with cover-level tables exactly when a
-    cover satisfies the acyclicity hypothesis of the nerve theorem.
+    Computed as derived limits of the stalk diagram over the part of
+    the specialization poset inside ``u`` (chains of strictly nested
+    minimal open neighborhoods), which agrees with cover-level tables
+    exactly when a cover satisfies the acyclicity hypothesis of the
+    nerve theorem.  Every entity of ``u`` has its minimal neighborhood
+    inside ``u``, so that part is the poset of the sheaf on ``u``, with
+    the same stalks and maps, and no sub-sheaf is built.
     """
     sh.require_linear("topology_betti")
-    return _poset_betti(sh, _minimal_open_poset(sh), max_degree)
+    return _poset_betti(sh, _inside(sh.topology, _minimal_open_poset(sh),
+                                    u.mask), max_degree)
 
 
 @dataclass
@@ -270,33 +279,6 @@ class LerayReport:
         for a, b, c in self.does_not_commute:
             lines.append(f"  does not commute: {a} > {b} > {c}")
         return "\n".join(lines)
-
-
-def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
-    """The sheaf induced on the subtopology of opens inside ``top_mask``.
-
-    The subtopology lives on a universe containing only the entities of
-    ``top_mask``, so its whole space is the restricted set itself.
-    """
-    t = sh.topology
-    sub_universe = EntityUniverse(t.universe.names_of(top_mask))
-
-    def translate(mask: int) -> int:
-        return sub_universe.mask_of(t.universe.names_of(mask))
-
-    sub = Topology(sub_universe, [translate(b.mask) for b in t.basis
-                                  if b.mask & top_mask == b.mask])
-    stalks = {sub.find(translate(t.opens[n].mask)): sh.stalks[n]
-              for n in sh.native_ids()
-              if t.opens[n].mask & top_mask == t.opens[n].mask}
-    edges = []
-    for (src, dst), rm in sh.edges.items():
-        sm, dm = t.opens[src].mask, t.opens[dst].mask
-        if sm & top_mask == sm and dm & top_mask == dm:
-            edges.append(RestrictionMap(
-                sub.find(translate(sm)), sub.find(translate(dm)), rm.body
-            ))
-    return Sheaf(sub, stalks, edges)
 
 
 def _commutes_below(sh: Sheaf, a: int, below: dict) -> tuple | None:
@@ -357,8 +339,7 @@ def leray_check(sh: Sheaf, cover: Cover, max_degree: int) -> LerayReport:
         if u.id in seen:
             continue
         seen.add(u.id)
-        inside = [m for m in nodes
-                  if t.opens[m].mask & u.mask == t.opens[m].mask]
+        inside = _inside(t, nodes, u.mask)
         if u.id in below and all(map(commutes, inside)):
             report.acyclic[str(u)] = True
             continue
@@ -614,7 +595,8 @@ def _axis_counts(edge, out_edges: tuple) -> np.ndarray | None:
     ``edge`` land in each cell of the grid of ``out_edges``, every axis
     of which copies the midpoint: an array of that grid's shape, then
     the bins of ``edge``; None when a midpoint lies outside the grid.
-    Each axis bins as ``BinGrid._axis_bins`` does."""
+    Each axis bins as ``BinGrid._axis_bins`` does.  With no
+    ``out_edges`` the grid has one cell, which holds every midpoint."""
     mids = _midpoints(edge, LIFT_SUBDIVISIONS)
     bins, low, high = len(mids), mids.min(), mids.max()
     mids = mids.ravel()
@@ -629,23 +611,23 @@ def _axis_counts(edge, out_edges: tuple) -> np.ndarray | None:
                        minlength=math.prod(shape)).reshape(shape)
 
 
-def _count_projection(kept, grid: BinGrid, axes, grid_out: BinGrid):
+def _count_projection(kept, grid: BinGrid, grid_out: BinGrid):
     """The counts ``_lift_chunk`` writes for a body whose output o copies
-    source axis ``kept[o]``, from the cells of ``grid`` in ``axes``
-    (each axis of ``kept`` among them), found without a sample: a
-    (codomain cells, cells in ``axes``) integer matrix, or None when a
-    midpoint lies outside the range of an output that copies it.
+    source axis ``kept[o]``, from every cell of ``grid``, found without a
+    sample: a (codomain cells, source cells) integer matrix, or None when
+    a midpoint lies outside the range of an output that copies it.
 
     A sample is a product of per-axis midpoints, and each output copies
     one of them, so a cell's count in a codomain cell is the product
-    over ``axes`` of ``_axis_counts``, each taken jointly over the
-    outputs that copy its axis.  The Kronecker product of the tables
+    over the source axes of ``_axis_counts``, each taken jointly over
+    the outputs that copy its axis; an axis that no output copies gives
+    LIFT_SUBDIVISIONS per bin.  The Kronecker product of the tables
     holds them all, its rows grouped by axis; a row gather puts them in
     output order."""
     counts, order = np.ones((1, 1), dtype=np.intp), []
-    for pos in reversed(range(len(axes))):
-        outs = [o for o, k in enumerate(kept) if k == axes[pos]]
-        table = _axis_counts(grid.edges[axes[pos]],
+    for ax in reversed(range(len(grid.edges))):
+        outs = [o for o, k in enumerate(kept) if k == ax]
+        table = _axis_counts(grid.edges[ax],
                              tuple(grid_out.edges[o] for o in outs))
         if table is None:
             return None
@@ -668,27 +650,27 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
     ``grids`` maps the ids in ``sh.native_ids()`` to BinGrid instances
     matching the stalk dimensions.  Each edge's matrix equals
     ``stochastic_lift(body, grids[src], grids[dst], LIFT_SUBDIVISIONS)``
-    bit for bit, but each body is lifted from the sub-grid of the axes
-    it reads, and no Projection or Identity is sampled.  When edges
-    fail, the first failing one in ``sh.edges`` raises its error.
+    bit for bit, but no Projection or Identity is sampled, and every
+    other body is sampled on the sub-grid of the axes it reads.  When
+    edges fail, the first failing one in ``sh.edges`` raises its error.
 
-    A Projection or an Identity is counted on the sub-grid of the axes
-    it copies (``_count_projection``).  Every other body is sampled on
-    the sub-grid of its declared ``reads`` (``_read_axes``; all axes
-    when it declares none), once for all the edges from one source that
-    read the same axes.  Its samples go to the body embedded in the
-    source dimension, NaN on the axes it does not read.  A domain
-    cell's samples repeat each sample of its cell in the read axes a =
-    LIFT_SUBDIVISIONS ** (unread axes) times, so its column holds
-    c a / (a b) where the sub-grid's holds c / b: quotients of the same
-    rational, which round alike.  A projection's counts are those c.
-    Each domain cell takes the column of its cell in the read axes.  An
-    edge whose sub-lift fails, or with a midpoint outside its codomain,
-    is lifted again on the full grid, so that its error names the same
-    sample.  A builtin seen to compute with an axis it did not declare
-    is refused when its sheaf is built (``sheaf._check_builtin``); one
-    the probe missed, whose images the NaN leaves not finite, gets the
-    full lift.
+    A Projection or an Identity is counted on the whole source grid
+    (``_count_projection``), and its counts divided by the samples per
+    cell.  Every other body is sampled on the sub-grid of its declared
+    ``reads`` (``_read_axes``; all axes when it declares none), once for
+    all the edges from one source that read the same axes.  Its samples
+    go to the body embedded in the source dimension, NaN on the axes it
+    does not read.  A domain cell's samples repeat each sample of its
+    cell in the read axes a = LIFT_SUBDIVISIONS ** (unread axes) times,
+    so its column holds c a / (a b) where the sub-grid's holds c / b:
+    quotients of the same rational, which round alike.  Each domain cell
+    takes the column of its cell in the read axes.  An edge whose
+    sub-lift fails, or with a midpoint outside its codomain, is lifted
+    again on the full grid, in edge order, so that its error names the
+    same sample.  A builtin seen to compute with an axis it did not
+    declare is refused when its sheaf is built
+    (``sheaf._check_builtin``); one the probe missed, whose images the
+    NaN leaves not finite, gets the full lift.
     """
     t = sh.topology
     stalks = {}
@@ -707,66 +689,49 @@ def lift_sheaf(sh: Sheaf, grids: dict) -> Sheaf:
                 f"(cap {MAX_STALK_BINS}); use fewer bins per axis"
             )
         stalks[oid] = sp.simplex(grid.size)
-    by_reads = {}
+    matrices, failed, by_reads = {}, set(), {}
     for (src, dst), rm in sh.edges.items():
         dim = len(grids[src].edges)
         kept = _copied_axes(rm.body, dim)
-        axes = _read_axes(rm.body) if kept is None else \
-            tuple(sorted(set(kept)))
-        by_reads.setdefault((src, axes or tuple(range(dim))), []) \
-            .append(((src, dst), kept))
-    # any error a body raises is held and raised in edge order, as a
-    # loop over the edges one at a time would raise it; a counted edge
-    # whose midpoints leave its codomain holds None until its full lift
-    matrices, failed = {}, {}
-    # each source cell's index along every axis of its grid
-    cell_index = {src: np.unravel_index(np.arange(grids[src].size),
-                                        grids[src].shape)
-                  for src in {src for src, _ in by_reads}}
+        if kept is None:
+            axes = _read_axes(rm.body) or tuple(range(dim))
+            by_reads.setdefault((src, axes), []).append((src, dst))
+            continue
+        counts = _count_projection(kept, grids[src], grids[dst])
+        if counts is None:
+            failed.add((src, dst))
+        else:
+            matrices[src, dst] = counts / LIFT_SUBDIVISIONS ** dim
     for (src, axes), group in by_reads.items():
         grid = grids[src]
-        sampled = []
-        for key, kept in group:
-            if kept is None:
-                sampled.append(key)
-                continue
-            matrices[key] = _count_projection(kept, grid, axes, grids[key[1]])
-            if matrices[key] is None:
-                failed[key] = None
-        if sampled:
-            sub = BinGrid(tuple(grid.edges[ax] for ax in axes))
-            for key in sampled:
-                matrices[key] = np.zeros((grids[key[1]].size, sub.size))
-            for cells, points in grid.cell_samples(
-                    LIFT_SUBDIVISIONS, _chunk_cells(sub, LIFT_SUBDIVISIONS),
-                    axes):
-                for key in sampled:
-                    if key in failed:
-                        continue
-                    try:
-                        _lift_chunk(sh.edges[key].body, cells, points, sub,
-                                    grids[key[1]], matrices[key])
-                    except Exception as exc:
-                        failed[key] = exc
+        sub = BinGrid(tuple(grid.edges[ax] for ax in axes))
+        for key in group:
+            matrices[key] = np.zeros((grids[key[1]].size, sub.size))
+        for cells, points in grid.cell_samples(
+                LIFT_SUBDIVISIONS, _chunk_cells(sub, LIFT_SUBDIVISIONS), axes):
+            for key in group:
+                if key in failed:
+                    continue
+                try:
+                    _lift_chunk(sh.edges[key].body, cells, points, sub,
+                                grids[key[1]], matrices[key])
+                except Exception:
+                    failed.add(key)
         # each cell's column in the read axes
-        cell = cell_index[src]
-        column = np.ravel_multi_index([cell[ax] for ax in axes],
-                                      [grid.shape[ax] for ax in axes])
-        for key, _ in group:
+        view = [n if ax in axes else 1 for ax, n in enumerate(grid.shape)]
+        column = np.broadcast_to(np.arange(sub.size).reshape(view),
+                                 grid.shape).ravel()
+        for key in group:
             if key not in failed:
                 matrices[key] = matrices[key][:, column] / \
                     LIFT_SUBDIVISIONS ** len(axes)
-                continue
-            try:
-                matrices[key] = stochastic_lift(
-                    sh.edges[key].body, grid, grids[key[1]],
-                    LIFT_SUBDIVISIONS)
-                del failed[key]
-            except Exception as exc:
-                failed[key] = exc
+    # a failed edge is lifted again on the whole grid, in edge order, so
+    # the first whose whole lift fails raises, as a loop over the edges
+    # one at a time would
     for key in sh.edges:
         if key in failed:
-            raise failed[key]
+            matrices[key] = stochastic_lift(sh.edges[key].body, grids[key[0]],
+                                            grids[key[1]], LIFT_SUBDIVISIONS)
     edges = [RestrictionMap(t.opens[src], t.opens[dst],
                             Linear(matrices[src, dst]))
              for src, dst in sh.edges]

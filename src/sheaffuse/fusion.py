@@ -804,12 +804,18 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
             x0 = list(basis.T @ (np.asarray(x0, dtype=float) - origin))
     else:
         x0 = fit if fit is not None else [0.0] * top_space.dim
-    if groups and groups.bounded and np.any(
-            groups.floor_rows @ x0 + groups.floor_offset < -sp.SIMPLEX_TOL):
+
+    def on_floor(x):
+        return not (groups and groups.bounded) or not np.any(
+            groups.floor_rows @ x + groups.floor_offset < -sp.SIMPLEX_TOL)
+
+    if not on_floor(x0):
         x0 = groups.start  # off the simplexes, as an inconsistent fit may be
     dual_bound = None
-    start = plan.objective(x0)  # a start off the top stalk's simplexes raises
-    if start <= opts.f_tolerance:
+    # a start still off them restricts off a simplex, so it is not
+    # scored; the barrier route looks for one strictly inside
+    start = plan.objective(x0) if on_floor(x0) else None
+    if start is not None and start <= opts.f_tolerance:
         x, iterations, evaluations, converged = x0, 0, 0, True
         route = "already_global"
     elif start == math.inf:  # an observation too large for its metric

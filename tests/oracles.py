@@ -26,13 +26,15 @@ routine over a nerve walk and the Leray check on sub-posets and cones;
 ``assignment_distance``, ``is_epsilon_approximate``,
 ``comparable_pairs``, ``distance``, ``full_cover``,
 ``lipschitz_bound``, ``sample_stalk`` and ``SheafMismatch``, which the
-library does not need; ``reference_sub_topology``, built
-from every open inside a mask, for ``restrict_sheaf``'s topology built
-from the basis opens inside it; ``reference_lift_sheaf``, one
-``stochastic_lift`` per edge on the whole source grid, for the lift
-that samples each source grid once; and ``nelder_mead``, the
-derivative-free simplex search that fused simplex, discrete and
-nonlinear sheaves, for the minimax routes.
+library does not need; ``restrict_sheaf``, the sheaf on an open rebuilt
+with its own universe, topology and stalks, for the Betti numbers of
+an open read from the part of the sheaf's own poset inside it;
+``reference_sub_topology``, built from every open inside a mask, for
+``restrict_sheaf``'s topology built from the basis opens inside it;
+``reference_lift_sheaf``, one ``stochastic_lift`` per edge on the whole
+source grid, for the lift that samples each source grid once; and
+``nelder_mead``, the derivative-free simplex search that fused simplex,
+discrete and nonlinear sheaves, for the minimax routes.
 """
 
 import itertools
@@ -54,7 +56,6 @@ from sheaffuse.cohomology import (
     Cover,
     LerayReport,
     _betti_table,
-    restrict_sheaf,
     stochastic_lift,
 )
 from sheaffuse.consistency import (
@@ -1056,6 +1057,33 @@ def reference_topology_betti(sh: Sheaf, max_degree: int) -> BettiTable:
             d[pos:pos + dim, spos:spos + sdim] += sign * block
         coboundaries.append(d)
     return _betti_table(dims, coboundaries)
+
+
+def restrict_sheaf(sh: Sheaf, top_mask: int) -> Sheaf:
+    """The sheaf induced on the subtopology of opens inside ``top_mask``.
+
+    The subtopology lives on a universe containing only the entities of
+    ``top_mask``, so its whole space is the restricted set itself.
+    """
+    t = sh.topology
+    sub_universe = EntityUniverse(t.universe.names_of(top_mask))
+
+    def translate(mask: int) -> int:
+        return sub_universe.mask_of(t.universe.names_of(mask))
+
+    sub = Topology(sub_universe, [translate(b.mask) for b in t.basis
+                                  if b.mask & top_mask == b.mask])
+    stalks = {sub.find(translate(t.opens[n].mask)): sh.stalks[n]
+              for n in sh.native_ids()
+              if t.opens[n].mask & top_mask == t.opens[n].mask}
+    edges = []
+    for (src, dst), rm in sh.edges.items():
+        sm, dm = t.opens[src].mask, t.opens[dst].mask
+        if sm & top_mask == sm and dm & top_mask == dm:
+            edges.append(RestrictionMap(
+                sub.find(translate(sm)), sub.find(translate(dm)), rm.body
+            ))
+    return Sheaf(sub, stalks, edges)
 
 
 def reference_sub_topology(t: Topology, top_mask: int) -> Topology:

@@ -22,6 +22,7 @@ from oracles import (
     great_circle_km,
     lift_mass_matrix,
     lipschitz_bound,
+    restrict_sheaf,
     sample_stalk,
 )
 from sheaffuse import (
@@ -38,7 +39,7 @@ from sheaffuse import (
     stochastic_lift,
     verify_functoriality,
 )
-from sheaffuse.cohomology import restrict_sheaf, topology_betti
+from sheaffuse.cohomology import topology_betti
 from sheaffuse.fusion import FusionOptions
 from sheaffuse.scenarios import (
     SAR_CASES,
@@ -230,7 +231,8 @@ def test_c4_cohomology_integers():
     ok = got_p == [3, 1]
     overlap = t.open_for(["V1", "V2"]).mask
     for sh in (mosaic, prob):
-        sub_table = topology_betti(restrict_sheaf(sh, overlap), 2)
+        sub = restrict_sheaf(sh, overlap)
+        sub_table = topology_betti(sub, 2, sub.topology.full)
         ok = ok and all(b == 0 for b in sub_table.betti[1:])
     circle, arcs = constant_circle_sheaf()
     got_circle = betti(circle, Cover(arcs), 1).betti

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     boundary_start_assignment,
     random_linear_sheaf,
+    two_camera_simplex_assignments,
     with_corrupted_edge,
 )
 from sheaffuse import (
@@ -288,6 +289,20 @@ def test_fuse_refuses_a_discrete_stalk_with_one_error_line(tmp_path, capsys):
 
 def test_fuse_with_no_start_inside_the_simplexes_exits_1(tmp_path, capsys):
     a = boundary_start_assignment()
+    spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
+    save_sheaf(spec, a.sheaf)
+    save_assignment(values, a)
+    assert main(["fuse", str(spec), str(values)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and \
+        err == "error: no start lies strictly inside the simplexes\n"
+
+
+def test_fuse_from_a_start_off_the_simplexes_exits_1(tmp_path, capsys):
+    """Draw 1 of the two-camera family: no start it tries lies on the
+    simplexes, and the one error line says so rather than naming
+    simplex coordinates the user never gave."""
+    a = list(two_camera_simplex_assignments(2))[1]
     spec, values = tmp_path / "spec.json", tmp_path / "values.csv"
     save_sheaf(spec, a.sheaf)
     save_assignment(values, a)
@@ -808,7 +823,23 @@ def test_leray_text_on_the_two_camera_cover(mosaic_spec, capsys):
 
 
 def test_scenario_obstacle_and_coins_pass(capsys):
+    """Every obstacle row is pinned; its refined-cover rows are the
+    tables of the open {V1, V2} of each sheaf, read from the sheaf's own
+    poset."""
     assert main(["scenario", "obstacle"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == (
+        "scenario obstacle\n"
+        "  [PASS] probability sheaf cover betti: [3, 1, 0]\n"
+        "  [PASS] mosaic sheaf cover betti: [12, 0, 0]\n"
+        "  [PASS] mosaic refined-cover vanishing: [12, 0, 0]\n"
+        "  [PASS] probability refined-cover vanishing: [2, 0, 0]\n"
+        "  [PASS] mosaic leray verdict: acyclic: {'{L,V1,V2}': True, "
+        "'{R,V1,V2}': True, '{V1,V2}': True}\n"
+        "  [PASS] mosaic cover table equals topology table: [12, 0, 0] vs "
+        "[12, 0, 0]\n"
+        "scenario result: PASS\n")
     assert main(["scenario", "coins"]) == 0
 
 

@@ -26,8 +26,8 @@ from oracles import (
     reference_leray_check,
     reference_lift_sheaf,
     reference_minimal_open_poset,
-    reference_sub_topology,
     reference_topology_betti,
+    restrict_sheaf,
 )
 from sheaffuse import (
     BinGrid,
@@ -54,7 +54,6 @@ from sheaffuse.cohomology import (
     _lift_chunk,
     _minimal_open_poset,
     lift_sheaf,
-    restrict_sheaf,
     topology_betti,
 )
 from sheaffuse import cohomology
@@ -117,7 +116,7 @@ def test_obstacle_tables_report_dd_residual_within_tolerance():
             table = betti(sh, cover, 2)
             assert table.dd_residual <= DD_TOL
             assert table.as_dict()["dd_residual"] == table.dd_residual
-        assert topology_betti(sh, 2).dd_residual <= DD_TOL
+        assert topology_betti(sh, 2, sh.topology.full).dd_residual <= DD_TOL
 
 
 def test_coboundary_blocks_match_sign_oracle():
@@ -178,8 +177,6 @@ def test_mosaic_sheaf_vanishes_above_zero():
 
 
 def test_refined_cover_tables_vanish():
-    from sheaffuse.cohomology import restrict_sheaf
-
     mosaic, prob = build_obstacle_sheaves()
     t = prob.topology
     overlap = t.open_for(["V1", "V2"]).mask
@@ -188,44 +185,26 @@ def test_refined_cover_tables_vanish():
         st = sub.topology
         refined = Cover((st.full, st.open_for(["V1"]), st.open_for(["V2"])))
         assert all(b == 0 for b in betti(sub, refined, 2).betti[1:])
-        assert all(b == 0 for b in topology_betti(sub, 2).betti[1:])
+        assert all(b == 0 for b in topology_betti(sub, 2, st.full).betti[1:])
 
 
-def test_restrict_sheaf_keeps_native_union_stalk():
-    """W's stalk comes along with its edges, so the subsheaf on
-    {e0,e1,e2} is the part of the sheaf inside it."""
-    from sheaffuse.cohomology import restrict_sheaf
-
-    sh, w = nested_native_union()
-    t = sh.topology
-    top = t.open_for(["e0", "e1", "e2"])
-    sub = restrict_sheaf(sh, top.mask)
-    st = sub.topology
-    sub_w = st.open_for(w.members)
-    assert sub.stalks[sub_w.id] == sh.stalks[w.id]
-    assert sub.is_linear()
-    assert sub_w.id in sub.pullback(st.full.id).parts
-    inside = Cover(tuple(o for o in t.opens
-                         if o.mask and o.mask & top.mask == o.mask))
-    assert betti(sub, full_cover(st), 2).betti == betti(sh, inside, 2).betti
-
-
-def test_restricted_topology_matches_every_open_inside():
-    """restrict_sheaf generates its topology from the basis opens inside
-    the mask; it must have the same opens, in the same id order, as the
-    one every open inside the mask generates."""
+def test_topology_betti_of_an_open_matches_its_restricted_sheaf():
+    """The table of an open, read from the part of the sheaf's own
+    poset inside it, equals the table of the sheaf rebuilt on the open,
+    ``dd_residual`` included, on every nonempty open."""
     mosaic, prob = build_obstacle_sheaves()
-    rng = random.Random(23)
-    sheaves = [build_sar_sheaf(), mosaic, prob,
+    rng = random.Random(5)
+    sheaves = [mosaic, prob,
                *(build_coin_sheaf(v) for v in ("mosaic", "counts", "value")),
-               *(random_linear_sheaf(rng) for _ in range(50))]
-    for sh in sheaves:
-        for o in sh.topology.opens[1:]:
-            want = reference_sub_topology(sh.topology, o.mask)
-            got = restrict_sheaf(sh, o.mask).topology
-            assert got.universe == want.universe
-            assert [u.mask for u in got.opens] == \
-                [u.mask for u in want.opens]
+               *(random_linear_sheaf(rng) for _ in range(60))]
+    checked = 0
+    for i, sh in enumerate(sheaves):
+        for u in sh.topology.opens[1:]:
+            want = reference_topology_betti(restrict_sheaf(sh, u.mask), 2)
+            assert topology_betti(sh, 2, u).as_dict() == want.as_dict(), \
+                (i, u)
+            checked += 1
+    assert checked == 206
 
 
 def test_lift_needs_a_grid_for_each_native_union():
@@ -244,7 +223,7 @@ def test_circular_cover_of_constant_sheaf():
     table = betti(sh, Cover(cover_sets), 2)
     expected = circle_cover_betti()
     assert table.betti[:2] == expected
-    assert topology_betti(sh, 2).betti[:2] == expected
+    assert topology_betti(sh, 2, sh.topology.full).betti[:2] == expected
 
 
 def test_negative_max_degree_raises():
@@ -253,7 +232,7 @@ def test_negative_max_degree_raises():
     cover = full_cover(mosaic.topology)
     for run in (lambda: build_complex(mosaic, cover, -1),
                 lambda: betti(mosaic, cover, -1),
-                lambda: topology_betti(mosaic, -1),
+                lambda: topology_betti(mosaic, -1, mosaic.topology.full),
                 lambda: leray_check(mosaic, cover, -2)):
         with pytest.raises(ValueError, match="max_degree must be "
                                              "nonnegative"):
@@ -366,7 +345,7 @@ def test_leray_failure_witnessed_on_circle():
     assert report.witnesses
     # and indeed the single-set cover table misses the obstruction
     assert betti(sh, Cover((sh.topology.full,)), 2).betti[1] == 0
-    assert topology_betti(sh, 2).betti[1] == 1
+    assert topology_betti(sh, 2, sh.topology.full).betti[1] == 1
 
 
 def test_leray_passes_on_circle_arc_cover():
@@ -461,7 +440,7 @@ def test_betti_tables_match_reference(reference_fixtures):
             want = _betti_table([ref.dim(k) for k in range(3)],
                                 ref.coboundaries)
             assert betti(sh, cover, 2).as_dict() == want.as_dict(), name
-        assert topology_betti(sh, 2).as_dict() == \
+        assert topology_betti(sh, 2, sh.topology.full).as_dict() == \
             reference_topology_betti(sh, 2).as_dict(), name
 
 
@@ -483,7 +462,8 @@ def test_leray_reports_match_reference(reference_fixtures):
 
 
 def test_leray_builds_no_sheaf_or_topology(monkeypatch):
-    """The intersections are checked on the given sheaf's own poset."""
+    """The intersections are checked on the given sheaf's own poset, and
+    an open's table is read from it too."""
     from sheaffuse import sheaf, topology
 
     mosaic, _ = build_obstacle_sheaves()
@@ -498,6 +478,8 @@ def test_leray_builds_no_sheaf_or_topology(monkeypatch):
         monkeypatch.setattr(cls, "__init__", counting_init)
     report = leray_check(mosaic, cover, 2)
     assert report.verdict and report.tables_equal
+    assert topology_betti(mosaic, 2, t.open_for(["V1", "V2"])).betti == \
+        [12, 0, 0]
     assert built == []
 
 
@@ -1448,14 +1430,13 @@ def test_counted_lift_bins_a_midpoint_on_an_interior_edge_to_its_right():
                         ((0.5, 1.5, 2.5), [1, 2]),
                         ((0.0, 0.5, 2.5, 2.75), [0, 2, 1])]:
         grid_out = BinGrid((edges,))
-        counts = cohomology._count_projection((0,), grid_in, (0,), grid_out)
+        counts = cohomology._count_projection((0,), grid_in, grid_out)
         assert counts.tolist() == [[c] for c in want]
         assert not assert_lifts_alike(Projection([0]), grid_in, grid_out)
         assert np.array_equal(lift_one(Projection([0]), grid_in, grid_out),
                               np.array([[c / 3] for c in want]))
     grid_out = BinGrid(((0.75, 1.5, 3.0),))
-    assert cohomology._count_projection((0,), grid_in, (0,),
-                                        grid_out) is None
+    assert cohomology._count_projection((0,), grid_in, grid_out) is None
     assert assert_lifts_alike(Projection([0]), grid_in, grid_out)
 
 

@@ -544,6 +544,18 @@ def test_lifted_sar_cases_fuse_to_the_linear_programs_optimum():
             FusionOptions().max_iterations, case
 
 
+def test_a_start_off_the_simplexes_is_not_scored():
+    """Draw 1 of the two-camera family: its least-squares fit and the
+    start nearest the uniform shares both restrict off a simplex.  The
+    start is not scored, where its distance would raise on coordinates
+    the user never gave; the barrier route finds no start strictly
+    inside the simplexes and says so."""
+    a = list(two_camera_simplex_assignments(2))[1]
+    with pytest.raises(SpaceMismatch) as err:
+        fuse(a)
+    assert str(err.value) == "no start lies strictly inside the simplexes"
+
+
 def test_barrier_keeps_every_stalks_simplex_nonnegative():
     """A whole space of time lines read onto a simplex: its reading, and
     so the start it gives, has a share below zero there.  The route

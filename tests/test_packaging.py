@@ -1,6 +1,7 @@
 """The library imports only the standard library and NumPy; SciPy and
 the rest of the test extra stay in the tests.  Every name the package
-exports has a caller in the library or the benchmark harness."""
+exports, and every function and class a library module defines, has a
+reader in the library or the benchmark harness."""
 
 import ast
 import sys
@@ -9,6 +10,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "sheaffuse"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy"}
+# the files whose reads keep a library name alive
+READERS = [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
 
 
 def test_library_imports_only_stdlib_and_numpy():
@@ -29,10 +32,11 @@ def test_library_imports_only_stdlib_and_numpy():
 
 
 def names_read(path: Path) -> set[str]:
-    """Every bare name and attribute name in a file's syntax tree."""
+    """Every bare name loaded and every attribute name in a file's
+    syntax tree."""
     out = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -55,7 +59,24 @@ def test_every_export_has_a_caller():
     assert exported
     modules = {path.stem for path in SRC.glob("*.py")}
     read = set()
-    for path in [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+    for path in READERS:
         if path != init:
             read |= names_read(path)
     assert sorted(exported - modules - read) == []
+
+
+def test_every_definition_has_a_reader():
+    """A function or class defined at the top of a library module is
+    read, as a name or an attribute, in the library or the benchmark
+    harness.  One that nothing there reads is dead code, or belongs in
+    ``tests/oracles.py`` when only tests read it."""
+    read = set()
+    for path in READERS:
+        read |= names_read(path)
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and node.name not in read:
+                unread.append(f"{path.name}: {node.name}")
+    assert unread == []

@@ -5,12 +5,7 @@ import random
 import pytest
 
 from conftest import random_subbase
-from oracles import (
-    axiom_violations,
-    comparable_pairs,
-    fixpoint_closure,
-    subset_pairs,
-)
+from oracles import axiom_violations, fixpoint_closure
 from sheaffuse import EntityUniverse, generate_topology, topology
 from sheaffuse.errors import TopologyTooLarge, UnknownEntity
 from sheaffuse.topology import OPEN_CAP, Topology
@@ -186,33 +181,3 @@ def test_enlarging_subbase_never_removes_opens():
                                             rng.randint(1, 5)))]
         large = generate_topology(universe, extra)
         assert masks(small) <= masks(large)
-
-
-def test_comparable_pairs_simple():
-    u = EntityUniverse(["a", "b"])
-    t = generate_topology(u, [("a",)])
-    pairs = [(v.members, w.members) for v, w in comparable_pairs(t)]
-    assert pairs == [(("a",), ("a", "b"))]
-
-
-def test_comparable_pairs_includes_composites():
-    u = EntityUniverse(["x", "y", "z", "vx", "vy", "t", "th1", "th2", "s"])
-    t = generate_topology(u, [
-        ("x", "y", "z"), ("x", "y", "z", "vx", "vy"), ("th1", "t"),
-        ("th2", "t"), ("th1", "th2", "s"), tuple(u.names),
-    ])
-    got = {(v.mask, w.mask) for v, w in comparable_pairs(t)}
-    t_mask = u.mask_of(["t"])
-    u3 = u.mask_of(["th1", "t"])
-    u34 = u.mask_of(["th1", "th2", "t"])
-    assert (t_mask, u3) in got
-    assert (t_mask, u34) in got
-
-
-def test_comparable_pairs_matches_subset_scan():
-    rng = random.Random(17)
-    for _ in range(50):
-        universe, subbase = random_subbase(rng, 5, 3)
-        t = generate_topology(universe, subbase)
-        got = {(v.mask, w.mask) for v, w in comparable_pairs(t)}
-        assert got == set(subset_pairs([o.mask for o in t.opens]))
