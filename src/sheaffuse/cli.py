@@ -444,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "residual (nonlinear sheaves)")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when the optimizer hit the iteration cap")
-    p.add_argument("--csv", help="write the fused assignment CSV here")
+    p.add_argument("--csv", help="write the fused values on the whole "
+                                 "space and the native opens as CSV here")
     p.set_defaults(fn=cmd_fuse)
 
     p = sub.add_parser("cohomology", help="Betti numbers over a cover")

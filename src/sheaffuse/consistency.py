@@ -102,35 +102,24 @@ def consistency_radius(a: Assignment) -> RadiusResult:
 
 
 def pullback_global(sh: Sheaf, s_top: sp.Point) -> Assignment:
-    """Total assignment obtained by restricting a global section everywhere.
+    """The assignment a global section gives the whole space and each
+    open with a stalk of its own, restricted once to each of those.
 
-    The section is restricted once to each native open.  Every other
-    union takes its parts' values side by side, which is what a
-    restriction to it computes: ``Sheaf.restriction`` takes each part
-    along the same chain, and the union's stalk is the product of the
-    parts' stalks, so the parts' ``make_point`` checks already cover it.
-    Opens sort by size, so each part is reached before its unions and the
-    first error raised names the same open as a restriction to every
-    open in turn would.
+    Every other open is left undefined: a union's value is
+    ``sh.restrict(top, u, s_top)``, which ``Sheaf.restriction`` computes
+    by taking each part along one chain into the product of the parts'
+    stalks, so the parts' ``make_point`` checks already cover it.
+    Native ids follow the opens' size order, so the first error raised
+    names the same open as a restriction to every open in turn would.
     """
     top = sh.topology.full
     if s_top.space != sh.stalk(top.id):
         raise SpaceMismatch("section does not lie in the stalk over X")
     a = Assignment(sh)
     values = a.values
-    for u in sh.topology.opens:
-        if u.mask == 0:
-            continue
-        if u.id == top.id:
-            values[u.id] = s_top
-            continue
-        pb = sh.pullback(u.id)
-        if pb is None:
-            coords = sh.restrict_coords(top.id, u.id, s_top.coords)
-            values[u.id] = sp.make_point(sh.stalk(u.id), coords)
-        else:
-            coords = ()
-            for p in pb.parts:
-                coords += values[p].coords
-            values[u.id] = sp.Point(coords, sh.stalk(u.id))
+    for oid in sh.native_ids():
+        if oid != top.id:
+            coords = sh.restrict_coords(top.id, oid, s_top.coords)
+            values[oid] = sp.make_point(sh.stalk(oid), coords)
+    values[top.id] = s_top
     return a

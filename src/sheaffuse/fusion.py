@@ -105,6 +105,8 @@ class FusionOptions:
 @dataclass
 class FusionResult:
     section_at_top: sp.Point
+    # the section on the whole space and on each native open; any other
+    # open's value is sheaf.restrict(top, u, section_at_top)
     fused: Assignment
     residual: float
     iterations: int
@@ -777,13 +779,13 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
     """Solve the fusion problem: the global section nearest to ``a``.
 
     Minimizes sup_U d_U(a(U), s|_U) over sections s in the stalk at the
-    whole space.  Returns the fused (pulled back) assignment and the
-    achieved residual.  The route says how: ``already_global`` when the
-    start is a section within ``f_tolerance`` (the top's own value, else
-    the least-squares fit, else zero); ``barrier`` on a linear sheaf
-    with a simplex stalk; ``sqp`` on a linear one without, and on a
-    nonlinear one whose top and defined stalks have only Euclidean,
-    time, circle and geographic factors.  On a linear sheaf either route
+    whole space.  Returns the section, its values on the native opens
+    and the achieved residual.  The route says how: ``already_global``
+    when the start is a section within ``f_tolerance`` (the top's own
+    value, else the least-squares fit, else zero); ``barrier`` on a
+    linear sheaf with a simplex stalk; ``sqp`` on a linear one without,
+    and on a nonlinear one whose top and defined stalks have only
+    Euclidean, time, circle and geographic factors.  On a linear sheaf either route
     proves a ``dual_bound``.  Any other sheaf raises ``SpaceMismatch``.
     """
     if not a.values:

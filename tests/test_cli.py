@@ -234,12 +234,19 @@ def test_fuse_deterministic_reports(sar_files, capsys):
 def test_fuse_csv_reads_back_as_a_global_section(sar_files, tmp_path,
                                                 capsys):
     """The fused assignment that ``fuse --csv`` writes for SAR case 1
+    holds one row per native open, the whole space among them, and
     reads back through ``radius`` as consistent up to rounding."""
     spec, case1 = sar_files
     fused = tmp_path / "fused.csv"
     assert main(["fuse", str(spec), str(case1), "--csv", str(fused)]) == 0
     assert capsys.readouterr().out.endswith(
         f"fused assignment written to {fused}\n")
+    sh, _ = load_sheaf(spec)
+    rows = [line.split(",")[0]
+            for line in fused.read_text().splitlines()[1:]]
+    native = [sh.topology.opens[oid].key() for oid in sh.native_ids()]
+    assert rows == native and len(rows) == 9
+    assert sh.topology.full.key() in rows
     assert main(["radius", str(spec), str(fused)]) == 0
     out = capsys.readouterr().out
     assert float(re.search(r"consistency radius: (\S+)\n", out)[1]) <= 1e-6

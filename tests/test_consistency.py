@@ -188,19 +188,27 @@ def test_pullback_round_trip_at_top():
         assert again.values[oid].coords == a.values[oid].coords
 
 
-def assert_same_values(got, want):
-    """The same opens, each with the same coordinates and stalk."""
-    assert got.values.keys() == want.values.keys()
+def assert_native_pullback(sh, got, s):
+    """``got`` defines exactly the whole space and the native opens, each
+    with the value a restriction to every open in turn gives it, and
+    every other open's restriction from ``s`` gives that value too."""
+    want = pullback_every_open(sh, s)
+    top = sh.topology.full.id
+    assert set(got.values) == {top, *sh.native_ids()}
     for oid, point in want.values.items():
-        assert got.values[oid].coords == point.coords, oid
-        assert got.values[oid].space == point.space, oid
+        value = got.values.get(oid)
+        if value is None:
+            value = sh.restrict(top, oid, s)
+        assert value.coords == point.coords, oid
+        assert value.space == point.space, oid
 
 
 def assert_same_as_every_open(sh, s):
-    """``pullback_global`` gives exactly the restriction to every open
-    in turn.  Returns how many opens below the whole space are unions of
-    two or more parts, whose values depend on the order of the parts."""
-    assert_same_values(pullback_global(sh, s), pullback_every_open(sh, s))
+    """``pullback_global`` agrees with the restriction to every open in
+    turn, as ``assert_native_pullback`` states.  Returns how many opens
+    below the whole space are unions of two or more parts, whose values
+    depend on the order of the parts."""
+    assert_native_pullback(sh, pullback_global(sh, s), s)
     top = sh.topology.full.id
     return sum(1 for u in sh.topology.opens
                if u.mask and u.id != top and sh.pullback(u.id) is not None
@@ -211,8 +219,7 @@ def test_pullback_matches_every_open_on_sar_fused_sections():
     sh = build_sar_sheaf()
     for case in (1, 2, 3):
         res = fuse(sar_case_assignment(sh, case))
-        assert_same_values(res.fused,
-                           pullback_every_open(sh, res.section_at_top))
+        assert_native_pullback(sh, res.fused, res.section_at_top)
         assert assert_same_as_every_open(sh, res.section_at_top) > 0
 
 
@@ -402,10 +409,10 @@ def test_lipschitz_bound_needs_more_than_the_native_pairs():
     assert lipschitz_bound(sh) == pytest.approx(2 ** 0.5, abs=1e-12)
 
 
-def chain_snapshots(n, seed):
+def chain_snapshots(n, seed, cameras=5):
     """Random global sections of the camera chain plus noise on every
     basis open, drawn like the benchmark's chain snapshots."""
-    sh = camera_chain_sheaf()
+    sh = camera_chain_sheaf(cameras)
     top = sh.topology.full
     k = sh.kernel_basis(top.id)
     rng = np.random.default_rng(seed)
@@ -514,3 +521,28 @@ def test_radius_edges_match_all_pairs_oracle():
         edges = consistency_radius(a).edges
         assert edges
         assert edges == all_pairs_radius(a)
+
+
+def test_fused_radius_equals_the_radius_over_every_open():
+    """The radius of what ``fuse`` returns, over the whole space and the
+    native opens, is bit for bit the radius of the fused section
+    restricted to every open: a union's value is its parts' values side
+    by side, so each of its edges repeats a native edge or is 0."""
+    sar = build_sar_sheaf()
+    cases = [sar_case_assignment(sar, c) for c in (1, 2, 3)]
+    for cameras in (4, 5, 6):
+        cases += chain_snapshots(3, cameras, cameras)
+    rng = random.Random(79)
+    for _ in range(8):
+        for include_full in (True, False):
+            sh = random_linear_sheaf(rng, n_entities=4,
+                                     include_full=include_full)
+            cases.append(Assignment(sh, {
+                oid: sample_point(sh.stalk(oid), rng)
+                for oid in sh.native_ids()}))
+    for a in cases:
+        res = fuse(a)
+        every = all_pairs_radius(pullback_every_open(a.sheaf,
+                                                     res.section_at_top))
+        want = every[0].error if every else 0.0
+        assert consistency_radius(res.fused).radius == want

@@ -54,6 +54,7 @@ from sheaffuse import (
     time_line,
     verify_gluing,
 )
+from sheaffuse import sheaf as sheaf_module
 from sheaffuse._kernels import circle_dist_deg
 from sheaffuse.errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
 from sheaffuse.fusion import FusionOptions
@@ -256,6 +257,31 @@ def chain_snapshot(sh, rng):
             0.0, 0.5, len(exact.coords))
         a.set(b, make_point(exact.space, noisy))
     return a
+
+
+def test_fuse_builds_no_union_but_the_whole_space(monkeypatch):
+    """A cold fuse on an 8-camera chain (1,597 opens) lays out the
+    whole space's parts and no other union's, and what it returns
+    defines exactly the whole space and the native opens."""
+    sh = camera_chain_sheaf(cameras=8)
+    t = sh.topology
+    rng = np.random.default_rng(5)
+    a = Assignment(sh, {b: make_point(sh.stalk(b.id),
+                                      rng.normal(0.0, 17.0,
+                                                 sh.stalk(b.id).dim))
+                        for b in t.basis})
+    built = []
+    original = sheaf_module._pullback
+
+    def counting(sh, mask):
+        built.append(mask)
+        return original(sh, mask)
+
+    monkeypatch.setattr(sheaf_module, "_pullback", counting)
+    res = fuse(a)
+    assert built == [t.full.mask]
+    assert set(res.fused.values) == {t.full.id, *sh.native_ids()}
+    assert len(res.fused.values) == 16 < len(t.opens) == 1597
 
 
 def test_pullback_top_fuses_near_minimax_optimum():
