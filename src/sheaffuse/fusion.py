@@ -10,13 +10,13 @@ lines, or products of them, the objective is the largest of a few
 weighted Euclidean norms of affine maps, one group per component of
 each defined stalk: a convex minimax problem.  Linearized steps on the
 groups' exact derivatives (Madsen, 1975; Hald and Madsen, Math.
-Programming 20, 1981), from the path of a log barrier, solve it and
-stop only on a certificate: Lawson's lower bound (UCLA thesis, 1961)
+Programming 20, 1981), from the least-squares fit, solve it and stop
+only on a certificate: Lawson's lower bound (UCLA thesis, 1961)
 from the model's multipliers, within ``f_tolerance`` of the residual.
 
 A simplex stalk's distance is half an L1 norm of an affine map, so on a
 linear sheaf with one, fusion over the simplexes is a convex program
-too, solved on the same log-barrier path (Boyd and Vandenberghe, Convex
+too, solved on a log-barrier path (Boyd and Vandenberghe, Convex
 Optimization, ch. 11) from inside them until the barrier's duality gap
 proves such a bound.
 
@@ -44,19 +44,10 @@ from .consistency import Assignment, nan_error, pullback_global
 from .errors import DegenerateAssignment, NoTopStalk, SpaceMismatch
 from .sheaf import Sheaf
 
-# The sqp route on a linear sheaf starts BARRIER_STAGES stages along the
-# log-barrier path, each multiplying the barrier parameter by
-# BARRIER_GROWTH and taking BARRIER_STEPS Newton steps; groups whose
-# barrier weight is at least BARRIER_WEIGHT times the largest start active
-BARRIER_WEIGHT = 1e-4
-BARRIER_STAGES = 6
-BARRIER_STEPS = 2
+# the barrier route multiplies its barrier parameter by BARRIER_GROWTH
+# at each stage and centres the stage until lam^2 / 2 <= CENTRED
 BARRIER_GROWTH = 10.0
-# the barrier route centres each stage until lam^2 / 2 <= CENTRED
 CENTRED = 5e-3
-# the sqp route's start skips backtracking trials past the first
-# group's closed-form crossing of s times 1 + STEP_MARGIN
-STEP_MARGIN = 1e-8
 # The sqp route takes forward differences with steps of FD_STEP times
 # each coordinate's size (at least 1), keeps a step when the largest
 # distance falls by at least ARMIJO times the decrease the linear model
@@ -270,8 +261,7 @@ class _Groups:
             - (len(self.rows) + self.count + 4) * eps * value
 
 
-def _central_point(groups: _Groups, x: np.ndarray,
-                   opts: FusionOptions | None = None):
+def _central_point(groups: _Groups, x: np.ndarray, opts: FusionOptions):
     """A point near the central path of  min s  subject to  q_g <= s,
     q_g = |rows_g x - rhs_g|^2 on a Euclidean group and (sum of u over
     U)^2 on a simplex group U whose slacks u bound its L1 rows f,
@@ -282,49 +272,40 @@ def _central_point(groups: _Groups, x: np.ndarray,
     BARRIER_GROWTH and takes backtracking steps, x moving only along the
     row space of the rows, where the Hessian is definite.
 
-    Without ``opts`` (the sqp route's start), BARRIER_STAGES stages of
-    BARRIER_STEPS steps, a cost alike on every input: (x, the weights
-    1 / (s - q_g) normalised), or None.  With ``opts`` (the barrier
-    route) a stage steps until the Newton decrement lam is at most
-    sqrt(2 CENTRED), as close as rounding allows late on the path, and
-    s - (m + (lam + sqrt(m)) lam / (1 - lam)) / tau, m log terms, bounds
-    the optimal s from below (Nesterov, Introductory Lectures on Convex
+    A stage steps until the Newton decrement lam is at most sqrt(2
+    CENTRED), as close as rounding allows late on the path, and s - (m +
+    (lam + sqrt(m)) lam / (1 - lam)) / tau, m log terms, bounds the
+    optimal s from below (Nesterov, Introductory Lectures on Convex
     Optimization, 2004, Theorem 4.2.7); each step moves s to its best
     value, the root of sum 1 / (s - q) = tau, lest the steps pin s to
     max q_g and creep.  The stages end once the bound's root is within
     ``f_tolerance`` of the residual, at ``opts.max_iterations`` steps or
     at a stage not centred: (x, the bound, steps, barrier evaluations,
     whether it closed), or None when x is not strictly inside the floor."""
-    bounded = groups.bounded
-    basis = rowspace(groups.rows if not bounded else np.vstack(
-        [groups.rows, groups.l1_rows, groups.floor_rows]))
+    basis = rowspace(np.vstack([groups.rows, groups.l1_rows,
+                                groups.floor_rows]))
     rows, offset = groups.rows @ basis, groups.rows @ x - groups.rhs
     member = groups.member
     g, n = groups.count, rows.shape[1]
-    if bounded:  # the L1 rows and the floor, in coordinates y of the row space
-        l1, floor = groups.l1_rows @ basis, groups.floor_rows @ basis
-        l1_offset = groups.l1_rows @ x - groups.l1_rhs
-        floor_offset = groups.floor_rows @ x + groups.floor_offset
-        within = np.eye(groups.l1_count)[groups.l1_group]  # rows' groups
-        m = g + groups.l1_count + 2 * len(l1) + len(floor)
+    # the L1 rows and the floor, in coordinates y of the row space
+    l1, floor = groups.l1_rows @ basis, groups.floor_rows @ basis
+    l1_offset = groups.l1_rows @ x - groups.l1_rhs
+    floor_offset = groups.floor_rows @ x + groups.floor_offset
+    within = np.eye(groups.l1_count)[groups.l1_group]  # rows' groups
+    m = g + groups.l1_count + 2 * len(l1) + len(floor)
 
     def at(y, u):
         """The residuals e, the L1 rows f, the floor l and q at (y, u)."""
         e = rows @ y + offset
-        q = member.T @ (e * e)
-        if not bounded:  # the sqp route's start, kept lean
-            return e, u, u, q
-        q = np.concatenate([q, (within.T @ u) ** 2])
+        q = np.concatenate([member.T @ (e * e), (within.T @ u) ** 2])
         return e, l1 @ y + l1_offset, floor @ y + floor_offset, q
 
     def barrier(s, u, f, l, q, tau):
         """The barrier at a point, or inf outside its domain."""
-        if not np.all(q < s) or bounded and not (
-                np.all(u > np.abs(f)) and np.all(l > 0)):
+        if not (np.all(q < s) and np.all(u > np.abs(f)) and np.all(l > 0)):
             return math.inf
-        value = tau * s - np.log(s - q).sum()
-        return value - (np.log(u - f).sum() + np.log(u + f).sum()
-                        + np.log(l).sum()) if bounded else value
+        return tau * s - np.log(s - q).sum() - (
+            np.log(u - f).sum() + np.log(u + f).sum() + np.log(l).sum())
 
     def best_s(q, tau):
         """Newton's method from the left, where the sum is convex."""
@@ -335,13 +316,16 @@ def _central_point(groups: _Groups, x: np.ndarray,
                 return s
             s = s_n
 
-    def bounded_step(w, dq):
-        """(step in (y, s), step in u, slope) or None, once ``grad`` and
-        ``hess`` hold the Euclidean groups' terms.  u's block is diag(d)
+    def bounded_step(w):
+        """(step in (y, s), step in u, slope) or None at the current
+        e, u, f, l and tau, where w = 1 / (s - q).  u's block is diag(d)
         plus push_U 1 1^T on each simplex group U, whose sum meets s by
         pull_U; without the diagonal a system over y, s and the sums is
         left, solved scaled to a unit diagonal, its right-hand side over y
         summed without terms of size 1 / (u - |f|) that cancel late on."""
+        dq = 2.0 * (member.T @ (rows * e[:, None]))
+        w2 = w * w
+        grad = np.append(dq.T @ w[:g], tau - w.sum())
         wu, sigma = w[g:], within.T @ u
         low, high, above = 1.0 / (u - f), 1.0 / (u + f), 1.0 / l
         d = low * low + high * high
@@ -352,12 +336,14 @@ def _central_point(groups: _Groups, x: np.ndarray,
         pull = -2.0 * wu * wu * sigma
         link = within.T @ (cross / d[:, None])
         spread = within.T @ (1.0 / d)  # each group's sum of 1 / d
-        hess[:n, :n] += (l1.T @ (l1 * (4.0 * (low * high) ** 2 / d)[:, None])
-                         + floor.T @ (floor * (above * above)[:, None]))
+        hess_y = (2.0 * rows.T @ (rows * (member @ w[:g])[:, None])
+                  + dq.T @ (dq * w2[:g, None])
+                  + (l1.T @ (l1 * (4.0 * (low * high) ** 2 / d)[:, None])
+                     + floor.T @ (floor * (above * above)[:, None])))
+        hess_ys = -(dq.T @ w2[:g])
         system = np.block([
-            [hess[:n, :n], (hess[:n, n] - link.T @ pull)[:, None],
-             -link.T * push],
-            [hess[n:, :n], hess[n:, n:], pull[None, :]],
+            [hess_y, (hess_ys - link.T @ pull)[:, None], -link.T * push],
+            [hess_ys[None, :], w2.sum(), pull[None, :]],
             [-link, -(spread * pull)[:, None], -np.diag(spread * push + 1)]])
         rhs = np.concatenate([
             floor.T @ above - grad[:n] + l1.T @ (
@@ -378,88 +364,41 @@ def _central_point(groups: _Groups, x: np.ndarray,
         grad_y = grad[:n] + l1.T @ (low - high) - floor.T @ above
         return step[:n + 1], du, grad_y @ dy + grad[n] * ds + grad_u @ du
 
-    def largest_step(e, q, s, step):
-        """The step size at which the first group's q_g meets s along
-        ``step``, less a relative margin for rounding: q_g - s is the
-        quadratic a2 size^2 + a1 size - (s - q_g), negative at 0, and
-        the root is taken in the form without cancellation."""
-        rd = rows @ step[:n]
-        a2 = member.T @ (rd * rd)
-        a1 = 2.0 * (member.T @ (e * rd)) - step[n]
-        gap = s - q
-        disc = np.sqrt(a1 * a1 + 4.0 * a2 * gap)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            root = np.where(a1 >= 0.0, 2.0 * gap / (a1 + disc),
-                            (disc - a1) / (2.0 * a2))
-        return float(root.min()) * (1.0 + STEP_MARGIN)
-
-    y, u = np.zeros(n), np.abs(l1_offset) if bounded else np.zeros(0)
+    y, u = np.zeros(n), np.abs(l1_offset)
     u += u.mean() if u.any() else 1.0
     e, f, l, q = at(y, u)
     if not (q.max() > 0.0 and np.all(l > 0.0)):
         return None
     s = 1.25 * q.max()
     tau = float(np.sum(1.0 / (s - q)))
-    hess, grad, du = np.empty((n + 1, n + 1)), np.empty(n + 1), 0.0 * u
-    limit = math.inf  # the bounded step's trials are all evaluated
     steps, evaluations, bound = 0, 0, 0.0
-    for _ in range(BARRIER_STAGES if opts is None
-                   else opts.max_iterations + 1):
+    for _ in range(opts.max_iterations + 1):
         tau *= BARRIER_GROWTH
         centred, value = False, barrier(s, u, f, l, q, tau)
-        for _ in range(BARRIER_STEPS if opts is None
-                       else opts.max_iterations - steps):
-            w = 1.0 / (s - q)
-            dq = 2.0 * (member.T @ (rows * e[:, None]))
-            w2 = w * w
-            grad[:n] = dq.T @ w[:g]
-            grad[n] = tau - w.sum()
-            hess[:n, :n] = (2.0 * rows.T @ (rows * (member @ w[:g])[:, None])
-                            + dq.T @ (dq * w2[:g, None]))
-            hess[:n, n] = hess[n, :n] = -(dq.T @ w2[:g])
-            hess[n, n] = w2.sum()
-            if not bounded:
-                try:
-                    step = np.linalg.solve(hess, -grad)
-                except np.linalg.LinAlgError:
-                    return None
-                if not np.all(np.isfinite(step)):
-                    return None
-                slope = grad @ step
-                limit = largest_step(e, q, s, step)
-            else:
-                found = bounded_step(w, dq)
-                if found is None:
-                    break
-                step, du, slope = found
-                if -slope <= 2.0 * CENTRED:
-                    centred = True
-                    break
+        for _ in range(opts.max_iterations - steps):
+            found = bounded_step(1.0 / (s - q))
+            if found is None:
+                break
+            step, du, slope = found
+            if -slope <= 2.0 * CENTRED:
+                centred = True
+                break
             size = 1.0
             while size >= 1e-12:
-                if size >= limit:  # outside the domain: no need to look
-                    size *= 0.5
-                    continue
                 y_n, s_n = y + size * step[:n], s + size * step[n]
-                u_n = u + size * du if bounded else u
+                u_n = u + size * du
                 e_n, f_n, l_n, q_n = at(y_n, u_n)
                 evaluations += 1
-                trial = barrier(s_n, u_n, f_n, l_n, q_n, tau)
-                if trial <= value + 0.25 * size * slope:
+                if barrier(s_n, u_n, f_n, l_n, q_n, tau) \
+                        <= value + 0.25 * size * slope:
                     break
                 size *= 0.5
             else:
-                if opts is None:
-                    return None
                 break
-            if opts is not None:
-                s_n = best_s(q_n, tau)
-                trial = barrier(s_n, u_n, f_n, l_n, q_n, tau)
+            s_n = best_s(q_n, tau)
+            value = barrier(s_n, u_n, f_n, l_n, q_n, tau)
             y, s, u, e, f, l, q = y_n, s_n, u_n, e_n, f_n, l_n, q_n
-            value = trial
             steps += 1
-        if opts is None:
-            continue
         x_n = x + basis @ y
         if centred:
             lam = math.sqrt(max(-slope, 0.0))
@@ -467,9 +406,8 @@ def _central_point(groups: _Groups, x: np.ndarray,
             bound = max(bound, math.sqrt(max(s - gap, 0.0)))
         closed = groups.residuals(x_n).max() - bound <= opts.f_tolerance
         if closed or not centred:
-            return x_n, bound, steps, evaluations, closed
-    w = 1.0 / (s - q)
-    return x + basis @ y, w / w.sum()
+            break
+    return x_n, bound, steps, evaluations, closed
 
 
 def _sqp(distances, jacobian, curvature, x0, opts: FusionOptions,
@@ -496,8 +434,8 @@ def _sqp(distances, jacobian, curvature, x0, opts: FusionOptions,
     distances the linear model overshoots, and halving alone can take
     dozens of short steps.  B = ``curvature(x, J, lam, last)``, afresh
     when ``last`` is None, else after the step from ``last`` = (x', J',
-    B').  The first B takes ``lam``, weights from a nearby problem or
-    None, and the first model guesses as active where it is positive.
+    B').  The first B takes ``lam``, starting weights or None, and the
+    first model guesses as active where it is positive.
     When no step is kept, or the model has no solution, B restarts
     afresh; if it had just restarted, the search ends unconverged."""
     evaluations = 0
@@ -834,20 +772,18 @@ def fuse(a: Assignment, opts: FusionOptions = FusionOptions()) -> FusionResult:
             plan.distances, _differences, _bfgs, x0, opts)
         route = "sqp"
     elif groups.bounded:  # from nearest the uniform shares, else from x0
-        found = (_central_point(groups, groups.start, opts)
-                 or _central_point(groups, np.asarray(x0, float), opts))
+        found = _central_point(groups, groups.start, opts)
+        if found is None and not np.array_equal(x0, groups.start):
+            found = _central_point(groups, np.asarray(x0, float), opts)
         if found is None:
             raise SpaceMismatch("no start lies strictly inside the simplexes")
         x, dual_bound, iterations, evaluations, converged = found
         route = "barrier"
-    else:  # from the barrier path, else from the fit with equal weights
-        x_c, lam = (_central_point(groups, fit)
-                    or (fit, np.full(groups.count, 1.0 / groups.count)))
-        lam = np.where(lam >= BARRIER_WEIGHT * lam.max(), lam, 0.0)
+    else:  # from the fit, every group weighted alike
         x, iterations, evaluations, converged, dual_bound = _sqp(
             groups.residuals, lambda x, d, score: groups.jacobian(x),
-            lambda x, jac, lam, last: groups.hessian(x, lam, jac), x_c,
-            opts, groups.bound, lam)
+            lambda x, jac, lam, last: groups.hessian(x, lam, jac), fit,
+            opts, groups.bound, np.full(groups.count, 1.0 / groups.count))
         route = "sqp"
     section_at_top = sp.Point(plan.section(x), top_space)
     residual = plan.objective(x)

@@ -65,18 +65,34 @@ def test_every_export_has_a_caller():
     assert sorted(exported - modules - read) == []
 
 
+def defined_names(node) -> list[str]:
+    """The names a top-level statement defines: a function's or class's,
+    or the non-dunder names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+            and not n.id.startswith("__")]
+
+
 def test_every_definition_has_a_reader():
-    """A function or class defined at the top of a library module is
-    read, as a name or an attribute, in the library or the benchmark
-    harness.  One that nothing there reads is dead code, or belongs in
-    ``tests/oracles.py`` when only tests read it."""
+    """A function, class or constant defined at the top of a library
+    module is read, as a name or an attribute, in the library or the
+    benchmark harness.  One that nothing there reads is dead code, or
+    belongs in ``tests/oracles.py`` when only tests read it."""
     read = set()
     for path in READERS:
         read |= names_read(path)
     unread = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(), str(path)).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)) and node.name not in read:
-                unread.append(f"{path.name}: {node.name}")
+            unread += [f"{path.name}: {name}"
+                       for name in defined_names(node) if name not in read]
     assert unread == []
