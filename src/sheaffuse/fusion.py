@@ -545,13 +545,13 @@ def _differences(x, d, score):
     differences, steps of FD_STEP times each coordinate's size (at least
     1), or None when a probe or the Jacobian is not finite."""
     jac = np.empty((len(d), len(x)))
-    for j, v in enumerate(x):
+    for j, v in enumerate(x.tolist()):
         probe = x.copy()
-        probe[j] = v + FD_STEP * max(1.0, abs(v))
-        if not math.isfinite(probe[j]):
+        probe[j] = moved = v + FD_STEP * max(1.0, abs(v))
+        if not math.isfinite(moved):
             return None
-        jac[:, j] = (score(probe) - d) / (probe[j] - v)
-    return jac if np.all(np.isfinite(jac)) else None
+        jac[:, j] = (score(probe) - d) / (moved - v)
+    return jac if np.isfinite(jac).all() else None
 
 
 def _bfgs(x, jac, lam, last):
@@ -594,82 +594,93 @@ def _minimax_step(d, jac, b, guess=()):
     constraint moves the step only when its rate exceeds the rounding
     seen on the working set's own, so one in the span of the set's, such
     as a repeated distance, never enters and the system stays regular.
+    Each pass's system is the working set's rows and columns of one
+    bordered matrix over every constraint, built once; the bookkeeping
+    between solves runs on Python floats.
 
     ``guess`` names the constraints that were active in a nearby model,
     as the last iteration's or the step being corrected; when they are
     active here too, one solve with them as equalities is the solution,
-    and the passes above run only when it is not."""
+    and the passes above run only when it is not.  A guess of more than
+    n + 1 constraints is not tried: its system is singular."""
     m, n = jac.shape
-    rows = np.hstack([jac, -np.ones((m, 1))])  # rows @ z <= -d
-    hess = np.zeros((n + 1, n + 1))
+    n1 = n + 1
+    rows = np.empty((m, n1))  # rows @ z <= -d
+    rows[:, :n] = jac
+    rows[:, n] = -1.0
+    sizes = np.abs(rows)
+    hess = np.zeros((n1, n1))
     hess[:n, :n] = b
-    # the model's gradient in z
-    grad = np.zeros(n + 1)
-    grad[n] = 1.0
-    if len(guess):
+    # [[hess, rows.T], [rows, 0]]: a working set's KKT matrix is its
+    # rows and columns 0..n and n1 + work
+    bordered = np.zeros((n1 + m, n1 + m))
+    bordered[:n1, :n1] = hess
+    bordered[:n1, n1:] = rows.T
+    bordered[n1:, :n1] = rows
+    grad = [0.0] * n + [1.0]  # the model's gradient in z
+    dist = d.tolist()
+
+    def solve(work, rhs):
+        """(u, lam as floats) solving the working set's KKT system for
+        rhs, or None when it is singular or its solution not finite."""
+        at = [*range(n1), *(n1 + i for i in work)]
+        try:
+            sol = np.linalg.solve(bordered.take(at, 0).take(at, 1), rhs)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(sol).all():
+            return None
+        return sol[:n1], sol[n1:].tolist()
+
+    def solution(z, work, lam):
+        """(p, t, lam on every constraint, rounding negatives to 0)."""
+        weights = np.zeros(m)
+        weights[work] = np.maximum(lam, 0.0)
+        return z[:n], float(z[n]), weights
+
+    if 0 < len(guess) <= n1:
         work = list(guess)
-        solved = _working_set_solve(hess, rows, work, -grad, -d[work])
-        if solved is not None:
-            z, lam = solved
-            gap = rows @ z + d
-            size = np.abs(rows) @ np.abs(z) + np.abs(d) + 1e-300
-            noise = max(2.0 * float((np.abs(gap[work]) / size[work]).max()),
+        found = solve(work, [-g for g in grad] + [-dist[i] for i in work])
+        if found is not None:
+            z, lam = found
+            gap = [g + e for g, e in zip((rows @ z).tolist(), dist)]
+            size = [a + abs(e) + 1e-300 for a, e in
+                    zip((sizes @ np.abs(z)).tolist(), dist)]
+            noise = max(2.0 * max(abs(gap[i]) / size[i] for i in work),
                         1e-12)
-            if lam.min() >= -1e-12 and np.all(gap <= noise * size):
-                weights = np.zeros(m)
-                weights[work] = np.maximum(lam, 0.0)
-                return z[:n], float(z[n]), weights
-    z = np.zeros(n + 1)
+            if min(lam) >= -1e-12 and all(
+                    g <= noise * s for g, s in zip(gap, size)):
+                return solution(z, work, lam)
+    z = np.zeros(n1)
     z[n] = d.max()
     work = [int(np.argmax(d))]
-    for _ in range(3 * (m + n + 1)):
-        solved = _working_set_solve(hess, rows, work, -(hess @ z) - grad,
-                                    np.zeros(len(work)))
-        if solved is None:
+    for _ in range(3 * (m + n1)):
+        found = solve(work, [-h - g for h, g in zip((hess @ z).tolist(),
+                                                    grad)] + [0.0] * len(work))
+        if found is None:
             return None
-        s, lam = solved
-        rate = rows @ s
+        s, lam = found
+        rate = (rows @ s).tolist()
         # the working set's rates are zero but for rounding; a rate
         # within that rounding runs along the constraint, as a repeated
         # distance's does
-        size = np.abs(rows) @ np.abs(s) + 1e-300
-        noise = 2.0 * float((np.abs(rate[work]) / size[work]).max())
-        noise = max(noise, 1e-12)
-        rate[work] = 0.0
-        rate[rate <= noise * size] = 0.0
-        slack = np.maximum(-d - rows @ z, 0.0)
+        size = [a + 1e-300 for a in (sizes @ np.abs(s)).tolist()]
+        noise = max(2.0 * max(abs(rate[i]) / size[i] for i in work), 1e-12)
+        gap = (rows @ z).tolist()
         step, enter = 1.0, None
-        for i in np.flatnonzero(rate):
-            if slack[i] < step * rate[i]:
-                step, enter = slack[i] / rate[i], int(i)
+        for i in range(m):
+            if rate[i] > noise * size[i] and i not in work:
+                slack = max(-dist[i] - gap[i], 0.0)
+                if slack < step * rate[i]:
+                    step, enter = slack / rate[i], i
         z += step * s
         if enter is not None:
             work.append(enter)
-        elif lam.min() >= -1e-12:
-            weights = np.zeros(m)
-            weights[work] = np.maximum(lam, 0.0)
-            return z[:n], float(z[n]), weights
+        elif min(lam) >= -1e-12:
+            return solution(z, work, lam)
         else:
-            del work[int(np.argmin(lam))]
+            del work[lam.index(min(lam))]
     return None
-
-
-def _working_set_solve(hess, rows, work, top, bottom):
-    """(u, lam) solving [[H, A.T], [A, 0]] (u, lam) = (top, bottom), A
-    the rows in ``work``; None when that system is singular or its
-    solution is not finite."""
-    n1, k = len(hess), len(work)
-    kkt = np.zeros((n1 + k, n1 + k))
-    kkt[:n1, :n1] = hess
-    kkt[:n1, n1:] = rows[work].T
-    kkt[n1:, :n1] = rows[work]
-    try:
-        sol = np.linalg.solve(kkt, np.concatenate([top, bottom]))
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(sol)):
-        return None
-    return sol[:n1], sol[n1:]
 
 
 class _Plan:

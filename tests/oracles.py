@@ -32,7 +32,10 @@ an open read from the part of the sheaf's own poset inside it;
 ``reference_sub_topology``, built from every open inside a mask, for
 ``restrict_sheaf``'s topology built from the basis opens inside it;
 ``reference_lift_sheaf``, one ``stochastic_lift`` per edge on the whole
-source grid, for the lift that samples each source grid once; and
+source grid, for the lift that samples each source grid once;
+``reference_minimax_step``, the sqp model assembling a fresh KKT matrix
+for each working set and keeping its bookkeeping in NumPy, for the
+model that takes each from one bordered matrix; and
 ``nelder_mead``, the derivative-free simplex search that fused simplex,
 discrete and nonlinear sheaves, for the minimax routes.
 """
@@ -696,6 +699,102 @@ def nonlinear_minimax(a, starts):
         )
         best = min(best, float(factor_distances(a, scale * res.x[:-1]).max()))
     return best
+
+
+def reference_minimax_step(d, jac, b, guess=()):
+    """(p, t, lam) solving  min t + p.B p / 2  subject to  d + J p <= t,
+    with lam the multipliers, or None.
+
+    A primal active-set method on z = (p, t) from p = 0, t = max d,
+    with the largest distance as the working set.  Each pass solves the
+    model with the working set's constraints as equalities; a step that
+    would cross another constraint stops on it and adds it, and a full
+    step whose multipliers are all nonnegative is the solution, else the
+    most negative one leaves the set.  A multiplier within 1e-12 of 0
+    (they sum to one) counts as 0: a constraint weakly active at the
+    solution would otherwise leave and re-enter, without end.  B is
+    positive definite, so every working set has one solution.  A
+    constraint moves the step only when its rate exceeds the rounding
+    seen on the working set's own, so one in the span of the set's, such
+    as a repeated distance, never enters and the system stays regular.
+
+    ``guess`` names the constraints that were active in a nearby model,
+    as the last iteration's or the step being corrected; when they are
+    active here too, one solve with them as equalities is the solution,
+    and the passes above run only when it is not."""
+    m, n = jac.shape
+    rows = np.hstack([jac, -np.ones((m, 1))])  # rows @ z <= -d
+    hess = np.zeros((n + 1, n + 1))
+    hess[:n, :n] = b
+    # the model's gradient in z
+    grad = np.zeros(n + 1)
+    grad[n] = 1.0
+    if len(guess):
+        work = list(guess)
+        solved = _reference_working_set_solve(hess, rows, work, -grad,
+                                              -d[work])
+        if solved is not None:
+            z, lam = solved
+            gap = rows @ z + d
+            size = np.abs(rows) @ np.abs(z) + np.abs(d) + 1e-300
+            noise = max(2.0 * float((np.abs(gap[work]) / size[work]).max()),
+                        1e-12)
+            if lam.min() >= -1e-12 and np.all(gap <= noise * size):
+                weights = np.zeros(m)
+                weights[work] = np.maximum(lam, 0.0)
+                return z[:n], float(z[n]), weights
+    z = np.zeros(n + 1)
+    z[n] = d.max()
+    work = [int(np.argmax(d))]
+    for _ in range(3 * (m + n + 1)):
+        solved = _reference_working_set_solve(hess, rows, work,
+                                              -(hess @ z) - grad,
+                                              np.zeros(len(work)))
+        if solved is None:
+            return None
+        s, lam = solved
+        rate = rows @ s
+        # the working set's rates are zero but for rounding; a rate
+        # within that rounding runs along the constraint, as a repeated
+        # distance's does
+        size = np.abs(rows) @ np.abs(s) + 1e-300
+        noise = 2.0 * float((np.abs(rate[work]) / size[work]).max())
+        noise = max(noise, 1e-12)
+        rate[work] = 0.0
+        rate[rate <= noise * size] = 0.0
+        slack = np.maximum(-d - rows @ z, 0.0)
+        step, enter = 1.0, None
+        for i in np.flatnonzero(rate):
+            if slack[i] < step * rate[i]:
+                step, enter = slack[i] / rate[i], int(i)
+        z += step * s
+        if enter is not None:
+            work.append(enter)
+        elif lam.min() >= -1e-12:
+            weights = np.zeros(m)
+            weights[work] = np.maximum(lam, 0.0)
+            return z[:n], float(z[n]), weights
+        else:
+            del work[int(np.argmin(lam))]
+    return None
+
+
+def _reference_working_set_solve(hess, rows, work, top, bottom):
+    """(u, lam) solving [[H, A.T], [A, 0]] (u, lam) = (top, bottom), A
+    the rows in ``work``; None when that system is singular or its
+    solution is not finite."""
+    n1, k = len(hess), len(work)
+    kkt = np.zeros((n1 + k, n1 + k))
+    kkt[:n1, :n1] = hess
+    kkt[:n1, n1:] = rows[work].T
+    kkt[n1:, :n1] = rows[work]
+    try:
+        sol = np.linalg.solve(kkt, np.concatenate([top, bottom]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(sol)):
+        return None
+    return sol[:n1], sol[n1:]
 
 
 def lp_fusion_optimum(a):

@@ -27,6 +27,7 @@ from oracles import (
     minimax_optimum,
     nelder_mead,
     nonlinear_minimax,
+    reference_minimax_step,
     sample_stalk,
 )
 from sheaffuse import (
@@ -987,6 +988,143 @@ def test_sqp_on_a_whole_space_without_coordinates():
                [RestrictionMap(top, mid, Builtin("five", lambda c: (5.0,)))])
     res = fuse(Assignment(sh, {mid: make_point(euclidean(1), [1.0])}))
     assert (res.route, res.converged, res.residual) == ("sqp", True, 4.0)
+
+
+def sqp_models(assignments):
+    """Every model (d, J, B, guess) that fusing ``assignments`` poses to
+    ``_minimax_step``."""
+    models = []
+    step = fusion._minimax_step
+
+    def spy(d, jac, b, guess=()):
+        models.append((d.copy(), jac.copy(), b.copy(), tuple(guess)))
+        return step(d, jac, b, guess)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(fusion, "_minimax_step", spy)
+        for a in assignments:
+            fuse(a)
+    return models
+
+
+def model_bits(found):
+    """A model's solution (p, t, lam) as float hex, or None."""
+    if found is None:
+        return None
+    p, t, lam = found
+    return hexes(p), float(t).hex(), hexes(lam)
+
+
+def random_model(rng, cond, n=None):
+    """A model of 1-12 distances over n (else 0-6) coordinates whose B
+    has condition number ``cond``, its last row and distance a copy of
+    its first in about a third of draws, and a random guess of any size."""
+    n = int(rng.integers(0, 7)) if n is None else n
+    m = int(rng.integers(1, 13))
+    jac = rng.normal(0.0, 10.0 ** rng.uniform(-2.0, 2.0), (m, n))
+    d = rng.uniform(0.0, 10.0, m)
+    if m > 1 and rng.random() < 0.35:
+        jac[-1], d[-1] = jac[0], d[0]
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    eig = np.exp(rng.uniform(0.0, math.log(cond), n))
+    eig[:1], eig[-1:] = 1.0, cond
+    guess = tuple(sorted(rng.choice(m, int(rng.integers(0, m + 1)),
+                                    replace=False).tolist()))
+    return d, jac, (q * eig) @ q.T, guess
+
+
+def test_minimax_step_is_the_reference_on_fused_models():
+    """The model solved from one bordered matrix returns the reference's
+    (p, t, lam), which assembles each working set's KKT matrix afresh,
+    bit for bit on every model that fusing the recorded SAR cases, 96
+    noisy SAR snapshots and 96 chain snapshots poses; among them are
+    the chain's first models, whose guess of every group is too large
+    to solve."""
+    sh = camera_chain_sheaf()
+    rng = np.random.default_rng(1)
+    assignments = [sar_case_assignment(SAR, case) for case in (1, 2, 3)]
+    assignments += noisy_sar_snapshots(SAR, 96, 1)
+    assignments += [chain_snapshot(sh, rng) for _ in range(96)]
+    models = sqp_models(assignments)
+    assert len(models) > 1000
+    assert sum(len(g) > jac.shape[1] + 1 for _, jac, _, g in models) >= 96
+    for i, model in enumerate(models):
+        assert model_bits(fusion._minimax_step(*model)) == \
+            model_bits(reference_minimax_step(*model)), i
+
+
+def test_minimax_step_is_the_reference_on_random_models():
+    """The same bit for bit on seeded random models, cond(B) from 1 to
+    1e13, with repeated rows and guesses of every size."""
+    rng = np.random.default_rng(37)
+    for i, cond in enumerate(np.logspace(0.0, 13.0, 1500)):
+        model = random_model(rng, cond)
+        assert model_bits(fusion._minimax_step(*model)) == \
+            model_bits(reference_minimax_step(*model)), i
+
+
+def assert_kkt(d, jac, b, found, tol=1e-9):
+    """(p, t, lam) satisfies the model's optimality conditions: lam >= 0
+    sums to 1, d + J p <= t and lam_i (t - d_i - J_i p) = 0 up to tol
+    times each constraint's size |J_i| |p| + |t| + |d_i|, and
+    B p + J^T lam = 0 up to tol times |B| |p| + |J|^T lam."""
+    assert found is not None
+    p, t, lam = found
+    gap = d + jac @ p - t
+    size = np.abs(jac) @ np.abs(p) + abs(t) + np.abs(d)
+    assert np.all(lam >= 0.0) and abs(lam.sum() - 1.0) <= 1e-12
+    assert np.all(gap <= tol * size)
+    assert np.all(lam * np.abs(gap) <= tol * size)
+    assert np.all(np.abs(b @ p + jac.T @ lam)
+                  <= tol * (np.abs(b) @ np.abs(p) + np.abs(jac).T @ lam)
+                  + 1e-300)
+
+
+def test_minimax_step_meets_the_kkt_conditions():
+    """On random well-conditioned models, repeated rows among them, and
+    on models without coordinates (then t = max d), with and without a
+    guess."""
+    rng = np.random.default_rng(41)
+    repeated = 0
+    for i in range(400):
+        d, jac, b, guess = random_model(rng, 10.0 ** rng.uniform(0.0, 3.0),
+                                        n=0 if i % 5 == 0 else None)
+        repeated += len(d) > 1 and d[0] == d[-1]
+        for g in ((), guess):
+            found = fusion._minimax_step(d, jac, b, g)
+            assert_kkt(d, jac, b, found)
+            if jac.shape[1] == 0:
+                assert found[1] == d.max()
+    assert repeated > 50
+
+
+def test_sqp_skips_a_guess_too_large_to_solve(monkeypatch):
+    """The linear route's first model guesses every group active: 9
+    groups on the camera chain, against 6 coordinates and t.  More than
+    n + 1 equalities make its KKT matrix singular, so that guess costs no
+    solve, and the first model's solves are its cold start's."""
+    sh = camera_chain_sheaf()
+    a = chain_snapshot(sh, np.random.default_rng(1))
+    models, solves = [], []
+    step, solve = fusion._minimax_step, np.linalg.solve
+
+    def spy_step(d, jac, b, guess=()):
+        models.append((len(guess), jac.shape[1]))
+        return step(d, jac, b, guess)
+
+    def spy_solve(kkt, rhs):
+        solves.append((len(models), len(kkt)))
+        return solve(kkt, rhs)
+
+    monkeypatch.setattr(fusion, "_minimax_step", spy_step)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    res = fuse(a)
+    assert res.route == "sqp" and res.converged
+    guessed, n = models[0]
+    assert guessed > n + 1
+    first = [size for call, size in solves if call == 1]
+    assert first and n + 1 + guessed not in first
+    assert max(first) <= 2 * (n + 1)
 
 
 def compiled_plan(a):

@@ -1,7 +1,8 @@
-"""The library imports only the standard library and NumPy; SciPy and
-the rest of the test extra stay in the tests.  Every name the package
-exports, and every function and class a library module defines, has a
-reader in the library or the benchmark harness."""
+"""The library imports only the standard library and NumPy, and only
+NumPy's public names; SciPy and the rest of the test extra stay in the
+tests.  Every name the package exports, and every function and class a
+library module defines, has a reader in the library or the benchmark
+harness."""
 
 import ast
 import sys
@@ -29,6 +30,65 @@ def test_library_imports_only_stdlib_and_numpy():
             outside += [f"{path.name}: {name}" for name in names
                         if name.split(".")[0] not in ALLOWED]
     assert not outside
+    assert [use for path in files
+            for use in private_numpy(path.read_text(), path.name)] == []
+
+
+def private_numpy(source: str, name: str) -> list[str]:
+    """The private NumPy modules a file imports and the private
+    attributes it reads off NumPy names: one whose name starts with a
+    single underscore, such as ``numpy.linalg._umath_linalg``.  Calling
+    such internals directly skips the checks of the public API."""
+    tree = ast.parse(source, name)
+    aliases, found = set(), []
+
+    def private(part):
+        return part.startswith("_") and not part.startswith("__")
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    aliases.add((alias.asname or alias.name).split(".")[0])
+                    found += [f"{name}: import {alias.name}"
+                              for part in alias.name.split(".")
+                              if private(part)]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "numpy":
+            aliases |= {alias.asname or alias.name for alias in node.names}
+            found += [f"{name}: from {node.module} import {part}"
+                      for part in (*node.module.split("."),
+                                   *(alias.name for alias in node.names))
+                      if private(part)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in aliases:
+                found.append(f"{name}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant) \
+                and isinstance(node.args[1].value, str) \
+                and private(node.args[1].value):
+            found.append(f"{name}: {ast.unparse(node)}")
+    return found
+
+
+def test_private_numpy_check_finds_each_form():
+    """Each way into a private NumPy name is found, and a public one
+    is not."""
+    sources = ["import numpy.linalg._umath_linalg",
+               "from numpy.linalg import _umath_linalg",
+               "from numpy._core import multiarray",
+               "import numpy as np\nnp.linalg._umath_linalg.solve(a, b)",
+               "from numpy import linalg as la\nla._umath_linalg",
+               "import numpy as np\ngetattr(np.linalg, '_umath_linalg')"]
+    for source in sources:
+        assert private_numpy(source, "x.py"), source
+    assert private_numpy("import numpy as np\nnp.linalg.solve(a, b)\n"
+                         "np.__version__\nx._private", "x.py") == []
 
 
 def names_read(path: Path) -> set[str]:
